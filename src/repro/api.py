@@ -29,8 +29,7 @@ The surface:
 * declarative topology specs (:class:`TopologySpec`,
   :class:`LeafSpineSpec`, :class:`ClosSpec`, :func:`spec_from_dict`,
   :func:`as_topology_spec`) — shape descriptions a :class:`Fabric`
-  builds from and the sharded runner partitions
-  (``ExperimentConfig(shards=N)`` / :func:`run_sharded`);
+  builds from;
 * :func:`serve` / :class:`ExperimentService` / :class:`ServiceClient` —
   the always-on experiment service (bounded job queue, crash-tolerant
   worker pool, HTTP JSON API + SSE; see :mod:`repro.serve`);
@@ -104,7 +103,6 @@ from repro.sim.engine import (
     WheelSimulator,
     make_simulator,
 )
-from repro.shard import run_sharded
 from repro.sim.rng import RngStreams
 from repro.telemetry.series import QueueSampler
 from repro.transport.dctcp import DctcpFlow
@@ -136,7 +134,6 @@ __all__ = [
     "QueueFull",
     "BackpressureError",
     "run_experiment",
-    "run_sharded",
     "run_grid",
     "save_result",
     "load_result",

@@ -71,11 +71,6 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="worker processes for multi-cell runs "
                              "(default: $REPRO_JOBS, else all cores); "
                              "1 = in-process")
-    common.add_argument("--shards", type=_positive_int, default=None,
-                        help="spatially partition each run into this many "
-                             "leaf-group shards (repro.shard), one worker "
-                             "each, synchronized by conservative lookahead; "
-                             "results are bit-identical to --shards 1")
     common.add_argument("--validate", action="store_true",
                         help="run under the repro.validate invariant "
                              "layer (conservation, FIFO, clock, ECN, "
@@ -137,8 +132,6 @@ def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "scheduler", None):
         updates["scheduler"] = args.scheduler
-    if getattr(args, "shards", None):
-        updates["shards"] = args.shards
     if getattr(args, "validate", False):
         updates["validate"] = True
     if getattr(args, "trace", False):
@@ -425,9 +418,7 @@ def cmd_golden(args) -> int:
 
     path = args.path or golden.DEFAULT_PATH
     actual = golden.compute_reference(
-        scheduler=args.scheduler,
-        detector=getattr(args, "detector", None),
-        shards=getattr(args, "shards", None),
+        scheduler=args.scheduler, detector=getattr(args, "detector", None)
     )
     if args.refresh:
         golden.write_reference(actual, path)

@@ -64,7 +64,6 @@ class HermesProber:
         #: still in flight.  Wired by install_probe_loss_accounting.
         self.probes_lost = 0
         self._started = False
-        self._round_event = None
         fabric.hosts[self.agent_host].probe_sink = self.on_reply
 
     def start(self) -> None:
@@ -74,16 +73,7 @@ class HermesProber:
             return
         self._started = True
         jitter = (self.leaf * 7919) % max(1, self.params.probe_interval_ns)
-        self._round_event = self.sim.schedule(jitter, self._round)
-
-    def stop(self) -> None:
-        """Cancel the probing loop and keep it stopped (``start`` becomes
-        a no-op).  The sharded runner stops probers whose rack lives in
-        another shard — the owning shard runs the rounds."""
-        self._started = True
-        if self._round_event is not None:
-            self._round_event.cancel()
-            self._round_event = None
+        self.sim.schedule(jitter, self._round)
 
     def _round(self) -> None:
         for dst_leaf in range(self.topology.config.n_leaves):
@@ -94,9 +84,7 @@ class HermesProber:
                 continue
             for path in self._candidates(dst_leaf, paths):
                 self._send_probe(dst_leaf, path)
-        self._round_event = self.sim.schedule(
-            self.params.probe_interval_ns, self._round
-        )
+        self.sim.schedule(self.params.probe_interval_ns, self._round)
 
     def _candidates(self, dst_leaf: int, paths) -> set:
         """Two random choices plus the previous best (deduplicated)."""

@@ -134,7 +134,6 @@ class HermesLeafState:
         #: detection-latency metric of the recovery-timeline experiment.
         self.detection_times: List[int] = []
         self._sweep_started = False
-        self._sweep_event = None
         #: Optional invariant checker (see :mod:`repro.validate`):
         #: validates every classify() against Algorithm 1's machine.
         self.checker = None
@@ -146,19 +145,7 @@ class HermesLeafState:
         """Begin the periodic τ failure sweep (idempotent)."""
         if not self._sweep_started:
             self._sweep_started = True
-            self._sweep_event = self.sim.schedule(
-                self.params.retx_sweep_interval_ns, self._sweep
-            )
-
-    def stop_sweep(self) -> None:
-        """Cancel the sweep and keep it stopped (``start_sweep`` becomes a
-        no-op).  The sharded runner calls this on leaf states whose rack
-        lives in another shard: their sweeps would fire timer events —
-        and count them — for a rack this process does not simulate."""
-        self._sweep_started = True
-        if self._sweep_event is not None:
-            self._sweep_event.cancel()
-            self._sweep_event = None
+            self.sim.schedule(self.params.retx_sweep_interval_ns, self._sweep)
 
     def state(self, dst_leaf: int, path: int) -> PathState:
         """The (created-on-demand) state for one path."""
@@ -294,6 +281,4 @@ class HermesLeafState:
             state.retx_pkts = 0
             state.retx_by_flow.clear()
             state.timeouts = 0
-        self._sweep_event = self.sim.schedule(
-            params.retx_sweep_interval_ns, self._sweep
-        )
+        self.sim.schedule(params.retx_sweep_interval_ns, self._sweep)

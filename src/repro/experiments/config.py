@@ -128,15 +128,6 @@ class ExperimentConfig:
             detector for path verdicts; time-valued *defaults* in the
             spec scale with ``time_scale``.  A plain string, so it is
             part of the result-cache key automatically.
-        shards: spatial partitions to simulate the run across (see
-            :mod:`repro.shard`).  ``1`` (default): the classic
-            single-process run.  ``> 1``: the fabric is cut into that
-            many leaf groups, one worker each, synchronized by
-            conservative lookahead — bit-identical to ``shards=1`` by
-            contract (records, event count, final clock).  Part of the
-            result-cache key like every other field; some observability
-            features (validate/trace/streaming/faults/detectors) are
-            single-process only and raise at run time.
     """
 
     topology: TopologyConfig
@@ -162,11 +153,8 @@ class ExperimentConfig:
     streaming_stats: Optional[bool] = None
     scheduler: str = DEFAULT_SCHEDULER
     detector: Optional[str] = None
-    shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; known: {TRANSPORTS}"

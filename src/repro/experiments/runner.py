@@ -143,10 +143,6 @@ def _flow_record(f) -> FlowRecord:
 def _resolved_lb_params(config: ExperimentConfig) -> Dict[str, Any]:
     """The scheme parameters ``install_lb`` receives for this config —
     ``config.lb_params`` plus the scale-derived defaults.
-
-    Shared by the in-process runner and every shard worker: both must
-    install byte-for-byte identical scheme state, so the scaling policy
-    lives in exactly one place.
     """
     lb_params = dict(config.lb_params)
     if config.lb == "hermes" and "params" not in lb_params:
@@ -200,9 +196,7 @@ def _resolved_lb_params(config: ExperimentConfig) -> Dict[str, Any]:
 
 
 def _flow_kwargs(config: ExperimentConfig) -> Dict[str, Any]:
-    """Constructor kwargs for every flow of this config (shared with the
-    shard workers, same single-source-of-truth policy as
-    :func:`_resolved_lb_params`)."""
+    """Constructor kwargs for every flow of this config."""
     kwargs: Dict[str, Any] = {
         "dupthresh": config.dupthresh,
         "max_cwnd": config.max_cwnd,
@@ -214,12 +208,8 @@ def _flow_kwargs(config: ExperimentConfig) -> Dict[str, Any]:
 
 
 def _arrival_list(config: ExperimentConfig, rng: RngStreams):
-    """The config's deterministic flow-arrival schedule.
-
-    Every shard worker replays this identically (the "workload" stream is
-    derived from the seed alone), as does the coordinator when it needs
-    the drain deadline without building a fabric.
-    """
+    """The config's deterministic flow-arrival schedule (the "workload"
+    stream is derived from the seed alone)."""
     distribution = distribution_by_name(config.workload)
     if config.size_scale != 1.0:
         distribution = distribution.scaled(config.size_scale)
@@ -241,15 +231,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     The run ends when every flow finished or ``extra_drain_ns`` elapsed
     past the last arrival, whichever comes first; flows still active then
     are reported as unfinished.
-
-    ``config.shards > 1`` dispatches to the spatially partitioned runner
-    (:func:`repro.shard.run_sharded`), which produces bit-identical
-    records, event counts and clocks via conservative lookahead.
     """
-    if config.shards > 1:
-        from repro.shard.runner import run_sharded
-
-        return run_sharded(config)
     # REPRO_SCHEDULER overrides the config, the same way REPRO_VALIDATE/
     # REPRO_TRACE override their flags.  ``wheel:auto`` derives its slot
     # geometry from the topology + time scale (pure function — the same

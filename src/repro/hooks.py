@@ -15,11 +15,12 @@ replaces that with a single fabric-bound surface::
 
 Attach refuses to overwrite an occupied slot (``InstallError``-free:
 plain ``RuntimeError``, checked for *all* requested slots before any
-wiring happens, so a failed attach changes nothing).  The legacy
-attributes survive only as **read-only** properties; assigning them
-(``fabric.checker = ...``, ``sim.profiler = ...``, ``port.tracer =
-...``) is a hard ``AttributeError`` pointing here — the deprecation
-grace period ended with the sharded-runner API redesign.
+wiring happens, so a failed attach changes nothing).  The per-object
+attributes (``fabric.checker``, ``sim.profiler``, ``port.tracer``, ...)
+are **read-only** properties: assigning one is an ``AttributeError``,
+because the fast-path flags (``Fabric._fast``, ``OutputPort._guarded``)
+are refreshed only by ``attach``/``detach`` and a bypassing write would
+install a hook the hot path never consults.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind, PacketPool
 from repro.net.spec import TopologySpec, as_topology_spec
 from repro.net.topology import TopologyConfig
-from repro.sim.engine import Simulator, _HOOK_DEPRECATION
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,7 +98,7 @@ class Fabric:
         return self.topology.config
 
     # ------------------------------------------------------------------ #
-    # Legacy hook attributes (read-only; assignment is a hard error)
+    # Hook views (read-only: no setter, so assignment raises)
     # ------------------------------------------------------------------ #
 
     @property
@@ -107,22 +107,14 @@ class Fabric:
         :attr:`hooks`)."""
         return self._checker
 
-    @checker.setter
-    def checker(self, value) -> None:
-        raise AttributeError(_HOOK_DEPRECATION)
-
     @property
     def tracer(self):
         """The attached tracer (read-only view; attach via :attr:`hooks`)."""
         return self._tracer
 
-    @tracer.setter
-    def tracer(self, value) -> None:
-        raise AttributeError(_HOOK_DEPRECATION)
-
     def _refresh_fast_path(self) -> None:
-        """Recompute the hooks-off flag (called by the HookSet and the
-        deprecated setters whenever a hook is attached or detached)."""
+        """Recompute the hooks-off flag (called by the HookSet whenever
+        a hook is attached or detached)."""
         self._fast = self._checker is None and self._tracer is None
 
     # ------------------------------------------------------------------ #

@@ -18,7 +18,6 @@ from collections import deque
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.net.packet import Packet, PacketKind
-from repro.sim.engine import _HOOK_DEPRECATION
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -200,7 +199,7 @@ class OutputPort:
         self._guarded = False
 
     # ------------------------------------------------------------------ #
-    # Legacy hook attributes (read-only; assignment is a hard error)
+    # Hook views (read-only: no setter, so assignment raises)
     # ------------------------------------------------------------------ #
 
     @property
@@ -209,19 +208,11 @@ class OutputPort:
         :class:`repro.hooks.HookSet`)."""
         return self._checker
 
-    @checker.setter
-    def checker(self, value) -> None:
-        raise AttributeError(_HOOK_DEPRECATION)
-
     @property
     def tracer(self):
         """The attached tracer (read-only view; attach via
         :class:`repro.hooks.HookSet`)."""
         return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        raise AttributeError(_HOOK_DEPRECATION)
 
     def _refresh_fast_path(self) -> None:
         """Recompute the enqueue guard flag.  Every input that can force
@@ -423,23 +414,6 @@ class OutputPort:
         self._refresh_fast_path()
         if not down and not self.busy:
             self._start_next()
-
-    def divert_propagation(
-        self, sink: Callable[[int, Callable[[Packet], None], Packet], None]
-    ) -> None:
-        """Intercept this port's post-serialization propagation.
-
-        Normally :meth:`_tx_done` hands the serialized packet to
-        ``sim.schedule_pooled(prop_delay_ns, forward, packet)``.  After
-        diversion, ``sink(prop_delay_ns, forward, packet)`` is called
-        instead, at the same instant, with the same arguments — the sink
-        decides whether the packet propagates locally or is serialized
-        across a shard boundary (see :class:`repro.shard.BoundaryLink`).
-        Pass ``None`` to restore the engine's scheduler.
-        """
-        self._schedule_pooled = (
-            self.sim.schedule_pooled if sink is None else sink
-        )
 
     # ------------------------------------------------------------------ #
     # DRE utilization estimator (CONGA §4; lazy exponential decay)

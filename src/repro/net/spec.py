@@ -1,11 +1,8 @@
 """Declarative topology specifications.
 
 A :class:`TopologySpec` describes a fabric *shape* without building it:
-what switches exist, how hosts attach, and — the part the sharded runner
-needs — how the fabric partitions into spatial shards whose only
-coupling is propagation delay (see :mod:`repro.shard`).  ``build()``
-turns the spec into the wired topology object a :class:`Fabric` forwards
-through.
+what switches exist and how hosts attach.  ``build()`` turns the spec
+into the wired topology object a :class:`Fabric` forwards through.
 
 Two specs ship today:
 
@@ -13,8 +10,7 @@ Two specs ship today:
   existing :class:`~repro.net.topology.TopologyConfig` (which stays the
   config-file / cache-key representation);
 * :class:`ClosSpec` — a three-tier pod-based Clos (leaf → aggregation →
-  core), the CAFT-motivated shape that only becomes tractable with
-  shards.
+  core), the CAFT-motivated shape.
 
 ``Fabric`` accepts either a ``TopologyConfig`` (coerced through
 :func:`as_topology_spec`, so every existing call site keeps working) or
@@ -24,7 +20,7 @@ a spec directly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, TYPE_CHECKING
 
 from repro.net.topology import LeafSpineTopology, TopologyConfig
 
@@ -33,31 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-def _chunk_leaves(n_leaves: int, n_shards: int) -> Tuple[Tuple[int, ...], ...]:
-    """Split ``n_leaves`` leaf indices into ``n_shards`` contiguous,
-    near-equal groups (first shards take the remainder)."""
-    if not 1 <= n_shards <= n_leaves:
-        raise ValueError(
-            f"n_shards must be in [1, {n_leaves}], got {n_shards}"
-        )
-    base, extra = divmod(n_leaves, n_shards)
-    groups = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        groups.append(tuple(range(start, start + size)))
-        start += size
-    return tuple(groups)
-
-
 class TopologySpec:
     """Base class: a declarative fabric description.
 
-    Subclasses define the shape (``n_hosts``/``n_leaves``/``leaf_of``),
-    how to wire it (``build``), and how it cuts into shards
-    (``shard_plan``).  The spec itself owns no simulator state — the same
-    spec object can build any number of independent fabrics, which is
-    exactly what each shard worker does.
+    Subclasses define the shape (``n_hosts``/``n_leaves``/``leaf_of``)
+    and how to wire it (``build``).  The spec itself owns no simulator
+    state — the same spec object can build any number of independent
+    fabrics.
     """
 
     #: Registry key used by :meth:`to_dict` / :func:`spec_from_dict`.
@@ -66,8 +44,7 @@ class TopologySpec:
     #: Subclasses provide ``hosts_per_leaf`` and ``prop_delay_ns`` as
     #: attributes or properties (plain class attributes here, so a
     #: frozen-dataclass subclass may define them as fields).
-    #: ``prop_delay_ns`` — the delay of every inter-switch link — is the
-    #: conservative lookahead window of the sharded runner.
+    #: ``prop_delay_ns`` is the delay of every inter-switch link.
     hosts_per_leaf: int = 0
     prop_delay_ns: int = 0
 
@@ -90,13 +67,6 @@ class TopologySpec:
         """Wire the fabric: returns the topology object (ports + routing)."""
         raise NotImplementedError
 
-    def shard_plan(self, n_shards: int) -> Tuple[Tuple[int, ...], ...]:
-        """Partition the leaves into ``n_shards`` groups such that every
-        intra-group route stays inside the group and every inter-group
-        route crosses exactly one uplink→downlink hop (the boundary the
-        sharded runner serializes packets across)."""
-        raise NotImplementedError
-
     def to_dict(self) -> Dict:
         raise NotImplementedError
 
@@ -106,8 +76,8 @@ class LeafSpineSpec(TopologySpec):
     """The paper's two-tier leaf–spine fabric, as a spec.
 
     Wraps :class:`~repro.net.topology.TopologyConfig`: the config remains
-    the serialized / cache-keyed form, the spec adds the shard-aware
-    construction surface.
+    the serialized / cache-keyed form, the spec adds the construction
+    surface.
     """
 
     config: TopologyConfig = field(default_factory=TopologyConfig)
@@ -131,13 +101,6 @@ class LeafSpineSpec(TopologySpec):
 
     def build(self, sim: "Simulator", forward: Callable[["Packet"], None]):
         return LeafSpineTopology(sim, self.config, forward)
-
-    def shard_plan(self, n_shards: int) -> Tuple[Tuple[int, ...], ...]:
-        # Any leaf partition works: every inter-leaf route is
-        # host→leaf→spine→leaf→host, and the spine hop is the cut —
-        # the leaf_up port is owned by the source shard, the spine's
-        # downlink (and everything after it) by the destination shard.
-        return _chunk_leaves(self.config.n_leaves, n_shards)
 
     def to_dict(self) -> Dict:
         d = asdict(self.config)
@@ -212,26 +175,6 @@ class ClosSpec(TopologySpec):
         from repro.net.clos import ClosTopology
 
         return ClosTopology(sim, self, forward)
-
-    def shard_plan(self, n_shards: int) -> Tuple[Tuple[int, ...], ...]:
-        # Pods are the natural cut: intra-pod routes never leave the pod,
-        # so grouping whole pods keeps the boundary at the agg→core hop.
-        if not 1 <= n_shards <= self.pods:
-            raise ValueError(
-                f"n_shards must be in [1, {self.pods}] for a "
-                f"{self.pods}-pod clos, got {n_shards}"
-            )
-        pod_groups = _chunk_leaves(self.pods, n_shards)
-        return tuple(
-            tuple(
-                leaf
-                for pod in pods
-                for leaf in range(
-                    pod * self.leaves_per_pod, (pod + 1) * self.leaves_per_pod
-                )
-            )
-            for pods in pod_groups
-        )
 
     def to_dict(self) -> Dict:
         d = asdict(self)

@@ -51,18 +51,6 @@ SCHEDULERS = ("heap", "wheel", "wheel:auto")
 #: ``"heap"`` stays selectable per config or via ``REPRO_SCHEDULER``.
 DEFAULT_SCHEDULER = "wheel"
 
-#: Error message shared by every legacy hook attribute.  Direct hook
-#: assignment was deprecated when :class:`repro.hooks.HookSet` landed
-#: (PR 6) and is now a hard error: the fast-path flags HookSet maintains
-#: (`Fabric._fast`, `OutputPort._guarded`) are only refreshed through
-#: ``attach``/``detach``, so a bypassing write could silently install a
-#: hook the hot path never consults.
-_HOOK_DEPRECATION = (
-    "direct hook attribute assignment was removed; use "
-    "repro.hooks.HookSet (fabric.hooks.attach(...)) instead"
-)
-
-
 def seconds(value: float) -> int:
     """Convert seconds to integer nanoseconds."""
     return int(round(value * NS_PER_SEC))
@@ -159,7 +147,7 @@ class Simulator:
         self._profiler = None
 
     # ------------------------------------------------------------------ #
-    # Legacy hook attributes (read-only; assignment is a hard error)
+    # Hook views (read-only: no setter, so assignment raises)
     # ------------------------------------------------------------------ #
 
     @property
@@ -168,19 +156,11 @@ class Simulator:
         :class:`repro.hooks.HookSet`)."""
         return self._checker
 
-    @checker.setter
-    def checker(self, value) -> None:
-        raise AttributeError(_HOOK_DEPRECATION)
-
     @property
     def profiler(self):
         """The attached loop profiler (read-only view; attach via
         :class:`repro.hooks.HookSet`)."""
         return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        raise AttributeError(_HOOK_DEPRECATION)
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -320,8 +300,11 @@ class Simulator:
 
         Args:
             until: stop once the clock would pass this absolute time.  The
-                clock is advanced to ``until`` on exit (unless a callback
-                called :meth:`stop` first).
+                clock is advanced to ``until`` on exit, unless a callback
+                called :meth:`stop` first or ``max_events`` ended the loop
+                with live events still due at or before ``until`` (jumping
+                past them would make the next ``run()`` move the clock
+                backwards).
             max_events: stop after this many events have fired.
 
         Returns:
@@ -376,66 +359,18 @@ class Simulator:
         finally:
             self._events_fired += fired
             self._running = False
-        if until is not None and not self._stop_requested and self.now < until:
-            self.now = until
+        if until is not None:
+            self._advance_clock(until)
         return fired
 
-    def run_until(self, horizon: int, max_events: Optional[int] = None) -> int:
-        """Fire every pending event with ``time < horizon`` and return.
-
-        The conservative-lookahead barrier API (see :mod:`repro.shard`):
-        unlike :meth:`run`, the bound is *exclusive* and the clock is left
-        at the last fired event rather than advanced to the bound, so the
-        loop is resumable — a later ``run_until`` with a larger horizon
-        continues exactly where this one stopped, and events injected
-        between windows at ``t >= horizon`` dispatch in their correct
-        ``(time, seq)`` position.
-
-        Returns the number of events fired during this call.
-        """
-        if self._running:
-            raise RuntimeError(
-                "Simulator.run_until() is not re-entrant; "
-                "use schedule()/stop() from within callbacks"
-            )
-        queue = self._queue
-        pop = heappop
-        pool = self._event_pool
-        limit = _NEVER if max_events is None else max_events
-        checker = self._checker
-        profiler = self._profiler
-        fired = 0
-        self._stop_requested = False
-        self._running = True
-        try:
-            while queue:
-                event = queue[0]
-                if event.cancelled:
-                    pop(queue)
-                    if event.poolable:
-                        event.args = ()
-                        pool.append(event)
-                    continue
-                if event.time >= horizon or fired >= limit:
-                    break
-                pop(queue)
-                if checker is not None:
-                    checker.on_advance(event.time, self.now)
-                self.now = event.time
-                fired += 1
-                if profiler is not None:
-                    profiler.on_event(event)
-                seq = event.seq
-                event.fn(*event.args)
-                if event.poolable and event.seq == seq:
-                    event.args = ()
-                    pool.append(event)
-                if self._stop_requested:
-                    break
-        finally:
-            self._events_fired += fired
-            self._running = False
-        return fired
+    def _advance_clock(self, until: int) -> None:
+        """Move the idle clock up to ``until`` after a bounded run, unless
+        :meth:`stop` ended it or live events at or before ``until`` remain
+        (``max_events`` cut the loop short)."""
+        if not self._stop_requested and self.now < until:
+            next_time = self.peek_time()
+            if next_time is None or next_time > until:
+                self.now = until
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
@@ -801,58 +736,8 @@ class WheelSimulator(Simulator):
         finally:
             self._events_fired += fired
             self._running = False
-        if until is not None and not self._stop_requested and self.now < until:
-            self.now = until
-        return fired
-
-    def run_until(self, horizon: int, max_events: Optional[int] = None) -> int:
-        if self._running:
-            raise RuntimeError(
-                "Simulator.run_until() is not re-entrant; "
-                "use schedule()/stop() from within callbacks"
-            )
-        limit = _NEVER if max_events is None else max_events
-        checker = self._checker
-        profiler = self._profiler
-        fired = 0
-        self._stop_requested = False
-        self._running = True
-        bucket = self._bucket
-        pool = self._event_pool
-        try:
-            while True:
-                pos = self._bucket_pos
-                if pos < len(bucket):
-                    event = bucket[pos]
-                    if event.cancelled:
-                        self._bucket_pos = pos + 1
-                        if event.poolable:
-                            event.args = ()
-                            pool.append(event)
-                        continue
-                    if event.time >= horizon or fired >= limit:
-                        break
-                    self._bucket_pos = pos + 1
-                    if checker is not None:
-                        checker.on_advance(event.time, self.now)
-                    self.now = event.time
-                    fired += 1
-                    if profiler is not None:
-                        profiler.on_event(event)
-                    seq = event.seq
-                    event.fn(*event.args)
-                    if event.poolable and event.seq == seq:
-                        event.args = ()
-                        pool.append(event)
-                    if self._stop_requested:
-                        break
-                    continue
-                if not self._advance():
-                    break
-                bucket = self._bucket
-        finally:
-            self._events_fired += fired
-            self._running = False
+        if until is not None:
+            self._advance_clock(until)
         return fired
 
     def reset(self) -> None:

@@ -41,10 +41,6 @@ class TcpFlow(FlowBase):
         max_cwnd: cap on the congestion window in packets.
         reorder_mask_ns: if set, the receiver masks reordering for this
             long before emitting duplicate ACKs (Presto*/DRB evaluation).
-        flow_id: explicit flow id; ``None`` lets the fabric allocate the
-            next sequential one.  The sharded runner pins ids to the
-            global arrival index so every shard agrees with the serial
-            run's allocation order.
     """
 
     def __init__(
@@ -58,9 +54,8 @@ class TcpFlow(FlowBase):
         max_cwnd: float = 800.0,
         reorder_mask_ns: Optional[int] = None,
         min_rto_ns: int = 10_000_000,
-        flow_id: Optional[int] = None,
     ) -> None:
-        super().__init__(fabric, src, dst, size_bytes, flow_id=flow_id)
+        super().__init__(fabric, src, dst, size_bytes)
         self.mss = MSS
         self.n_pkts = (size_bytes + MSS - 1) // MSS
         self._last_payload = size_bytes - (self.n_pkts - 1) * MSS

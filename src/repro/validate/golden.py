@@ -70,9 +70,7 @@ def golden_configs() -> List[ExperimentConfig]:
 
 
 def compute_reference(
-    scheduler: Optional[str] = None,
-    detector: Optional[str] = None,
-    shards: Optional[int] = None,
+    scheduler: Optional[str] = None, detector: Optional[str] = None
 ) -> Dict:
     """Run the grid in-process and summarize every cell.
 
@@ -83,10 +81,7 @@ def compute_reference(
     detector (transport, breaker) must also reproduce the committed
     reference bit-for-bit — the clean grid gives it no evidence to act
     on, so any deviation means the detector perturbed a run it was only
-    supposed to watch.  ``shards`` partitions every cell spatially
-    (:mod:`repro.shard`): the sharded runner's bit-identity contract
-    means the committed reference must reproduce for any shard count —
-    the CI ``shard-smoke`` job pins ``--shards 2`` against it.
+    supposed to watch.
     """
     cells: Dict[str, Dict] = {}
     for config in golden_configs():
@@ -94,8 +89,6 @@ def compute_reference(
             config = replace(config, scheduler=scheduler)
         if detector is not None:
             config = replace(config, detector=detector)
-        if shards is not None:
-            config = replace(config, shards=shards)
         result = run_experiment(config)
         stats = result.stats
         cells[f"{config.lb}@{config.load}"] = {

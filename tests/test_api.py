@@ -68,10 +68,13 @@ class TestSurface:
         assert len(api.__all__) == len(set(api.__all__))
         assert public == set(api.__all__)
 
-    def test_shard_and_spec_surface_is_exported(self):
+    def test_spec_surface_is_exported(self):
         for name in ("TopologySpec", "LeafSpineSpec", "ClosSpec",
-                     "spec_from_dict", "as_topology_spec", "run_sharded"):
+                     "spec_from_dict", "as_topology_spec"):
             assert name in api.__all__, name
+
+    def test_sharded_runner_is_gone(self):
+        assert not [name for name in api.__all__ if "shard" in name]
 
     def test_package_root_reexports_facade(self):
         for name in ("run_experiment", "run_grid", "save_result",
@@ -119,6 +122,14 @@ class TestConfigRoundTrip:
         data = _small_config().to_dict()
         data["warp_factor"] = 9
         with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_dict(data)
+
+    def test_from_dict_rejects_removed_shards_key(self):
+        """``shards`` was deleted with the sharded runner, not defaulted:
+        a stale key fails by name instead of being silently ignored."""
+        data = _small_config().to_dict()
+        data["shards"] = 2
+        with pytest.raises(ValueError, match=r"unknown config keys: \['shards'\]"):
             ExperimentConfig.from_dict(data)
 
     def test_from_dict_requires_topology(self):

@@ -7,6 +7,7 @@ from repro.sim.engine import (
     NS_PER_SEC,
     NS_PER_US,
     Simulator,
+    WheelSimulator,
     microseconds,
     milliseconds,
     seconds,
@@ -106,7 +107,7 @@ class TestCancellation:
 
 
 class TestRunControl:
-    def test_run_until_stops_before_later_events(self, sim):
+    def test_until_stops_before_later_events(self, sim):
         fired = []
         sim.schedule(10, fired.append, "early")
         sim.schedule(100, fired.append, "late")
@@ -116,7 +117,7 @@ class TestRunControl:
         sim.run()
         assert fired == ["early", "late"]
 
-    def test_run_until_advances_clock_without_events(self, sim):
+    def test_until_advances_clock_without_events(self, sim):
         sim.run(until=1_000)
         assert sim.now == 1_000
 
@@ -127,6 +128,22 @@ class TestRunControl:
         count = sim.run(max_events=3)
         assert count == 3
         assert fired == [0, 1, 2]
+
+    @pytest.mark.parametrize("engine", [Simulator, WheelSimulator])
+    def test_event_cap_before_until_keeps_clock_monotone(self, engine):
+        """Stopped by ``max_events`` with live events still due before
+        ``until``, the clock stays at the last fired event — jumping to
+        ``until`` would make the next run() move it backwards."""
+        sim = engine()
+        times = []
+        for t in (10, 20, 30):
+            sim.schedule(t, lambda: times.append(sim.now))
+        assert sim.run(until=100, max_events=1) == 1
+        assert sim.now == 10
+        assert sim.peek_time() == 20
+        assert sim.run(until=100) == 2
+        assert times == [10, 20, 30]
+        assert sim.now == 100
 
     def test_run_returns_events_fired(self, sim):
         for i in range(5):

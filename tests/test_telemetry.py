@@ -150,14 +150,14 @@ class TestPeriodicSampler:
         assert sampler.stddev_backlog("p") == pytest.approx(100.0)
 
     def test_collector_shim_import_is_hard_error(self):
-        """The PR-6 compatibility shim's grace period is over: importing
-        ``repro.metrics.collector`` is a hard ImportError pointing at
-        telemetry.series (in-repo callers are all migrated)."""
+        """The PR-6 compatibility shim is gone: importing
+        ``repro.metrics.collector`` is a plain ImportError (the samplers
+        live in telemetry.series; in-repo callers are all migrated)."""
         import importlib
         import sys
 
         sys.modules.pop("repro.metrics.collector", None)
-        with pytest.raises(ImportError, match="telemetry.series"):
+        with pytest.raises(ImportError):
             importlib.import_module("repro.metrics.collector")
 
     def test_ecn_fraction_series(self, sim):

@@ -1,6 +1,6 @@
 """Tests for repro.net.spec — declarative topology specifications.
 
-Edge cases the sharded-runner redesign exposed: a single-leaf fabric
+Edge cases of the spec layer: a single-leaf fabric
 (everything intra-rack, no spine traffic at all), asymmetric uplink
 capacities, and the three-tier Clos shape that only the spec layer can
 describe.  The Clos smoke test builds a fabric with *no* load-balancing
@@ -32,7 +32,7 @@ from repro.sim.rng import RngStreams
 
 class TestSingleLeaf:
     """One leaf, no inter-rack traffic: the degenerate fabric must still
-    run (every flow is host→leaf→host) and must refuse to shard."""
+    run (every flow is host→leaf→host)."""
 
     def _config(self):
         return ExperimentConfig(
@@ -53,12 +53,6 @@ class TestSingleLeaf:
         spec = as_topology_spec(self._config().topology)
         assert all(spec.leaf_of(r.src) == 0 and spec.leaf_of(r.dst) == 0
                    for r in result.stats.records)
-
-    def test_shard_plan_single_group_only(self):
-        spec = as_topology_spec(TopologyConfig(n_leaves=1, n_spines=1))
-        assert spec.shard_plan(1) == ((0,),)
-        with pytest.raises(ValueError, match=r"n_shards must be in \[1, 1\]"):
-            spec.shard_plan(2)
 
 
 class TestAsymmetricUplinks:
@@ -168,13 +162,6 @@ class TestClosSmoke:
                 range(spec.aggs_per_pod)
             )
 
-    def test_shard_plan_groups_whole_pods(self):
-        spec = self._spec()
-        assert spec.shard_plan(1) == ((0, 1, 2, 3),)
-        assert spec.shard_plan(2) == ((0, 1), (2, 3))
-        with pytest.raises(ValueError, match="2-pod clos"):
-            spec.shard_plan(3)
-
     def test_rejects_degenerate_dimensions(self):
         with pytest.raises(ValueError, match="positive"):
             ClosSpec(pods=0)
@@ -222,4 +209,4 @@ class TestCoercion:
     def test_base_class_is_abstract_surface(self):
         spec = TopologySpec()
         with pytest.raises(NotImplementedError):
-            spec.shard_plan(1)
+            spec.to_dict()
