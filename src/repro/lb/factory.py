@@ -36,6 +36,9 @@ def _install_simple(cls: type) -> Callable[..., Dict[str, Any]]:
 
 
 def _install_conga(fabric: Fabric, **params: Any) -> Dict[str, Any]:
+    # CONGA is the DRE's only consumer, so it alone switches it on.
+    for port in fabric.topology.all_ports():
+        port.enable_dre()
     aging_ns = params.pop("aging_ns", None)
     leaf_states = {
         leaf: CongaLeafState(**({"aging_ns": aging_ns} if aging_ns else {}))

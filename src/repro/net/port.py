@@ -6,9 +6,11 @@ delay.  ECN CE marking happens at enqueue when the instantaneous backlog
 exceeds the marking threshold, which is how commodity switches implement
 DCTCP-style marking.
 
-The port also keeps a DRE (Discounting Rate Estimator) — the exponentially
-decayed byte counter CONGA uses to estimate link utilization — implemented
-lazily (decay computed on read) so it costs no timer events.
+The port also carries a DRE (Discounting Rate Estimator) — the
+exponentially decayed byte counter CONGA uses to estimate link utilization
+— implemented lazily (decay computed on read) so it costs no timer events.
+It runs only after :meth:`OutputPort.enable_dre`, which CONGA's installer
+calls on every port; the other schemes never read it and never pay for it.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ class OutputPort:
         "drops_linkdown",
         "max_backlog",
         "dre_tau_ns",
+        "_dre_on",
         "_dre_value",
         "_dre_last",
         "data_bytes_enqueued",
@@ -181,8 +184,9 @@ class OutputPort:
         self.max_backlog = 0
         self.data_bytes_enqueued = 0
         self.ecn_marks = 0
-        # DRE state.
+        # DRE state (idle until enable_dre()).
         self.dre_tau_ns = dre_tau_ns
+        self._dre_on = False
         self._dre_value = 0.0
         self._dre_last = 0
         #: Optional invariant checker (see :mod:`repro.validate`); one
@@ -360,18 +364,19 @@ class OutputPort:
         self._inflight = None
 
     def _tx_done(self) -> None:
-        """The last bit has left: account, stamp DRE, propagate."""
+        """The last bit has left: account, stamp DRE (if on), propagate."""
         packet = self._inflight
         size = packet.size
         self.backlog_bytes -= size
         self.bytes_sent += size
         self.pkts_sent += 1
-        self._dre_add(size)
-        kind = packet.kind
-        if kind == PacketKind.DATA or kind == PacketKind.UDP:
-            metric = self.dre_quantized()
-            if metric > packet.conga_metric:
-                packet.conga_metric = metric
+        if self._dre_on:
+            self._dre_add(size)
+            kind = packet.kind
+            if kind == PacketKind.DATA or kind == PacketKind.UDP:
+                metric = self.dre_quantized()
+                if metric > packet.conga_metric:
+                    packet.conga_metric = metric
         if self._checker is not None:
             self._checker.on_tx_done(self, packet)
         if self.forward is not None:
@@ -419,6 +424,16 @@ class OutputPort:
     # DRE utilization estimator (CONGA §4; lazy exponential decay)
     # ------------------------------------------------------------------ #
 
+    def enable_dre(self) -> None:
+        """Start the estimator, from zero at ``sim.now`` (idempotent).
+
+        Whoever reads ``dre_*()`` or ``packet.conga_metric`` calls this on
+        the ports it needs — in its installer, before the first packet.
+        """
+        if not self._dre_on:
+            self._dre_on = True
+            self._dre_last = self.sim.now
+
     def _dre_decay(self, now: int) -> None:
         dt = now - self._dre_last
         if dt > 0:
@@ -431,6 +446,10 @@ class OutputPort:
 
     def dre_utilization(self) -> float:
         """Estimated utilization in [0, ~1+]: decayed bytes over ``tau * C``."""
+        if not self._dre_on:
+            raise RuntimeError(
+                f"DRE is off on port {self.name}; call enable_dre() first"
+            )
         self._dre_decay(self.sim.now)
         capacity_bytes = self.rate_bps / 8.0 * (self.dre_tau_ns / 1e9)
         return self._dre_value / capacity_bytes

@@ -18,7 +18,10 @@ Two interchangeable schedulers implement that contract:
 Both dispatch events in exactly the same total order — ``(time, seq)``
 with ``seq`` monotonically increasing per schedule — so results are
 bit-identical whichever engine runs them (enforced by the golden grid and
-the scheduler-differential test suite).  Select per run with
+the scheduler-differential test suite).  Every queue container of both
+engines holds ``(time, seq, event)`` tuples, so that order is decided by
+C-level int comparisons inside ``heapq``/``bisect``/``list.sort`` and
+never calls back into Python.  Select per run with
 ``ExperimentConfig(scheduler=...)`` or globally with ``REPRO_SCHEDULER``.
 """
 
@@ -27,7 +30,6 @@ from __future__ import annotations
 import os
 from bisect import insort
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
 from typing import Any, Callable, Optional
 
 #: Sentinel "never" time: larger than any reachable simulation clock.
@@ -37,9 +39,6 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
-#: The engine's total dispatch order, as a C-level key extractor.
-_TIME_SEQ = attrgetter("time", "seq")
-
 #: Known scheduler names (see :func:`make_simulator`).  ``wheel:auto`` is
 #: the calendar wheel with slot geometry derived from the run's topology
 #: (see :mod:`repro.sim.tuning`) instead of the fixed defaults.
@@ -47,8 +46,9 @@ SCHEDULERS = ("heap", "wheel", "wheel:auto")
 
 #: The engine built when nothing asks for a specific one.  The wheel is
 #: bit-identical to the heap (enforced by the golden grid and the
-#: scheduler-differential suite) and ~25%+ faster, so it is the default;
-#: ``"heap"`` stays selectable per config or via ``REPRO_SCHEDULER``.
+#: scheduler-differential suite) at 1.0-1.1x its speed (BENCH_core.json:
+#: 1.10x), so it is the default; ``"heap"`` stays selectable per config
+#: or via ``REPRO_SCHEDULER``.
 DEFAULT_SCHEDULER = "wheel"
 
 def seconds(value: float) -> int:
@@ -81,6 +81,10 @@ class Event:
     no one retains the handle once the event has fired (without re-arming
     itself) or been cancelled, so the engine may recycle the object
     through its free list instead of leaving it to the allocator.
+
+    Events define no ordering: every queue holds ``(time, seq, event)``
+    entries and ``seq`` is unique, so comparisons are decided on machine
+    ints in C and never reach the event.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "poolable")
@@ -96,11 +100,6 @@ class Event:
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -125,7 +124,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._queue: list[Event] = []
+        #: ``(time, seq, event)`` entries, heap-ordered.
+        self._queue: list[tuple[int, int, Event]] = []
         self._seq: int = 0
         self._events_fired: int = 0
         self._running = False
@@ -170,9 +170,10 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay_ns`` nanoseconds from now."""
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        event = Event(self.now + delay_ns, self._seq, fn, args)
-        self._seq += 1
-        heappush(self._queue, event)
+        time, seq = self.now + delay_ns, self._seq
+        event = Event(time, seq, fn, args)
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_pooled(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -188,19 +189,20 @@ class Simulator:
         """
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
+        time, seq = self.now + delay_ns, self._seq
         pool = self._event_pool
         if pool:
             event = pool.pop()
-            event.time = self.now + delay_ns
-            event.seq = self._seq
+            event.time = time
+            event.seq = seq
             event.fn = fn
             event.args = args
             event.cancelled = False
         else:
-            event = Event(self.now + delay_ns, self._seq, fn, args)
+            event = Event(time, seq, fn, args)
             event.poolable = True
-        self._seq += 1
-        heappush(self._queue, event)
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -209,9 +211,10 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
-        event = Event(time_ns, self._seq, fn, args)
-        self._seq += 1
-        heappush(self._queue, event)
+        seq = self._seq
+        event = Event(time_ns, seq, fn, args)
+        self._seq = seq + 1
+        heappush(self._queue, (time_ns, seq, event))
         return event
 
     def reschedule(self, event: Event, delay_ns: int) -> Event:
@@ -228,11 +231,11 @@ class Simulator:
         """
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        event.time = self.now + delay_ns
-        event.seq = self._seq
-        self._seq += 1
+        event.time = time = self.now + delay_ns
+        event.seq = seq = self._seq
+        self._seq = seq + 1
         event.cancelled = False
-        heappush(self._queue, event)
+        heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_periodic(
@@ -279,12 +282,12 @@ class Simulator:
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            event = heappop(self._queue)
+        while self._queue and self._queue[0][2].cancelled:
+            event = heappop(self._queue)[2]
             if event.poolable:
                 event.args = ()
                 self._event_pool.append(event)
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def stop(self) -> None:
         """Ask the running loop to return after the current event.
@@ -331,23 +334,22 @@ class Simulator:
         self._running = True
         try:
             while queue:
-                event = queue[0]
+                time, seq, event = queue[0]
                 if event.cancelled:
                     pop(queue)
                     if event.poolable:
                         event.args = ()
                         pool.append(event)
                     continue
-                if event.time > horizon or fired >= limit:
+                if time > horizon or fired >= limit:
                     break
                 pop(queue)
                 if checker is not None:
-                    checker.on_advance(event.time, self.now)
-                self.now = event.time
+                    checker.on_advance(time, self.now)
+                self.now = time
                 fired += 1
                 if profiler is not None:
                     profiler.on_event(event)
-                seq = event.seq
                 event.fn(*event.args)
                 # Recycle unless the callback re-armed its own event (a
                 # re-arm draws a fresh sequence number).
@@ -391,8 +393,8 @@ class WheelSimulator(Simulator):
     an O(1) integer shift + list append; events beyond the window go to
     an **overflow heap** and are refilled into slots as the cursor
     advances (rollover).  When the cursor reaches a slot, the slot is
-    *opened*: its events are sorted once by ``(time, seq)`` (C-level
-    stable sort) into the drain **bucket** and popped by index; events
+    *opened*: its ``(time, seq, event)`` entries are sorted once (plain
+    C tuple sort) into the drain **bucket** and popped by index; events
     scheduled at or before the cursor's slot while draining are merged
     into the bucket by binary insertion, preserving the exact dispatch
     order of the heap engine.
@@ -419,17 +421,22 @@ class WheelSimulator(Simulator):
         self._shift = slot_ns_bits
         self._num_slots = 1 << num_slot_bits
         self._mask = self._num_slots - 1
+        #: Like every container here, slots hold ``(time, seq, event)``.
         self._slots: list[list] = [[] for _ in range(self._num_slots)]
+        self._reset_wheel()
+
+    def _reset_wheel(self) -> None:
+        """Empty-wheel state (the slot lists themselves excepted)."""
         #: Absolute index of the slot the cursor occupies (== drained).
         self._cur_slot = 0
         #: Events living in slot lists (bucket and overflow not counted).
         self._wheel_count = 0
         #: Sorted drain list of the opened slot + anything scheduled at or
         #: before the cursor while draining.
-        self._bucket: list[Event] = []
+        self._bucket: list[tuple[int, int, Event]] = []
         self._bucket_pos = 0
-        #: Far-future events, ordered by Event.__lt__ == (time, seq).
-        self._overflow: list[Event] = []
+        #: Far-future events, a heap.
+        self._overflow: list[tuple[int, int, Event]] = []
         # Lazy purge of cancelled events: a schedule/cancel churn workload
         # (rapid RTO re-arms, abandoned timers) would otherwise grow slot
         # lists and the overflow heap without bound until the cursor
@@ -452,34 +459,34 @@ class WheelSimulator(Simulator):
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def _insert(self, event: Event) -> None:
-        idx = event.time >> self._shift
+    def _insert(self, entry: tuple[int, int, Event]) -> None:
+        idx = entry[0] >> self._shift
         cur = self._cur_slot
         if idx > cur:
             if idx - cur <= self._num_slots:
                 slot = self._slots[idx & self._mask]
-                slot.append(event)
+                slot.append(entry)
                 self._wheel_count += 1
                 if len(slot) >= self._slot_purge_at:
                     self._purge_slot(slot)
             else:
-                heappush(self._overflow, event)
+                heappush(self._overflow, entry)
                 self.wheel_overflow_pushes += 1
                 if len(self._overflow) >= self._overflow_purge_at:
                     self._purge_overflow()
         else:
             # At (or before) the cursor's slot: merge into the live drain
             # bucket.  The new event's seq is the largest allocated, so
-            # insort-right lands it after every equal-time event — FIFO.
-            insort(self._bucket, event, lo=self._bucket_pos, key=_TIME_SEQ)
+            # it lands after every equal-time event — FIFO.
+            insort(self._bucket, entry, self._bucket_pos)
 
     def _purge_slot(self, slot: list) -> None:
         """Filter cancelled events out of one slot list, in place."""
-        live = [e for e in slot if not e.cancelled]
+        live = [entry for entry in slot if not entry[2].cancelled]
         removed = len(slot) - len(live)
         if removed:
             pool = self._event_pool
-            for e in slot:
+            for _, _, e in slot:
                 if e.cancelled and e.poolable:
                     e.args = ()
                     pool.append(e)
@@ -494,11 +501,11 @@ class WheelSimulator(Simulator):
     def _purge_overflow(self) -> None:
         """Filter cancelled events out of the overflow heap, in place."""
         overflow = self._overflow
-        live = [e for e in overflow if not e.cancelled]
+        live = [entry for entry in overflow if not entry[2].cancelled]
         removed = len(overflow) - len(live)
         if removed:
             pool = self._event_pool
-            for e in overflow:
+            for _, _, e in overflow:
                 if e.cancelled and e.poolable:
                     e.args = ()
                     pool.append(e)
@@ -510,27 +517,29 @@ class WheelSimulator(Simulator):
     def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        event = Event(self.now + delay_ns, self._seq, fn, args)
-        self._seq += 1
-        self._insert(event)
+        time, seq = self.now + delay_ns, self._seq
+        event = Event(time, seq, fn, args)
+        self._seq = seq + 1
+        self._insert((time, seq, event))
         return event
 
     def schedule_pooled(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
+        time, seq = self.now + delay_ns, self._seq
         pool = self._event_pool
         if pool:
             event = pool.pop()
-            event.time = self.now + delay_ns
-            event.seq = self._seq
+            event.time = time
+            event.seq = seq
             event.fn = fn
             event.args = args
             event.cancelled = False
         else:
-            event = Event(self.now + delay_ns, self._seq, fn, args)
+            event = Event(time, seq, fn, args)
             event.poolable = True
-        self._seq += 1
-        self._insert(event)
+        self._seq = seq + 1
+        self._insert((time, seq, event))
         return event
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -538,19 +547,20 @@ class WheelSimulator(Simulator):
             raise ValueError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
-        event = Event(time_ns, self._seq, fn, args)
-        self._seq += 1
-        self._insert(event)
+        seq = self._seq
+        event = Event(time_ns, seq, fn, args)
+        self._seq = seq + 1
+        self._insert((time_ns, seq, event))
         return event
 
     def reschedule(self, event: Event, delay_ns: int) -> Event:
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        event.time = self.now + delay_ns
-        event.seq = self._seq
-        self._seq += 1
+        event.time = time = self.now + delay_ns
+        event.seq = seq = self._seq
+        self._seq = seq + 1
         event.cancelled = False
-        self._insert(event)
+        self._insert((time, seq, event))
         return event
 
     # ------------------------------------------------------------------ #
@@ -567,13 +577,14 @@ class WheelSimulator(Simulator):
         pool = self._event_pool
         while overflow:
             head = overflow[0]
-            if head.cancelled:
+            event = head[2]
+            if event.cancelled:
                 heappop(overflow)
-                if head.poolable:
-                    head.args = ()
-                    pool.append(head)
+                if event.poolable:
+                    event.args = ()
+                    pool.append(event)
                 continue
-            idx = head.time >> shift
+            idx = head[0] >> shift
             if idx > horizon_idx:
                 break
             heappop(overflow)
@@ -582,7 +593,7 @@ class WheelSimulator(Simulator):
                 self._slots[idx & self._mask].append(head)
                 self._wheel_count += 1
             else:
-                insort(self._bucket, head, lo=self._bucket_pos, key=_TIME_SEQ)
+                insort(self._bucket, head, self._bucket_pos)
         if moved:
             self.wheel_refilled += moved
             self.wheel_rollovers += 1
@@ -602,14 +613,14 @@ class WheelSimulator(Simulator):
                 self._bucket_pos = 0
             overflow = self._overflow
             pool = self._event_pool
-            while overflow and overflow[0].cancelled:
-                dead = heappop(overflow)
+            while overflow and overflow[0][2].cancelled:
+                dead = heappop(overflow)[2]
                 if dead.poolable:
                     dead.args = ()
                     pool.append(dead)
             if overflow:
                 horizon = self._cur_slot + self._num_slots
-                head_idx = overflow[0].time >> self._shift
+                head_idx = overflow[0][0] >> self._shift
                 if self._wheel_count == 0 and head_idx > horizon:
                     # Whole revolutions of dead air: jump the cursor
                     # straight to the overflow head's slot.
@@ -646,28 +657,11 @@ class WheelSimulator(Simulator):
         bucket.extend(slot)
         slot.clear()
         if n > 1:
-            # Stable C sort on (time, seq): restores the heap engine's
+            # C tuple sort on (time, seq): restores the heap engine's
             # exact total order however direct appends and overflow
             # refills interleaved in the slot.
-            bucket.sort(key=_TIME_SEQ)
+            bucket.sort()
         self._bucket_pos = 0
-
-    def _peek(self) -> Optional[Event]:
-        """The next live event, advancing the cursor as needed (the clock
-        is untouched)."""
-        while True:
-            pos = self._bucket_pos
-            if pos < len(self._bucket):
-                event = self._bucket[pos]
-                if event.cancelled:
-                    self._bucket_pos = pos + 1
-                    if event.poolable:
-                        event.args = ()
-                        self._event_pool.append(event)
-                    continue
-                return event
-            if not self._advance():
-                return None
 
     # ------------------------------------------------------------------ #
     # Engine API
@@ -682,8 +676,20 @@ class WheelSimulator(Simulator):
         )
 
     def peek_time(self) -> Optional[int]:
-        event = self._peek()
-        return event.time if event is not None else None
+        # Advances the cursor as needed; the clock is untouched.
+        while True:
+            pos = self._bucket_pos
+            if pos < len(self._bucket):
+                time, _, event = self._bucket[pos]
+                if event.cancelled:
+                    self._bucket_pos = pos + 1
+                    if event.poolable:
+                        event.args = ()
+                        self._event_pool.append(event)
+                    continue
+                return time
+            if not self._advance():
+                return None
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         if self._running:
@@ -704,23 +710,22 @@ class WheelSimulator(Simulator):
             while True:
                 pos = self._bucket_pos
                 if pos < len(bucket):
-                    event = bucket[pos]
+                    time, seq, event = bucket[pos]
                     if event.cancelled:
                         self._bucket_pos = pos + 1
                         if event.poolable:
                             event.args = ()
                             pool.append(event)
                         continue
-                    if event.time > horizon or fired >= limit:
+                    if time > horizon or fired >= limit:
                         break
                     self._bucket_pos = pos + 1
                     if checker is not None:
-                        checker.on_advance(event.time, self.now)
-                    self.now = event.time
+                        checker.on_advance(time, self.now)
+                    self.now = time
                     fired += 1
                     if profiler is not None:
                         profiler.on_event(event)
-                    seq = event.seq
                     event.fn(*event.args)
                     # Recycle unless the callback re-armed its own event
                     # (a re-arm draws a fresh sequence number).
@@ -742,16 +747,9 @@ class WheelSimulator(Simulator):
 
     def reset(self) -> None:
         super().reset()
-        self._queue.clear()
         for slot in self._slots:
             slot.clear()
-        self._cur_slot = 0
-        self._wheel_count = 0
-        self._bucket = []
-        self._bucket_pos = 0
-        self._overflow = []
-        self._slot_purge_at = 512
-        self._overflow_purge_at = 256
+        self._reset_wheel()
 
     def wheel_stats(self) -> dict:
         """Occupancy / rollover counters (also surfaced by the telemetry

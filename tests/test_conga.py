@@ -1,7 +1,14 @@
 """Unit tests for CONGA (DRE tables, aging, flowlet rerouting)."""
 
+import pytest
+
+from repro.api import ExperimentConfig, bench_topology, run_experiment
 from repro.lb.conga import CongaLeafState
 from repro.lb.factory import install_lb
+from repro.net.fabric import Fabric
+from repro.net.spec import ClosSpec
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
 from repro.transport.tcp import MSS, TcpFlow
 from tests.conftest import make_fabric
 
@@ -26,6 +33,37 @@ class TestCongaLeafState:
         state.update(1, 0, 7, now=0)
         state.update(1, 0, 6, now=9_000_000)
         assert state.metric(1, 0, now=15_000_000) == 6
+
+
+class TestDreOwnership:
+    """The DRE runs for its one consumer: CONGA's installer enables it on
+    every port, no other scheme pays for it."""
+
+    @pytest.mark.parametrize("build", [
+        make_fabric,
+        lambda: Fabric(
+            Simulator(),
+            ClosSpec(pods=2, leaves_per_pod=2, aggs_per_pod=2, n_cores=2,
+                     hosts_per_leaf=2),
+            RngStreams(1),
+        ),
+    ], ids=["leaf-spine", "clos"])
+    def test_conga_enables_every_port(self, build):
+        fabric = build()
+        ports = fabric.topology.all_ports()
+        assert ports and not any(port._dre_on for port in ports)
+        install_lb(fabric, "conga")
+        assert all(port._dre_on for port in ports)
+        assert all(port.dre_quantized() == 0 for port in ports)
+
+    def test_ecmp_run_never_touches_the_estimator(self):
+        result = run_experiment(ExperimentConfig(
+            topology=bench_topology(), lb="ecmp", workload="web-search",
+            load=0.5, n_flows=20, seed=3, size_scale=0.05, time_scale=0.05,
+        ))
+        ports = result.fabric.topology.all_ports()
+        assert sum(port.pkts_sent for port in ports) > 0
+        assert all(port._dre_value == 0.0 for port in ports)
 
 
 class TestCongaAgent:

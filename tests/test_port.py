@@ -197,6 +197,7 @@ class TestDre:
     def test_dre_rises_with_traffic(self):
         sim = Simulator()
         port, _ = make_port(sim)
+        port.enable_dre()
         assert port.dre_utilization() == 0.0
         # Sustain line rate for ~2 tau so the estimator converges.
         for i in range(200):
@@ -207,6 +208,7 @@ class TestDre:
     def test_dre_decays_when_idle(self):
         sim = Simulator()
         port, _ = make_port(sim)
+        port.enable_dre()
         for i in range(200):
             port.enqueue(data(i))
         sim.run()
@@ -217,6 +219,7 @@ class TestDre:
     def test_dre_quantized_range(self):
         sim = Simulator()
         port, _ = make_port(sim)
+        port.enable_dre()
         assert port.dre_quantized() == 0
         for i in range(100):
             port.enqueue(data(i))
@@ -226,9 +229,43 @@ class TestDre:
     def test_data_packet_stamped_with_max_dre(self):
         sim = Simulator()
         port, arrived = make_port(sim)
+        port.enable_dre()
         for i in range(50):
             port.enqueue(data(i))
         sim.run()
         # Later packets saw a busier link and carry a larger stamp.
         assert arrived[-1].conga_metric >= arrived[0].conga_metric
         assert arrived[-1].conga_metric > 0
+
+    def test_reading_dre_on_a_fresh_port_raises(self):
+        """The estimator is off until its consumer asks for it; a reader
+        that forgot gets told, not a silent 0."""
+        port, _ = make_port(Simulator())
+        with pytest.raises(RuntimeError, match=r"enable_dre\(\)"):
+            port.dre_utilization()
+        with pytest.raises(RuntimeError, match=r"enable_dre\(\)"):
+            port.dre_quantized()
+
+    def test_dre_off_means_no_stamp_and_no_state(self):
+        sim = Simulator()
+        port, arrived = make_port(sim)
+        for i in range(50):
+            port.enqueue(data(i))
+        sim.run()
+        assert port._dre_value == 0.0
+        assert all(packet.conga_metric == 0 for packet in arrived)
+
+    def test_enable_dre_mid_run_starts_from_zero(self):
+        sim = Simulator()
+        port, _ = make_port(sim)
+        for i in range(200):
+            port.enqueue(data(i))
+        sim.run()
+        assert sim.now > 0
+        port.enable_dre()
+        assert port.dre_utilization() == 0.0
+        assert port._dre_last == sim.now
+        port.enable_dre()  # idempotent: a second call must not rewind
+        port.enqueue(data(0))
+        sim.run()
+        assert port.dre_utilization() > 0.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import (
+    Event,
     NS_PER_MS,
     NS_PER_SEC,
     NS_PER_US,
@@ -240,3 +241,30 @@ class TestDeterminism:
             return order
 
         assert trace() == trace()
+
+
+class TestEventOrdering:
+    def test_event_defines_no_ordering(self):
+        """Queues order ``(time, seq, event)`` entries on the two ints;
+        a comparison that reached the event would be a seq collision, and
+        must fail loudly instead of taking a slow path."""
+        noop = lambda: None  # noqa: E731
+        with pytest.raises(TypeError):
+            Event(1, 0, noop, ()) < Event(1, 1, noop, ())
+
+
+class TestWheelReset:
+    def test_reset_zeroes_the_wheel_counters(self):
+        """wheel_stats() after reset() must describe the new run, not the
+        previous one."""
+        sim = WheelSimulator()
+        for i in range(100):
+            sim.schedule((i + 1) * 5_000, lambda: None)
+        sim.schedule(NS_PER_SEC, lambda: None)  # overflow + cursor jump
+        sim.run()
+        before = sim.wheel_stats()
+        assert before["slots_opened"] > 0 and before["overflow_pushes"] == 1
+        sim.reset()
+        fresh = WheelSimulator().wheel_stats()
+        assert sim.wheel_stats() == fresh
+        assert sim.events_fired == 0

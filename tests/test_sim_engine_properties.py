@@ -183,6 +183,62 @@ def test_queue_matches_model_on_short_random_walks(make_sim, seed):
     _run_against_model(make_sim, seed=seed, n_ops=120)
 
 
+@ENGINES
+def test_dense_ties_with_in_callback_rearms_fire_in_time_seq_order(make_sim):
+    """2 000 events piled on 50 distinct instants (40 per instant, so
+    nearly every comparison is a tie on time), cancels before and during
+    the run, and callbacks that re-arm through ``reschedule`` and
+    ``schedule_pooled``: every arming that was not cancelled fires, in
+    exactly ``sorted((time, seq))`` order."""
+    rng = random.Random(7)
+    sim = make_sim()
+    # Quadratic spacing: neighbours share a wheel slot early on, the tail
+    # lies past the default wheel's window (overflow + refill).
+    instants = [i * i * 4_001 for i in range(1, 51)]
+    armed, cancelled, fired = set(), set(), []
+    budget = [1_500]  # in-callback re-arms, so the run terminates
+
+    def later():
+        choices = [t for t in instants if t >= sim.now]
+        return rng.choice(choices) - sim.now
+
+    def on_fire(cell):
+        event = cell[0]
+        fired.append((sim.now, event.seq))
+        roll = rng.random()
+        if budget[0] > 0 and roll < 0.5:
+            budget[0] -= 1
+            if roll < 0.25 or event.poolable:
+                fresh = [None]
+                fresh[0] = sim.schedule_pooled(later(), on_fire, fresh)
+                armed.add((fresh[0].time, fresh[0].seq))
+            else:
+                sim.reschedule(event, later())
+                armed.add((event.time, event.seq))
+        elif roll > 0.9:
+            victim = rng.choice(initial)
+            key = (victim.time, victim.seq)
+            # Unfired, never re-armed: still its initial arming.
+            if victim.time > sim.now and victim.seq < len(initial):
+                victim.cancel()
+                cancelled.add(key)
+
+    initial = []
+    for i in range(2_000):
+        cell = [None]
+        cell[0] = sim.schedule(instants[i % 50], on_fire, cell)
+        initial.append(cell[0])
+        armed.add((cell[0].time, cell[0].seq))
+    for victim in initial[::7]:
+        sim.cancel(victim)
+        cancelled.add((victim.time, victim.seq))
+    sim.run()
+    assert len({t for t, _ in fired}) == 50
+    assert len(fired) > 2_000
+    assert fired == sorted(armed - cancelled)
+    assert sim.peek_time() is None
+
+
 # --------------------------------------------------------------------- #
 # Wheel-specific structure: slots, overflow, rollover, periodic re-arm
 # --------------------------------------------------------------------- #
