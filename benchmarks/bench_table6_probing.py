@@ -33,7 +33,7 @@ def measured_probe_overhead():
     shared = install_lb(fabric, "hermes")
     horizon_ns = 10_000_000
     fabric.sim.run(until=horizon_ns)
-    prober = shared["probers"][0]
+    prober = shared.probers[0]
     bits = prober.probes_sent * PROBE_BYTES * 8
     rate_bps = bits / (horizon_ns / 1e9)
     return rate_bps / (fabric.config.host_link_gbps * 1e9)

@@ -51,7 +51,7 @@ def drill(kind: str) -> None:
             ]
         )
         if scheme == "hermes":
-            leaf_states = result.shared["leaf_states"]
+            leaf_states = result.scheme.leaf_states
             detections["sweep detections"] = sum(
                 st.failed_detections for st in leaf_states.values()
             )

@@ -17,12 +17,12 @@ The surface:
   :class:`FailureSpec` — declarative run description, JSON round-trip
   via ``ExperimentConfig.to_dict()`` / ``ExperimentConfig.from_dict()``;
 * :func:`run_experiment` — one config → one
-  :class:`~repro.experiments.runner.ExperimentResult`, in-process;
+  :class:`~repro.experiments.result.ExperimentResult`, in-process;
 * :func:`run_grid` — many configs → :class:`ResultSummary` list, with
   process-pool fan-out and the on-disk result cache;
 * :func:`save_result` / :func:`load_result` — persist a run's summary +
-  per-flow records to JSON and get an equivalent :class:`ResultSummary`
-  back (config round-tripped through ``from_dict``);
+  per-flow records to JSON and get an equal :class:`ResultSummary` back,
+  field for field (config round-tripped through ``from_dict``);
 * topology builders (:func:`bench_topology`, :func:`testbed_topology`,
   :func:`simulation_topology`, :func:`asymmetric_overrides`) matching
   the paper's setups;
@@ -54,13 +54,10 @@ from repro.experiments.export import (
     write_flow_csv,
     write_summary_json,
 )
-from repro.experiments.parallel import (
-    ResultSummary,
-    grid_configs,
-    grid_results,
-)
+from repro.experiments.parallel import grid_configs, grid_results
 from repro.experiments.parallel import run_cells as _run_cells
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.result import ExperimentResult, ResultSummary
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     asymmetric_overrides,
     bench_topology,
@@ -199,47 +196,24 @@ _RESULT_FORMAT = 1
 
 
 def save_result(
-    result: Union[ExperimentResult, ResultSummary],
+    result: ResultSummary,
     path_or_stream: Union[str, "os.PathLike[str]", IO[str]],
 ) -> None:
-    """Persist one run to JSON: full config (``to_dict``), the run
-    totals, and either per-flow records (exact run) or the serialized
-    streaming collector (``streaming_stats`` run — there are no records;
-    the digest/reservoir state round-trips instead).  :func:`load_result`
-    restores it as a :class:`ResultSummary` either way."""
+    """Persist one run to JSON: full config (``to_dict``), either
+    per-flow records (exact run) or the serialized streaming collector
+    (``streaming_stats`` run — there are no records; the digest/reservoir
+    state round-trips instead), and every other :class:`ResultSummary`
+    field under its own name.  :func:`load_result` restores it as a
+    :class:`ResultSummary` either way."""
     stats = result.stats
-    streaming = bool(getattr(stats, "is_streaming", False))
     doc = {
         "format": _RESULT_FORMAT,
         "config": result.config.to_dict(),
-        "records": [
-            {
-                "flow_id": r.flow_id,
-                "src": r.src,
-                "dst": r.dst,
-                "size_bytes": r.size_bytes,
-                "start_ns": r.start_ns,
-                "fct_ns": r.fct_ns,
-                "retransmissions": r.retransmissions,
-                "timeouts": r.timeouts,
-            }
-            for r in stats.records
-        ],
-        "streaming_stats": stats.to_dict() if streaming else None,
-        "percentile_estimators": getattr(
-            result, "percentile_estimators", None
-        ),
-        "small_bytes": result.stats.small_bytes,
-        "large_bytes": result.stats.large_bytes,
-        "sim_time_ns": result.sim_time_ns,
-        "events": result.events,
-        "total_reroutes": result.total_reroutes,
-        "visibility_switch_pair": result.visibility_switch_pair,
-        "visibility_host_pair": result.visibility_host_pair,
-        "fault_timeline": list(result.fault_timeline),
-        "detection_ns": result.detection_ns,
-        "recovery_ns": result.recovery_ns,
-        "unrecovered_timeouts": result.unrecovered_timeouts,
+        "records": [vars(r) for r in stats.records],
+        "streaming_stats": stats.to_dict() if stats.is_streaming else None,
+        "small_bytes": stats.small_bytes,
+        "large_bytes": stats.large_bytes,
+        **result.totals(),
     }
     if hasattr(path_or_stream, "write"):
         json.dump(doc, path_or_stream, indent=2, sort_keys=True)
@@ -268,8 +242,6 @@ def load_result(
         )
     streaming_doc = doc.get("streaming_stats")
     if streaming_doc is not None:
-        from repro.metrics.streaming import StreamingFctStats
-
         stats: Any = StreamingFctStats.from_dict(streaming_doc)
     else:
         records = [FlowRecord(**record) for record in doc["records"]]
@@ -278,24 +250,16 @@ def load_result(
             small_bytes=doc["small_bytes"],
             large_bytes=doc["large_bytes"],
         )
-    estimators = doc.get("percentile_estimators")
-    if estimators is None:
-        estimators = (
-            stats.estimators()
-            if streaming_doc is not None
-            else {"p50": "exact", "p99": "exact"}
+    # Keys a file lacks (written before the field existed) keep the
+    # field's default.  JSON has no tuple: a field whose default is one
+    # is restored as one.
+    totals = {
+        f.name: (
+            tuple(doc[f.name]) if isinstance(f.default, tuple) else doc[f.name]
         )
+        for f in ResultSummary.total_fields()
+        if f.name in doc
+    }
     return ResultSummary(
-        config=ExperimentConfig.from_dict(doc["config"]),
-        stats=stats,
-        percentile_estimators=estimators,
-        sim_time_ns=doc["sim_time_ns"],
-        events=doc["events"],
-        total_reroutes=doc["total_reroutes"],
-        visibility_switch_pair=doc.get("visibility_switch_pair"),
-        visibility_host_pair=doc.get("visibility_host_pair"),
-        fault_timeline=tuple(doc.get("fault_timeline", ())),
-        detection_ns=doc.get("detection_ns"),
-        recovery_ns=doc.get("recovery_ns"),
-        unrecovered_timeouts=doc.get("unrecovered_timeouts", 0),
+        config=ExperimentConfig.from_dict(doc["config"]), stats=stats, **totals
     )

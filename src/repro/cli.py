@@ -15,12 +15,9 @@ from typing import List, Optional, Sequence
 
 from repro.core.probing import probe_overhead_model
 from repro.experiments.config import ExperimentConfig, FailureSpec
-from repro.experiments.parallel import (
-    ResultCache,
-    ResultSummary,
-    run_cells,
-)
+from repro.experiments.parallel import ResultCache, run_cells
 from repro.experiments.report import format_table
+from repro.experiments.result import ResultSummary
 from repro.lb.factory import SPRAYING_SCHEMES, scheme_names
 from repro.experiments.scenarios import (
     bench_topology,
@@ -635,7 +632,7 @@ def cmd_submit(args) -> int:
             fct["small_p99"],
             fct["large_mean"],
             cell["flows"]["unfinished"],
-            cell["run"]["reroutes"],
+            cell["run"]["total_reroutes"],
         ])
     print(format_table(RESULT_HEADERS, rows))
     return 0

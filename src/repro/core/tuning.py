@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.result import ExperimentResult
+from repro.experiments.runner import run_experiment
 
 
 @dataclass

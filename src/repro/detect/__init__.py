@@ -1,8 +1,7 @@
 """Pluggable failure-detection plane.
 
 ``repro.detect`` decouples *how a path is judged dead* from *what a load
-balancer does about it*.  Every detector exposes the same protocol (a
-superset of :class:`repro.lb.failaware.LeafPathHealth`):
+balancer does about it*.  Every detector exposes the same protocol:
 
 - ``path_verdict(dst_leaf, path) -> UP | SUSPECT | DOWN``
 - ``alive(dst_leaf, paths)`` / ``is_failed(dst_leaf, path)``
@@ -12,8 +11,10 @@ superset of :class:`repro.lb.failaware.LeafPathHealth`):
 
 Implementations:
 
-- :class:`TransportDetector` — today's passive timeout/retx evidence
-  (wraps ``LeafPathHealth``); schedules nothing, sends nothing.
+- :class:`TransportDetector` — the passive timeout/retx evidence table
+  (the one REPS, DiffFlow and RDNA route on by default; its defaults
+  live in :mod:`repro.detect.transport`); schedules nothing, sends
+  nothing.
 - :class:`BfdDetector` — BFD-style async-mode heartbeat sessions per
   (dst_leaf, path); heartbeats are real in-fabric PROBE packets, so
   they die with the link and experience real queueing.

@@ -9,10 +9,11 @@ path usable right now?  The answer is a three-state verdict —
   conclusive.  Schemes keep using the path; combiners may weigh it.
 - ``DOWN``    — conclusive evidence; schemes must steer around it.
 
-Detectors are per-leaf objects (mirroring ``LeafPathHealth``): each
-leaf judges its own uplink paths to every destination leaf.  All of
-them expose the same duck-typed surface, so a detector is a drop-in
-replacement wherever a ``LeafPathHealth`` was accepted before.
+Detectors are per-leaf objects: each leaf judges its own uplink paths
+to every destination leaf.  All of them expose the same surface, so the
+zoo schemes that route on a failure table (REPS, DiffFlow, RDNA) accept
+any detector where they run :class:`~repro.detect.transport.
+TransportDetector` by default.
 
 Verdict flips are observable twice over: the audit trail receives an
 ``on_verdict`` record for every transition (see
@@ -74,9 +75,7 @@ class Detector:
 
     Subclasses implement :meth:`path_verdict` plus whichever evidence
     feeds they consume; everything else (live-path filtering, flip
-    bookkeeping, metrics) is shared.  The surface is a strict superset
-    of :class:`repro.lb.failaware.LeafPathHealth`, so zoo schemes that
-    were built against a health table accept any detector unchanged.
+    bookkeeping, metrics) is shared.
     """
 
     #: Short kind name, also used by the spec DSL.
@@ -110,7 +109,7 @@ class Detector:
         return UP
 
     def is_failed(self, dst_leaf: int, path: int) -> bool:
-        """LeafPathHealth-compatible view: DOWN means failed."""
+        """Boolean view of the verdict: DOWN means failed."""
         return self.path_verdict(dst_leaf, path) == DOWN
 
     def alive(self, dst_leaf: int, paths: Sequence[int]) -> Tuple[int, ...]:
@@ -118,7 +117,7 @@ class Detector:
 
         Falls back to the full set when every path is DOWN — stranding a
         destination entirely is always worse than sending into a
-        possibly-dead path (same contract as ``LeafPathHealth.alive``).
+        possibly-dead path.
         """
         live = tuple(p for p in paths if self.path_verdict(dst_leaf, p) != DOWN)
         return live if live else tuple(paths)

@@ -17,7 +17,7 @@ fixed hold with the classic breaker lifecycle:
 
 A proof-of-life ACK landing while the breaker is OPEN closes it early
 and counts a false positive — the same congested-but-alive bound
-``LeafPathHealth`` enforces.  Adverse evidence arriving while already
+``TransportDetector`` enforces.  Adverse evidence arriving while already
 OPEN is absorbed into ``flap_suppressions`` rather than re-detected.
 
 On a clean run the breaker never trips, never schedules an event and

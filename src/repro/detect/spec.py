@@ -15,11 +15,10 @@ Durations reuse the fault-DSL time grammar (``100us``, ``50ms``,
 with ``+`` and run with their defaults.
 
 Time-valued *defaults* scale with the experiment's ``time_scale`` —
-exactly like the zoo's ``hold_ns``/``retx_window_ns`` and the
-transport's RTO floor do in the runner — while explicitly spelled
-values are taken literally.  A golden-grid cell at ``time_scale=0.05``
-therefore gets a proportionally faster default BFD session instead of
-one that outlives the whole run.
+exactly like the transport's RTO floor does in the runner — while
+explicitly spelled values are taken literally.  A golden-grid cell at
+``time_scale=0.05`` therefore gets a proportionally faster default BFD
+session instead of one that outlives the whole run.
 """
 
 from __future__ import annotations
@@ -27,6 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple, Union
 
+from repro.detect.transport import (
+    DEFAULT_HOLD_NS,
+    DEFAULT_RETX_THRESHOLD,
+    DEFAULT_RETX_WINDOW_NS,
+    TransportDetector,
+)
 from repro.faults.spec import parse_time
 from repro.sim.engine import microseconds, milliseconds
 
@@ -52,8 +57,8 @@ _COMBINER_KINDS = ("quorum", "fastest")
 #: inside the detector constructors.
 _TIME_DEFAULTS: Dict[str, Dict[str, int]] = {
     "transport": {
-        "hold": milliseconds(50),
-        "retx_window": milliseconds(10),
+        "hold": DEFAULT_HOLD_NS,
+        "retx_window": DEFAULT_RETX_WINDOW_NS,
     },
     "bfd": {"tx": microseconds(100)},
     "breaker": {
@@ -184,8 +189,6 @@ def build_detector(spec, fabric, leaf: int, time_scale: float = 1.0):
         CircuitBreakerDetector,
     )
     from repro.detect.combine import FastestOfDetector, QuorumDetector
-    from repro.detect.transport import TransportDetector
-    from repro.lb.failaware import DEFAULT_RETX_THRESHOLD
 
     defaults = _TIME_DEFAULTS.get(spec.kind, {})
 
@@ -233,8 +236,8 @@ def build_detector(spec, fabric, leaf: int, time_scale: float = 1.0):
 
 
 def build_leaf_detectors(fabric, spec, time_scale: float = 1.0) -> dict:
-    """One detector per leaf, keyed by leaf index — the shape installers
-    publish as ``shared["detectors"]``."""
+    """One detector per leaf, keyed by leaf index — the shape
+    ``install_lb`` publishes as ``InstalledScheme.detectors``."""
     if isinstance(spec, str):
         spec = parse_detector(spec)
     return {

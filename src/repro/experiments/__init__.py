@@ -7,12 +7,12 @@ bench under ``benchmarks/`` (see DESIGN.md §3 for the full index).
 from repro.experiments.config import ExperimentConfig, FailureSpec
 from repro.experiments.parallel import (
     ResultCache,
-    ResultSummary,
     resolve_jobs,
     run_cell,
     run_cells,
 )
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.result import ExperimentResult, ResultSummary
+from repro.experiments.runner import run_experiment
 from repro.experiments.report import format_table, gbps
 from repro.experiments.scenarios import (
     testbed_topology,

@@ -85,16 +85,18 @@ class ExperimentConfig:
         validate: run under the full :mod:`repro.validate` invariant
             layer (byte conservation, FIFO/capacity legality, monotone
             clock, ECN-mark legality, Algorithm 1 path states).  Off by
-            default — an unvalidated run pays nothing.  The
+            default — an unvalidated run pays nothing; on, the result's
+            ``invariants`` field carries the checker's report.  The
             ``REPRO_VALIDATE=1`` environment switch forces it on (and
             bypasses the result cache) without touching configs.
         trace: attach the :mod:`repro.telemetry` layer (structured event
             tracer, decision audit, engine profiler) to the run; the
-            result's ``telemetry`` field then carries it.  Off by
+            result's ``telemetry`` field then carries it (and
+            ``telemetry_summary`` its picklable summary).  Off by
             default — an untraced run pays one ``is not None`` branch
             per hook site.  ``REPRO_TRACE=1`` forces it on for every
             run; traced runs always bypass the result cache (a cached
-            summary carries no telemetry).
+            summary carries no trace).
         streaming_stats: FCT statistics collection mode.  ``False``:
             the exact :class:`~repro.metrics.fct.FctStats` collector —
             every flow record retained, exact percentiles.  ``True``:
@@ -122,12 +124,15 @@ class ExperimentConfig:
             :mod:`repro.detect`): ``"transport"``,
             ``"bfd:tx=100us,mult=3"``, ``"breaker:threshold=0.5"``,
             ``"quorum:transport+bfd"`` or ``"fastest:transport+bfd"``.
-            ``None`` (default) keeps each scheme's built-in sensing
-            (Hermes' Algorithm 1, the zoo's ``LeafPathHealth``) and adds
-            zero cost.  When set, every scheme consults the configured
-            detector for path verdicts; time-valued *defaults* in the
-            spec scale with ``time_scale``.  A plain string, so it is
-            part of the result-cache key automatically.
+            ``None`` (default) keeps each scheme's built-in sensing —
+            Hermes' Algorithm 1; for REPS, DiffFlow and RDNA the default
+            ``"transport"`` table, whose timers (``"transport:hold=…,
+            retx_threshold=…,retx_window=…"``) are set here and nowhere
+            else — and adds zero cost.  When set, every scheme consults
+            the configured detector for path verdicts and the result
+            reports its counters (``detector_metrics``); time-valued
+            *defaults* in the spec scale with ``time_scale``.  A plain
+            string, so it is part of the result-cache key automatically.
     """
 
     topology: TopologyConfig

@@ -1,8 +1,9 @@
 """Result export: per-flow CSV traces and JSON summaries.
 
 Downstream analysis (pandas, gnuplot, spreadsheets) wants flat files;
-these helpers serialize an :class:`ExperimentResult` without pulling any
-dependency into the library.
+these helpers serialize a :class:`ResultSummary` (or the
+:class:`ExperimentResult` extending it) without pulling any dependency
+into the library.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import csv
 import json
 from typing import IO, Any, Dict
 
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.result import ResultSummary
 
 FLOW_FIELDS = [
     "flow_id",
@@ -26,7 +27,7 @@ FLOW_FIELDS = [
 ]
 
 
-def write_flow_csv(result: ExperimentResult, stream: IO[str]) -> int:
+def write_flow_csv(result: ResultSummary, stream: IO[str]) -> int:
     """Write one row per flow; returns the number of rows written."""
     writer = csv.writer(stream)
     writer.writerow(FLOW_FIELDS)
@@ -49,8 +50,10 @@ def write_flow_csv(result: ExperimentResult, stream: IO[str]) -> int:
     return count
 
 
-def summary_dict(result: ExperimentResult) -> Dict[str, Any]:
-    """A JSON-serializable summary of one experiment."""
+def summary_dict(result: ResultSummary) -> Dict[str, Any]:
+    """A JSON-serializable summary of one experiment: the headline
+    config knobs, FCT aggregates and flow counts, plus — under ``run`` —
+    every other :class:`ResultSummary` field by name."""
     config = result.config
     stats = result.stats
 
@@ -94,26 +97,18 @@ def summary_dict(result: ExperimentResult) -> Dict[str, Any]:
             "small_p99": safe(stats.small.p99_ms()),
             "large_mean": safe(stats.large.mean_ms()),
         },
-        "percentile_estimators": (
-            stats.estimators()
-            if getattr(stats, "is_streaming", False)
-            else {"p50": "exact", "p99": "exact"}
-        ),
+        "percentile_estimators": result.percentile_estimators,
         "flows": {
             "total": stats.count,
             "finished": stats.finished_count,
             "unfinished": stats.unfinished_count,
             "retransmissions": stats.total_retransmissions(),
         },
-        "run": {
-            "sim_time_ns": result.sim_time_ns,
-            "events": result.events,
-            "reroutes": result.total_reroutes,
-        },
+        "run": result.totals(),
     }
 
 
-def write_summary_json(result: ExperimentResult, stream: IO[str]) -> None:
+def write_summary_json(result: ResultSummary, stream: IO[str]) -> None:
     """Serialize :func:`summary_dict` as indented JSON."""
     json.dump(summary_dict(result), stream, indent=2, sort_keys=True)
     stream.write("\n")

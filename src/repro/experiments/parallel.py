@@ -15,10 +15,11 @@ Three invariants the rest of the repo relies on:
   cannot perturb it).  Enforced by ``tests/test_parallel.py``.
 * **Order** — :func:`run_cells` returns results in input order, whatever
   order the pool finishes them in.
-* **Picklability** — workers return a slim :class:`ResultSummary` (the
-  :class:`~repro.experiments.runner.ExperimentResult` minus the live
-  ``fabric``/``shared`` objects, which hold the simulator and cannot
-  cross a process boundary).
+* **Picklability** — workers return a slim
+  :class:`~repro.experiments.result.ResultSummary` (the
+  :class:`~repro.experiments.result.ExperimentResult` minus its live
+  handles, which hold the simulator and cannot cross a process
+  boundary).
 
 Knobs (CLI flags override the environment):
 
@@ -47,13 +48,12 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.result import ResultSummary
 from repro.sim.engine import scheduler_forced
 from repro.experiments.runner import (
-    ExperimentResult,
     run_experiment,
     trace_forced,
     validate_forced,
@@ -66,92 +66,8 @@ CACHE_FORMAT = 1
 
 
 # --------------------------------------------------------------------- #
-# Result summaries
+# Worker entry point
 # --------------------------------------------------------------------- #
-
-
-@dataclass
-class ResultSummary:
-    """Everything a bench prints, in picklable form.
-
-    The same read surface as :class:`ExperimentResult` (``stats``,
-    ``mean_fct_ms``, visibility, reroute counts) without the live
-    ``fabric``/``shared`` objects.  Benches that need the fabric itself
-    must run in-process via :func:`run_experiment`.
-    """
-
-    config: ExperimentConfig
-    #: Exact :class:`FctStats` or bounded-memory
-    #: :class:`~repro.metrics.streaming.StreamingFctStats`, matching the
-    #: cell's ``streaming_enabled()``.  Both pickle cleanly.
-    stats: Any
-    sim_time_ns: int
-    events: int
-    total_reroutes: int
-    #: Which estimator produced each reported percentile: ``"exact"``
-    #: (sorted records), ``"reservoir"`` (streaming run small enough
-    #: that the sample held every FCT — still exact), ``"tdigest"``
-    #: (estimated, <1% relative error at p50/p99), or ``"none"`` (no
-    #: finished flows).  A summary is thereby explicit about which
-    #: numbers are measurements and which are estimates.
-    percentile_estimators: Dict[str, str] = dataclasses.field(
-        default_factory=dict
-    )
-    visibility_switch_pair: Optional[float] = None
-    visibility_host_pair: Optional[float] = None
-    #: Fault-plane outputs (see :class:`ExperimentResult` for semantics).
-    fault_timeline: Tuple[dict, ...] = ()
-    detection_ns: Optional[int] = None
-    recovery_ns: Optional[int] = None
-    unrecovered_timeouts: int = 0
-    #: Engine that ran the cell (+ derived wheel geometry for
-    #: ``wheel:auto``) — see :attr:`ExperimentResult.scheduler_info`.
-    scheduler_info: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: Folded counters of the configured detection plane (see
-    #: :attr:`ExperimentResult.detector_metrics`); empty when the cell
-    #: ran without a ``detector``.
-    detector_metrics: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: In-fabric probe/heartbeat deaths (see
-    #: :attr:`ExperimentResult.probe_losses`).
-    probe_losses: int = 0
-    #: Why the cell produced no result (``None`` for a successful run).
-    #: Set for cells that exceeded ``REPRO_CELL_TIMEOUT``; failed cells
-    #: are never written to the cache.
-    error: Optional[str] = None
-
-    @property
-    def mean_fct_ms(self) -> float:
-        return self.stats.mean_ms()
-
-    def mean_fct_ms_with_penalty(self) -> float:
-        """Average FCT counting unfinished flows at the full run length —
-        how the paper's blackhole figures account for them."""
-        return self.stats.mean_ms(penalize_unfinished_ns=self.sim_time_ns)
-
-    @classmethod
-    def from_result(cls, result: ExperimentResult) -> "ResultSummary":
-        stats = result.stats
-        if getattr(stats, "is_streaming", False):
-            estimators = stats.estimators()
-        else:
-            estimators = {"p50": "exact", "p99": "exact"}
-        return cls(
-            config=result.config,
-            stats=stats,
-            percentile_estimators=estimators,
-            sim_time_ns=result.sim_time_ns,
-            events=result.events,
-            total_reroutes=result.total_reroutes,
-            visibility_switch_pair=result.visibility_switch_pair,
-            visibility_host_pair=result.visibility_host_pair,
-            fault_timeline=result.fault_timeline,
-            detection_ns=result.detection_ns,
-            recovery_ns=result.recovery_ns,
-            unrecovered_timeouts=result.unrecovered_timeouts,
-            scheduler_info=result.scheduler_info,
-            detector_metrics=result.detector_metrics,
-            probe_losses=result.probe_losses,
-        )
 
 
 def _failed_summary(config: ExperimentConfig, reason: str) -> ResultSummary:
@@ -590,9 +506,9 @@ def run_cells(
     misses: List[int] = []
     for i, config in enumerate(configs):
         # Traced cells never touch the cache: ``config.trace`` is part of
-        # the content address, but a stored ResultSummary carries no
-        # telemetry, so a hit would return stats without the trace the
-        # caller asked for.
+        # the content address, but a stored ResultSummary carries only
+        # the telemetry summary, so a hit would return stats without the
+        # trace the caller asked for.
         cacheable = cache is not None and not config.trace
         hit = cache.get(config) if cacheable else None
         if hit is not None:

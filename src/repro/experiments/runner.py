@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.result import ExperimentResult
 from repro.faults.plane import FaultSchedule
+from repro.lb.base import InstalledScheme
 from repro.lb.factory import install_lb
 from repro.metrics.fct import (
     LARGE_FLOW_BYTES,
@@ -35,70 +36,6 @@ from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import TcpFlow
 from repro.workload.distributions import distribution_by_name
 from repro.workload.generator import FlowGenerator
-
-
-@dataclass
-class ExperimentResult:
-    """Everything a bench needs to print a paper row.
-
-    ``stats`` is a :class:`~repro.metrics.fct.FctStats` (exact, holds
-    per-flow records) or a
-    :class:`~repro.metrics.streaming.StreamingFctStats` (bounded
-    memory, no records) depending on ``config.streaming_enabled()``;
-    both expose the same aggregate read surface and an
-    ``is_streaming`` discriminator.
-    """
-
-    config: ExperimentConfig
-    stats: Any
-    sim_time_ns: int
-    events: int
-    total_reroutes: int
-    fabric: Optional[Fabric] = None
-    shared: Dict[str, Any] = field(default_factory=dict)
-    visibility_switch_pair: Optional[float] = None
-    visibility_host_pair: Optional[float] = None
-    #: The run's :class:`repro.telemetry.Telemetry` when tracing was on.
-    telemetry: Optional[Any] = None
-    #: Applied/reverted fault transitions (dicts, oldest first) when the
-    #: run carried a fault schedule; empty otherwise.
-    fault_timeline: Tuple[dict, ...] = ()
-    #: Time from the first applied fault to the scheme's first failure
-    #: detection at/after it (``None``: no faults, or never detected —
-    #: schemes without a failure detector, e.g. ECMP, never detect).
-    detection_ns: Optional[int] = None
-    #: Time from the last reverted fault until the last timeout-afflicted
-    #: flow finished — how long the scheme needed to drain the damage
-    #: after the network healed.  ``0`` if no flow suffered a timeout;
-    #: ``None`` if any timeout-afflicted flow never finished (see
-    #: ``unrecovered_timeouts``) or the schedule never reverted.
-    recovery_ns: Optional[int] = None
-    #: Flows that suffered timeouts and were still unfinished at the end
-    #: of the run — the signature of a scheme that never recovered.
-    unrecovered_timeouts: int = 0
-    #: Which engine actually ran the cell (after env resolution) and, for
-    #: ``wheel:auto``, the derived slot geometry — everything needed to
-    #: reproduce the run's scheduling exactly from the summary alone.
-    scheduler_info: Dict[str, Any] = field(default_factory=dict)
-    #: Aggregated counters of the configured :mod:`repro.detect` plane
-    #: (folded over all leaves; combiners nest a ``members`` list):
-    #: detections, false positives, flap suppressions and — when the run
-    #: carried a fault schedule — ``detection_ns`` measured from the
-    #: first applied fault.  Empty when ``config.detector`` is unset.
-    detector_metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Probe packets (Hermes probes, BFD heartbeats, breaker trials and
-    #: their replies) dropped in-fabric during the run — previously these
-    #: deaths were invisible.
-    probe_losses: int = 0
-
-    @property
-    def mean_fct_ms(self) -> float:
-        return self.stats.mean_ms()
-
-    def mean_fct_ms_with_penalty(self) -> float:
-        """Average FCT counting unfinished flows at the full run length —
-        how the paper's blackhole figures account for them."""
-        return self.stats.mean_ms(penalize_unfinished_ns=self.sim_time_ns)
 
 
 def validate_forced() -> bool:
@@ -164,34 +101,23 @@ def _resolved_lb_params(config: ExperimentConfig) -> Dict[str, Any]:
         lb_params["params"] = params
     if config.lb == "conga" and config.time_scale != 1.0 and "aging_ns" not in lb_params:
         lb_params["aging_ns"] = max(1, int(10_000_000 * config.time_scale))
-    if config.lb in ("reps", "diffflow", "rdna"):
-        # The failure-aware zoo shares LeafPathHealth; its timers track
-        # time_scale like Hermes' failure_hold_ns and τ-sweep so scaled
-        # runs keep the same detection-vs-RTO ordering.
-        if config.time_scale != 1.0:
-            lb_params.setdefault(
-                "hold_ns", max(1, int(50_000_000 * config.time_scale))
-            )
-            lb_params.setdefault(
-                "retx_window_ns", max(1, int(10_000_000 * config.time_scale))
-            )
-        # Byte thresholds track size_scale like Hermes' S gate.
-        if config.lb == "diffflow":
-            lb_params.setdefault(
-                "threshold_bytes", max(1, int(100_000 * config.size_scale))
-            )
-        elif config.lb == "rdna":
-            lb_params.setdefault(
-                "elephant_threshold_bytes",
-                max(1, int(1_000_000 * config.size_scale)),
-            )
-    if config.detector is not None:
-        # The detection plane rides lb_params so the factory can wire it
-        # for any scheme; spec-DSL *default* timers scale with time_scale
-        # (explicit values are taken literally) so heartbeat and breaker
-        # windows keep their ratio to the scaled RTO floor.
-        lb_params.setdefault("detector", config.detector)
-        lb_params.setdefault("detector_time_scale", config.time_scale)
+    # Byte thresholds track size_scale like Hermes' S gate.
+    if config.lb == "diffflow":
+        lb_params.setdefault(
+            "threshold_bytes", max(1, int(100_000 * config.size_scale))
+        )
+    elif config.lb == "rdna":
+        lb_params.setdefault(
+            "elephant_threshold_bytes",
+            max(1, int(1_000_000 * config.size_scale)),
+        )
+    # The detection plane rides lb_params so the factory can wire it for
+    # any scheme (and build the zoo's default failure tables when none
+    # is configured); spec-DSL *default* timers scale with time_scale
+    # (explicit values are taken literally) so hold, heartbeat and
+    # breaker windows keep their ratio to the scaled RTO floor.
+    lb_params.setdefault("detector", config.detector)
+    lb_params.setdefault("detector_time_scale", config.time_scale)
     return lb_params
 
 
@@ -263,15 +189,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         from repro.telemetry import install_telemetry
 
         telemetry = install_telemetry(fabric, config=config)
-    shared = install_lb(fabric, config.lb, **_resolved_lb_params(config))
+    scheme = install_lb(fabric, config.lb, **_resolved_lb_params(config))
     if checker is not None:
         from repro.validate import watch_leaf_states
 
-        watch_leaf_states(checker, shared)
+        watch_leaf_states(checker, scheme)
     if telemetry is not None:
         from repro.telemetry import watch_lb
 
-        watch_lb(telemetry, fabric, shared)
+        watch_lb(telemetry, fabric, scheme)
     if config.failure is not None:
         _install_failure(fabric, config.failure, rng)
     fault_plane: Optional[FaultSchedule] = None
@@ -367,11 +293,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     sim.run(until=deadline)
     if sampler is not None:
         sampler.stop()
-    if checker is not None:
-        shared["invariants"] = checker.finalize()
     if telemetry is not None:
         telemetry.stop_series()
-        shared["telemetry"] = telemetry.summary()
 
     if stats_stream is not None:
         # Whatever is still registered and unfinished: fold it in (the
@@ -394,25 +317,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         records = afflicted_records
     else:
         records = [_flow_record(f) for f in flows]
-    total_reroutes = sum(
-        host.lb.reroutes for host in fabric.hosts if host.lb is not None
-    )
-    fault_timeline: Tuple[dict, ...] = ()
-    detection_ns: Optional[int] = None
-    recovery_ns: Optional[int] = None
-    unrecovered = 0
-    if fault_plane is not None:
-        fault_timeline = fault_plane.timeline()
-        detection_ns = _detection_latency_ns(fault_plane, shared)
-        recovery_ns, unrecovered = _recovery_latency_ns(fault_plane, records)
-    detector_metrics: Dict[str, Any] = {}
-    if shared.get("detectors"):
-        detector_metrics = _fold_detector_metrics(
-            list(shared["detectors"].values()),
-            fault_plane.first_applied_ns() if fault_plane is not None else None,
-        )
 
-    return ExperimentResult(
+    # Fields are set where they are computed; everything a run did not
+    # produce keeps the default ResultSummary declares for it.
+    result = ExperimentResult(
         config=config,
         stats=(
             stats_stream
@@ -421,45 +329,55 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ),
         sim_time_ns=sim.now,
         events=sim.events_fired,
-        total_reroutes=total_reroutes,
-        fabric=fabric,
-        shared=shared,
-        visibility_switch_pair=(
-            sampler.switch_pair_visibility() if sampler is not None else None
+        total_reroutes=sum(
+            host.lb.reroutes for host in fabric.hosts if host.lb is not None
         ),
-        visibility_host_pair=(
-            sampler.host_pair_visibility() if sampler is not None else None
-        ),
-        telemetry=telemetry,
-        fault_timeline=fault_timeline,
-        detection_ns=detection_ns,
-        recovery_ns=recovery_ns,
-        unrecovered_timeouts=unrecovered,
         scheduler_info=scheduler_info,
-        detector_metrics=detector_metrics,
         probe_losses=fabric.probe_drops,
+        fabric=fabric,
+        scheme=scheme,
+        telemetry=telemetry,
     )
+    if checker is not None:
+        result.invariants = checker.finalize()
+    if telemetry is not None:
+        result.telemetry_summary = telemetry.summary()
+    if sampler is not None:
+        result.visibility_switch_pair = sampler.switch_pair_visibility()
+        result.visibility_host_pair = sampler.host_pair_visibility()
+    first_apply: Optional[int] = None
+    if fault_plane is not None:
+        first_apply = fault_plane.first_applied_ns()
+        result.fault_timeline = fault_plane.timeline()
+        result.detection_ns = _detection_latency_ns(first_apply, scheme)
+        result.recovery_ns, result.unrecovered_timeouts = (
+            _recovery_latency_ns(fault_plane, records)
+        )
+    if config.detector is not None:
+        result.detector_metrics = _fold_detector_metrics(
+            list(scheme.detectors.values()), first_apply
+        )
+    return result
 
 
 def _detection_latency_ns(
-    plane: FaultSchedule, shared: Dict[str, Any]
+    first_apply: Optional[int], scheme: InstalledScheme
 ) -> Optional[int]:
     """Nanoseconds from the first applied fault to the scheme's first
     failure detection at/after it (``None`` when the scheme has no
     failure detector, or never fired one — e.g. ECMP)."""
-    first_apply = plane.first_applied_ns()
     if first_apply is None:
         return None
     detections: List[int] = []
-    # For zoo schemes the leaf_states ARE the configured detectors (the
-    # factory substituted them), so scanning both maps double-counts a
-    # few times — harmless under min().  For schemes without health
-    # tables (ECMP + a BFD detector, say) only the second map has them.
-    for state in shared.get("leaf_states", {}).values():
+    # Hermes' own sensing publishes detection times on its leaf tables;
+    # every other detector — the zoo's failure tables included — is in
+    # ``scheme.detectors``.  For REPS and DiffFlow the two maps hold the
+    # same objects, so a time can be seen twice — harmless under min().
+    for state in scheme.leaf_states.values():
         times = getattr(state, "detection_times", None)
         if times:
             detections.extend(t for t in times if t >= first_apply)
-    for det in shared.get("detectors", {}).values():
+    for det in scheme.detectors.values():
         detections.extend(t for t in det.detection_times if t >= first_apply)
     return min(detections) - first_apply if detections else None
 
@@ -503,7 +421,7 @@ def _fold_detector_metrics(
 def _recovery_latency_ns(
     plane: FaultSchedule, records: List[FlowRecord]
 ) -> tuple:
-    """(recovery_ns, unrecovered_timeouts) — see ExperimentResult docs.
+    """(recovery_ns, unrecovered_timeouts) — see ResultSummary docs.
 
     Scheme-agnostic: measured purely from per-flow records.  A flow is
     *afflicted* if it suffered a timeout while alive during the fault

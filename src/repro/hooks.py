@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.lb.base import InstalledScheme
     from repro.net.fabric import Fabric
 
 #: HookSet slot names, in attach/report order.
@@ -46,8 +47,9 @@ class HookSet:
     * ``tracer`` — wired into the fabric (send/forward/flow lifecycle)
       and every port (drops);
     * ``audit`` — wired into every per-host agent exposing an ``audit``
-      attribute and, when ``shared`` is given, every Hermes leaf-state
-      table in ``shared["leaf_states"]``;
+      attribute and, when ``scheme`` is given, every Hermes leaf-state
+      table in ``scheme.leaf_states`` and every detector in
+      ``scheme.detectors``;
     * ``profiler`` — wired into the engine (one callback per dispatched
       event).
     """
@@ -55,8 +57,8 @@ class HookSet:
     def __init__(self, fabric: "Fabric") -> None:
         self._fabric = fabric
         self._occupants: Dict[str, Any] = {name: None for name in SLOTS}
-        #: shared-state dict captured at audit attach, for clean detach.
-        self._audit_shared: Optional[Dict[str, Any]] = None
+        #: The scheme captured at audit attach, for clean detach.
+        self._audit_scheme: Optional["InstalledScheme"] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -81,7 +83,7 @@ class HookSet:
         tracer: Any = None,
         audit: Any = None,
         profiler: Any = None,
-        shared: Optional[Dict[str, Any]] = None,
+        scheme: Optional["InstalledScheme"] = None,
     ) -> "HookSet":
         """Wire the given observers into the fabric.  Atomic: every
         requested slot is checked for occupancy *before* any wiring, so
@@ -94,11 +96,11 @@ class HookSet:
                 :class:`repro.telemetry.tracer.TracerHooks` protocol.
             audit: a :class:`repro.telemetry.audit.DecisionAudit`.
             profiler: a :class:`repro.telemetry.series.LoopProfiler`.
-            shared: the scheme's shared-state dict (``install_lb``
-                output); lets ``checker``/``audit`` reach Hermes
-                leaf-state tables.  May be passed alone to extend an
-                already-attached checker/audit to a freshly installed
-                scheme.
+            scheme: the :class:`~repro.lb.base.InstalledScheme`
+                ``install_lb`` returned; lets ``checker``/``audit``
+                reach Hermes leaf-state tables and detectors.  May be
+                passed alone to extend an already-attached
+                checker/audit to a freshly installed scheme.
 
         Returns:
             self, for chaining.
@@ -143,16 +145,16 @@ class HookSet:
                 if agent is not None and hasattr(agent, "audit"):
                     agent.audit = audit
             self._occupants["audit"] = audit
-        if shared:
-            self._wire_shared(shared)
+        if scheme is not None:
+            self._wire_scheme(scheme)
         return self
 
-    def _wire_shared(self, shared: Dict[str, Any]) -> None:
-        """Extend the attached checker/audit to a scheme's shared state
-        (Hermes per-leaf path tables)."""
+    def _wire_scheme(self, scheme: "InstalledScheme") -> None:
+        """Extend the attached checker/audit to a scheme's rack-shared
+        state (Hermes per-leaf path tables, detectors)."""
         checker = self._occupants["checker"]
         audit = self._occupants["audit"]
-        for state in shared.get("leaf_states", {}).values():
+        for state in scheme.leaf_states.values():
             if not hasattr(state, "classify"):
                 continue
             if checker is not None and hasattr(state, "checker"):
@@ -163,9 +165,9 @@ class HookSet:
             # Detectors (repro.detect) record verdict flips through the
             # same audit; they never expose ``classify`` so the
             # leaf-state loop above skips them by design.
-            for detector in shared.get("detectors", {}).values():
+            for detector in scheme.detectors.values():
                 detector.audit = audit
-            self._audit_shared = shared
+            self._audit_scheme = scheme
 
     # ------------------------------------------------------------------ #
     # Detach
@@ -204,15 +206,13 @@ class HookSet:
                 agent = host.lb
                 if agent is not None and hasattr(agent, "audit"):
                     agent.audit = None
-            if self._audit_shared:
-                for state in self._audit_shared.get("leaf_states", {}).values():
+            if self._audit_scheme is not None:
+                for state in self._audit_scheme.leaf_states.values():
                     if hasattr(state, "audit"):
                         state.audit = None
-                for detector in self._audit_shared.get(
-                    "detectors", {}
-                ).values():
+                for detector in self._audit_scheme.detectors.values():
                     detector.audit = None
-                self._audit_shared = None
+                self._audit_scheme = None
             self._occupants["audit"] = None
         return self
 

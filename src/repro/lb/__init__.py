@@ -7,8 +7,10 @@ FlowBender, Hermes, REPS, DiffFlow, RDNA Balance) keep per-host state;
 switch-based schemes (CONGA, LetFlow, DRILL) share their leaf switch's
 state between all hosts of the rack, which is exactly the visibility
 advantage the paper's Table 2 quantifies.  The zoo schemes additionally
-share a per-rack :class:`~repro.lb.failaware.LeafPathHealth` failure
-table so the recovery-timeline metrics read detection times uniformly.
+route on a per-rack failure table — a :mod:`repro.detect` detector,
+:class:`~repro.detect.transport.TransportDetector` unless the experiment
+configures another — so the recovery-timeline metrics read detection
+times uniformly.
 """
 
 from repro.lb.base import LoadBalancer
@@ -19,7 +21,6 @@ from repro.lb.conga import CongaLB, CongaLeafState
 from repro.lb.clove import CloveEcnLB
 from repro.lb.drill import DrillLB
 from repro.lb.flowbender import FlowBenderLB
-from repro.lb.failaware import LeafPathHealth
 from repro.lb.reps import RepsLB
 from repro.lb.diffflow import DiffFlowLB
 from repro.lb.rdna import RdnaBalanceLB, RdnaLeafState
@@ -44,7 +45,6 @@ __all__ = [
     "CloveEcnLB",
     "DrillLB",
     "FlowBenderLB",
-    "LeafPathHealth",
     "RepsLB",
     "DiffFlowLB",
     "RdnaBalanceLB",

@@ -19,12 +19,31 @@ transport layer calls:
 from __future__ import annotations
 
 import random
-from typing import Tuple, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Fabric
     from repro.net.host import Host
     from repro.transport.base import FlowBase
+
+
+@dataclass
+class InstalledScheme:
+    """What ``install_lb`` wired up beyond the per-host agents — the
+    handles harnesses inspect (probers, tables, detection counters).
+    Every field is empty for a scheme that has no such state."""
+
+    #: leaf index -> the scheme's rack-shared state (CONGA tables, Hermes
+    #: path tables, RDNA registries, the zoo's failure tables).
+    leaf_states: Dict[int, Any] = field(default_factory=dict)
+    #: leaf index -> :mod:`repro.detect` detector: the configured one,
+    #: or the default transport table of a scheme that routes on one.
+    detectors: Dict[int, Any] = field(default_factory=dict)
+    #: leaf index -> Hermes probe agent.
+    probers: Dict[int, Any] = field(default_factory=dict)
+    #: The resolved ``HermesParams`` (Hermes only).
+    params: Optional[Any] = None
 
 
 class LoadBalancer:

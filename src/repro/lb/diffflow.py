@@ -17,10 +17,10 @@ paper's short/long boundary.
 
 Failure awareness (``failure_aware=True``, our extension for the
 Fig. 16/17 recovery comparison — the original design predates the fault
-model): RTOs and retransmission bursts feed the shared
-:class:`~repro.lb.failaware.LeafPathHealth` table; sprayed packets avoid
-failed paths, and a pinned long flow whose path fails is re-pinned onto
-a trusted one at its next packet.  With ``failure_aware=False`` the
+model): RTOs and retransmission bursts feed the rack's shared
+:class:`~repro.detect.transport.TransportDetector` table; sprayed
+packets avoid failed paths, and a pinned long flow whose path fails is
+re-pinned onto a trusted one at its next packet.  With ``failure_aware=False`` the
 scheme is exactly as published: blind to failures, like its ECMP long
 half."""
 
@@ -30,10 +30,10 @@ from typing import Dict, TYPE_CHECKING
 
 import zlib
 
-from repro.lb.base import LoadBalancer
-from repro.lb.failaware import LeafPathHealth
+from repro.lb.base import InstalledScheme, LoadBalancer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.detect.base import Detector
     from repro.transport.base import FlowBase
 
 #: Short/long boundary: 100 KB — the paper's (and the literature's)
@@ -52,7 +52,7 @@ class DiffFlowLB(LoadBalancer):
         host,
         fabric,
         rng,
-        health: LeafPathHealth,
+        health: "Detector",
         threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
         failure_aware: bool = True,
     ) -> None:
@@ -143,41 +143,15 @@ class DiffFlowLB(LoadBalancer):
         self._epoch.pop(flow.flow_id, None)
 
 
-def install_diffflow(
-    fabric,
-    hold_ns: int = None,
-    retx_threshold: int = None,
-    retx_window_ns: int = None,
-    leaf_health=None,
-    **params,
-):
-    """Install DiffFlow on every host with one health table per rack.
-
-    ``leaf_health`` substitutes pre-built per-leaf health objects (a
-    configured :mod:`repro.detect` detector) for the built-in tables.
-    """
-    if leaf_health is not None:
-        leaf_states = leaf_health
-    else:
-        health_kwargs = {
-            k: v
-            for k, v in (
-                ("hold_ns", hold_ns),
-                ("retx_threshold", retx_threshold),
-                ("retx_window_ns", retx_window_ns),
-            )
-            if v is not None
-        }
-        leaf_states = {
-            leaf: LeafPathHealth(fabric, leaf, **health_kwargs)
-            for leaf in range(fabric.config.n_leaves)
-        }
+def install_diffflow(fabric, leaf_health, **params) -> InstalledScheme:
+    """Install DiffFlow on every host, each rack sharing its entry of
+    ``leaf_health`` (leaf index -> detector; ``install_lb`` builds it)."""
     for host in fabric.hosts:
         host.lb = DiffFlowLB(
             host,
             fabric,
             fabric.rng.spawn("diffflow", host.host_id),
-            leaf_states[host.leaf],
+            leaf_health[host.leaf],
             **params,
         )
-    return {"leaf_states": leaf_states}
+    return InstalledScheme(leaf_states=leaf_health)

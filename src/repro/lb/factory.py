@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Tuple
 
-from repro.lb.base import LoadBalancer
+from repro.lb.base import InstalledScheme, LoadBalancer
 from repro.lb.clove import CloveEcnLB
 from repro.lb.conga import CongaLB, CongaLeafState
 from repro.lb.diffflow import DiffFlowLB, install_diffflow
@@ -24,18 +24,18 @@ from repro.net.fabric import Fabric
 from repro.sim.engine import microseconds
 
 
-def _install_simple(cls: type) -> Callable[..., Dict[str, Any]]:
-    def installer(fabric: Fabric, **params: Any) -> Dict[str, Any]:
+def _install_simple(cls: type) -> Callable[..., InstalledScheme]:
+    def installer(fabric: Fabric, **params: Any) -> InstalledScheme:
         for host in fabric.hosts:
             host.lb = cls(
                 host, fabric, fabric.rng.spawn(cls.name, host.host_id), **params
             )
-        return {}
+        return InstalledScheme()
 
     return installer
 
 
-def _install_conga(fabric: Fabric, **params: Any) -> Dict[str, Any]:
+def _install_conga(fabric: Fabric, **params: Any) -> InstalledScheme:
     # CONGA is the DRE's only consumer, so it alone switches it on.
     for port in fabric.topology.all_ports():
         port.enable_dre()
@@ -52,10 +52,10 @@ def _install_conga(fabric: Fabric, **params: Any) -> Dict[str, Any]:
             leaf_states[host.leaf],
             **params,
         )
-    return {"leaf_states": leaf_states}
+    return InstalledScheme(leaf_states=leaf_states)
 
 
-def _install_hermes(fabric: Fabric, **params: Any) -> Dict[str, Any]:
+def _install_hermes(fabric: Fabric, **params: Any) -> InstalledScheme:
     # Imported lazily: repro.core.hermes itself depends on repro.lb.base,
     # and a module-level import here would close that cycle.
     from repro.core.hermes import HermesLB
@@ -85,15 +85,13 @@ def _install_hermes(fabric: Fabric, **params: Any) -> Dict[str, Any]:
             leaf_states[host.leaf],
             hermes_params,
         )
-    return {
-        "leaf_states": leaf_states,
-        "probers": probers,
-        "params": hermes_params,
-    }
+    return InstalledScheme(
+        leaf_states=leaf_states, probers=probers, params=hermes_params
+    )
 
 
-#: scheme name -> installer(fabric, **params) -> shared-state dict
-LB_REGISTRY: Dict[str, Callable[..., Dict[str, Any]]] = {
+#: scheme name -> installer(fabric, **params) -> InstalledScheme
+LB_REGISTRY: Dict[str, Callable[..., InstalledScheme]] = {
     "ecmp": _install_simple(EcmpLB),
     "presto": _install_simple(PrestoLB),
     "drb": _install_simple(DrbLB),
@@ -144,25 +142,29 @@ def spraying_schemes() -> Tuple[str, ...]:
     return SPRAYING_SCHEMES
 
 
-#: Schemes whose agents consume a per-leaf health table directly; a
-#: configured detector *replaces* that table (drop-in superset) instead
-#: of riding alongside it.
+#: Schemes whose agents route on a per-leaf failure table: their
+#: installers take the table as ``leaf_health``, and a configured
+#: detector *is* that table instead of riding alongside it.
 _HEALTH_TABLE_SCHEMES: Tuple[str, ...] = ("reps", "diffflow", "rdna")
 
 
-def install_lb(fabric: Fabric, name: str, **params: Any) -> Dict[str, Any]:
+def install_lb(fabric: Fabric, name: str, **params: Any) -> InstalledScheme:
     """Install scheme ``name`` on every host of ``fabric``.
 
-    Returns the scheme's shared state (empty for stateless schemes) so
-    harnesses can inspect probers, tables, detection counters, etc.
+    Returns the scheme's :class:`~repro.lb.base.InstalledScheme` (all
+    fields empty for stateless schemes) so harnesses can inspect
+    probers, tables, detection counters, etc.
 
     ``detector`` (a :mod:`repro.detect` spec string or parsed spec) and
     ``detector_time_scale`` are understood for every scheme: the factory
     builds one detector per leaf, binds it to each agent's ``detector``
-    slot, substitutes it for the zoo's health tables, publishes the map
-    as ``shared["detectors"]`` and starts active detectors last — after
-    any scheme machinery (the Hermes prober) has claimed its probe sink,
-    so reply demultiplexing chains instead of clobbering.
+    slot, publishes the map as ``InstalledScheme.detectors`` and starts
+    active detectors last — after any scheme machinery (the Hermes
+    prober) has claimed its probe sink, so reply demultiplexing chains
+    instead of clobbering.  The health-table schemes route on those
+    detectors, and get the default ``"transport"`` table when none is
+    configured; its timers are set through the spec DSL
+    (``"transport:hold=…,retx_threshold=…,retx_window=…"``).
     """
     try:
         installer = LB_REGISTRY[name]
@@ -170,34 +172,31 @@ def install_lb(fabric: Fabric, name: str, **params: Any) -> Dict[str, Any]:
         known = ", ".join(sorted(LB_REGISTRY))
         raise ValueError(f"unknown load balancer {name!r}; known: {known}") from None
     detector_spec = params.pop("detector", None)
-    detector_time_scale = params.pop("detector_time_scale", 1.0)
-    if detector_spec is None:
+    time_scale = params.pop("detector_time_scale", 1.0)
+    routes_on_table = name in _HEALTH_TABLE_SCHEMES
+    if detector_spec is None and not routes_on_table:
         return installer(fabric, **params)
     # Imported lazily: repro.detect pulls in implementation modules that
     # themselves import from repro.lb.
     from repro.detect import build_leaf_detectors
 
-    detectors = None
-    if name in _HEALTH_TABLE_SCHEMES:
+    if routes_on_table:
         detectors = build_leaf_detectors(
-            fabric, detector_spec, time_scale=detector_time_scale
+            fabric, detector_spec or "transport", time_scale
         )
-        params["leaf_health"] = detectors
-    shared = installer(fabric, **params)
-    if detectors is None:
+        scheme = installer(fabric, leaf_health=detectors, **params)
+    else:
+        scheme = installer(fabric, **params)
         # Built after the installer ran (see docstring: sink chaining).
-        detectors = build_leaf_detectors(
-            fabric, detector_spec, time_scale=detector_time_scale
-        )
+        detectors = build_leaf_detectors(fabric, detector_spec, time_scale)
     for host in fabric.hosts:
         agent = host.lb
         if agent is not None:
             agent.detector = detectors[host.leaf]
-    shared = dict(shared)
-    shared["detectors"] = detectors
+    scheme.detectors = detectors
     for det in detectors.values():
         det.start()
-    return shared
+    return scheme
 
 
 def make_lb(fabric: Fabric, name: str, host_id: int, **params: Any) -> LoadBalancer:

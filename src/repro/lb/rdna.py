@@ -17,11 +17,11 @@ Our reproduction keeps the split edge/controller roles:
   the path currently carrying the fewest elephants (ties break on the
   lowest path id — deterministic) and tracks the assignment until the
   flow completes;
-* failure awareness rides the shared
-  :class:`~repro.lb.failaware.LeafPathHealth` table: a failed path's
-  elephants are re-placed on the healthiest least-loaded path and mice
-  re-hash off it, giving the scheme a finite Fig. 16-style recovery
-  where plain ECMP strands its flows.
+* failure awareness rides the rack's shared
+  :class:`~repro.detect.transport.TransportDetector` table: a failed
+  path's elephants are re-placed on the healthiest least-loaded path
+  and mice re-hash off it, giving the scheme a finite Fig. 16-style
+  recovery where plain ECMP strands its flows.
 
 The threshold is configurable via ``ExperimentConfig.lb_params``
 (``elephant_threshold_bytes``) and the runner scales its default by
@@ -33,10 +33,10 @@ from typing import Dict, Tuple, TYPE_CHECKING
 
 import zlib
 
-from repro.lb.base import LoadBalancer
-from repro.lb.failaware import LeafPathHealth
+from repro.lb.base import InstalledScheme, LoadBalancer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.detect.base import Detector
     from repro.transport.base import FlowBase
 
 #: Elephant boundary: 1 MB sent, scaled by the runner on scaled runs.
@@ -51,7 +51,7 @@ class RdnaLeafState:
     spreads elephants by *count*, trusting isolation to do the rest.
     """
 
-    def __init__(self, health: LeafPathHealth) -> None:
+    def __init__(self, health: "Detector") -> None:
         self.health = health
         #: flow_id -> (dst_leaf, path) of an isolated elephant.
         self.assignments: Dict[int, Tuple[int, int]] = {}
@@ -59,12 +59,6 @@ class RdnaLeafState:
         self.elephants_on: Dict[Tuple[int, int], int] = {}
         self.elephants_seen = 0
         self.replacements = 0
-
-    #: The runner's detection metric reads ``detection_times`` off every
-    #: object in ``shared["leaf_states"]``; forward to the health table.
-    @property
-    def detection_times(self):
-        return self.health.detection_times
 
     def _least_loaded(self, dst_leaf: int, paths: Tuple[int, ...]) -> int:
         candidates = self.health.alive(dst_leaf, paths)
@@ -195,38 +189,13 @@ class RdnaBalanceLB(LoadBalancer):
         self._epoch.pop(flow.flow_id, None)
 
 
-def install_rdna(
-    fabric,
-    hold_ns: int = None,
-    retx_threshold: int = None,
-    retx_window_ns: int = None,
-    leaf_health=None,
-    **params,
-):
-    """Install RDNA Balance with one registry + health table per rack.
-
-    ``leaf_health`` substitutes pre-built per-leaf health objects (a
-    configured :mod:`repro.detect` detector) for the built-in tables;
-    each still gets wrapped in the rack's :class:`RdnaLeafState`.
-    """
-    if leaf_health is not None:
-        leaf_states = {
-            leaf: RdnaLeafState(health) for leaf, health in leaf_health.items()
-        }
-    else:
-        health_kwargs = {
-            k: v
-            for k, v in (
-                ("hold_ns", hold_ns),
-                ("retx_threshold", retx_threshold),
-                ("retx_window_ns", retx_window_ns),
-            )
-            if v is not None
-        }
-        leaf_states = {
-            leaf: RdnaLeafState(LeafPathHealth(fabric, leaf, **health_kwargs))
-            for leaf in range(fabric.config.n_leaves)
-        }
+def install_rdna(fabric, leaf_health, **params) -> InstalledScheme:
+    """Install RDNA Balance: one elephant registry per rack, wrapped
+    around the rack's entry of ``leaf_health`` (leaf index -> detector;
+    ``install_lb`` builds it)."""
+    leaf_states = {
+        leaf: RdnaLeafState(health) for leaf, health in leaf_health.items()
+    }
     for host in fabric.hosts:
         host.lb = RdnaBalanceLB(
             host,
@@ -235,4 +204,4 @@ def install_rdna(
             leaf_states[host.leaf],
             **params,
         )
-    return {"leaf_states": leaf_states}
+    return InstalledScheme(leaf_states=leaf_states)

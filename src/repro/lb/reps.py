@@ -13,8 +13,9 @@ Failure mitigation follows the paper's two rules:
 
 * an RTO **flushes the flow's entire entropy cache** (every cached
   entropy is stale evidence once the flow stalls) and reports the path
-  to the shared :class:`~repro.lb.failaware.LeafPathHealth` table, which
-  fails it immediately;
+  to the rack's shared
+  :class:`~repro.detect.transport.TransportDetector` table, which fails
+  it immediately;
 * retransmissions evict the implicated entropy from the cache and feed
   the table's windowed retransmission counter, so a lossy-but-alive link
   is also detected and avoided.
@@ -29,10 +30,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, TYPE_CHECKING
 
-from repro.lb.base import LoadBalancer
-from repro.lb.failaware import LeafPathHealth
+from repro.lb.base import InstalledScheme, LoadBalancer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.detect.base import Detector
     from repro.transport.base import FlowBase
 
 #: Per-flow entropy cache bound — about one congestion window's worth of
@@ -51,7 +52,7 @@ class RepsLB(LoadBalancer):
         host,
         fabric,
         rng,
-        health: LeafPathHealth,
+        health: "Detector",
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
         super().__init__(host, fabric, rng)
@@ -122,42 +123,15 @@ class RepsLB(LoadBalancer):
         self._cache.pop(flow.flow_id, None)
 
 
-def install_reps(
-    fabric,
-    hold_ns: int = None,
-    retx_threshold: int = None,
-    retx_window_ns: int = None,
-    leaf_health=None,
-    **params,
-):
-    """Install REPS on every host with one shared health table per rack.
-
-    ``leaf_health`` replaces the built-in tables with pre-built per-leaf
-    health objects — how the factory substitutes a configured
-    :mod:`repro.detect` detector (a drop-in ``LeafPathHealth`` superset).
-    """
-    if leaf_health is not None:
-        leaf_states = leaf_health
-    else:
-        health_kwargs = {
-            k: v
-            for k, v in (
-                ("hold_ns", hold_ns),
-                ("retx_threshold", retx_threshold),
-                ("retx_window_ns", retx_window_ns),
-            )
-            if v is not None
-        }
-        leaf_states = {
-            leaf: LeafPathHealth(fabric, leaf, **health_kwargs)
-            for leaf in range(fabric.config.n_leaves)
-        }
+def install_reps(fabric, leaf_health, **params) -> InstalledScheme:
+    """Install REPS on every host, each rack sharing its entry of
+    ``leaf_health`` (leaf index -> detector; ``install_lb`` builds it)."""
     for host in fabric.hosts:
         host.lb = RepsLB(
             host,
             fabric,
             fabric.rng.spawn("reps", host.host_id),
-            leaf_states[host.leaf],
+            leaf_health[host.leaf],
             **params,
         )
-    return {"leaf_states": leaf_states}
+    return InstalledScheme(leaf_states=leaf_health)

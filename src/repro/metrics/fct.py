@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 SMALL_FLOW_BYTES = 100_000
 LARGE_FLOW_BYTES = 10_000_000
@@ -146,6 +146,12 @@ class FctStats:
         if not self._fcts:
             return float("nan")
         return percentile(self._fcts, 99.0) / 1e6
+
+    def estimators(self) -> Dict[str, str]:
+        """Which estimator produced each reported percentile: always
+        the sorted records here (the streaming collector answers with
+        ``"reservoir"`` / ``"tdigest"`` / ``"none"``)."""
+        return {"p50": "exact", "p99": "exact"}
 
     def total_retransmissions(self) -> int:
         return sum(r.retransmissions for r in self.records)

@@ -58,9 +58,7 @@ class Fabric:
         #: Attach via :attr:`hooks`.
         self._checker = None
         #: Optional tracer (see :mod:`repro.telemetry`): receives packet
-        #: send/hop/deliver and flow start/finish callbacks.  This is the
-        #: single hook site both the structured tracer and the
-        #: :class:`~repro.net.trace.PacketTracer` shim attach to.
+        #: send/hop/deliver and flow start/finish callbacks.
         self._tracer = None
         #: Free list for DATA/ACK/probe packets.  Transports and probers
         #: *acquire* from here unconditionally; the fabric *releases* a

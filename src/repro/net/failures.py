@@ -41,14 +41,14 @@ class _RevocableFailure:
     def install(self, topology: LeafSpineTopology, spine: int) -> None:
         """Attach to every downlink of ``spine``."""
         for port in topology.spine_ports(spine):
-            port.drop_predicates.append(self)
+            port.add_drop_predicate(self)
             self._ports.append(port)
 
     def uninstall(self) -> None:
         """Detach from every port this handle was installed on (idempotent)."""
         for port in self._ports:
             try:
-                port.drop_predicates.remove(self)
+                port.remove_drop_predicate(self)
             except ValueError:
                 pass
         self._ports.clear()

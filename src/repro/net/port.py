@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.packet import Packet, PacketKind
 
@@ -29,53 +29,6 @@ NUM_PRIORITIES = 2
 
 #: CONGA quantizes DRE utilization to 3 bits.
 DRE_QUANTA = 7
-
-
-class _DropPredicateList(list):
-    """A ``list`` that keeps its port's fast-path flag honest.
-
-    Failure injection mutates ``port.drop_predicates`` directly
-    (``append``/``remove``); routing every mutation through the port
-    would break the public surface, so the list itself notifies the port
-    — the enqueue hot path then needs only one precomputed boolean
-    (``_guarded``) instead of re-deriving "is anything watching?" per
-    packet.
-    """
-
-    __slots__ = ("_port",)
-
-    def __init__(self, port: "OutputPort") -> None:
-        super().__init__()
-        self._port = port
-
-    def append(self, item) -> None:
-        super().append(item)
-        self._port._refresh_fast_path()
-
-    def extend(self, items) -> None:
-        super().extend(items)
-        self._port._refresh_fast_path()
-
-    def insert(self, index, item) -> None:
-        super().insert(index, item)
-        self._port._refresh_fast_path()
-
-    def remove(self, item) -> None:
-        super().remove(item)
-        self._port._refresh_fast_path()
-
-    def pop(self, index=-1):
-        item = super().pop(index)
-        self._port._refresh_fast_path()
-        return item
-
-    def clear(self) -> None:
-        super().clear()
-        self._port._refresh_fast_path()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._port._refresh_fast_path()
 
 
 class OutputPort:
@@ -172,9 +125,10 @@ class OutputPort:
         #: Admin-down (scheduled ``link_down``): new arrivals are dropped,
         #: queued packets stall, the in-flight packet drains normally.
         self.admin_down = False
-        self.drop_predicates: List[Callable[[Packet, int], bool]] = (
-            _DropPredicateList(self)
-        )
+        #: Installed failure predicates ``(packet, now) -> drop?``.  A
+        #: tuple so the only writers are add/remove_drop_predicate, which
+        #: keep ``_guarded`` honest; read it freely (``in``, truthiness).
+        self.drop_predicates: Tuple[Callable[[Packet, int], bool], ...] = ()
         # Statistics.
         self.bytes_sent = 0
         self.pkts_sent = 0
@@ -228,6 +182,23 @@ class OutputPort:
             or self._checker is not None
             or self._tracer is not None
         )
+
+    def add_drop_predicate(
+        self, predicate: Callable[[Packet, int], bool]
+    ) -> None:
+        """Install a failure predicate: every arriving packet for which
+        ``predicate(packet, now)`` is true is dropped as *injected*."""
+        self.drop_predicates += (predicate,)
+        self._refresh_fast_path()
+
+    def remove_drop_predicate(
+        self, predicate: Callable[[Packet, int], bool]
+    ) -> None:
+        """Uninstall one predicate (``ValueError`` if it is not there)."""
+        remaining = list(self.drop_predicates)
+        remaining.remove(predicate)
+        self.drop_predicates = tuple(remaining)
+        self._refresh_fast_path()
 
     # ------------------------------------------------------------------ #
     # Enqueue / transmit

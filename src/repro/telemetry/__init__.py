@@ -38,6 +38,7 @@ from repro.telemetry.series import (
 from repro.telemetry.tracer import EventTracer, TraceRecord, TracerHooks
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.lb.base import InstalledScheme
     from repro.net.fabric import Fabric
 
 
@@ -148,19 +149,20 @@ def install_telemetry(
 def watch_lb(
     telemetry: Telemetry,
     fabric: "Fabric",
-    shared: Optional[Dict[str, Any]] = None,
+    scheme: Optional["InstalledScheme"] = None,
     sample_period_ns: Optional[int] = None,
 ) -> None:
     """Attach the decision audit to an installed scheme.
 
     Hooks every per-host agent exposing an ``audit`` attribute (Hermes)
-    and every Hermes leaf-state table in ``shared``; a no-op for schemes
-    with neither.  When ``sample_period_ns`` is set, a
+    and, given the ``scheme`` that ``install_lb`` returned, every Hermes
+    leaf-state table and every detector in it; a no-op for schemes with
+    none of those.  When ``sample_period_ns`` is set, a
     :class:`PathStateSeries` is started per leaf table.
     """
-    fabric.hooks.attach(audit=telemetry.audit, shared=shared)
-    if shared and sample_period_ns is not None:
-        for leaf, state in shared.get("leaf_states", {}).items():
+    fabric.hooks.attach(audit=telemetry.audit, scheme=scheme)
+    if scheme is not None and sample_period_ns is not None:
+        for leaf, state in scheme.leaf_states.items():
             if hasattr(state, "audit") and hasattr(state, "classify"):
                 telemetry.add_series(
                     f"path_state leaf{leaf}",

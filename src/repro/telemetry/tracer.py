@@ -136,9 +136,7 @@ class TraceRecord:
 class TracerHooks:
     """The hook protocol the runtime calls on ``fabric.tracer`` /
     ``port.tracer``.  Every method is a no-op here; subclasses override
-    what they care about (:class:`EventTracer` records everything, the
-    :class:`~repro.net.trace.PacketTracer` compatibility shim only the
-    packet-movement subset)."""
+    what they care about (:class:`EventTracer` records everything)."""
 
     def on_send(self, packet: "Packet") -> None:
         """``Fabric.send`` injected a packet at its source."""

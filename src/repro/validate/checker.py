@@ -46,6 +46,7 @@ from repro.validate.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.lb.base import InstalledScheme
     from repro.net.fabric import Fabric
     from repro.net.packet import Packet
     from repro.net.port import OutputPort
@@ -462,10 +463,13 @@ def install_checker(
     return checker
 
 
-def watch_leaf_states(checker: InvariantChecker, shared: Dict[str, Any]) -> None:
-    """Attach the checker to every Hermes leaf-state table in a scheme's
-    shared-state dict (no-op for schemes without one, e.g. CONGA's
-    tables, which have no Algorithm 1 machine to validate)."""
-    for state in shared.get("leaf_states", {}).values():
+def watch_leaf_states(
+    checker: InvariantChecker, scheme: "InstalledScheme"
+) -> None:
+    """Attach the checker to every Hermes leaf-state table of an
+    installed scheme (``install_lb``'s return value; no-op for schemes
+    without one, e.g. CONGA's tables, which have no Algorithm 1 machine
+    to validate)."""
+    for state in scheme.leaf_states.values():
         if hasattr(state, "checker") and hasattr(state, "classify"):
             state.checker = checker

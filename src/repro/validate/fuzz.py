@@ -362,7 +362,7 @@ def run_case(
         seed=seed,
         config=config,
         error=None,
-        invariants=result.shared.get("invariants"),
+        invariants=result.invariants,
         events=result.events,
         mean_fct_ms=result.mean_fct_ms,
         unfinished=result.stats.unfinished_count,

@@ -9,6 +9,7 @@ bit-identical either way.
 import dataclasses
 import io
 import json
+import pickle
 
 import pytest
 
@@ -16,9 +17,14 @@ import repro
 import repro.api as api
 from repro.api import (
     ExperimentConfig,
+    ExperimentResult,
     FailureSpec,
     FaultEventSpec,
     FaultScheduleSpec,
+    FctStats,
+    FlowRecord,
+    ResultSummary,
+    StreamingFctStats,
     bench_topology,
     load_result,
     run_experiment,
@@ -171,7 +177,113 @@ class TestResultRoundTrip:
             load_result(path)
 
 
+_SUMMARY_FIELDS = [f.name for f in dataclasses.fields(ResultSummary)]
+
+
+def _full_summary_values(streaming: bool) -> dict:
+    """A non-default value for every ``ResultSummary`` field, by name.
+    A field added without an entry here fails every parity case."""
+    outcomes = [(4_000, 1_000_000, 0, 0), (90_000, 7_000_000, 3, 1),
+                (2_000_000, None, 5, 2)]
+    if streaming:
+        stats = StreamingFctStats(small_bytes=5_000, large_bytes=500_000, seed=3)
+        for outcome in outcomes:
+            stats.add(*outcome)
+    else:
+        stats = FctStats(
+            [FlowRecord(i, 0, 2, size, 10 * i, fct, retx, rto)
+             for i, (size, fct, retx, rto) in enumerate(outcomes)],
+            small_bytes=5_000, large_bytes=500_000,
+        )
+    return {
+        "config": _small_config(
+            lb="reps", detector="bfd", scheduler="wheel:auto",
+            streaming_stats=streaming,
+        ),
+        "stats": stats,
+        "sim_time_ns": 12_345_678,
+        "events": 930_121,
+        "total_reroutes": 17,
+        "visibility_switch_pair": 0.5,
+        "visibility_host_pair": 0.125,
+        "fault_timeline": (
+            {"time_ns": 1_000, "action": "link_down", "phase": "apply"},
+            {"time_ns": 9_000, "action": "link_up", "phase": "apply"},
+        ),
+        "detection_ns": 300_000,
+        "recovery_ns": 2_500_000,
+        "unrecovered_timeouts": 2,
+        "scheduler_info": {
+            "name": "wheel:auto",
+            "geometry": {"slot_ns_bits": 12, "num_slot_bits": 10},
+        },
+        "detector_metrics": {
+            "detector": "bfd", "detections": 4, "false_positive_count": 1,
+            "flap_suppressions": 2, "detection_ns": 300_000,
+        },
+        "probe_losses": 2_001,
+        "invariants": {"events_checked": 930_121, "violations": 0},
+        "telemetry_summary": {"trace": {"recorded": 5, "by_kind": {"send": 5}}},
+        "error": "cell exceeded REPRO_CELL_TIMEOUT=1s",
+    }
+
+
+def _comparable(name: str, value):
+    """Stats objects define no ``==``; compare what they hold."""
+    if name != "stats":
+        return value
+    if value.is_streaming:
+        return value.to_dict()
+    return (value.records, value.small_bytes, value.large_bytes)
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["exact", "streaming"])
+@pytest.mark.parametrize("name", _SUMMARY_FIELDS)
+def test_result_field_survives_every_copy(name, streaming):
+    """The guard for "one field list": a field declared on
+    ``ResultSummary`` but dropped by a copier or a serializer fails its
+    own case here (``scheduler_info``, ``detector_metrics`` and
+    ``probe_losses`` did not survive ``save_result`` before)."""
+    values = _full_summary_values(streaming)
+    summary = ResultSummary(**{n: values[n] for n in _SUMMARY_FIELDS})
+    want = _comparable(name, values[name])
+
+    field = {f.name: f for f in dataclasses.fields(ResultSummary)}[name]
+    if field.default is not dataclasses.MISSING:
+        assert values[name] != field.default, "fixture must not use the default"
+    elif field.default_factory is not dataclasses.MISSING:
+        assert values[name] != field.default_factory()
+
+    pickled = pickle.loads(pickle.dumps(summary, pickle.HIGHEST_PROTOCOL))
+    assert _comparable(name, getattr(pickled, name)) == want
+
+    live = ExperimentResult(**values, fabric=object(), telemetry=object())
+    copied = ResultSummary.from_result(live)
+    assert type(copied) is ResultSummary
+    assert getattr(copied, name) is values[name]
+
+    buffer = io.StringIO()
+    save_result(summary, buffer)
+    buffer.seek(0)
+    loaded = getattr(load_result(buffer), name)
+    assert _comparable(name, loaded) == want
+    assert type(loaded) is type(values[name])
+
+
 class TestRunGrid:
+    def test_run_reports_ride_the_summary(self):
+        """The invariant report and the telemetry summary are result
+        fields, so they cross the ``run_grid`` boundary with the rest
+        (they used to live on the in-process scheme dict only)."""
+        plain, watched = run_grid(
+            [_small_config(), _small_config(validate=True, trace=True)],
+            jobs=1, use_cache=False,
+        )
+        assert plain.invariants is None and plain.telemetry_summary is None
+        assert watched.invariants["violations"] == 0
+        assert watched.invariants["events_checked"] == watched.events
+        assert watched.telemetry_summary["trace"]["recorded"] > 0
+
     def test_matches_serial_run_experiment(self):
         configs = [_small_config(lb=lb) for lb in ("ecmp", "conga")]
         serial = [run_experiment(c) for c in configs]

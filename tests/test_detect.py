@@ -229,6 +229,151 @@ class TestBfdDetector:
 
 
 # --------------------------------------------------------------------- #
+# Transport-evidence table
+# --------------------------------------------------------------------- #
+
+
+class _AuditSpy:
+    def __init__(self):
+        self.verdicts = []
+
+    def on_verdict(self, detector, dst_leaf, path, old, new, cause, detail):
+        self.verdicts.append((dst_leaf, path, old, new, cause))
+
+
+def _table(fabric, **overrides) -> TransportDetector:
+    params = dict(hold_ns=5 * MS, retx_threshold=3, retx_window_ns=1 * MS)
+    params.update(overrides)
+    return TransportDetector(fabric, 0, **params)
+
+
+def _at(fabric, time_ns, fn, *args):
+    """Run ``fn(*args)`` with the clock at ``time_ns``."""
+    fabric.sim.schedule_at(time_ns, fn, *args)
+    fabric.sim.run(until=time_ns)
+
+
+class TestTransportTable:
+    def test_timeout_fails_path_for_exactly_hold(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        _at(fabric, 1 * MS, det.note_timeout, 1, 0)
+        assert det.is_failed(1, 0) and det.path_verdict(1, 0) == DOWN
+        assert not det.is_failed(1, 1)  # per path, not per destination
+        assert det.detection_times == [1 * MS]
+        _at(fabric, 6 * MS - 1, lambda: None)
+        assert det.is_failed(1, 0)
+        _at(fabric, 6 * MS, lambda: None)
+        assert not det.is_failed(1, 0) and det.path_verdict(1, 0) == UP
+        # The verdict aged out; nobody disproved it.
+        assert det.false_positive_count == 0
+
+    def test_untagged_path_is_ignored(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        assert det.note_timeout(1, -1) is False
+        assert det.note_retransmit(1, -1) is False
+        det.note_ok(1, -1)
+        assert det.failed_detections == 0 and det.false_positive_count == 0
+
+    def test_retx_threshold_inside_one_window_fails_path(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        assert det.note_retransmit(1, 0) is False
+        assert det.path_verdict(1, 0) == SUSPECT
+        _at(fabric, 1 * MS, det.note_retransmit, 1, 0)  # window edge: inside
+        assert not det.is_failed(1, 0)
+        assert det.note_retransmit(1, 0) is True
+        assert det.is_failed(1, 0)
+        assert det.detection_times == [1 * MS]
+
+    def test_retx_spread_over_windows_never_fails_path(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        for i in range(6):
+            # Two per window, windows restart past retx_window_ns.
+            _at(fabric, i * (MS // 2) + i // 2, det.note_retransmit, 1, 0)
+        assert not det.is_failed(1, 0)
+        assert det.failed_detections == 0
+
+    def test_proof_of_life_lifts_verdict_and_is_observable(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        det.audit = audit = _AuditSpy()
+        flips = []
+        det.add_flip_listener(lambda d, dst, path, old, new: flips.append(
+            (dst, path, old, new)))
+        det.note_timeout(1, 0)
+        _at(fabric, 1 * MS, det.note_ok, 1, 0)
+        assert not det.is_failed(1, 0) and det.path_verdict(1, 0) == UP
+        assert det.false_positive_count == 1
+        assert flips == [(1, 0, UP, DOWN), (1, 0, DOWN, UP)]
+        assert audit.verdicts == [
+            (1, 0, UP, DOWN, "transport-evidence"),
+            (1, 0, DOWN, UP, "proof-of-life"),
+        ]
+        # A second ACK on the now-healthy path is not another false alarm.
+        det.note_ok(1, 0)
+        assert det.false_positive_count == 1 and len(flips) == 2
+        assert det.metrics()["false_positive_count"] == 1
+
+    def test_ack_clears_the_retransmission_window(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        det.note_retransmit(1, 0)
+        det.note_retransmit(1, 0)
+        det.note_ok(1, 0)
+        assert det.path_verdict(1, 0) == UP
+        assert det.note_retransmit(1, 0) is False  # counts from one again
+
+    def test_remarking_extends_hold_without_new_detection(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        assert det.note_timeout(1, 0) is True
+        _at(fabric, 3 * MS, lambda: None)
+        assert det.note_timeout(1, 0) is False
+        assert det.mark_failed(1, 0) is False
+        assert det.detection_times == [0] and det.failed_detections == 1
+        assert det.flap_suppressions == 2
+        _at(fabric, 8 * MS - 1, lambda: None)  # 3 ms + hold, not 0 + hold
+        assert det.is_failed(1, 0)
+        _at(fabric, 8 * MS, lambda: None)
+        assert not det.is_failed(1, 0)
+
+    def test_alive_filters_failed_paths_and_never_strands(self):
+        fabric = make_fabric()
+        det = _table(fabric)
+        paths = (0, 1)
+        assert det.alive(1, paths) == (0, 1)
+        det.note_timeout(1, 0)
+        assert det.alive(1, paths) == (1,)
+        det.note_timeout(1, 1)
+        assert det.alive(1, paths) == (0, 1)
+
+    def test_defaults_are_declared_once_and_scale(self):
+        from repro.detect import transport
+
+        fabric = make_fabric()
+        det = build_detector("transport", fabric, 0, time_scale=0.5)
+        assert det.hold_ns == transport.DEFAULT_HOLD_NS // 2 == 25 * MS
+        assert det.retx_window_ns == transport.DEFAULT_RETX_WINDOW_NS // 2
+        assert det.retx_threshold == transport.DEFAULT_RETX_THRESHOLD == 10
+        explicit = build_detector(
+            "transport:hold=7ms,retx_threshold=2,retx_window=3ms",
+            fabric, 0, time_scale=0.5,
+        )
+        assert (explicit.hold_ns, explicit.retx_threshold,
+                explicit.retx_window_ns) == (7 * MS, 2, 3 * MS)
+
+    def test_rejects_bad_parameters(self):
+        fabric = make_fabric()
+        for bad in (dict(hold_ns=0), dict(retx_threshold=0),
+                    dict(retx_window_ns=0)):
+            with pytest.raises(ValueError):
+                _table(fabric, **bad)
+
+
+# --------------------------------------------------------------------- #
 # Circuit breaker
 # --------------------------------------------------------------------- #
 

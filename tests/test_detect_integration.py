@@ -21,6 +21,8 @@ from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.faults.spec import flap, link_down, link_up, schedule
+from repro.lb.factory import install_lb
+from tests.conftest import make_fabric
 
 MS = 1_000_000
 
@@ -107,6 +109,45 @@ class TestPassiveBitIdentity:
         assert a.detector_metrics == b.detector_metrics
 
 
+class TestZooRoutesOnTheTransportTable:
+    """REPS, DiffFlow and RDNA have no failure table of their own: the
+    one ``install_lb`` builds for them by default *is* the detector
+    ``detector="transport"`` names."""
+
+    @pytest.mark.parametrize("lb", ("reps", "diffflow", "rdna"))
+    def test_default_table_equals_configured_transport(self, lb):
+        default = run_experiment(_config(lb=lb, faults=FAULTS))
+        named = run_experiment(
+            _config(lb=lb, faults=FAULTS, detector="transport")
+        )
+        assert default.stats.records == named.stats.records
+        assert default.events == named.events
+        assert default.detection_ns == named.detection_ns is not None
+        assert default.recovery_ns == named.recovery_ns
+        # Same table either way; only asking for it reports its counters.
+        assert default.detector_metrics == {}
+        assert named.detector_metrics["detections"] > 0
+        assert [type(d).__name__ for d in default.scheme.detectors.values()] == [
+            "TransportDetector"
+        ] * 2
+
+    @pytest.mark.parametrize("lb", ("reps", "diffflow", "rdna"))
+    def test_table_timers_are_set_through_the_spec_only(self, lb):
+        with pytest.raises(TypeError):
+            install_lb(make_fabric(), lb, hold_ns=1)
+        fabric = make_fabric()
+        scheme = install_lb(
+            fabric, lb, detector="transport:hold=7ms", detector_time_scale=0.5
+        )
+        table = scheme.detectors[0]
+        assert table.hold_ns == 7 * MS            # explicit: literal
+        assert table.retx_window_ns == 5 * MS     # default: scaled
+        assert all(
+            host.lb.health is scheme.detectors[host.leaf]
+            for host in fabric.hosts
+        )
+
+
 class TestSerialParallelIdentity:
     def test_serial_equals_parallel_with_detector_attached(self):
         grid = [
@@ -128,7 +169,7 @@ class TestProbeLossAccounting:
         result = run_experiment(
             _config(lb="hermes", detector=None, faults=FAULTS)
         )
-        probers = result.shared["probers"]
+        probers = result.scheme.probers
         attributed = sum(p.probes_lost for p in probers.values())
         # Probes died on the admin-down link, every death was charged
         # to its owning prober, and the run summary surfaces the total.
@@ -139,7 +180,7 @@ class TestProbeLossAccounting:
         result = run_experiment(_config(lb="hermes", detector=None))
         assert result.probe_losses == 0
         assert all(
-            p.probes_lost == 0 for p in result.shared["probers"].values()
+            p.probes_lost == 0 for p in result.scheme.probers.values()
         )
 
 
@@ -149,7 +190,7 @@ class TestEverySchemeConsultsDetectors:
         result = run_experiment(
             _config(lb=lb, detector="bfd", faults=FAULTS, n_flows=40)
         )
-        detectors = result.shared["detectors"]
+        detectors = result.scheme.detectors
         assert sorted(detectors) == [0, 1]
         assert result.detector_metrics["detector"] == "bfd"
         assert result.detector_metrics["detection_ns"] is not None

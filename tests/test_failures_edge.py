@@ -30,7 +30,7 @@ def _install_on_all_spines(fabric, failure):
 def _remove_from_all_spines(fabric, failure):
     for spine in range(fabric.config.n_spines):
         for port in fabric.topology.spine_ports(spine):
-            port.drop_predicates.remove(failure)
+            port.remove_drop_predicate(failure)
 
 
 class TestFailureMidFlow:
@@ -87,7 +87,7 @@ class TestFailureDuringProbe:
         checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
         watch_leaf_states(checker, shared)
-        probers = shared["probers"]
+        probers = shared.probers
 
         failure = RandomDropFailure(1.0, random.Random(0))
         # t=1 µs: after the first probe round left the hosts (t=0 for
@@ -115,7 +115,7 @@ class TestFailureDuringProbe:
         fabric.sim.schedule(1_000, _install_on_all_spines, fabric, failure)
         fabric.sim.run(until=3 * MS)
 
-        leaf_state = shared["leaf_states"][0]
+        leaf_state = shared.leaf_states[0]
         for path in fabric.topology.paths(0, 1):
             assert leaf_state.classify(1, path) in (0, 1, 2, 3)
         assert checker.report()["path_classes_checked"] > 0
@@ -131,7 +131,7 @@ class TestRecoveryBeforeSweep:
         checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
         watch_leaf_states(checker, shared)
-        leaf_states = shared["leaf_states"]
+        leaf_states = shared.leaf_states
 
         flow = DctcpFlow(fabric, 0, 2, 200 * MSS)
         fabric.register_flow(flow)
@@ -159,7 +159,7 @@ class TestRecoveryBeforeSweep:
         by the next sweep; the window after recovery starts clean."""
         fabric = make_fabric()
         shared = install_lb(fabric, "hermes")
-        leaf_state = shared["leaf_states"][0]
+        leaf_state = shared.leaf_states[0]
 
         flow = DctcpFlow(fabric, 0, 2, 300 * MSS)
         fabric.register_flow(flow)

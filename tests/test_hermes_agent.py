@@ -50,7 +50,7 @@ class TestBasicOperation:
     def test_sent_accounting_feeds_rp(self):
         fabric, shared = hermes_fabric()
         run_flow(fabric, size=20 * MSS)
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         # Some path accumulated send-rate state.
         total = sum(
             ps._rp_value for ps in state._table.values()
@@ -138,7 +138,7 @@ class TestRandomDropDetection:
             fabric.register_flow(flow)
             flow.start()
         fabric.sim.run(until=100_000_000)
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         assert state.failed_detections >= 1
 
 
@@ -184,7 +184,7 @@ class TestSelfInflictedRetxGrace:
         flow.current_path = 0
         agent._reset_record(flow)  # simulates a reroute at t=now
         agent.on_retransmit(flow, 0)
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         assert state.state(1, 0).retx_pkts == 0
 
     def test_retx_after_grace_counted(self):
@@ -195,7 +195,7 @@ class TestSelfInflictedRetxGrace:
         agent._reset_record(flow)
         fabric.sim.run(until=fabric.sim.now + agent.reroute_retx_grace_ns + 1)
         agent.on_retransmit(flow, 0)
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         assert state.state(1, 0).retx_pkts == 1
 
 
@@ -203,7 +203,7 @@ class TestTimeoutTrigger:
     def test_timeout_flag_forces_placement(self):
         fabric, shared = hermes_fabric()
         agent = fabric.hosts[0].lb
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         flow = DctcpFlow(fabric, 0, 2, 100 * MSS)
         flow.current_path = 0
         state.mark_failed(1, 1)  # only path 0 is usable
@@ -215,7 +215,7 @@ class TestTimeoutTrigger:
     def test_failed_path_evacuated(self):
         fabric, shared = hermes_fabric()
         agent = fabric.hosts[0].lb
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         flow = DctcpFlow(fabric, 0, 2, 100 * MSS)
         flow.current_path = 0
         state.mark_failed(1, 0)

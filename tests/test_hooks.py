@@ -145,7 +145,7 @@ class TestSubsystemIntegration:
         watch_lb(telemetry, fabric, shared)
         audit = fabric.hooks.occupant("audit")
         assert audit is telemetry.audit
-        for state in shared["leaf_states"].values():
+        for state in shared.leaf_states.values():
             assert state.audit is audit
 
 

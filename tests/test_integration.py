@@ -97,7 +97,7 @@ class TestHermesSharedView:
         fabric = make_fabric(n_spines=4)
         shared = install_lb(fabric, "hermes")
         fabric.sim.run(until=10_000_000)
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         probed_paths = {
             path for (dst, path), ps in state._table.items() if ps.last_update
         }
@@ -128,6 +128,9 @@ class TestLargeTopology:
         install_lb(fabric, "hermes")
         flow = DctcpFlow(fabric, 0, 127, 100 * MSS)
         fabric.register_flow(flow)
+        # Stop at completion: the Hermes probers never go idle, so
+        # running on to ``until`` would simulate 10 s of probing alone.
+        fabric.on_flow_done = lambda done: fabric.sim.stop()
         flow.start()
         fabric.sim.run(until=10_000_000_000)
         assert flow.finished
@@ -163,7 +166,7 @@ class TestTimeScaling:
                 time_scale=0.1,
             )
         )
-        params = result.shared["params"]
+        params = result.scheme.params
         assert params.probe_interval_ns == 500_000  # network timescale
         assert params.retx_sweep_interval_ns == 1_000_000
         assert params.size_threshold_bytes == 60_000
@@ -181,7 +184,7 @@ class TestTimeScaling:
                 hermes_overrides={"t_ecn": 0.77},
             )
         )
-        assert result.shared["params"].t_ecn == 0.77
+        assert result.scheme.params.t_ecn == 0.77
 
 
 class TestScaledBuckets:

@@ -29,13 +29,13 @@ class TestFactory:
     def test_conga_shares_leaf_state(self, fabric):
         shared = install_lb(fabric, "conga")
         assert fabric.hosts[0].lb.leaf_state is fabric.hosts[1].lb.leaf_state
-        assert fabric.hosts[0].lb.leaf_state is shared["leaf_states"][0]
+        assert fabric.hosts[0].lb.leaf_state is shared.leaf_states[0]
         assert fabric.hosts[2].lb.leaf_state is not fabric.hosts[0].lb.leaf_state
 
     def test_hermes_install_returns_probers(self, fabric):
         shared = install_lb(fabric, "hermes")
-        assert set(shared["probers"]) == {0, 1}
-        assert shared["params"].t_rtt_high_ns is not None
+        assert set(shared.probers) == {0, 1}
+        assert shared.params.t_rtt_high_ns is not None
 
 
 class TestEcmp:

@@ -147,9 +147,9 @@ def test_drop_predicates_toggle_port_guard():
     port = fabric.topology.all_ports()[0]
     assert not port._guarded
     predicate = lambda packet, now: False
-    port.drop_predicates.append(predicate)
+    port.add_drop_predicate(predicate)
     assert port._guarded
-    port.drop_predicates.remove(predicate)
+    port.remove_drop_predicate(predicate)
     assert not port._guarded
 
 

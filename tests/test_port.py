@@ -142,11 +142,30 @@ class TestDrops:
     def test_drop_predicate(self):
         sim = Simulator()
         port, arrived = make_port(sim)
-        port.drop_predicates.append(lambda p, now: p.seq == 1)
+        port.add_drop_predicate(lambda p, now: p.seq == 1)
         assert port.enqueue(data(0)) is True
         assert port.enqueue(data(1)) is False
         assert port.drops_injected == 1
         assert port.total_drops == 1
+
+    def test_drop_predicates_change_only_through_the_pair(self):
+        sim = Simulator()
+        port, _ = make_port(sim)
+        drop_all = lambda p, now: True
+        keep_all = lambda p, now: False
+        port.add_drop_predicate(keep_all)
+        port.add_drop_predicate(drop_all)
+        assert drop_all in port.drop_predicates and port.drop_predicates
+        # A direct write would leave the enqueue fast path unguarded, so
+        # the view offers none.
+        with pytest.raises(AttributeError):
+            port.drop_predicates.append(drop_all)
+        port.remove_drop_predicate(drop_all)
+        assert port.enqueue(data(0)) is True
+        with pytest.raises(ValueError):
+            port.remove_drop_predicate(drop_all)
+        port.remove_drop_predicate(keep_all)
+        assert not port.drop_predicates
 
     def test_dropped_packet_frees_no_backlog(self):
         sim = Simulator()

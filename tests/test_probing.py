@@ -68,7 +68,7 @@ class TestProber:
         fabric = make_fabric()
         shared = install_lb(fabric, "hermes")
         fabric.sim.run(until=5_000_000)
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         agent = fabric.hosts[1].lb  # NOT the probe agent host
         assert agent.leaf_state is state
         assert any(ps.last_update > 0 for ps in state._table.values())

@@ -123,7 +123,7 @@ class TestLossRecovery:
                 return True
             return False
 
-        port.drop_predicates.append(drop_once)
+        port.add_drop_predicate(drop_once)
         return fabric
 
     def test_fast_retransmit_recovers_single_loss(self):
@@ -155,9 +155,9 @@ class TestLossRecovery:
     def test_total_blackhole_never_finishes(self):
         fabric = make_fabric()
         for port in fabric.topology.spine_ports(0):
-            port.drop_predicates.append(lambda p, now: True)
+            port.add_drop_predicate(lambda p, now: True)
         for port in fabric.topology.spine_ports(1):
-            port.drop_predicates.append(lambda p, now: True)
+            port.add_drop_predicate(lambda p, now: True)
         flow = TcpFlow(fabric, 0, 2, 10 * MSS)
         fabric.register_flow(flow)
         flow.start()
@@ -176,7 +176,7 @@ class TestLossRecovery:
         fabric = make_fabric()
         for spine in (0, 1):
             for port in fabric.topology.spine_ports(spine):
-                port.drop_predicates.append(lambda p, now: True)
+                port.add_drop_predicate(lambda p, now: True)
         flow = TcpFlow(fabric, 0, 2, 10 * MSS)
         fabric.register_flow(flow)
         flow.start()
@@ -229,7 +229,7 @@ class TestRetxPathAttribution:
                 return True
             return False
 
-        port.drop_predicates.append(drop_five)
+        port.add_drop_predicate(drop_five)
         flow = run_flow(fabric, size=30 * MSS)
         assert flow.finished
         assert blamed and all(p == 0 for p in blamed)

@@ -61,7 +61,7 @@ class TestEventTracer:
     def test_drop_records_carry_reason_and_port(self):
         fabric, telemetry = traced_fabric()
         port = fabric.topology.all_ports()[0]
-        port.drop_predicates.append(lambda packet, now: True)
+        port.add_drop_predicate(lambda packet, now: True)
         packet = Packet(0, 0, 2, 0, 1500, PacketKind.DATA, path_id=0)
         fabric.send(packet)
         drops = [r for r in telemetry.tracer.events if r.kind == "drop"]
@@ -230,7 +230,7 @@ class TestDecisionAudit:
         flow.start()
         # Force a failure evacuation: fail the flow's first path mid-run.
         def fail_current():
-            state = shared["leaf_states"][0]
+            state = shared.leaf_states[0]
             state.mark_failed(1, flow.current_path)
 
         fabric.sim.schedule(30_000, fail_current)
@@ -251,7 +251,7 @@ class TestDecisionAudit:
         telemetry = install_telemetry(fabric)
         shared = install_lb(fabric, "hermes")
         watch_lb(telemetry, fabric, shared)
-        state = shared["leaf_states"][0]
+        state = shared.leaf_states[0]
         # Drive one path's EWMAs into congested territory by hand.
         for _ in range(60):
             state.record_ack(1, 0, True, 1_000_000)
