@@ -6,7 +6,12 @@ a regression shows up where it happened:
 
 * **engine** — pure event dispatch (self-rescheduling timer set) and
   schedule/cancel churn, per engine (``heap`` vs ``wheel``).  No
-  packets, no ports: this is the scheduler's own ceiling.
+  packets, no ports.  Both call ``schedule_pooled``, which since PR 18
+  is an alias of ``schedule``: this is the **handle path** (an ``Event``
+  per arming) that timers take, 0.1 % of a run's events — the
+  per-packet path goes through ``post`` and is measured by the next
+  layer.  The phase keeps the call because it shares the shape of
+  ``benchmarks/suite``'s ``sim`` rungs and goes away with this file.
 * **port_chain** — pooled DATA packets injected straight into the
   fabric (no transport, no load balancer): serialization, queueing,
   propagation, delivery, recycle.  Isolates the
@@ -27,8 +32,9 @@ meaningful; ``BENCH_core.json`` is also accepted via its
 How to read the numbers: ``engine.*.events_per_sec`` bounds everything
 below it; ``port_chain.events_per_sec`` minus the engine rate is the
 per-packet fabric cost; ``end_to_end`` adds transports/LB agents.  The
-``allocation`` block should show ``blocks_per_event`` near zero — the
-pools mean a steady-state run allocates almost nothing per event — and
+``allocation`` block should show ``blocks_per_event`` near zero —
+packets come from the pool and a posted event is one tuple that dies at
+dispatch, so a steady-state run retains almost nothing per event — and
 ``pool.reused`` far above ``pool.allocated``.
 """
 
@@ -85,7 +91,8 @@ def _best_of(repeats: int, fn):
 
 def bench_engine_dispatch(engine: str, n_dispatch: int, timers: int = 256) -> Dict:
     """Self-rescheduling timer set: every fire schedules the next, via
-    the pooled path — steady-state dispatch with zero net allocation."""
+    ``schedule_pooled`` — since PR 18 the plain handle path, one
+    ``Event`` per arming (see the module docstring)."""
     sim = make_simulator(engine)
     budget = [n_dispatch]
     # Deterministic pseudo-random spacing, co-prime with the wheel slot

@@ -19,9 +19,18 @@ Both dispatch events in exactly the same total order — ``(time, seq)``
 with ``seq`` monotonically increasing per schedule — so results are
 bit-identical whichever engine runs them (enforced by the golden grid and
 the scheduler-differential test suite).  Every queue container of both
-engines holds ``(time, seq, event)`` tuples, so that order is decided by
-C-level int comparisons inside ``heapq``/``bisect``/``list.sort`` and
-never calls back into Python.  Select per run with
+engines holds 4-tuples that start with ``(time, seq)``, so that order is
+decided by C-level int comparisons inside ``heapq``/``bisect``/
+``list.sort`` and never calls back into Python.
+
+Entries come in two kinds.  A *posted* callback (:meth:`Simulator.post`:
+fire-and-forget, 99.9 % of a run's events — a port's tx completion and
+the packet's arrival at the next hop) is ``(time, seq, fn, args)``: the
+queue entry is the whole event, with no handle and nothing to cancel.  A
+*cancellable* one (``schedule``, ``schedule_at``, ``reschedule``,
+``schedule_periodic``) is ``(time, seq, None, event)``; one ``fn is
+None`` test per dispatch tells them apart and only that branch reads an
+:class:`Event`.  Select the engine per run with
 ``ExperimentConfig(scheduler=...)`` or globally with ``REPRO_SCHEDULER``.
 """
 
@@ -46,9 +55,10 @@ SCHEDULERS = ("heap", "wheel", "wheel:auto")
 
 #: The engine built when nothing asks for a specific one.  The wheel is
 #: bit-identical to the heap (enforced by the golden grid and the
-#: scheduler-differential suite) at 1.0-1.1x its speed (BENCH_core.json:
-#: 1.10x), so it is the default; ``"heap"`` stays selectable per config
-#: or via ``REPRO_SCHEDULER``.
+#: scheduler-differential suite) at 1.0-1.1x its speed on the reference
+#: grid (``wheel_speedup_x`` in BENCH_core.json, re-recorded at PRs 15 and
+#: 18), so it is the default; ``"heap"`` stays selectable per config or
+#: via ``REPRO_SCHEDULER``.
 DEFAULT_SCHEDULER = "wheel"
 
 def seconds(value: float) -> int:
@@ -67,27 +77,24 @@ def microseconds(value: float) -> int:
 
 
 class Event:
-    """A scheduled callback.
+    """The handle of a *cancellable* scheduled callback.
+
+    Only callers that may need to ``cancel()`` or re-arm get one (timers,
+    samplers, fault schedules); fire-and-forget callbacks go through
+    :meth:`Simulator.post` and have no ``Event`` at all.
 
     Events are one-shot.  ``cancel()`` marks the event dead; the engine
     skips dead events when they surface, which is cheaper than removing
     them from the queue.  A fired (or never-scheduled) event may be
     re-armed with :meth:`Simulator.reschedule`, which reuses the object
-    instead of allocating a new one — the batched port-drain chain and
-    the periodic samplers live on this.
+    instead of allocating a new one — the periodic samplers live on this.
 
-    ``poolable`` marks fire-and-forget events created through
-    :meth:`Simulator.schedule_pooled`: the scheduling site promises that
-    no one retains the handle once the event has fired (without re-arming
-    itself) or been cancelled, so the engine may recycle the object
-    through its free list instead of leaving it to the allocator.
-
-    Events define no ordering: every queue holds ``(time, seq, event)``
-    entries and ``seq`` is unique, so comparisons are decided on machine
-    ints in C and never reach the event.
+    Events define no ordering: every queue holds ``(time, seq, None,
+    event)`` entries and ``seq`` is unique, so comparisons are decided on
+    machine ints in C and never reach the event.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "poolable")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
@@ -95,7 +102,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.poolable = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
@@ -124,18 +130,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: ``(time, seq, event)`` entries, heap-ordered.
-        self._queue: list[tuple[int, int, Event]] = []
+        #: ``(time, seq, fn, args)`` / ``(time, seq, None, event)``
+        #: entries, heap-ordered.
+        self._queue: list[tuple] = []
         self._seq: int = 0
         self._events_fired: int = 0
         self._running = False
         self._stop_requested = False
-        #: Free list of recycled :class:`Event` objects (see
-        #: :meth:`schedule_pooled`).  Fired/cancelled poolable events land
-        #: here instead of the allocator; the next pooled schedule reuses
-        #: them.  Dispatch order is untouched — pooling only changes where
-        #: the object's memory comes from.
-        self._event_pool: list[Event] = []
         #: Optional invariant checker (see :mod:`repro.validate`).  When
         #: ``None`` — the default — the event loop pays one predictable
         #: branch per event and nothing else.  Attach via
@@ -173,37 +174,28 @@ class Simulator:
         time, seq = self.now + delay_ns, self._seq
         event = Event(time, seq, fn, args)
         self._seq = seq + 1
-        heappush(self._queue, (time, seq, event))
+        heappush(self._queue, (time, seq, None, event))
         return event
 
-    def schedule_pooled(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule a *fire-and-forget* event through the free list.
+    # Kept for benchmarks/suite/layers.py and benchmarks/bench_hotpath.py,
+    # which call it and ``.cancel()`` its result; remove with them.
+    schedule_pooled = schedule
 
-        Semantics are identical to :meth:`schedule` (same clock, same
-        sequence-number draw, same dispatch order).  The contract is on
-        the caller: the returned handle must not be retained past the
-        event firing (unless the callback re-arms the same event) or
-        being cancelled — once either happens the engine recycles the
-        object and a later ``schedule_pooled`` may hand it out again.
-        The packet-propagation and RTO-timer hot paths live on this.
+    def post(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay_ns`` nanoseconds from now, with no
+        way to cancel it.
+
+        Same clock, same one sequence-number draw, hence the same place
+        in the dispatch order as :meth:`schedule` — but no :class:`Event`
+        is built and no handle comes back: the queue entry is the event.
+        The per-packet path (tx completion, propagation) lives on this.
+        ``fn`` must be callable: ``None`` there marks a cancellable entry.
         """
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        time, seq = self.now + delay_ns, self._seq
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn, args)
-            event.poolable = True
+        seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (time, seq, event))
-        return event
+        heappush(self._queue, (self.now + delay_ns, seq, fn, args))
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
@@ -211,11 +203,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
-        seq = self._seq
-        event = Event(time_ns, seq, fn, args)
-        self._seq = seq + 1
-        heappush(self._queue, (time_ns, seq, event))
-        return event
+        return self.schedule(time_ns - self.now, fn, *args)
 
     def reschedule(self, event: Event, delay_ns: int) -> Event:
         """Re-arm ``event`` to fire ``delay_ns`` nanoseconds from now.
@@ -235,8 +223,11 @@ class Simulator:
         event.seq = seq = self._seq
         self._seq = seq + 1
         event.cancelled = False
-        heappush(self._queue, (time, seq, event))
+        self._insert((time, seq, None, event))
         return event
+
+    def _insert(self, entry: tuple) -> None:
+        heappush(self._queue, entry)
 
     def schedule_periodic(
         self, period_ns: int, fn: Callable[..., Any], *args: Any
@@ -282,12 +273,10 @@ class Simulator:
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0][2].cancelled:
-            event = heappop(self._queue)[2]
-            if event.poolable:
-                event.args = ()
-                self._event_pool.append(event)
-        return self._queue[0][0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2] is None and queue[0][3].cancelled:
+            heappop(queue)
+        return queue[0][0] if queue else None
 
     def stop(self) -> None:
         """Ask the running loop to return after the current event.
@@ -324,7 +313,6 @@ class Simulator:
             )
         queue = self._queue
         pop = heappop
-        pool = self._event_pool
         horizon = _NEVER if until is None else until
         limit = _NEVER if max_events is None else max_events
         checker = self._checker
@@ -334,28 +322,26 @@ class Simulator:
         self._running = True
         try:
             while queue:
-                time, seq, event = queue[0]
-                if event.cancelled:
-                    pop(queue)
-                    if event.poolable:
-                        event.args = ()
-                        pool.append(event)
-                    continue
+                # Pop first: a dead handle is dropped on the spot and the
+                # one entry past ``until`` / ``max_events`` is pushed back
+                # — ``(time, seq)`` is unique, so the heap holds what it did.
+                entry = pop(queue)
+                time, _, fn, args = entry
+                if fn is None:
+                    # Cancellable: ``args`` is the Event.
+                    if args.cancelled:
+                        continue
+                    fn, args = args.fn, args.args
                 if time > horizon or fired >= limit:
+                    heappush(queue, entry)
                     break
-                pop(queue)
                 if checker is not None:
                     checker.on_advance(time, self.now)
                 self.now = time
                 fired += 1
                 if profiler is not None:
-                    profiler.on_event(event)
-                event.fn(*event.args)
-                # Recycle unless the callback re-armed its own event (a
-                # re-arm draws a fresh sequence number).
-                if event.poolable and event.seq == seq:
-                    event.args = ()
-                    pool.append(event)
+                    profiler.on_event(time, fn)
+                fn(*args)
                 if self._stop_requested:
                     break
         finally:
@@ -377,7 +363,6 @@ class Simulator:
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
         self._queue.clear()
-        self._event_pool.clear()
         self.now = 0
         self._seq = 0
         self._events_fired = 0
@@ -393,11 +378,11 @@ class WheelSimulator(Simulator):
     an O(1) integer shift + list append; events beyond the window go to
     an **overflow heap** and are refilled into slots as the cursor
     advances (rollover).  When the cursor reaches a slot, the slot is
-    *opened*: its ``(time, seq, event)`` entries are sorted once (plain
-    C tuple sort) into the drain **bucket** and popped by index; events
-    scheduled at or before the cursor's slot while draining are merged
-    into the bucket by binary insertion, preserving the exact dispatch
-    order of the heap engine.
+    *opened*: its entries are sorted once (plain C tuple sort, decided
+    on ``(time, seq)``) into the drain **bucket** and popped by index;
+    events scheduled at or before the cursor's slot while draining are
+    merged into the bucket by binary insertion, preserving the exact
+    dispatch order of the heap engine.
 
     Dispatch order, same-instant FIFO, cancellation semantics, ``stop()``
     and ``run(until=..., max_events=...)`` behaviour are all identical to
@@ -421,7 +406,7 @@ class WheelSimulator(Simulator):
         self._shift = slot_ns_bits
         self._num_slots = 1 << num_slot_bits
         self._mask = self._num_slots - 1
-        #: Like every container here, slots hold ``(time, seq, event)``.
+        #: Like every container here, slots hold the 4-tuple entries.
         self._slots: list[list] = [[] for _ in range(self._num_slots)]
         self._reset_wheel()
 
@@ -433,10 +418,10 @@ class WheelSimulator(Simulator):
         self._wheel_count = 0
         #: Sorted drain list of the opened slot + anything scheduled at or
         #: before the cursor while draining.
-        self._bucket: list[tuple[int, int, Event]] = []
+        self._bucket: list[tuple] = []
         self._bucket_pos = 0
         #: Far-future events, a heap.
-        self._overflow: list[tuple[int, int, Event]] = []
+        self._overflow: list[tuple] = []
         # Lazy purge of cancelled events: a schedule/cancel churn workload
         # (rapid RTO re-arms, abandoned timers) would otherwise grow slot
         # lists and the overflow heap without bound until the cursor
@@ -459,7 +444,9 @@ class WheelSimulator(Simulator):
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def _insert(self, entry: tuple[int, int, Event]) -> None:
+    def _insert(self, entry: tuple) -> None:
+        """File a handle entry; :meth:`post` carries the same three
+        branches in line."""
         idx = entry[0] >> self._shift
         cur = self._cur_slot
         if idx > cur:
@@ -482,14 +469,9 @@ class WheelSimulator(Simulator):
 
     def _purge_slot(self, slot: list) -> None:
         """Filter cancelled events out of one slot list, in place."""
-        live = [entry for entry in slot if not entry[2].cancelled]
+        live = [e for e in slot if e[2] is not None or not e[3].cancelled]
         removed = len(slot) - len(live)
         if removed:
-            pool = self._event_pool
-            for _, _, e in slot:
-                if e.cancelled and e.poolable:
-                    e.args = ()
-                    pool.append(e)
             slot[:] = live
             self._wheel_count -= removed
             self.wheel_purged += removed
@@ -501,14 +483,9 @@ class WheelSimulator(Simulator):
     def _purge_overflow(self) -> None:
         """Filter cancelled events out of the overflow heap, in place."""
         overflow = self._overflow
-        live = [entry for entry in overflow if not entry[2].cancelled]
+        live = [e for e in overflow if e[2] is not None or not e[3].cancelled]
         removed = len(overflow) - len(live)
         if removed:
-            pool = self._event_pool
-            for _, _, e in overflow:
-                if e.cancelled and e.poolable:
-                    e.args = ()
-                    pool.append(e)
             overflow[:] = live
             heapify(overflow)
             self.wheel_purged += removed
@@ -520,48 +497,34 @@ class WheelSimulator(Simulator):
         time, seq = self.now + delay_ns, self._seq
         event = Event(time, seq, fn, args)
         self._seq = seq + 1
-        self._insert((time, seq, event))
+        self._insert((time, seq, None, event))
         return event
 
-    def schedule_pooled(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
+    schedule_pooled = schedule  # as in Simulator: kept for two benchmarks
+
+    def post(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        time, seq = self.now + delay_ns, self._seq
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn, args)
-            event.poolable = True
-        self._seq = seq + 1
-        self._insert((time, seq, event))
-        return event
-
-    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        if time_ns < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time_ns} before now={self.now}"
-            )
+        time = self.now + delay_ns
         seq = self._seq
-        event = Event(time_ns, seq, fn, args)
         self._seq = seq + 1
-        self._insert((time_ns, seq, event))
-        return event
-
-    def reschedule(self, event: Event, delay_ns: int) -> Event:
-        if delay_ns < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        event.time = time = self.now + delay_ns
-        event.seq = seq = self._seq
-        self._seq = seq + 1
-        event.cancelled = False
-        self._insert((time, seq, event))
-        return event
+        # _insert's three branches in line: this is the per-packet path.
+        idx = time >> self._shift
+        cur = self._cur_slot
+        if idx > cur:
+            if idx - cur <= self._num_slots:
+                slot = self._slots[idx & self._mask]
+                slot.append((time, seq, fn, args))
+                self._wheel_count += 1
+                if len(slot) >= self._slot_purge_at:
+                    self._purge_slot(slot)
+            else:
+                heappush(self._overflow, (time, seq, fn, args))
+                self.wheel_overflow_pushes += 1
+                if len(self._overflow) >= self._overflow_purge_at:
+                    self._purge_overflow()
+        else:
+            insort(self._bucket, (time, seq, fn, args), self._bucket_pos)
 
     # ------------------------------------------------------------------ #
     # Cursor movement
@@ -574,15 +537,10 @@ class WheelSimulator(Simulator):
         shift = self._shift
         cur = self._cur_slot
         moved = 0
-        pool = self._event_pool
         while overflow:
             head = overflow[0]
-            event = head[2]
-            if event.cancelled:
+            if head[2] is None and head[3].cancelled:
                 heappop(overflow)
-                if event.poolable:
-                    event.args = ()
-                    pool.append(event)
                 continue
             idx = head[0] >> shift
             if idx > horizon_idx:
@@ -612,12 +570,8 @@ class WheelSimulator(Simulator):
                 self._bucket.clear()
                 self._bucket_pos = 0
             overflow = self._overflow
-            pool = self._event_pool
-            while overflow and overflow[0][2].cancelled:
-                dead = heappop(overflow)[2]
-                if dead.poolable:
-                    dead.args = ()
-                    pool.append(dead)
+            while overflow and overflow[0][2] is None and overflow[0][3].cancelled:
+                heappop(overflow)
             if overflow:
                 horizon = self._cur_slot + self._num_slots
                 head_idx = overflow[0][0] >> self._shift
@@ -680,12 +634,9 @@ class WheelSimulator(Simulator):
         while True:
             pos = self._bucket_pos
             if pos < len(self._bucket):
-                time, _, event = self._bucket[pos]
-                if event.cancelled:
+                time, _, fn, event = self._bucket[pos]
+                if fn is None and event.cancelled:
                     self._bucket_pos = pos + 1
-                    if event.poolable:
-                        event.args = ()
-                        self._event_pool.append(event)
                     continue
                 return time
             if not self._advance():
@@ -705,18 +656,17 @@ class WheelSimulator(Simulator):
         self._stop_requested = False
         self._running = True
         bucket = self._bucket
-        pool = self._event_pool
         try:
             while True:
                 pos = self._bucket_pos
                 if pos < len(bucket):
-                    time, seq, event = bucket[pos]
-                    if event.cancelled:
-                        self._bucket_pos = pos + 1
-                        if event.poolable:
-                            event.args = ()
-                            pool.append(event)
-                        continue
+                    time, _, fn, args = bucket[pos]
+                    if fn is None:
+                        # Cancellable: ``args`` is the Event.
+                        if args.cancelled:
+                            self._bucket_pos = pos + 1
+                            continue
+                        fn, args = args.fn, args.args
                     if time > horizon or fired >= limit:
                         break
                     self._bucket_pos = pos + 1
@@ -725,13 +675,8 @@ class WheelSimulator(Simulator):
                     self.now = time
                     fired += 1
                     if profiler is not None:
-                        profiler.on_event(event)
-                    event.fn(*event.args)
-                    # Recycle unless the callback re-armed its own event
-                    # (a re-arm draws a fresh sequence number).
-                    if event.poolable and event.seq == seq:
-                        event.args = ()
-                        pool.append(event)
+                        profiler.on_event(time, fn)
+                    fn(*args)
                     if self._stop_requested:
                         break
                     continue

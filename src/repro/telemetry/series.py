@@ -239,12 +239,23 @@ class PathStateSeries(PeriodicSampler):
 class LoopProfiler:
     """Event-loop profiler, attached as ``Simulator.profiler``.
 
-    The engine calls :meth:`on_event` once per dispatched event (one
-    ``is not None`` branch when no profiler is attached).  Tracks:
+    The engine calls :meth:`on_event` once per dispatched event, just
+    before the callback runs (one ``is not None`` branch when no profiler
+    is attached).  Tracks:
 
     * events dispatched per callback kind (the function's qualname —
       ``OutputPort._tx_done``, ``TcpFlow._on_rto``, ...), which is where
       "where do events/sec go" is answered;
+    * sampled wall time per callback kind: every
+      :attr:`SAMPLE_EVERY`-th event is timed from the end of its
+      ``on_event`` to the start of the next one — the callback plus the
+      engine's fetch of the next entry — and charged to the kind that
+      ran, so one sample stands for ``SAMPLE_EVERY`` events; a window
+      left open when ``run()`` returns is closed by the next run's first
+      event or dropped by :meth:`summary`.  Cost: an attribute read and
+      two int compares per event, two ``perf_counter_ns`` calls and a
+      dict update per sample (``on_event`` measured 190-260 ns without
+      the timing, 220 ns with it);
     * per-slab samples of simulated time: events fired, pending-event
       count, and wall-clock spent — the events/sec trajectory of the run.
 
@@ -252,33 +263,56 @@ class LoopProfiler:
     carries the wheel's occupancy/rollover/overflow counters.
     """
 
+    #: One event in this many is timed.  Prime: a power of two beats
+    #: against a flow's strict tx-done / arrival alternation and times
+    #: one of the two kinds only.
+    SAMPLE_EVERY = 61
+
     def __init__(self, sim: "Simulator", slab_ns: int = 100_000_000) -> None:
         if slab_ns <= 0:
             raise ValueError("profiler slab must be positive")
         self.sim = sim
         self.slab_ns = slab_ns
         self.by_kind: Dict[str, int] = {}
+        #: Sampled wall nanoseconds charged to each kind.
+        self.ns_by_kind: Dict[str, int] = {}
         self.events = 0
         #: (slab_start_ns, events_so_far, pending_events, wall_elapsed_s)
         self.slabs: List[Tuple[int, int, int, float]] = []
         self._cur_slab = -1
         self._wall_start = time.perf_counter()
+        #: Number of the next event to time; while ``events`` equals it,
+        #: a window is open on ``_sample_kind`` since ``_sample_t0``.
+        self._sample_at = self.SAMPLE_EVERY
+        self._sample_t0, self._sample_kind = 0, ""
 
-    def on_event(self, event: Any) -> None:
-        self.events += 1
-        name = getattr(event.fn, "__qualname__", None) or repr(event.fn)
+    def on_event(self, time_ns: int, fn: Any) -> None:
+        events = self.events + 1
+        sample_at = self._sample_at
+        if events > sample_at:
+            # The previous event was timed: close its window before any
+            # bookkeeping of our own.
+            spent = time.perf_counter_ns() - self._sample_t0
+            kind = self._sample_kind
+            self.ns_by_kind[kind] = self.ns_by_kind.get(kind, 0) + spent
+            self._sample_at = sample_at + self.SAMPLE_EVERY
+        self.events = events
+        name = getattr(fn, "__qualname__", None) or repr(fn)
         self.by_kind[name] = self.by_kind.get(name, 0) + 1
-        slab = event.time // self.slab_ns
+        slab = time_ns // self.slab_ns
         if slab != self._cur_slab:
             self._cur_slab = slab
             self.slabs.append(
                 (
                     slab * self.slab_ns,
-                    self.events,
+                    events,
                     self.sim.pending,
                     time.perf_counter() - self._wall_start,
                 )
             )
+        if events == sample_at:  # last, so the window opens after the above
+            self._sample_kind = name
+            self._sample_t0 = time.perf_counter_ns()
 
     def top_kinds(self, n: int = 10) -> List[Tuple[str, int]]:
         """The ``n`` callback kinds dispatched most often."""
@@ -286,12 +320,19 @@ class LoopProfiler:
 
     def summary(self) -> Dict[str, Any]:
         wall = time.perf_counter() - self._wall_start
+        if self.events == self._sample_at:  # open window: nothing ran after
+            self._sample_at += self.SAMPLE_EVERY
+        by_kind = dict(self.top_kinds(20))
         out = {
             "events": self.events,
             "wall_s": round(wall, 4),
             "events_per_sec": round(self.events / wall, 1) if wall > 0 else 0.0,
             "max_pending": max((s[2] for s in self.slabs), default=0),
-            "by_kind": dict(self.top_kinds(20)),
+            "by_kind": by_kind,
+            "sample_every": self.SAMPLE_EVERY,
+            "ns_by_kind": {
+                kind: ns for kind, ns in self.ns_by_kind.items() if kind in by_kind
+            },
         }
         wheel_stats = getattr(self.sim, "wheel_stats", None)
         if wheel_stats is not None:

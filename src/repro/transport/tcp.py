@@ -222,9 +222,8 @@ class TcpFlow(FlowBase):
         # used to double-arm via _transmit's tail plus its own call).
         if self._rto_event is not None:
             self._rto_event.cancel()
-        # Pooled: the handle never outlives the event — _on_rto nulls it
-        # before anything else, _complete cancels and nulls it.
-        self._rto_event = self.sim.schedule_pooled(self.rto.rto_ns, self._on_rto)
+        # A handle, not a post: the next ACK cancels it.
+        self._rto_event = self.sim.schedule(self.rto.rto_ns, self._on_rto)
 
     def _restart_rto(self) -> None:
         self._arm_rto()

@@ -1,4 +1,4 @@
-"""Packet/event pooling: recycling must be invisible.
+"""Packet pooling: recycling must be invisible.
 
 Pooling changes where objects come from, never what the simulation
 computes.  These tests pin the three contracts:
@@ -7,8 +7,9 @@ computes.  These tests pin the three contracts:
    bit-for-bit what the constructor would build;
 2. recycling is suspended while observation hooks are attached (the
    invariant checker tracks packets by identity);
-3. ``schedule_pooled`` preserves the engine's (time, seq) dispatch order
-   and never recycles an event that was re-armed from its own callback.
+3. ``schedule_pooled`` — events are no longer pooled; the name is an
+   alias of ``schedule`` — keeps the engine's (time, seq) dispatch order
+   and returns a cancellable handle.
 """
 
 import dataclasses
@@ -176,7 +177,7 @@ def test_recycling_suspended_under_validation():
 
 
 # --------------------------------------------------------------------- #
-# Event pooling
+# The schedule_pooled alias
 # --------------------------------------------------------------------- #
 
 
@@ -193,41 +194,12 @@ def test_schedule_pooled_preserves_dispatch_order():
         assert workload(engine(), True) == workload(engine(), False)
 
 
-def test_fired_pooled_events_are_reused():
+def test_schedule_pooled_returns_a_cancellable_handle():
     for engine in (Simulator, WheelSimulator):
         sim = engine()
-        for i in range(100):
-            sim.schedule_pooled(i * 10, lambda: None)
-        sim.run()
-        assert len(sim._event_pool) == 100
-        sim.schedule_pooled(5, lambda: None)
-        assert len(sim._event_pool) == 99  # served from the free list
-
-
-def test_rearmed_pooled_event_is_not_recycled():
-    """A callback that re-arms its own event (the retained-handle timer
-    pattern) must keep ownership — the seq snapshot detects the re-arm."""
-    for engine in (Simulator, WheelSimulator):
-        sim = engine()
-        fires = []
-        event = sim.schedule_pooled(10, lambda: None)
-
-        def tick():
-            fires.append(sim.now)
-            if len(fires) < 5:
-                sim.reschedule(event, 10)
-
-        event.fn = tick
-        sim.run()
-        assert fires == [10, 20, 30, 40, 50]
-        # Only after the final (non-re-armed) fire may it hit the pool.
-        assert sim._event_pool == [event]
-
-
-def test_cancelled_pooled_event_recycles_via_heap_skip():
-    sim = Simulator()
-    sim.schedule_pooled(10, lambda: None).cancel()
-    live = sim.schedule(20, lambda: None)
-    assert sim.run() == 1
-    assert not live.cancelled
-    assert len(sim._event_pool) == 1
+        fired = []
+        sim.schedule_pooled(10, fired.append, "dead").cancel()
+        live = sim.schedule_pooled(10, fired.append, "live")
+        assert sim.run() == 1
+        assert fired == ["live"]
+        assert not live.cancelled

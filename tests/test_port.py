@@ -176,6 +176,106 @@ class TestDrops:
         assert port.backlog_bytes == backlog
 
 
+def timed_port(sim, guarded=False, **kwargs):
+    """A port whose sink logs ``(arrival time, seq)``.  ``guarded`` adds
+    a predicate that never drops: same behaviour, but every packet takes
+    the full enqueue path through the deque."""
+    port, _ = make_port(sim, **kwargs)
+    log = []
+    port.forward = lambda packet: log.append((sim.now, packet.seq))
+    if guarded:
+        port.add_drop_predicate(lambda packet, now: False)
+    return port, log
+
+
+class TestIdleShortcut:
+    """An arrival at an idle unguarded link goes onto the wire without
+    touching the deque; nothing observable may depend on that."""
+
+    @staticmethod
+    def burst():
+        # ECN-capable DATA around one high-priority ACK, sized so that
+        # the 3000-byte marking threshold is crossed mid-burst.
+        return [
+            data(0),
+            data(1),
+            data(2, size=64, prio=PRIO_HIGH),
+            data(3, size=700),
+            data(4),
+        ]
+
+    @pytest.mark.parametrize("held_busy", [False, True])
+    def test_shortcut_and_deque_paths_agree(self, held_busy):
+        outcomes = []
+        for guarded in (False, True):
+            sim = Simulator()
+            port, log = timed_port(sim, guarded=guarded, ecn_k=3_000)
+            if held_busy:
+                port.enqueue(data(99))  # the burst finds the wire taken
+            burst = self.burst()
+            for packet in burst:
+                port.enqueue(packet)
+            assert port._guarded is guarded
+            sim.run()
+            outcomes.append(
+                (
+                    log,
+                    port.pkts_sent,
+                    port.bytes_sent,
+                    port.max_backlog,
+                    port.ecn_marks,
+                    [packet.ce for packet in burst],
+                )
+            )
+            assert not port.busy and port._inflight is None
+        assert outcomes[0] == outcomes[1]
+        order = [seq for _, seq in outcomes[0][0]]
+        if held_busy:
+            # Everything queued behind 99: the ACK overtakes all DATA.
+            assert order == [99, 2, 0, 1, 3, 4]
+        else:
+            # Packet 0 was on the wire: the ACK overtakes only 1.
+            assert order == [0, 2, 1, 3, 4]
+        assert outcomes[0][4] > 0
+
+    def test_predicate_installed_mid_wire_spares_the_wire_packet(self):
+        sim = Simulator()
+        port, log = timed_port(sim)
+        assert port.enqueue(data(0)) is True  # shortcut: on the wire
+        assert port.busy and port._inflight.seq == 0
+        port.add_drop_predicate(lambda packet, now: True)
+        assert port.enqueue(data(1)) is False
+        assert port.drops_injected == 1
+        sim.run()
+        assert log == [(1_200 + 1_000, 0)]
+        assert port.pkts_sent == 1
+        assert port.backlog_bytes == 0
+
+
+class TestAdminDown:
+    def test_down_mid_serialisation_leaves_no_stale_inflight(self):
+        """The wire packet drains, the queue stalls with the link idle
+        and holding nothing — ``_inflight`` used to keep pointing at a
+        packet the fabric may already have recycled."""
+        sim = Simulator()
+        port, log = timed_port(sim)
+        for i in range(3):
+            port.enqueue(data(i))
+        sim.schedule_at(600, port.set_admin_down, True)  # pkt 0 half sent
+        sim.run(until=5_000)
+        assert log == [(2_200, 0)]
+        assert port.busy is False and port._inflight is None
+        assert port.backlog_bytes == 3_000  # 1 and 2 stalled in place
+        assert port.enqueue(data(3)) is False
+        assert port.drops_linkdown == 1
+        sim.schedule_at(10_000, port.set_admin_down, False)
+        sim.run()
+        # Resumed in order: 1200 ns each from the admin-up instant.
+        assert log == [(2_200, 0), (12_200, 1), (13_400, 2)]
+        assert port.busy is False and port._inflight is None
+        assert port.pkts_sent == 3 and port.backlog_bytes == 0
+
+
 class TestAccounting:
     def test_bytes_and_packets_counted(self):
         sim = Simulator()

@@ -170,6 +170,104 @@ class TestRunControl:
         assert sim.events_fired == 0
 
 
+@pytest.mark.parametrize("engine", [Simulator, WheelSimulator])
+class TestPost:
+    """``post`` is ``schedule`` without the handle: same clock, same
+    sequence-number draw, same place in the dispatch order."""
+
+    def test_posted_and_scheduled_fire_in_call_order(self, engine):
+        sim = engine()
+        order = []
+        sim.post(50, order.append, "a")
+        sim.schedule(50, order.append, "b")
+        sim.post(50, order.append, "c")
+        sim.schedule_at(50, order.append, "d")
+        sim.post(10, order.append, "first")
+        assert sim.run() == 5
+        assert order == ["first", "a", "b", "c", "d"]
+        assert sim.now == 50
+
+    def test_post_returns_no_handle_and_passes_args(self, engine):
+        sim = engine()
+        got = []
+        assert sim.post(1, lambda a, b: got.append((a, b)), 1, "x") is None
+        sim.run()
+        assert got == [(1, "x")]
+
+    def test_cancelled_handle_between_posts_is_skipped_not_counted(self, engine):
+        sim = engine()
+        order = []
+        sim.post(10, order.append, "before")
+        sim.schedule(10, order.append, "dead").cancel()
+        sim.post(10, order.append, "after")
+        assert sim.run() == 2
+        assert order == ["before", "after"]
+        assert sim.events_fired == 2
+
+    def test_until_leaves_a_later_post_pending(self, engine):
+        sim = engine()
+        order = []
+        sim.post(100, order.append, "at-t")
+        sim.post(101, order.append, "past-t")
+        assert sim.run(until=100) == 1
+        assert order == ["at-t"]
+        assert sim.now == 100
+        assert sim.pending == 1
+        assert sim.peek_time() == 101
+        assert sim.run() == 1
+        assert order == ["at-t", "past-t"]
+        assert sim.now == 101
+
+    @pytest.mark.parametrize("next_is_post", [True, False])
+    def test_max_events_stops_with_the_next_still_first(self, engine, next_is_post):
+        sim = engine()
+        order = []
+        for i in range(3):
+            sim.post(10 + i, order.append, i)
+        if next_is_post:
+            sim.post(20, order.append, "next")
+        else:
+            sim.schedule(20, order.append, "next")
+        sim.post(20, order.append, "last")
+        assert sim.run(max_events=3) == 3
+        assert order == [0, 1, 2]
+        assert sim.now == 12
+        assert sim.peek_time() == 20
+        assert sim.pending == 2
+        assert sim.run(max_events=1) == 1
+        assert order[-1] == "next"
+        sim.run()
+        assert order == [0, 1, 2, "next", "last"]
+
+    def test_negative_delay_rejected(self, engine):
+        sim = engine()
+        with pytest.raises(ValueError):
+            sim.post(-1, lambda: None)
+        assert sim.pending == 0
+
+    def test_peek_time_and_pending_with_posts_at_the_head(self, engine):
+        sim = engine()
+        dead = sim.schedule(5, lambda: None)
+        sim.post(7, lambda: None)
+        sim.schedule(9, lambda: None)
+        assert sim.pending == 3
+        assert sim.peek_time() == 5
+        dead.cancel()
+        assert sim.peek_time() == 7  # a post is never "cancelled"
+        assert sim.run() == 2
+
+    def test_reset_drops_posts(self, engine):
+        sim = engine()
+        fired = []
+        sim.post(5, fired.append, "near")
+        sim.post(NS_PER_SEC, fired.append, "far")  # wheel: overflow heap
+        sim.reset()
+        assert sim.pending == 0
+        assert sim.peek_time() is None
+        assert sim.run() == 0
+        assert fired == []
+
+
 class TestStop:
     def test_stop_ends_run_at_current_event(self, sim):
         fired = []
@@ -245,7 +343,7 @@ class TestDeterminism:
 
 class TestEventOrdering:
     def test_event_defines_no_ordering(self):
-        """Queues order ``(time, seq, event)`` entries on the two ints;
+        """Queues order ``(time, seq, ...)`` entries on the two ints;
         a comparison that reached the event would be a seq collision, and
         must fail loudly instead of taking a slow path."""
         noop = lambda: None  # noqa: E731

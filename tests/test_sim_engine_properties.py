@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.topology import TopologyConfig
 from repro.sim.engine import Simulator, WheelSimulator
+from repro.sim.tuning import wheel_geometry_for
 
 ENGINES = pytest.mark.parametrize(
     "make_sim", [Simulator, WheelSimulator], ids=["heap", "wheel"]
@@ -136,22 +138,33 @@ def test_stop_mid_callback_beats_until_clock_advance(make_sim):
 
 
 def _run_against_model(make_sim, seed, n_ops):
-    """Drive the engine with a random schedule/cancel/run interleaving
-    and predict every firing with a reference model (sorted list of
-    (time, seq) entries, cancelled entries removed)."""
+    """Drive the engine with a random post/schedule/cancel/run
+    interleaving and predict every firing with a reference model (sorted
+    list of (time, seq) entries, cancelled entries removed).  The model
+    counts sequence numbers itself — one per post or schedule — since a
+    post hands nothing back to read one from."""
     rng = random.Random(seed)
     sim = make_sim()
     fired = []
-    live = []  # model: list of (time, seq, event, label)
+    live = []  # model: list of (time, seq, event or None, label)
+    seq = 0
     for op in range(n_ops):
         roll = rng.random()
         if roll < 0.55 or not live:
             delay = rng.randrange(0, 1_000)
             label = op
-            event = sim.schedule(delay, fired.append, label)
-            live.append((sim.now + delay, event.seq, event, label))
+            if roll < 0.25:
+                sim.post(delay, fired.append, label)
+                event = None
+            else:
+                event = sim.schedule(delay, fired.append, label)
+                assert event.seq == seq
+            live.append((sim.now + delay, seq, event, label))
+            seq += 1
         elif roll < 0.80:
             victim = rng.choice(live)
+            if victim[2] is None:
+                continue  # posted: nothing to cancel it with
             sim.cancel(victim[2])
             live.remove(victim)
         else:
@@ -208,7 +221,7 @@ def test_dense_ties_with_in_callback_rearms_fire_in_time_seq_order(make_sim):
         roll = rng.random()
         if budget[0] > 0 and roll < 0.5:
             budget[0] -= 1
-            if roll < 0.25 or event.poolable:
+            if roll < 0.25:
                 fresh = [None]
                 fresh[0] = sim.schedule_pooled(later(), on_fire, fresh)
                 armed.add((fresh[0].time, fresh[0].seq))
@@ -237,6 +250,101 @@ def test_dense_ties_with_in_callback_rearms_fire_in_time_seq_order(make_sim):
     assert len(fired) > 2_000
     assert fired == sorted(armed - cancelled)
     assert sim.peek_time() is None
+
+
+@ENGINES
+def test_posts_from_callbacks_keep_time_seq_order(make_sim):
+    """Callbacks that post at the current instant (wheel: insort into the
+    live bucket), a few slots ahead, and past the window (wheel: overflow
+    heap, then refill) — mixed with handles at the same instants — fire
+    in (time, call order): every post and schedule draws one seq."""
+    sim = make_sim()
+    window = 1 << 23  # default wheel: 4096 ns x 2048 slots
+    delays = [0, 0, 1, 4_096, 3 * 4_096 + 5, window + 7, 3 * window]
+    calls = [0]
+    expected, fired = [], []
+    budget = [400]
+
+    def arm(delay, posted):
+        label = (sim.now + delay, calls[0])
+        calls[0] += 1
+        expected.append(label)
+        if posted:
+            sim.post(delay, on_fire, label)
+        else:
+            sim.schedule(delay, on_fire, label)
+
+    def on_fire(label):
+        fired.append(label)
+        for i, delay in enumerate(delays):
+            if budget[0] > 0 and (label[1] + i) % 3 != 0:
+                budget[0] -= 1
+                arm(delay, posted=(label[1] + i) % 4 != 0)
+
+    arm(10, posted=True)
+    arm(10, posted=False)
+    assert sim.run() == len(expected) == 402
+    assert fired == sorted(expected)
+    assert sim.peek_time() is None
+    if isinstance(sim, WheelSimulator):
+        assert sim.wheel_overflow_pushes > 0 and sim.wheel_refilled > 0
+
+
+_OP = st.tuples(
+    st.sampled_from(["post", "schedule", "cancel", "reschedule", "run"]),
+    # Few distinct delays (ties), spanning slot, window and overflow of
+    # both wheel geometries (8.4 ms and 1.05 ms windows).
+    st.sampled_from([0, 1, 700, 4_096, 70_000, 2_000_000, 9_000_000]),
+    st.integers(min_value=0, max_value=1 << 16),
+)
+
+
+@given(st.lists(_OP, min_size=1, max_size=120))
+@settings(max_examples=60, deadline=None)
+def test_dispatch_stream_equal_on_heap_wheel_and_auto_geometry(ops):
+    """One drawn mix of post / schedule / cancel / reschedule / partial
+    run gives the same (time, label) firing stream on the heap, the
+    default wheel and a ``wheel:auto``-geometry wheel."""
+    auto = wheel_geometry_for(
+        TopologyConfig(host_link_gbps=40.0, spine_link_gbps=40.0),
+        time_scale=0.05,
+    )
+
+    def stream(sim):
+        fired, handles, state = [], [], {}
+
+        def note(label):
+            fired.append((sim.now, label))
+            state[label] = "fired"  # a post's label is never looked up
+
+        for label, (op, delay, pick) in enumerate(ops):
+            if op == "post":
+                sim.post(delay, note, label)
+            elif op == "schedule":
+                handles.append((label, sim.schedule(delay, note, label)))
+                state[label] = "pending"
+            elif op == "run":
+                sim.run(max_events=pick % 5)
+            elif handles:
+                owner, handle = handles[pick % len(handles)]
+                if op == "cancel" and state[owner] == "pending":
+                    handle.cancel()
+                    state[owner] = "cancelled"
+                elif op == "reschedule" and state[owner] == "fired":
+                    # The only state reschedule() allows: not queued.
+                    sim.reschedule(handle, delay)
+                    state[owner] = "pending"
+        sim.run()
+        assert sim.peek_time() is None
+        return fired
+
+    heap = stream(Simulator())
+    assert heap == stream(WheelSimulator())
+    assert heap == stream(
+        WheelSimulator(
+            slot_ns_bits=auto.slot_ns_bits, num_slot_bits=auto.num_slot_bits
+        )
+    )
 
 
 # --------------------------------------------------------------------- #

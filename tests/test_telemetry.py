@@ -196,6 +196,42 @@ class TestPeriodicSampler:
         assert count == 6
         assert profiler.summary()["events"] == 6
 
+    def test_loop_profiler_follows_posted_events_and_times_them(self):
+        """Posted callbacks have no Event; the profiler is handed the
+        callable.  Kinds keep their names, the count is the engine's, and
+        the sampled nanoseconds are a share of the wall clock."""
+        fabric, telemetry = traced_fabric()
+        install_lb(fabric, "ecmp")
+        flow = DctcpFlow(fabric, 0, 2, 300 * MSS)
+        fabric.register_flow(flow)
+        # Lose the tail segment once: nothing follows it to raise
+        # duplicate ACKs, so only the retransmission timer recovers it.
+        fabric.topology.host_up[0].add_drop_predicate(
+            lambda packet, now: packet.seq == 299 and now < 1_000_000
+        )
+        flow.start()
+        fabric.sim.run(until=100_000_000)
+        assert flow.finished and flow.timeout_count == 1
+        profiler = telemetry.profiler
+        summary = profiler.summary()
+        assert summary["events"] == profiler.events == fabric.sim.events_fired
+        by_kind = profiler.by_kind
+        assert sum(by_kind.values()) == profiler.events
+        assert by_kind["OutputPort._tx_done"] == by_kind["Fabric.forward"] > 1_000
+        assert by_kind["TcpFlow._on_rto"] == 1
+        ns_by_kind = summary["ns_by_kind"]
+        assert set(ns_by_kind) <= set(by_kind)
+        assert {"OutputPort._tx_done", "Fabric.forward"} <= set(ns_by_kind)
+        assert all(ns > 0 for ns in ns_by_kind.values())
+        # Sample windows are disjoint stretches of the profiler's own
+        # lifetime, one event in SAMPLE_EVERY: they cannot add up to more
+        # than wall_s (the test's setup and idle time are in there too),
+        # and scaled up they should not be a vanishing part of it.
+        wall_ns = summary["wall_s"] * 1e9
+        sampled_ns = sum(ns_by_kind.values())
+        assert sampled_ns <= wall_ns
+        assert sampled_ns * summary["sample_every"] >= 0.05 * wall_ns
+
 
 class TestDecisionAudit:
     def run_hermes(self, n_flows=8):
