@@ -558,7 +558,11 @@ def cmd_trace_export(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the always-on experiment service until interrupted."""
+    """Run the always-on experiment service until interrupted — by
+    Ctrl-C or by ``SIGTERM`` (plain ``kill``, systemd, a CI step), which
+    stop it the same way: worker processes shut down, port released."""
+    import signal
+
     from repro.serve import serve
 
     service = serve(
@@ -575,8 +579,10 @@ def cmd_serve(args) -> int:
         f"  workers={args.workers} queue_capacity={args.queue_capacity}\n"
         "  POST /submit   GET /jobs /status/<id> /result/<id>\n"
         "  GET  /healthz  /metrics   /events (SSE)\n"
-        "Ctrl-C to stop."
+        "Ctrl-C or SIGTERM to stop.",
+        flush=True,
     )
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         import time
 

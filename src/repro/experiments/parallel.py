@@ -37,6 +37,25 @@ going away) used to surface as ``BrokenProcessPool`` and abort the grid.
 pool for the rest, and — after bounded pool retries — falls back to
 running the survivors serially in-process, so one poisoned cell can no
 longer take the other N-1 down with it.
+
+The worker processes have one owner, :class:`CellPool` — the only place
+in ``src/`` that builds a ``ProcessPoolExecutor``.  ``run_cells`` makes
+one for the length of a call unless the caller hands it a pool to keep
+(``pool=``): the experiment service holds one per worker thread, so a
+job pays a round trip through live workers (~0.2 ms) instead of a fork
+and a reap.  Workers that outlive a call change three things:
+
+* a worker can die *between* calls.  A pool found broken when the next
+  call submits is respawned on the spot and costs that call none of its
+  retry rounds — no cell had started;
+* workers must not outlive their parent.  Each one blocks a daemon
+  thread on the parent's sentinel and calls ``os._exit`` when it fires, so
+  a ``kill -9`` of the parent leaves no orphan holding its inherited
+  descriptors (under ``fork``: the service's listening socket);
+* a held worker sees the environment as of its spawn, not as of the
+  call.  Every knob above is read in the parent, so only the
+  ``REPRO_TEST_*`` fault hooks notice — set them before the pool's first
+  use (the tests build their service after ``monkeypatch.setenv``).
 """
 
 from __future__ import annotations
@@ -47,7 +66,9 @@ import multiprocessing
 import os
 import pickle
 import tempfile
+import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
@@ -390,15 +411,104 @@ def cell_timeout(explicit: Optional[float] = None) -> Optional[float]:
     return value
 
 
-def _kill_pool(pool) -> None:
-    """Terminate a pool's workers without waiting: a hung cell holds its
-    worker forever, so a graceful shutdown would hang too."""
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: die when the parent does.
+
+    A worker blocked on its call queue never notices that the process
+    feeding it is gone (``kill -9``, OOM kill) and would sleep forever,
+    holding every descriptor it inherited.  A daemon thread blocks on
+    the parent's sentinel — no polling — and exits the process when it
+    fires.
+    """
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="repro-parent-watch", daemon=True
+    ).start()
+
+
+class CellPool:
+    """The worker processes cells run in, and their whole life: spawned
+    lazily, kept between uses, killed when a cell hangs or a worker
+    dies, shut down once.
+
+    Not thread-safe on purpose: one pool belongs to one caller at a time
+    (the service keeps one per worker thread), so killing it after a
+    timeout can never hit somebody else's cells.  Only :meth:`close` and
+    the read-only :meth:`alive` / :attr:`spawns` may come from another
+    thread (the service's ``stop()`` and its health probes).
+    """
+
+    def __init__(self) -> None:
+        self._executor = None
+        self._width = 0
+        self._closed = False
+        #: Executors built so far; 1 for as long as nothing went wrong
+        #: and every use asked for the same width.
+        self.spawns = 0
+
+    def executor(self, width: int):
+        """The live executor, ``width`` workers wide — a new one if
+        there is none, or if the last use asked for another width."""
+        if self._closed:
+            raise RuntimeError("cell pool is closed")
+        if self._executor is not None and width != self._width:
+            self.discard()
+        if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._executor = ProcessPoolExecutor(
+                max_workers=width, initializer=_exit_with_parent
+            )
+            self._width = width
+            self.spawns += 1
+        return self._executor
+
+    def _workers(self) -> list:
+        # The executor has no public accessor for its processes.
+        executor = self._executor
+        processes = executor._processes if executor is not None else None
+        return list(processes.values()) if processes else []
+
+    def alive(self) -> int:
+        """Worker processes currently running."""
+        return sum(1 for proc in self._workers() if proc.is_alive())
+
+    def discard(self) -> None:
+        """Kill the workers without waiting for their cells; the next
+        :meth:`executor` call respawns.  For a hung cell (it holds its
+        worker forever, so a graceful shutdown would hang too) and for a
+        pool a dead worker has broken.  ``SIGKILL``, not ``SIGTERM``: a
+        worker forked from a process that handles ``SIGTERM`` inherits
+        the handler.  Workers keep nothing a clean exit would flush —
+        everything a cell produces travels back in its future."""
+        executor = self._executor
+        if executor is None:
+            return
+        for proc in self._workers():
+            proc.kill()
+        self._executor = None
+        # Returns once the executor's manager thread has reaped them.
+        executor.shutdown(wait=True, cancel_futures=True)
+
+    def close(self) -> None:
+        """Shut down for good (idempotent); :meth:`executor` raises
+        afterwards, so a caller still mid-grid on another thread fails
+        instead of respawning."""
+        self._closed = True
+        self.discard()
+
+    def __enter__(self) -> "CellPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 #: Pool restarts before falling back to serial in-process execution.
@@ -409,27 +519,37 @@ def _pool_round(
     configs: Sequence[ExperimentConfig],
     pending: List[int],
     results: List[Optional["ResultSummary"]],
-    jobs: int,
+    pool: CellPool,
+    width: int,
     timeout: Optional[float],
 ) -> List[int]:
-    """One ProcessPoolExecutor attempt over ``pending``.
+    """One attempt over ``pending`` on ``pool``'s workers.
 
     Fills ``results`` for every cell that completed (or exceeded the
     per-cell timeout, which yields a failed-with-reason summary) and
     returns the indices that still need a run — non-empty exactly when a
     worker died (``BrokenProcessPool``) or was killed after a timeout,
-    taking queued cells down with it.
+    taking queued cells down with it.  The pool is then left discarded:
+    its next use respawns.
     """
-    from concurrent.futures import CancelledError, ProcessPoolExecutor
+    from concurrent.futures import CancelledError
     from concurrent.futures import TimeoutError as FutureTimeout
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-    futures = {i: pool.submit(_run_cell, configs[i]) for i in pending}
+    def submit_all() -> Dict[int, Any]:
+        executor = pool.executor(width)
+        return {i: executor.submit(_run_cell, configs[i]) for i in pending}
+
+    try:
+        futures = submit_all()
+    except BrokenProcessPool:
+        # A held pool whose worker died while idle.  No cell had
+        # started, so this is not one of the caller's retry rounds.
+        pool.discard()
+        futures = submit_all()
     leftover: List[int] = []
     try:
         for i in pending:
-            future = futures[i]
             try:
                 # Each wait gets a fresh budget: cells run concurrently
                 # and queued cells accrue waiting time, so a shared
@@ -437,7 +557,7 @@ def _pool_round(
                 # This errs toward leniency — a hung cell still cannot
                 # stall the grid longer than ~timeout past the previous
                 # cell's completion.
-                results[i] = future.result(timeout=timeout)
+                results[i] = futures[i].result(timeout=timeout)
             except FutureTimeout:
                 results[i] = _failed_summary(
                     configs[i],
@@ -446,11 +566,16 @@ def _pool_round(
                 # The worker is wedged inside the cell; the only way out
                 # is to kill it, which breaks the pool for queued cells —
                 # they surface below as BrokenProcessPool and get retried.
-                _kill_pool(pool)
+                pool.discard()
             except (BrokenProcessPool, CancelledError):
                 leftover.append(i)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    except BaseException:
+        # A cell that raised fails the whole call; nobody will read its
+        # siblings, and the next call must not queue behind them.
+        pool.discard()
+        raise
+    if leftover:
+        pool.discard()
     return leftover
 
 
@@ -478,6 +603,7 @@ def run_cells(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     cell_timeout_s: Optional[float] = None,
+    pool: Optional[CellPool] = None,
 ) -> List[ResultSummary]:
     """Run every cell, in parallel, through the cache; results in input
     order.
@@ -490,6 +616,13 @@ def run_cells(
         cache_dir: override the cache location.
         cell_timeout_s: per-cell wall-clock budget; overrides
             ``REPRO_CELL_TIMEOUT`` (see :func:`cell_timeout`).
+        pool: worker processes the caller keeps between calls (and
+            closes).  With one, every miss runs in a worker — a lone
+            miss too, so it gets the timeout and the crash isolation —
+            and the pool stays ``jobs`` wide.  Without, the call spawns
+            workers for its own length, as many as it has misses up to
+            ``jobs``, and runs a lone miss in-process, where a fork
+            would buy nothing.
     """
     jobs = resolve_jobs(jobs)
     if use_cache is None:
@@ -519,11 +652,16 @@ def run_cells(
     if misses:
         timeout = cell_timeout(cell_timeout_s)
         pending = list(misses)
-        if jobs > 1 and len(pending) > 1:
-            for _ in range(MAX_POOL_ROUNDS):
-                if not pending:
-                    break
-                pending = _pool_round(configs, pending, results, jobs, timeout)
+        held = pool is not None
+        if jobs > 1 and (held or len(pending) > 1):
+            with (nullcontext(pool) if held else CellPool()) as cells:
+                for _ in range(MAX_POOL_ROUNDS):
+                    if not pending:
+                        break
+                    width = jobs if held else min(jobs, len(pending))
+                    pending = _pool_round(
+                        configs, pending, results, cells, width, timeout
+                    )
         # Serial path — and the crash-tolerance fallback: cells that
         # survived MAX_POOL_ROUNDS broken pools re-run in-process, where
         # a worker crash cannot eat them (a cell that kills *this*

@@ -13,10 +13,13 @@ bounded queue, worker pool, event broker, and a
 ``GET /result/<id>``  per-cell summaries (``summary_dict`` shape) of a
                       finished job; 409 while it is still active.
 ``POST /cancel/<id>`` cancel a queued job; 409 if it already left the queue.
-``GET /healthz``      liveness: queue depth, workers alive (respawning any
-                      that died), restart counter.
+``GET /healthz``      liveness: queue depth, worker threads alive
+                      (respawning any that died), restart counter, cell
+                      worker processes alive and process pools spawned.
 ``GET /metrics``      counters in JSON (jobs by state, completed/failed,
-                      queue depth, cache size).
+                      queue depth, cache size, cell workers and pool
+                      spawns) and queue-wait / run time p50 and p90 over
+                      the jobs that ran.
 ``GET /events``       ``text/event-stream`` of job lifecycle + telemetry
                       events (optionally ``?job_id=`` filtered), with
                       keep-alive comments so proxies do not reap it.
@@ -194,6 +197,7 @@ class ExperimentService:
             "worker_restarts": self.pool.restarts,
             "queue_depth": self.queue.depth,
             "queue_capacity": self.queue.capacity,
+            **self.pool.cell_counters(),
         }
 
     def metrics(self) -> Dict[str, Any]:
@@ -215,6 +219,8 @@ class ExperimentService:
             "events_published": self.broker.published,
             "cache_entries": cache_entries,
             "cache_bytes": cache_bytes,
+            **self.pool.cell_counters(),
+            **self.table.phase_quantiles(),
         }
         return out
 

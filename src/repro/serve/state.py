@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
+from repro.telemetry.digest import TDigest
 
 __all__ = [
     "QUEUED",
@@ -210,6 +211,31 @@ class JobTable:
             for job in self._jobs.values():
                 out[job.state] += 1
         return out
+
+    def phase_quantiles(self) -> Dict[str, Optional[float]]:
+        """p50 / p90 of queue wait and run time, in ms, over every job
+        that ran to an end (``None`` before the first one) — where a
+        job's submit→result latency went.
+
+        Folded through :class:`TDigest` on read, from the timestamps
+        each job carries anyway, so the job path itself never enters
+        ``repro.telemetry``.
+        """
+        with self._lock:
+            spans = [
+                (job.submitted_s, job.started_s, job.finished_s)
+                for job in self._jobs.values()
+                if job.started_s is not None and job.finished_s is not None
+            ]
+        phases = {"queue_wait_ms": TDigest(), "run_ms": TDigest()}
+        for submitted, started, finished in spans:
+            phases["queue_wait_ms"].add((started - submitted) * 1e3)
+            phases["run_ms"].add((finished - started) * 1e3)
+        return {
+            f"{name}_p{round(q * 100)}": digest.quantile(q) if spans else None
+            for name, digest in phases.items()
+            for q in (0.5, 0.9)
+        }
 
     def _emit(self, job: Job, event: str) -> None:
         if self._publish is None:

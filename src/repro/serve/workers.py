@@ -2,11 +2,23 @@
 
 Isolation is layered:
 
-* **Cell level** — every cell runs in a worker *process* via the
-  crash-tolerant :func:`~repro.experiments.parallel.run_cells` grid
-  runner, which already restarts broken process pools and falls back
-  to serial execution; a segfaulting or OOM-killed cell worker costs
-  that pool round, never the service.
+* **Cell level** — every cell of a job with ``jobs_per_cell > 1`` runs
+  in a worker *process* via the crash-tolerant
+  :func:`~repro.experiments.parallel.run_cells` grid runner — a job's
+  only cell and the one miss of a half-cached job included, so each
+  gets its ``cell_timeout_s`` and none simulates inside the daemon
+  (``jobs_per_cell=1`` asks for exactly that, for a debugger).  Each
+  worker thread holds one
+  :class:`~repro.experiments.parallel.CellPool` for its whole life, so
+  a job pays a round trip through live workers, not a fork and a reap.
+  One pool per thread, not one shared: no lock, a timeout kill cannot
+  hit another job's cells, and at most ``n_workers × jobs_per_cell``
+  processes exist, as before.  A hung cell gets the workers killed and
+  the next use respawns them; a worker that segfaults or is OOM-killed
+  mid-cell costs that pool round (then a serial fallback), one that
+  died idle between jobs costs nothing; never the service.  Workers
+  exit with the daemon, however it dies, and see the environment as of
+  their spawn.
 * **Job level (bulkhead)** — each job executes inside a catch-all on
   its worker thread: any exception marks *that job* failed and the
   thread moves on to the next one.  One poisoned job cannot take the
@@ -28,7 +40,7 @@ import threading
 import traceback
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.parallel import run_cells
+from repro.experiments.parallel import CellPool, run_cells
 from repro.serve.queue import JobQueue
 from repro.serve.state import DONE, FAILED, RUNNING, JobTable, UnknownJob
 
@@ -67,6 +79,9 @@ class WorkerPool:
         self.default_cell_timeout_s = default_cell_timeout_s
         self._publish = publish
         self._threads: List[threading.Thread] = []
+        #: One per worker thread ever started (dead threads' pools stay,
+        #: closed, so ``cell_pool_spawns`` never runs backwards).
+        self._cell_pools: List[CellPool] = []
         self._stop = threading.Event()
         self._lock = threading.Lock()
         #: Worker threads respawned after an unexpected death — the
@@ -83,16 +98,16 @@ class WorkerPool:
     def start(self) -> None:
         with self._lock:
             for i in range(self.n_workers):
-                self._spawn(i)
+                self._threads.append(self._spawn(f"repro-serve-worker-{i}"))
 
-    def _spawn(self, index: int) -> None:
+    def _spawn(self, name: str) -> threading.Thread:
+        cells = CellPool()
+        self._cell_pools.append(cells)
         thread = threading.Thread(
-            target=self._work_loop,
-            name=f"repro-serve-worker-{index}",
-            daemon=True,
+            target=self._work_loop, args=(cells,), name=name, daemon=True
         )
-        self._threads.append(thread)
         thread.start()
+        return thread
 
     def ensure_workers(self) -> int:
         """Respawn dead worker threads; returns how many are alive.
@@ -106,44 +121,60 @@ class WorkerPool:
             for i, thread in enumerate(self._threads):
                 if not thread.is_alive():
                     self.restarts += 1
-                    thread = threading.Thread(
-                        target=self._work_loop,
-                        name=f"repro-serve-worker-r{self.restarts}",
-                        daemon=True,
+                    self._threads[i] = self._spawn(
+                        f"repro-serve-worker-r{self.restarts}"
                     )
-                    self._threads[i] = thread
-                    thread.start()
             return sum(1 for t in self._threads if t.is_alive())
 
     def alive(self) -> int:
         with self._lock:
             return sum(1 for t in self._threads if t.is_alive())
 
+    def cell_counters(self) -> Dict[str, int]:
+        """What the cell worker processes are doing, over all worker
+        threads (the health and metrics endpoints report it)."""
+        with self._lock:
+            return {
+                # 1 per worker thread for as long as no cell hung, no
+                # worker process died and every job asked for one width.
+                "cell_pool_spawns": sum(c.spawns for c in self._cell_pools),
+                "cell_workers_alive": sum(
+                    c.alive() for c in self._cell_pools
+                ),
+            }
+
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop pulling new jobs and wait briefly for in-flight ones."""
+        """Stop pulling new jobs, wait briefly for in-flight ones, then
+        close every cell pool: a job still running after the grace
+        period loses its workers and fails rather than outliving the
+        service."""
         self._stop.set()
         self.queue.close()
         for thread in list(self._threads):
             thread.join(timeout=timeout)
+        with self._lock:
+            for cells in self._cell_pools:
+                cells.close()
 
     # ------------------------------------------------------------------ #
     # The loop
     # ------------------------------------------------------------------ #
 
-    def _work_loop(self) -> None:
-        while not self._stop.is_set():
-            job_id = self.queue.pop(timeout=0.2)
-            if job_id is None:
-                continue
-            try:
-                self._run_job(job_id)
-            except Exception:  # noqa: BLE001 — bulkhead, see module doc
-                # _run_job already tried to mark the job failed; if even
-                # that failed the job table is gone and so is the point
-                # of crashing the worker over it.
-                traceback.print_exc()
+    def _work_loop(self, cells: CellPool) -> None:
+        with cells:
+            while not self._stop.is_set():
+                job_id = self.queue.pop(timeout=0.2)
+                if job_id is None:
+                    continue
+                try:
+                    self._run_job(job_id, cells)
+                except Exception:  # noqa: BLE001 — bulkhead, see module doc
+                    # _run_job already tried to mark the job failed; if
+                    # even that failed the job table is gone and so is
+                    # the point of crashing the worker over it.
+                    traceback.print_exc()
 
-    def _run_job(self, job_id: str) -> None:
+    def _run_job(self, job_id: str, cells: CellPool) -> None:
         try:
             job = self.table.get(job_id)
         except UnknownJob:
@@ -161,6 +192,7 @@ class WorkerPool:
                 use_cache=self.use_cache,
                 cache_dir=self.cache_dir,
                 cell_timeout_s=timeout,
+                pool=cells,
             )
         except Exception as exc:  # noqa: BLE001 — job bulkhead
             self.table.transition(

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
 from repro.net.fabric import Fabric
 from repro.net.topology import TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+
+
+def child_env(**extra: str) -> dict:
+    """Environment for a subprocess that must import what this process
+    can (``repro``, ``tests``), however pytest was made to find them."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    return env
 
 
 def small_config(**overrides) -> TopologyConfig:

@@ -8,8 +8,13 @@ config change means a different key), and cross-process RNG independence
 """
 
 import dataclasses
+import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -17,6 +22,7 @@ import pytest
 from repro.experiments import parallel
 from repro.experiments.config import ExperimentConfig, FailureSpec
 from repro.experiments.parallel import (
+    CellPool,
     ResultCache,
     ResultSummary,
     cell_timeout,
@@ -29,6 +35,7 @@ from repro.faults.spec import link_down, link_up, schedule
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.sim.rng import RngStreams
+from tests.conftest import child_env
 
 
 def tiny_config(**overrides):
@@ -405,3 +412,188 @@ class TestCacheSelfHealing:
 
     def test_fresh_directory_counts_zero(self, tmp_path):
         assert ResultCache(str(tmp_path)).corruption_count() == 0
+
+
+def _pid_running(pid: int) -> bool:
+    """Alive and not a zombie, by ``/proc/<pid>/stat``."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_until(predicate, timeout_s: float = 2.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def _worker_pids(pool: CellPool):
+    return [proc.pid for proc in pool._workers()]
+
+
+class TestCellPool:
+    """Workers that outlive a ``run_cells`` call: reuse must leak
+    nothing between cells, and every way a held pool can go bad (a
+    width change, a hung cell, a worker dying while idle) must end in
+    a respawn, not in an error."""
+
+    def test_reuse_is_bit_identical_to_serial(self):
+        grids = [
+            tiny_grid(),
+            [tiny_config(lb="hermes", seed=seed) for seed in (3, 4, 5)],
+            [tiny_config(lb="letflow", seed=6, load=0.6)],  # a lone miss
+        ]
+        with CellPool() as pool:
+            for grid in grids:
+                pooled = run_cells(grid, jobs=2, use_cache=False, pool=pool)
+                serial = run_cells(grid, jobs=1, use_cache=False)
+                assert all(map(_summaries_equal, pooled, serial))
+            assert pool.spawns == 1
+            assert pool.alive() == 2
+        assert pool.alive() == 0
+
+    def test_lone_miss_runs_in_a_worker_only_on_a_held_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "7:30")
+        config = tiny_config(seed=7)
+        # One-shot: a fork would buy nothing, the cell runs in-process
+        # (where the hook is inert).
+        assert run_cells([config], jobs=2, use_cache=False)[0].error is None
+        with CellPool() as pool:
+            held = run_cells(
+                [config], jobs=2, use_cache=False, cell_timeout_s=0.5,
+                pool=pool,
+            )
+            assert "REPRO_CELL_TIMEOUT=0.5" in held[0].error
+            # jobs=1 stays in-process whatever the caller holds.
+            inline = run_cells([config], jobs=1, use_cache=False, pool=pool)
+            assert inline[0].error is None
+            assert pool.spawns == 1
+
+    def test_width_change_respawns_and_old_workers_exit(self):
+        with CellPool() as pool:
+            run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+            old = _worker_pids(pool)
+            assert len(old) == 2
+            results = run_cells(tiny_grid(), jobs=3, use_cache=False, pool=pool)
+            assert all(r.error is None for r in results)
+            assert pool.spawns == 2
+            assert not set(old) & set(_worker_pids(pool))
+            assert not any(map(_pid_running, old))
+
+    def test_discard_then_reuse(self):
+        with CellPool() as pool:
+            first = run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+            pool.discard()
+            assert pool.alive() == 0
+            pool.discard()  # nothing left to kill: a no-op
+            again = run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+            assert all(map(_summaries_equal, first, again))
+            assert pool.spawns == 2
+
+    def test_idle_worker_death_costs_no_retry_round(self, monkeypatch):
+        """A worker killed *between* calls: the next call finds the pool
+        broken at submit time, respawns it on the spot and still has
+        both retry rounds — which the crash-seed cell of that same call
+        then uses up before completing in-process."""
+        rounds = []
+        real_round = parallel._pool_round
+
+        def counting_round(*args):
+            rounds.append(1)
+            return real_round(*args)
+
+        in_process = []
+
+        def recording_run(config):
+            # Workers are forked with this wrapper in place, but their
+            # appends land in their own memory: the list shows only the
+            # cells this process simulated itself.
+            in_process.append(config.seed)
+            return run_experiment(config)
+
+        monkeypatch.setattr(parallel, "_pool_round", counting_round)
+        monkeypatch.setattr(parallel, "run_experiment", recording_run)
+        with CellPool() as pool:
+            run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+            os.kill(_worker_pids(pool)[0], signal.SIGKILL)
+            # The executor notices on its own; the survivor goes too.
+            assert _wait_until(lambda: pool.alive() == 0)
+            del rounds[:], in_process[:]
+
+            grid = [tiny_config(seed=seed) for seed in (11, 12, 13)]
+            results = run_cells(grid, jobs=2, use_cache=False, pool=pool)
+            assert all(r.error is None for r in results)
+            assert (len(rounds), in_process, pool.spawns) == (1, [], 2)
+
+            del rounds[:]
+            monkeypatch.setenv("REPRO_TEST_CRASH_SEED", "22")
+            os.kill(_worker_pids(pool)[0], signal.SIGKILL)
+            assert _wait_until(lambda: pool.alive() == 0)
+            grid = [tiny_config(seed=seed) for seed in (21, 22, 23)]
+            results = run_cells(grid, jobs=2, use_cache=False, pool=pool)
+            assert all(r.error is None and r.stats.records for r in results)
+            assert len(rounds) == parallel.MAX_POOL_ROUNDS
+            assert 22 in in_process  # the serial fallback, and only then
+            # Idle death, then one respawn per round the crash broke.
+            assert pool.spawns == 2 + 1 + parallel.MAX_POOL_ROUNDS - 1
+
+    def test_close_is_idempotent_and_final(self):
+        pool = CellPool()
+        run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+        pids = _worker_pids(pool)
+        pool.close()
+        pool.close()
+        assert pool.alive() == 0
+        assert not any(map(_pid_running, pids))
+        with pytest.raises(RuntimeError, match="closed"):
+            run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+        CellPool().close()  # never used: nothing to shut down
+
+    def test_one_shot_call_leaves_no_child_behind(self):
+        run_cells(tiny_grid(), jobs=2, use_cache=False)
+        assert multiprocessing.active_children() == []
+
+
+_ORPHAN_SCRIPT = """
+import multiprocessing, threading, time
+from repro.experiments import parallel
+from tests.test_parallel import tiny_config
+
+def report():
+    time.sleep(1.0)  # run_cells has spawned its workers by now
+    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+
+threading.Thread(target=report, daemon=True).start()
+parallel.run_cells(
+    [tiny_config(seed=s) for s in (1, 2)], jobs=2, use_cache=False
+)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_die_with_a_sigkilled_parent():
+    """``kill -9`` of a process inside ``run_cells(jobs=2)`` used to
+    leave both workers asleep on their call queue forever, holding every
+    descriptor they inherited."""
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT],
+        stdout=subprocess.PIPE, text=True,
+        env=child_env(REPRO_TEST_SLEEP="1:60"),
+    )
+    try:
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == 2 and all(map(_pid_running, workers))
+    finally:
+        parent.kill()
+        parent.wait(timeout=5)
+    try:
+        assert _wait_until(lambda: not any(map(_pid_running, workers)))
+    finally:
+        for pid in workers:  # at the parent commit they would outlive us
+            if _pid_running(pid):
+                os.kill(pid, signal.SIGKILL)

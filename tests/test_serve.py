@@ -11,6 +11,12 @@ events.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -31,6 +37,7 @@ from repro.serve import (
     ServiceError,
 )
 from repro.serve.state import InvalidTransition, UnknownJob
+from tests.conftest import child_env
 
 TOPO = bench_topology(n_leaves=2, n_spines=2, hosts_per_leaf=2)
 
@@ -216,6 +223,132 @@ class TestCrashTolerance:
         assert (
             service.wait(follow_up.job.job_id, timeout_s=60.0)["state"] == DONE
         )
+
+
+class TestHeldCellPool:
+    """Each worker thread keeps its cell processes between jobs; every
+    miss of a ``jobs_per_cell > 1`` job runs in one of them."""
+
+    def _hung_job_times_out(self, svc, configs):
+        started = time.monotonic()
+        hung = svc.submit(configs, jobs_per_cell=2, cell_timeout_s=0.5)
+        status = svc.wait(hung.job.job_id, timeout_s=30.0)
+        assert status["state"] == FAILED, status
+        assert "REPRO_CELL_TIMEOUT=0.5" in status["error"]
+        assert time.monotonic() - started < 3.0
+        follow_up = svc.submit(
+            [_config(seed=31), _config(seed=32)], jobs_per_cell=2
+        )
+        assert svc.wait(follow_up.job.job_id, timeout_s=60.0)["state"] == DONE
+        assert svc.health()["ok"]
+
+    def test_one_cell_job_is_isolated_and_timed(self, service, monkeypatch):
+        """At the parent commit a lone miss ran on the worker thread
+        inside the daemon: the hook never fired, the budget was ignored
+        and the job read ``done``."""
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "30:5")
+        self._hung_job_times_out(service, [_config(seed=30)])
+
+    def test_half_cached_job_is_isolated_and_timed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "30:5")
+        svc = ExperimentService(
+            n_workers=1, use_cache=True, cache_dir=str(tmp_path)
+        ).start()
+        try:
+            warm = svc.submit([_config(seed=29)], jobs_per_cell=2)
+            assert svc.wait(warm.job.job_id, timeout_s=60.0)["state"] == DONE
+            self._hung_job_times_out(
+                svc, [_config(seed=29), _config(seed=30)]
+            )
+        finally:
+            svc.stop()
+
+    def test_pool_is_spawned_once_and_again_after_a_timeout(
+        self, http_service, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "50:5")
+        service, client = http_service
+        for k in range(5):
+            job = client.submit(
+                [_config(seed=40 + 2 * k), _config(seed=41 + 2 * k)],
+                jobs_per_cell=2,
+            )
+            assert client.wait(job["job_id"], timeout_s=60.0)["state"] == DONE
+        metrics = client.metrics()
+        assert metrics["cell_pool_spawns"] == 1
+        assert metrics["cell_workers_alive"] == 2
+        assert client.healthz()["cell_pool_spawns"] == 1
+        for phase in ("queue_wait_ms", "run_ms"):
+            assert 0 <= metrics[f"{phase}_p50"] <= metrics[f"{phase}_p90"]
+        assert metrics["run_ms_p50"] > 0
+
+        hung = client.submit(
+            [_config(seed=50), _config(seed=51)],
+            jobs_per_cell=2, cell_timeout_s=0.5,
+        )
+        assert client.wait(hung["job_id"], timeout_s=30.0)["state"] == FAILED
+        after = client.submit(
+            [_config(seed=52), _config(seed=53)], jobs_per_cell=2
+        )
+        assert client.wait(after["job_id"], timeout_s=60.0)["state"] == DONE
+        assert client.metrics()["cell_pool_spawns"] == 2
+        assert client.healthz()["cell_workers_alive"] == 2
+
+    def test_metrics_before_any_job(self, service):
+        metrics = service.metrics()
+        assert metrics["cell_pool_spawns"] == 0
+        assert metrics["cell_workers_alive"] == 0
+        assert metrics["run_ms_p50"] is None
+
+    def test_stop_leaves_no_child(self):
+        svc = ExperimentService(n_workers=2, use_cache=False).start()
+        jobs = [
+            svc.submit(
+                [_config(seed=60 + 2 * k), _config(seed=61 + 2 * k)],
+                jobs_per_cell=2,
+            )
+            for k in range(2)
+        ]
+        for job in jobs:
+            assert svc.wait(job.job.job_id, timeout_s=60.0)["state"] == DONE
+        assert multiprocessing.active_children()
+        svc.stop()
+        assert multiprocessing.active_children() == []
+
+
+def test_daemon_stops_on_sigterm(tmp_path):
+    """``kill`` of ``repro serve`` is Ctrl-C: exit 0, no worker process
+    left, and the port — which forked workers inherit — free at once."""
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1"],
+        stdout=subprocess.PIPE, text=True,
+        env=child_env(REPRO_CACHE_DIR=str(tmp_path)),
+    )
+    try:
+        banner = daemon.stdout.readline()
+        port = int(banner.rsplit(":", 1)[1])
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=30.0)
+        job = client.submit([_config(seed=1), _config(seed=2)], jobs_per_cell=2)
+        assert client.wait(job["job_id"], timeout_s=60.0)["state"] == DONE
+        assert client.healthz()["cell_workers_alive"] == 2
+        children = subprocess.run(
+            ["pgrep", "-P", str(daemon.pid)], capture_output=True, text=True
+        ).stdout.split()
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=5.0) == 0
+    finally:
+        daemon.kill()
+        daemon.wait(timeout=5.0)
+    for pid in children:
+        assert not os.path.exists(f"/proc/{pid}")
+    with socket.socket() as sock:
+        # As a restarted daemon binds (http.server sets SO_REUSEADDR, so
+        # connections in TIME_WAIT do not count): EADDRINUSE only if a
+        # worker still holds the listening socket.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind(("127.0.0.1", port))
+        sock.listen()
 
 
 class TestHttpApi:
