@@ -41,7 +41,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from _common import emit
+from figures import emit
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ResultSummary, run_cells
 from repro.experiments.report import format_table
@@ -228,8 +228,8 @@ def report_dict(grid: Dict[str, Dict[str, ResultSummary]]) -> Dict:
     }
 
 
-def test_detection_quality(once):
-    grid = once(reproduce, SMOKE_SHAPES)
+def test_detection_quality():
+    grid = reproduce(SMOKE_SHAPES)
     body = format_table(FRONTIER_HEADERS, frontier_rows(grid))
     emit("detection_quality", "Detection-quality frontier (smoke subset)",
          body)

@@ -26,6 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple, Union
 
+from repro.detect.bfd import (
+    DEFAULT_DETECT_MULT,
+    DEFAULT_TX_INTERVAL_NS,
+    BfdDetector,
+)
+from repro.detect.breaker import (
+    DEFAULT_FAILURE_THRESHOLD,
+    DEFAULT_MIN_VOLUME,
+    DEFAULT_OPEN_TIMEOUT_NS,
+    DEFAULT_TRIAL_TIMEOUT_NS,
+    DEFAULT_WINDOW_NS,
+    CircuitBreakerDetector,
+)
+from repro.detect.combine import FastestOfDetector, QuorumDetector
 from repro.detect.transport import (
     DEFAULT_HOLD_NS,
     DEFAULT_RETX_THRESHOLD,
@@ -33,7 +47,6 @@ from repro.detect.transport import (
     TransportDetector,
 )
 from repro.faults.spec import parse_time
-from repro.sim.engine import microseconds, milliseconds
 
 #: kind -> {param -> ("time" | "int" | "float")}
 _PARAM_TYPES: Dict[str, Dict[str, str]] = {
@@ -60,11 +73,11 @@ _TIME_DEFAULTS: Dict[str, Dict[str, int]] = {
         "hold": DEFAULT_HOLD_NS,
         "retx_window": DEFAULT_RETX_WINDOW_NS,
     },
-    "bfd": {"tx": microseconds(100)},
+    "bfd": {"tx": DEFAULT_TX_INTERVAL_NS},
     "breaker": {
-        "window": milliseconds(10),
-        "open": milliseconds(50),
-        "trial": milliseconds(25),
+        "window": DEFAULT_WINDOW_NS,
+        "open": DEFAULT_OPEN_TIMEOUT_NS,
+        "trial": DEFAULT_TRIAL_TIMEOUT_NS,
     },
 }
 
@@ -180,16 +193,6 @@ def build_detector(spec, fabric, leaf: int, time_scale: float = 1.0):
     """
     if isinstance(spec, str):
         spec = parse_detector(spec)
-    # Imported here: the implementations pull in lb/net modules that the
-    # LB factory itself imports, and the spec layer must stay cheap.
-    from repro.detect.bfd import DEFAULT_DETECT_MULT, BfdDetector
-    from repro.detect.breaker import (
-        DEFAULT_FAILURE_THRESHOLD,
-        DEFAULT_MIN_VOLUME,
-        CircuitBreakerDetector,
-    )
-    from repro.detect.combine import FastestOfDetector, QuorumDetector
-
     defaults = _TIME_DEFAULTS.get(spec.kind, {})
 
     def timed(key: str) -> int:

@@ -103,6 +103,18 @@ class TestDetectorSpec:
         det = build_detector(parse_detector("bfd"), fabric, 0, time_scale=0.5)
         assert det.tx_interval_ns == microseconds(50)
 
+    @pytest.mark.parametrize("kind, cls, times", [
+        ("transport", TransportDetector, ("hold_ns", "retx_window_ns")),
+        ("bfd", BfdDetector, ("tx_interval_ns",)),
+        ("breaker", CircuitBreakerDetector,
+         ("window_ns", "open_timeout_ns", "trial_timeout_ns")),
+    ])
+    def test_bare_spec_builds_the_constructor_defaults(self, kind, cls, times):
+        built = build_detector(kind, make_fabric(), 0)
+        direct = cls(make_fabric(), 0)
+        for name in times:
+            assert getattr(built, name) == getattr(direct, name)
+
     def test_build_leaf_detectors_covers_every_leaf(self):
         fabric = make_fabric()
         detectors = build_leaf_detectors(fabric, "quorum:transport+bfd")
