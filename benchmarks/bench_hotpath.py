@@ -16,8 +16,8 @@ a regression shows up where it happened:
   fabric (no transport, no load balancer): serialization, queueing,
   propagation, delivery, recycle.  Isolates the
   ``OutputPort``/``Fabric`` fast path plus the packet pool.
-* **end_to_end** — a small experiment grid under ``heap``, ``wheel``
-  and ``wheel:auto``, with allocation counts (``sys``/``gc`` deltas and
+* **end_to_end** — a small experiment grid under ``heap`` and
+  ``wheel``, with allocation counts (``sys``/``gc`` deltas and
   the pool counters) around the default-engine run.
 
 Results land in ``BENCH_hotpath.json`` at the repo root.  CI runs
@@ -237,7 +237,7 @@ def bench_end_to_end(smoke: bool, n_flows: int, repeats: int = 3) -> Dict:
     # Untimed warm-up (scheme imports, method caches) — same reasoning
     # as bench_perf_core.measure.
     run_experiment(configs[0])
-    for scheduler in ("heap", "wheel", "wheel:auto"):
+    for scheduler in ("heap", "wheel"):
         best_wall = None
         total_events = 0
         pool = None
@@ -401,7 +401,7 @@ def test_hotpath_smoke(tmp_path):
     # The pool must actually recycle on the unobserved fast path.
     assert chain["pool_reuse_fraction"] > 0.9
     e2e = report["end_to_end"]
-    for scheduler in ("heap", "wheel", "wheel:auto"):
+    for scheduler in ("heap", "wheel"):
         assert e2e[scheduler]["events_per_sec"] > 0
 
 

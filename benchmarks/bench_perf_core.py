@@ -21,10 +21,7 @@ one (scheme x load x seed) grid:
    reference binary-heap engine), asserting bit-identical per-flow
    records and recording ``events_per_sec_heap`` + the heap→wheel
    speedup ratio ``wheel_speedup_x``;
-6. **wheel:auto** — the serial grid with autotuned wheel geometry,
-   asserting bit-identity again and that the chosen geometry is
-   recorded in ``scheduler_info`` (reproducibility contract);
-7. **streaming** — the serial grid re-run with ``streaming_stats=True``
+6. **streaming** — the serial grid re-run with ``streaming_stats=True``
    (t-digest + reservoir collector, per-flow records dropped),
    asserting event counts and exact aggregates match the exact-mode run
    and recording ``events_per_sec_streaming``, plus a pure-estimator
@@ -201,26 +198,7 @@ def measure(
         )
     heap_wall = time.perf_counter() - heap_start
 
-    # Phase 6: autotuned wheel geometry.  Same records, and the chosen
-    # geometry must be recorded so the run is reproducible from its
-    # summary alone.
-    auto_events = 0
-    auto_start = time.perf_counter()
-    auto_geometry = None
-    for config, wheel_result in zip(configs, serial_results):
-        auto = run_experiment(
-            dataclasses.replace(config, scheduler="wheel:auto")
-        )
-        auto_events += auto.events
-        assert auto.stats.records == wheel_result.stats.records, (
-            "wheel:auto diverged from fixed-geometry wheel"
-        )
-        geometry = auto.scheduler_info.get("geometry")
-        assert geometry, "wheel:auto did not record its geometry"
-        auto_geometry = geometry
-    auto_wall = time.perf_counter() - auto_start
-
-    # Phase 7: streaming statistics.  Same simulation with the bounded-
+    # Phase 6: streaming statistics.  Same simulation with the bounded-
     # memory collector: event counts and exact aggregates (count, mean)
     # must match the exact-mode run; the throughput delta is what the
     # fold-on-completion path costs.
@@ -295,9 +273,6 @@ def measure(
         "events_per_sec_heap": round(heap_events / heap_wall, 1),
         "heap_wall_s": round(heap_wall, 3),
         "wheel_speedup_x": round(heap_wall / serial_wall, 3),
-        "events_per_sec_wheel_auto": round(auto_events / auto_wall, 1),
-        "wheel_auto_wall_s": round(auto_wall, 3),
-        "wheel_auto_geometry": auto_geometry,
         "events_per_sec_streaming": round(streaming_events / streaming_wall, 1),
         "streaming_wall_s": round(streaming_wall, 3),
         "streaming_overhead_x": round(streaming_wall / serial_wall, 3),
@@ -365,7 +340,6 @@ def test_perf_core_smoke(tmp_path):
     assert report["default_scheduler"] == "wheel"
     assert report["events_per_sec"] > 0
     assert report["events_per_sec_heap"] > 0
-    assert report["wheel_auto_geometry"] is not None
     assert report["events_per_sec_streaming"] > 0
     assert report["digest_p99_rel_err"] < 0.01
     # A warm rerun must come from the cache, far faster than simulating.

@@ -26,10 +26,6 @@ The surface:
 * topology builders (:func:`bench_topology`, :func:`testbed_topology`,
   :func:`simulation_topology`, :func:`asymmetric_overrides`) matching
   the paper's setups;
-* declarative topology specs (:class:`TopologySpec`,
-  :class:`LeafSpineSpec`, :class:`ClosSpec`, :func:`spec_from_dict`,
-  :func:`as_topology_spec`) — shape descriptions a :class:`Fabric`
-  builds from;
 * :func:`serve` / :class:`ExperimentService` / :class:`ServiceClient` —
   the always-on experiment service (bounded job queue, crash-tolerant
   worker pool, HTTP JSON API + SSE; see :mod:`repro.serve`);
@@ -54,7 +50,7 @@ from repro.experiments.export import (
     write_flow_csv,
     write_summary_json,
 )
-from repro.experiments.parallel import grid_configs, grid_results
+from repro.experiments.parallel import grid_configs
 from repro.experiments.parallel import run_cells as _run_cells
 from repro.experiments.result import ExperimentResult, ResultSummary
 from repro.experiments.runner import run_experiment
@@ -78,13 +74,6 @@ from repro.lb.factory import (
 from repro.metrics.fct import FctStats, FlowRecord
 from repro.metrics.streaming import STREAMING_AUTO_FLOWS, StreamingFctStats
 from repro.net.fabric import Fabric
-from repro.net.spec import (
-    ClosSpec,
-    LeafSpineSpec,
-    TopologySpec,
-    as_topology_spec,
-    spec_from_dict,
-)
 from repro.serve import (
     BackpressureError,
     ExperimentService,
@@ -111,11 +100,6 @@ __all__ = [
     "ExperimentResult",
     "ResultSummary",
     "TopologyConfig",
-    "TopologySpec",
-    "LeafSpineSpec",
-    "ClosSpec",
-    "spec_from_dict",
-    "as_topology_spec",
     "FailureSpec",
     "FaultScheduleSpec",
     "FaultEventSpec",
@@ -138,7 +122,6 @@ __all__ = [
     "write_flow_csv",
     "write_summary_json",
     "grid_configs",
-    "grid_results",
     "bench_topology",
     "testbed_topology",
     "simulation_topology",

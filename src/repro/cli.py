@@ -25,6 +25,7 @@ from repro.experiments.scenarios import (
     simulation_topology,
     testbed_topology,
 )
+from repro.sim.engine import SCHEDULERS
 
 TOPOLOGIES = {
     "bench": bench_topology,
@@ -57,12 +58,11 @@ def _common_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scheduler",
-                        choices=["heap", "wheel", "wheel:auto"],
+                        choices=SCHEDULERS,
                         default=None,
                         help="event-queue engine (default: the config's, "
                              "normally wheel; results are bit-identical "
-                             "across all engines; wheel:auto derives the "
-                             "slot geometry from the topology; "
+                             "on both engines; "
                              "$REPRO_SCHEDULER overrides everything)")
     common.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes for multi-cell runs "

@@ -13,6 +13,18 @@ TRANSPORTS = ("dctcp", "tcp")
 FAILURE_KINDS = ("random_drop", "blackhole")
 
 
+def _reject_unknown_keys(section: str, data: Dict[str, Any], cls: type) -> None:
+    """``ValueError`` naming the keys of ``data`` that are not fields of
+    the dataclass ``cls`` (a config dict is outside input: the dataclass
+    constructor's bare ``TypeError`` reads as a crash, not a bad request)."""
+    known = {spec.name for spec in fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(
+            f"unknown {section} keys: {sorted(unknown)}; known: {sorted(known)}"
+        )
+
+
 @dataclass
 class FailureSpec:
     """A switch malfunction to inject (paper §5.3.3).
@@ -111,15 +123,13 @@ class ExperimentConfig:
             ``STREAMING_AUTO_FLOWS`` (200k) flows, below that exact.
             Part of the result-cache key like every other field.
         scheduler: event-queue engine: ``"wheel"`` (slotted timer wheel,
-            the default — fastest), ``"wheel:auto"`` (wheel with slot
-            geometry derived from the topology's link rates and the run's
-            time scale, recorded in the result), or ``"heap"`` (binary
-            heap, the original engine).  All three produce bit-identical
-            results (enforced by the golden grid and the scheduler-
-            differential suite).  ``REPRO_SCHEDULER`` overrides every
-            config (and bypasses the result cache).  Not part of the
-            result, only of how fast it is computed — but kept in the
-            cache key so A/B benches never share entries.
+            the default) or ``"heap"`` (binary heap, the original
+            engine).  Both produce bit-identical results (enforced by
+            the golden grid and the scheduler-differential suite).
+            ``REPRO_SCHEDULER`` overrides every config (and bypasses
+            the result cache).  Not part of the result, only of how
+            fast it is computed — but kept in the cache key so A/B
+            benches never share entries.
         detector: optional failure-detector spec (see
             :mod:`repro.detect`): ``"transport"``,
             ``"bfd:tx=100us,mult=3"``, ``"breaker:threshold=0.5"``,
@@ -243,12 +253,7 @@ class ExperimentConfig:
         that shape — unknown keys are rejected, missing keys take their
         defaults; ``topology`` is required)."""
         data = dict(data)
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown config keys: {sorted(unknown)}; known: {sorted(known)}"
-            )
+        _reject_unknown_keys("config", data, cls)
         if "topology" not in data:
             raise ValueError("config dict must carry a 'topology' section")
         topo = data["topology"]
@@ -260,16 +265,19 @@ class ExperimentConfig:
                     (int(leaf), int(spine)): rate
                     for leaf, spine, rate in overrides
                 }
+            _reject_unknown_keys("topology", topo, TopologyConfig)
             data["topology"] = TopologyConfig(**topo)
         failure = data.get("failure")
         if isinstance(failure, dict):
+            _reject_unknown_keys("failure", failure, FailureSpec)
             data["failure"] = FailureSpec(**failure)
         faults = data.get("faults")
         if isinstance(faults, dict):
+            events = faults.get("events", ())
+            for event in events:
+                _reject_unknown_keys("faults.events[]", event, FaultEventSpec)
             data["faults"] = FaultScheduleSpec(
-                events=tuple(
-                    FaultEventSpec(**event) for event in faults.get("events", ())
-                )
+                events=tuple(FaultEventSpec(**event) for event in events)
             )
         if "lb_params" in data and data["lb_params"] is None:
             data["lb_params"] = {}

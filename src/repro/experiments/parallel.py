@@ -706,20 +706,3 @@ def grid_configs(
         for load in loads
         for seed in seeds
     ]
-
-
-def grid_results(
-    schemes: Sequence[str],
-    loads: Sequence[float],
-    seeds: Sequence[int],
-    summaries: Sequence[ResultSummary],
-) -> Dict[str, Dict[float, List[ResultSummary]]]:
-    """Reassemble :func:`grid_configs`-ordered summaries into the nested
-    ``{scheme: {load: [per-seed results]}}`` shape benches consume."""
-    out: Dict[str, Dict[float, List[ResultSummary]]] = {}
-    it = iter(summaries)
-    for lb in schemes:
-        out[lb] = {}
-        for load in loads:
-            out[lb][load] = [next(it) for _ in seeds]
-    return out

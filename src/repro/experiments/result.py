@@ -62,9 +62,7 @@ class ResultSummary:
     #: Flows that suffered timeouts and were still unfinished at the end
     #: of the run — the signature of a scheme that never recovered.
     unrecovered_timeouts: int = 0
-    #: Which engine actually ran the cell (after env resolution) and, for
-    #: ``wheel:auto``, the derived slot geometry — everything needed to
-    #: reproduce the run's scheduling exactly from the summary alone.
+    #: Which engine actually ran the cell (after env resolution).
     scheduler_info: Dict[str, Any] = field(default_factory=dict)
     #: Aggregated counters of the configured :mod:`repro.detect` plane
     #: (folded over all leaves; combiners nest a ``members`` list):

@@ -27,10 +27,8 @@ from repro.sim.engine import (
     Simulator,
     make_simulator,
     microseconds,
-    resolve_scheduler,
     scheduler_forced,
 )
-from repro.sim.tuning import wheel_geometry_for
 from repro.sim.rng import RngStreams
 from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import TcpFlow
@@ -159,21 +157,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     are reported as unfinished.
     """
     # REPRO_SCHEDULER overrides the config, the same way REPRO_VALIDATE/
-    # REPRO_TRACE override their flags.  ``wheel:auto`` derives its slot
-    # geometry from the topology + time scale (pure function — the same
-    # config always builds the same wheel).
-    scheduler_name = resolve_scheduler(config.scheduler)
-    scheduler_info: Dict[str, Any] = {"name": scheduler_name}
-    if scheduler_name == "wheel:auto":
-        geometry = wheel_geometry_for(config.topology, config.time_scale)
-        scheduler_info["geometry"] = geometry.to_dict()
-        sim = make_simulator(
-            scheduler_name,
-            slot_ns_bits=geometry.slot_ns_bits,
-            num_slot_bits=geometry.num_slot_bits,
-        )
-    else:
-        sim = make_simulator(scheduler_name)
+    # REPRO_TRACE override their flags.
+    sim = make_simulator(config.scheduler)
     rng = RngStreams(config.seed)
     fabric = Fabric(sim, config.topology, rng)
     checker = None
@@ -191,9 +176,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         telemetry = install_telemetry(fabric, config=config)
     scheme = install_lb(fabric, config.lb, **_resolved_lb_params(config))
     if checker is not None:
-        from repro.validate import watch_leaf_states
-
-        watch_leaf_states(checker, scheme)
+        fabric.hooks.attach(scheme=scheme)
     if telemetry is not None:
         from repro.telemetry import watch_lb
 
@@ -332,7 +315,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         total_reroutes=sum(
             host.lb.reroutes for host in fabric.hosts if host.lb is not None
         ),
-        scheduler_info=scheduler_info,
+        scheduler_info={"name": sim.scheduler},
         probe_losses=fabric.probe_drops,
         fabric=fabric,
         scheme=scheme,

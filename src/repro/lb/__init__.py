@@ -29,7 +29,6 @@ from repro.lb.factory import (
     LB_REGISTRY,
     SPRAYING_SCHEMES,
     install_lb,
-    make_lb,
     scheme_names,
     spraying_schemes,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "DiffFlowLB",
     "RdnaBalanceLB",
     "RdnaLeafState",
-    "make_lb",
     "install_lb",
     "LB_REGISTRY",
     "LB_CLASSES",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Tuple
 
-from repro.lb.base import InstalledScheme, LoadBalancer
+from repro.lb.base import InstalledScheme
 from repro.lb.clove import CloveEcnLB
 from repro.lb.conga import CongaLB, CongaLeafState
 from repro.lb.diffflow import DiffFlowLB, install_diffflow
@@ -197,18 +197,3 @@ def install_lb(fabric: Fabric, name: str, **params: Any) -> InstalledScheme:
     for det in detectors.values():
         det.start()
     return scheme
-
-
-def make_lb(fabric: Fabric, name: str, host_id: int, **params: Any) -> LoadBalancer:
-    """Build a single agent (convenience for unit tests)."""
-    install_lb(fabric, name, **params)
-    agent = fabric.hosts[host_id].lb
-    if agent is None:
-        # Typed instead of a bare assert: survives python -O and names
-        # the actual wiring failure.
-        from repro.validate.errors import InstallError
-
-        raise InstallError(
-            f"installer for {name!r} left host {host_id} without an agent"
-        )
-    return agent

@@ -7,13 +7,12 @@ after each link traversal; the final hop lands in :meth:`Host.receive`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.hooks import HookSet
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind, PacketPool
-from repro.net.spec import TopologySpec, as_topology_spec
-from repro.net.topology import TopologyConfig
+from repro.net.topology import LeafSpineTopology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -26,30 +25,27 @@ _PROBE_KINDS = (PacketKind.PROBE, PacketKind.PROBE_REPLY)
 
 
 class Fabric:
-    """A running fabric (leaf–spine by default; any :class:`TopologySpec`).
+    """A running leaf–spine fabric.
 
     Args:
         sim: event engine.
-        config: a :class:`TopologyConfig` (leaf–spine, the historical
-            form) or any :class:`~repro.net.spec.TopologySpec` — the spec
-            wires the topology and the fabric forwards through it.
+        config: the fabric's shape and link rates.
         rng: seeded random streams shared by all components.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        config: Union[TopologyConfig, TopologySpec],
+        config: TopologyConfig,
         rng: Optional[RngStreams] = None,
     ) -> None:
         self.sim = sim
         self.rng = rng if rng is not None else RngStreams(0)
-        #: The declarative spec this fabric was built from.
-        self.spec: TopologySpec = as_topology_spec(config)
-        self.topology = self.spec.build(sim, self.forward)
+        self.config = config
+        self.topology = LeafSpineTopology(sim, config, self.forward)
         self.hosts: List[Host] = [
             Host(h, self.topology.leaf_of(h), self)
-            for h in range(self.spec.n_hosts)
+            for h in range(config.n_hosts)
         ]
         self.flows: Dict[int, "FlowBase"] = {}
         self._next_flow_id = 0
@@ -90,10 +86,6 @@ class Fabric:
         #: The unified attach/detach surface for all observability hooks
         #: (checker / tracer / audit / profiler) — see :mod:`repro.hooks`.
         self.hooks = HookSet(self)
-
-    @property
-    def config(self) -> TopologyConfig:
-        return self.topology.config
 
     # ------------------------------------------------------------------ #
     # Hook views (read-only: no setter, so assignment raises)

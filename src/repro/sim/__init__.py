@@ -17,11 +17,6 @@ from repro.sim.engine import (
     scheduler_forced,
 )
 from repro.sim.rng import RngStreams
-from repro.sim.tuning import (
-    WheelGeometry,
-    refine_wheel_geometry,
-    wheel_geometry_for,
-)
 
 __all__ = [
     "Event",
@@ -30,10 +25,7 @@ __all__ = [
     "RngStreams",
     "SCHEDULERS",
     "DEFAULT_SCHEDULER",
-    "WheelGeometry",
     "make_simulator",
-    "refine_wheel_geometry",
     "resolve_scheduler",
     "scheduler_forced",
-    "wheel_geometry_for",
 ]

@@ -48,10 +48,9 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
-#: Known scheduler names (see :func:`make_simulator`).  ``wheel:auto`` is
-#: the calendar wheel with slot geometry derived from the run's topology
-#: (see :mod:`repro.sim.tuning`) instead of the fixed defaults.
-SCHEDULERS = ("heap", "wheel", "wheel:auto")
+#: Known scheduler names (see :func:`make_simulator`): the binary heap
+#: and the calendar wheel.
+SCHEDULERS = ("heap", "wheel")
 
 #: The engine built when nothing asks for a specific one.  The wheel is
 #: bit-identical to the heap (enforced by the golden grid and the
@@ -745,31 +744,8 @@ def scheduler_forced() -> bool:
     return bool(os.environ.get("REPRO_SCHEDULER"))
 
 
-def make_simulator(
-    scheduler: Optional[str] = None,
-    *,
-    slot_ns_bits: Optional[int] = None,
-    num_slot_bits: Optional[int] = None,
-) -> Simulator:
-    """Build the engine named by ``scheduler`` (after env resolution).
-
-    ``slot_ns_bits`` / ``num_slot_bits`` override the wheel geometry
-    (ignored for the heap engine); ``"wheel:auto"`` callers pass the
-    geometry computed by :func:`repro.sim.tuning.wheel_geometry_for`.
-    Without an explicit geometry, ``wheel:auto`` falls back to the fixed
-    wheel defaults — the dispatch order is identical either way.
-    """
-    name = resolve_scheduler(scheduler)
-    if name == "heap":
+def make_simulator(scheduler: Optional[str] = None) -> Simulator:
+    """Build the engine named by ``scheduler`` (after env resolution)."""
+    if resolve_scheduler(scheduler) == "heap":
         return Simulator()
-    kwargs = {}
-    if slot_ns_bits is not None:
-        kwargs["slot_ns_bits"] = slot_ns_bits
-    if num_slot_bits is not None:
-        kwargs["num_slot_bits"] = num_slot_bits
-    sim = WheelSimulator(**kwargs)
-    if name != "wheel":
-        # Instance label (shadows the class attribute) so results record
-        # which selection path produced this engine.
-        sim.scheduler = name
-    return sim
+    return WheelSimulator()

@@ -23,7 +23,6 @@ from repro.validate.checker import (
     InvariantChecker,
     experiment_command,
     install_checker,
-    watch_leaf_states,
 )
 from repro.validate.errors import (
     CapacityError,
@@ -41,7 +40,6 @@ from repro.validate.errors import (
 __all__ = [
     "InvariantChecker",
     "install_checker",
-    "watch_leaf_states",
     "experiment_command",
     "ReproError",
     "InstallError",

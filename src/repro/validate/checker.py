@@ -46,7 +46,6 @@ from repro.validate.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.lb.base import InstalledScheme
     from repro.net.fabric import Fabric
     from repro.net.packet import Packet
     from repro.net.port import OutputPort
@@ -445,7 +444,8 @@ def install_checker(
 
     Must run before any traffic is injected (ports are required to be
     idle).  Hermes leaf-state tables are created later by ``install_lb``;
-    the experiment runner attaches them via :func:`watch_leaf_states`.
+    the experiment runner attaches them via
+    ``fabric.hooks.attach(scheme=...)``.
 
     Args:
         fabric: the network to validate.
@@ -461,15 +461,3 @@ def install_checker(
     checker = InvariantChecker(fabric.sim, fingerprint)
     fabric.hooks.attach(checker=checker)
     return checker
-
-
-def watch_leaf_states(
-    checker: InvariantChecker, scheme: "InstalledScheme"
-) -> None:
-    """Attach the checker to every Hermes leaf-state table of an
-    installed scheme (``install_lb``'s return value; no-op for schemes
-    without one, e.g. CONGA's tables, which have no Algorithm 1 machine
-    to validate)."""
-    for state in scheme.leaf_states.values():
-        if hasattr(state, "checker") and hasattr(state, "classify"):
-            state.checker = checker

@@ -74,13 +74,22 @@ class TestSurface:
         assert len(api.__all__) == len(set(api.__all__))
         assert public == set(api.__all__)
 
-    def test_spec_surface_is_exported(self):
-        for name in ("TopologySpec", "LeafSpineSpec", "ClosSpec",
-                     "spec_from_dict", "as_topology_spec"):
-            assert name in api.__all__, name
+    def test_removed_surface_stays_removed(self):
+        """Deleted, not deprecated: the sharded runner (PR 13), the
+        TopologySpec / Clos layer and ``wheel:auto`` (PR 22) left no
+        alias, module or scheduler name behind."""
+        import importlib
 
-    def test_sharded_runner_is_gone(self):
         assert not [name for name in api.__all__ if "shard" in name]
+        for name in ("TopologySpec", "LeafSpineSpec", "ClosSpec",
+                     "spec_from_dict", "as_topology_spec", "grid_results"):
+            assert not hasattr(api, name), name
+        for module in ("repro.net.spec", "repro.net.clos", "repro.sim.tuning"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        assert api.SCHEDULERS == ("heap", "wheel")
+        with pytest.raises(ValueError, match=r"unknown scheduler 'wheel:auto'"):
+            _small_config(scheduler="wheel:auto")
 
     def test_package_root_reexports_facade(self):
         for name in ("run_experiment", "run_grid", "save_result",
@@ -94,6 +103,17 @@ class TestSurface:
         assert api.run_experiment is internal
 
 
+#: A ``failure`` and a ``faults`` section, for the cases that need every
+#: nested dataclass of a config present.
+_NESTED_SECTIONS = dict(
+    failure=FailureSpec(kind="random_drop", spine=1, drop_rate=0.05),
+    faults=FaultScheduleSpec(events=(
+        FaultEventSpec(action="link_down", time_ns=5_000_000, leaf=0, spine=1),
+        FaultEventSpec(action="link_up", time_ns=9_000_000, leaf=0, spine=1),
+    )),
+)
+
+
 class TestConfigRoundTrip:
     def test_plain_config(self):
         config = _small_config()
@@ -105,13 +125,7 @@ class TestConfigRoundTrip:
         )
         config = _small_config(
             topology=topology,
-            failure=FailureSpec(kind="random_drop", spine=1, drop_rate=0.05),
-            faults=FaultScheduleSpec(events=(
-                FaultEventSpec(action="link_down", time_ns=5_000_000,
-                               leaf=0, spine=1),
-                FaultEventSpec(action="link_up", time_ns=9_000_000,
-                               leaf=0, spine=1),
-            )),
+            **_NESTED_SECTIONS,
             lb_params={"flowlet_gap_us": 50.0},
             scheduler="wheel",
         )
@@ -137,6 +151,22 @@ class TestConfigRoundTrip:
         data["shards"] = 2
         with pytest.raises(ValueError, match=r"unknown config keys: \['shards'\]"):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("section, key, target", [
+        ("topology", "kind", lambda d: d["topology"]),
+        ("failure", "blast_radius", lambda d: d["failure"]),
+        ("faults.events[]", "pod", lambda d: d["faults"]["events"][1]),
+    ], ids=["topology", "failure", "fault-event"])
+    def test_from_dict_names_unknown_keys_inside_sections(
+        self, section, key, target
+    ):
+        """A stale key inside a nested section is a bad request named by
+        section and key, not the dataclass constructor's ``TypeError``."""
+        data = _small_config(**_NESTED_SECTIONS).to_dict()
+        target(data)[key] = 1
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_dict(data)
+        assert f"unknown {section} keys: ['{key}']; known: [" in str(exc.value)
 
     def test_from_dict_requires_topology(self):
         with pytest.raises(ValueError, match="topology"):
@@ -197,7 +227,7 @@ def _full_summary_values(streaming: bool) -> dict:
         )
     return {
         "config": _small_config(
-            lb="reps", detector="bfd", scheduler="wheel:auto",
+            lb="reps", detector="bfd", scheduler="heap",
             streaming_stats=streaming,
         ),
         "stats": stats,
@@ -213,10 +243,7 @@ def _full_summary_values(streaming: bool) -> dict:
         "detection_ns": 300_000,
         "recovery_ns": 2_500_000,
         "unrecovered_timeouts": 2,
-        "scheduler_info": {
-            "name": "wheel:auto",
-            "geometry": {"slot_ns_bits": 12, "num_slot_bits": 10},
-        },
+        "scheduler_info": {"name": "heap"},
         "detector_metrics": {
             "detector": "bfd", "detections": 4, "false_positive_count": 1,
             "flap_suppressions": 2, "detection_ns": 300_000,

@@ -1,14 +1,8 @@
 """Unit tests for CONGA (DRE tables, aging, flowlet rerouting)."""
 
-import pytest
-
 from repro.api import ExperimentConfig, bench_topology, run_experiment
 from repro.lb.conga import CongaLeafState
 from repro.lb.factory import install_lb
-from repro.net.fabric import Fabric
-from repro.net.spec import ClosSpec
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 from repro.transport.tcp import MSS, TcpFlow
 from tests.conftest import make_fabric
 
@@ -39,17 +33,7 @@ class TestDreOwnership:
     """The DRE runs for its one consumer: CONGA's installer enables it on
     every port, no other scheme pays for it."""
 
-    @pytest.mark.parametrize("build", [
-        make_fabric,
-        lambda: Fabric(
-            Simulator(),
-            ClosSpec(pods=2, leaves_per_pod=2, aggs_per_pod=2, n_cores=2,
-                     hosts_per_leaf=2),
-            RngStreams(1),
-        ),
-    ], ids=["leaf-spine", "clos"])
-    def test_conga_enables_every_port(self, build):
-        fabric = build()
+    def test_conga_enables_every_port(self, fabric):
         ports = fabric.topology.all_ports()
         assert ports and not any(port._dre_on for port in ports)
         install_lb(fabric, "conga")

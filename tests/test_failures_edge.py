@@ -16,7 +16,7 @@ from repro.lb.factory import install_lb
 from repro.net.failures import BlackholeFailure, RandomDropFailure
 from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import MSS
-from repro.validate import install_checker, watch_leaf_states
+from repro.validate import install_checker
 from tests.conftest import make_fabric
 
 MS = 1_000_000
@@ -86,7 +86,7 @@ class TestFailureDuringProbe:
         fabric = make_fabric()
         checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
-        watch_leaf_states(checker, shared)
+        fabric.hooks.attach(scheme=shared)
         probers = shared.probers
 
         failure = RandomDropFailure(1.0, random.Random(0))
@@ -109,7 +109,7 @@ class TestFailureDuringProbe:
         fabric = make_fabric()
         checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
-        watch_leaf_states(checker, shared)
+        fabric.hooks.attach(scheme=shared)
 
         failure = RandomDropFailure(1.0, random.Random(0))
         fabric.sim.schedule(1_000, _install_on_all_spines, fabric, failure)
@@ -130,7 +130,7 @@ class TestRecoveryBeforeSweep:
         fabric = make_fabric()
         checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
-        watch_leaf_states(checker, shared)
+        fabric.hooks.attach(scheme=shared)
         leaf_states = shared.leaf_states
 
         flow = DctcpFlow(fabric, 0, 2, 200 * MSS)

@@ -131,19 +131,7 @@ def test_no_override_defaults_to_config(monkeypatch):
     assert resolve_scheduler(None) == DEFAULT_SCHEDULER
     assert resolve_scheduler("heap") == "heap"
     assert resolve_scheduler("wheel") == "wheel"
-    assert resolve_scheduler("wheel:auto") == "wheel:auto"
     assert not scheduler_forced()
-
-
-def test_wheel_auto_builds_labelled_wheel():
-    sim = make_simulator("wheel:auto")
-    assert type(sim) is WheelSimulator
-    assert sim.scheduler == "wheel:auto"
-    # Explicit geometry lands in the wheel shape.
-    sim = make_simulator("wheel:auto", slot_ns_bits=10, num_slot_bits=9)
-    stats = sim.wheel_stats()
-    assert stats["slot_ns"] == 1 << 10
-    assert stats["num_slots"] == 1 << 9
 
 
 def test_config_default_scheduler_is_wheel():

@@ -19,8 +19,8 @@ contract, parametrized over ``repro.lb.factory.LB_REGISTRY``:
 * **fault schedule sanity** — a link_down -> link_up cycle mid-run must
   not crash the scheme, must leave a complete applied/reverted timeline,
   must account for every flow, and must replay deterministically;
-* **engine equivalence** — heap, wheel, and wheel:auto event engines
-  produce bit-identical records.
+* **engine equivalence** — the heap and wheel event engines produce
+  bit-identical records.
 
 A scheme registered in the factory but missing from EXPECTATIONS fails
 ``test_scheme_is_declared`` with instructions, which is the point: the
@@ -63,7 +63,7 @@ EXPECTATIONS = {
 }
 
 SCHEMES = sorted(LB_REGISTRY)
-ENGINES = ("heap", "wheel", "wheel:auto")
+ENGINES = ("heap", "wheel")
 
 
 def conformance_config(scheme, **overrides):

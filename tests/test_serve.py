@@ -391,6 +391,17 @@ class TestHttpApi:
             client.status("job-424242")
         assert excinfo.value.status == 404
 
+    def test_unknown_key_inside_topology_is_400(self, http_service):
+        """A stale key inside a section is a bad request that names the
+        key, not a 500."""
+        _, client = http_service
+        config = _config().to_dict()
+        config["topology"]["kind"] = "leaf-spine"
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit([config])
+        assert excinfo.value.status == 400
+        assert "unknown topology keys: ['kind']" in excinfo.value.message
+
     def test_healthz_and_metrics(self, http_service):
         _, client = http_service
         health = client.healthz()

@@ -1,7 +1,15 @@
 """Unit tests for the leaf-spine topology builder."""
 
+import dataclasses
+
 import pytest
 
+from repro.api import (
+    ExperimentConfig,
+    asymmetric_overrides,
+    bench_topology,
+    run_experiment,
+)
 from repro.net.fabric import Fabric
 from repro.net.topology import LeafSpineTopology, TopologyConfig
 from repro.sim.engine import Simulator
@@ -130,3 +138,42 @@ class TestIntrospection:
     def test_all_ports_count(self, fabric):
         # 4 host_up + 4 leaf_down + 2x2 leaf_up + 2x2 spine_down
         assert len(fabric.topology.all_ports()) == 16
+
+
+class TestSingleLeaf:
+    """One leaf, no inter-rack traffic: the degenerate fabric must still
+    run (every flow is host→leaf→host)."""
+
+    def test_experiment_completes(self):
+        result = run_experiment(ExperimentConfig(
+            topology=TopologyConfig(n_leaves=1, n_spines=1, hosts_per_leaf=4),
+            lb="ecmp", load=0.5, n_flows=20, seed=2,
+            size_scale=0.05, time_scale=0.05,
+        ))
+        assert len(result.stats.records) == 20
+        assert all(r.fct_ns is not None for r in result.stats.records)
+        # one leaf ⇒ every pair is intra-rack
+        leaf_of = result.fabric.topology.leaf_of
+        assert all(leaf_of(r.src) == 0 and leaf_of(r.dst) == 0
+                   for r in result.stats.records)
+
+
+class TestAsymmetricUplinks:
+    """Uplink capacities that differ per (leaf, spine) pair — the §5.3.2
+    asymmetry setup."""
+
+    def test_experiment_with_reduced_links_completes(self):
+        overrides = asymmetric_overrides(
+            n_leaves=2, n_spines=2, fraction=0.5, reduced_gbps=2.0, seed=9
+        )
+        assert overrides  # the draw picked at least one link
+        topology = dataclasses.replace(
+            bench_topology(n_leaves=2, n_spines=2, hosts_per_leaf=4),
+            link_overrides=overrides,
+        )
+        config = ExperimentConfig(
+            topology=topology, lb="hermes", load=0.5, n_flows=20,
+            seed=4, size_scale=0.05, time_scale=0.05,
+        )
+        result = run_experiment(config)
+        assert all(r.fct_ns is not None for r in result.stats.records)
