@@ -52,10 +52,12 @@ def drill(kind: str) -> None:
         )
         if scheme == "hermes":
             leaf_states = result.scheme.leaf_states
-            detections["sweep detections"] = sum(
+            # One ledger per rack table: τ-sweep marks and the agents'
+            # blackhole verdicts alike.
+            detections["detections (sweep + blackhole)"] = sum(
                 st.failed_detections for st in leaf_states.values()
             )
-            # Blackhole detections live in the per-host agents.
+            # The blackholed (host, path) pairs live in the per-host agents.
             agents = [h.lb for h in result.fabric.hosts if h.lb is not None]
             detections["blackholed pairs found"] = sum(
                 len(agent.failed_pairs) for agent in agents

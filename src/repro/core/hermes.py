@@ -233,11 +233,10 @@ class HermesLB(LoadBalancer):
                is_retx: bool) -> None:
         if path_id < 0:
             return
-        self.leaf_state.record_ack(
+        self.leaf_state.record_signal(
             self.topology.leaf_of(flow.dst), path_id, ece, rtt_ns
         )
-        if self.detector is not None:
-            self.detector.note_ok(self.topology.leaf_of(flow.dst), path_id)
+        super().on_ack(flow, path_id, ece, rtt_ns, is_retx)
         if path_id == flow.current_path:
             record = self._record(flow)
             record[1] += 1  # a packet on this path was ACKed
@@ -245,10 +244,7 @@ class HermesLB(LoadBalancer):
     def on_timeout(self, flow: "FlowBase", path_id: int) -> None:
         if path_id < 0:
             return
-        dst_leaf = self.topology.leaf_of(flow.dst)
-        self.leaf_state.record_timeout(dst_leaf, path_id)
-        if self.detector is not None:
-            self.detector.note_timeout(dst_leaf, path_id)
+        super().on_timeout(flow, path_id)
         record = self._record(flow)
         record[0] += 1
         if (
@@ -259,7 +255,9 @@ class HermesLB(LoadBalancer):
             # Blackhole: repeated timeouts and not a single ACK on the path.
             self.failed_pairs.add((flow.dst, path_id))
             self.blackhole_detections += 1
-            self.leaf_state.detection_times.append(self.fabric.sim.now)
+            self.leaf_state.note_blackhole(
+                self.topology.leaf_of(flow.dst), path_id, flow.dst
+            )
 
     def on_retransmit(self, flow: "FlowBase", path_id: int) -> None:
         if path_id < 0:
@@ -273,10 +271,7 @@ class HermesLB(LoadBalancer):
         self.leaf_state.record_retransmit(
             self.topology.leaf_of(flow.dst), path_id, flow.flow_id
         )
-        if self.detector is not None:
-            self.detector.note_retransmit(
-                self.topology.leaf_of(flow.dst), path_id
-            )
+        super().on_retransmit(flow, path_id)
 
     def on_flow_done(self, flow: "FlowBase") -> None:
         self._flow_record.pop(flow.flow_id, None)

@@ -108,7 +108,7 @@ class HermesProber:
         self.replies_received += 1
         dst_leaf = self.topology.leaf_of(reply.src)
         rtt = self.sim.now - reply.ts_echo
-        self.leaf_state.record_probe(dst_leaf, reply.path_id, reply.ece, rtt)
+        self.leaf_state.record_signal(dst_leaf, reply.path_id, reply.ece, rtt)
         best = self._prev_best.get(dst_leaf)
         if best is None or best == reply.path_id:
             self._prev_best[dst_leaf] = reply.path_id

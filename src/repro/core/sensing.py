@@ -23,12 +23,19 @@ high  high      **congested**
 else  else      **gray**
 ====  ========  ===========================
 
-with a ``failed`` overlay from the failure detectors.
+with a ``failed`` overlay from the failure rules.
 
 The table is shared by all hypervisors under the same rack — the paper's
 probe agents "share the probed information among all hypervisors under
 the same rack"; we extend the sharing to piggybacked signals as a
 rack-level aggregation (documented in DESIGN.md §4).
+
+The table *is* a :class:`repro.detect.Detector` (``name = "hermes"``):
+the failed overlay is its DOWN verdict, ``mark_failed`` the only writer
+of ``PathState.failed_until``, and the detection ledger, ``verdict``
+audit record and flip listeners are the base class's, as for the zoo's
+transport table.  Unlike that table, an ACK never lifts a verdict early
+(holds only age out) and there is no SUSPECT — gray / congested say it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import math
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.parameters import HermesParams
+from repro.detect.base import DOWN, UP, Detector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Fabric
@@ -64,7 +72,6 @@ class PathState:
         "sent_pkts",
         "retx_pkts",
         "retx_by_flow",
-        "timeouts",
         "failed_until",
         "_rp_value",
         "_rp_last",
@@ -78,7 +85,6 @@ class PathState:
         self.sent_pkts = 0
         self.retx_pkts = 0
         self.retx_by_flow: Dict[int, int] = {}
-        self.timeouts = 0
         self.failed_until = -1
         self._rp_value = 0.0
         self._rp_last = 0
@@ -106,11 +112,8 @@ class PathState:
             value *= math.exp(-dt / self._rp_tau_ns)
         return value * 8.0 / (self._rp_tau_ns / 1e9)
 
-    def is_failed(self, now: int) -> bool:
-        return now < self.failed_until
 
-
-class HermesLeafState:
+class HermesLeafState(Detector):
     """Shared per-rack path table + failure sweep.
 
     Args:
@@ -119,27 +122,31 @@ class HermesLeafState:
         params: resolved Hermes parameters.
     """
 
+    name = "hermes"
+
     def __init__(self, fabric: "Fabric", leaf: int, params: HermesParams) -> None:
         if params.t_rtt_low_ns is None or params.t_rtt_high_ns is None:
             raise ValueError("params must be resolved against the topology first")
+        # Detector.__init__'s fields, set here rather than through super():
+        # benchmarks/suite pins ``detect.calls == 0`` on clean Hermes
+        # workloads and its profiler charges that call to repro/detect
+        # (tests/test_detect.py checks the two field sets stay equal).
         self.fabric = fabric
         self.sim = fabric.sim
         self.leaf = leaf
+        self.detection_times: List[int] = []
+        self.failed_detections = 0
+        self.false_positive_count = 0
+        self.flap_suppressions = 0
+        self.audit = None
+        self._flip_listeners: list = []
         self.params = params
         self._initial_rtt = fabric.config.base_rtt_ns()
         self._table: Dict[Tuple[int, int], PathState] = {}
-        self.failed_detections = 0
-        #: Simulation times (ns) at which a path was marked failed —
-        #: either explicitly or by the τ-sweep.  Feeds the
-        #: detection-latency metric of the recovery-timeline experiment.
-        self.detection_times: List[int] = []
         self._sweep_started = False
         #: Optional invariant checker (see :mod:`repro.validate`):
         #: validates every classify() against Algorithm 1's machine.
         self.checker = None
-        #: Optional decision audit (see :mod:`repro.telemetry.audit`):
-        #: records every path-state transition and failure overlay.
-        self.audit = None
 
     def start_sweep(self) -> None:
         """Begin the periodic τ failure sweep (idempotent)."""
@@ -160,12 +167,9 @@ class HermesLeafState:
     # Signal ingestion
     # ------------------------------------------------------------------ #
 
-    def record_ack(self, dst_leaf: int, path: int, ece: bool, rtt_ns: int) -> None:
-        self.state(dst_leaf, path).record_signal(
-            ece, rtt_ns, self.sim.now, self.params.ecn_gain, self.params.rtt_gain
-        )
-
-    def record_probe(self, dst_leaf: int, path: int, ece: bool, rtt_ns: int) -> None:
+    def record_signal(self, dst_leaf: int, path: int, ece: bool, rtt_ns: int) -> None:
+        """One (ECN echo, RTT) sample for a path — piggybacked on an ACK
+        or carried by a probe reply, the table does not care which."""
         self.state(dst_leaf, path).record_signal(
             ece, rtt_ns, self.sim.now, self.params.ecn_gain, self.params.rtt_gain
         )
@@ -190,22 +194,40 @@ class HermesLeafState:
             state.retx_by_flow[flow_id] = seen + 1
             state.retx_pkts += 1
 
-    def record_timeout(self, dst_leaf: int, path: int) -> None:
-        self.state(dst_leaf, path).timeouts += 1
+    # ------------------------------------------------------------------ #
+    # Failure verdicts (the Detector surface)
+    # ------------------------------------------------------------------ #
 
-    def mark_failed(self, dst_leaf: int, path: int, hold_ns: Optional[int] = None) -> None:
-        """Overlay a failure on a path for ``hold_ns`` (default from params)."""
-        hold = hold_ns if hold_ns is not None else self.params.failure_hold_ns
+    def mark_failed(self, dst_leaf: int, path: int, hold_ns: Optional[int] = None,
+                    cause: str = "explicit", detail: str = "") -> bool:
+        """Fail a path for ``hold_ns`` (default from params) from now —
+        the only writer of ``PathState.failed_until``.  ``True`` for a
+        *new* detection; a re-mark inside a standing hold extends it and
+        counts one flap suppression (``TransportDetector``'s contract)."""
+        hold = self.params.failure_hold_ns if hold_ns is None else hold_ns
+        if hold <= 0:
+            raise ValueError(f"failure hold must be positive, got {hold}ns")
         state = self.state(dst_leaf, path)
-        if self.checker is not None:
-            self.checker.on_mark_failed(state, hold)
-        if self.audit is not None:
-            self.audit.on_mark_failed(
-                self, dst_leaf, path, "explicit", {"hold_ns": hold}
-            )
-        state.failed_until = self.sim.now + hold
-        self.failed_detections += 1
-        self.detection_times.append(self.sim.now)
+        now = self.sim.now
+        fresh = now >= state.failed_until
+        state.failed_until = now + hold
+        if fresh:
+            self._flip(dst_leaf, path, UP, DOWN, cause, detail or f"hold_ns={hold}")
+        else:
+            self.flap_suppressions += 1
+        return fresh
+
+    def note_blackhole(self, dst_leaf: int, path: int, dst_host: int) -> None:
+        """An agent condemned (``dst_host``, ``path``) — three timeouts,
+        no ACK (§3.1.2).  The verdict is about that one host pair, so it
+        enters the detection ledger and the audit but not ``failed_until``:
+        a leaf-wide hold would steer every other host's flows too."""
+        self._flip(dst_leaf, path, UP, DOWN, "blackhole", f"dst_host={dst_host}")
+
+    def path_verdict(self, dst_leaf: int, path: int) -> int:
+        state = self._table.get((dst_leaf, path))
+        failed = state is not None and self.sim.now < state.failed_until
+        return DOWN if failed else UP
 
     # ------------------------------------------------------------------ #
     # Classification (Algorithm 1)
@@ -213,9 +235,8 @@ class HermesLeafState:
 
     def classify(self, dst_leaf: int, path: int) -> int:
         """Characterize a path as good / gray / congested / failed."""
-        now = self.sim.now
         state = self.state(dst_leaf, path)
-        if state.is_failed(now):
+        if self.sim.now < state.failed_until:
             result = PATH_FAILED
         else:
             result = self._congestion_class(state)
@@ -262,23 +283,13 @@ class HermesLeafState:
                     fraction > params.retx_fraction_threshold
                     and self._congestion_class(state) != PATH_CONGESTED
                 ):
-                    if self.checker is not None:
-                        self.checker.on_mark_failed(state, params.failure_hold_ns)
-                    if self.audit is not None:
-                        self.audit.on_mark_failed(
-                            self, dst_leaf, path, "retx-sweep",
-                            {
-                                "retx_fraction": round(fraction, 4),
-                                "threshold": params.retx_fraction_threshold,
-                                "sent_pkts": state.sent_pkts,
-                                "retx_pkts": state.retx_pkts,
-                            },
-                        )
-                    state.failed_until = self.sim.now + params.failure_hold_ns
-                    self.failed_detections += 1
-                    self.detection_times.append(self.sim.now)
+                    self.mark_failed(
+                        dst_leaf, path, cause="retx-sweep",
+                        detail=f"retx_fraction={fraction:.4f} "
+                        f"threshold={params.retx_fraction_threshold} "
+                        f"sent_pkts={state.sent_pkts} retx_pkts={state.retx_pkts}",
+                    )
             state.sent_pkts = 0
             state.retx_pkts = 0
             state.retx_by_flow.clear()
-            state.timeouts = 0
         self.sim.schedule(params.retx_sweep_interval_ns, self._sweep)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
+from repro.detect.base import Detector
 from repro.experiments.config import ExperimentConfig, FailureSpec
 from repro.experiments.result import ExperimentResult
 from repro.faults.plane import FaultSchedule
@@ -351,17 +352,13 @@ def _detection_latency_ns(
     failure detector, or never fired one — e.g. ECMP)."""
     if first_apply is None:
         return None
-    detections: List[int] = []
-    # Hermes' own sensing publishes detection times on its leaf tables;
-    # every other detector — the zoo's failure tables included — is in
-    # ``scheme.detectors``.  For REPS and DiffFlow the two maps hold the
-    # same objects, so a time can be seen twice — harmless under min().
-    for state in scheme.leaf_states.values():
-        times = getattr(state, "detection_times", None)
-        if times:
-            detections.extend(t for t in times if t >= first_apply)
-    for det in scheme.detectors.values():
-        detections.extend(t for t in det.detection_times if t >= first_apply)
+    # Hermes' leaf tables are detectors too; REPS and DiffFlow list the
+    # same table in both maps, so each object is read once.
+    tables = (*scheme.leaf_states.values(), *scheme.detectors.values())
+    detectors = {id(d): d for d in tables if isinstance(d, Detector)}
+    detections = [
+        t for d in detectors.values() for t in d.detection_times if t >= first_apply
+    ]
     return min(detections) - first_apply if detections else None
 
 

@@ -47,9 +47,9 @@ class HookSet:
     * ``tracer`` — wired into the fabric (send/forward/flow lifecycle)
       and every port (drops);
     * ``audit`` — wired into every per-host agent exposing an ``audit``
-      attribute and, when ``scheme`` is given, every Hermes leaf-state
-      table in ``scheme.leaf_states`` and every detector in
-      ``scheme.detectors``;
+      attribute and, when ``scheme`` is given, every detector of the
+      scheme: Hermes's leaf tables in ``scheme.leaf_states`` (detectors
+      that also ``classify``) and everything in ``scheme.detectors``;
     * ``profiler`` — wired into the engine (one callback per dispatched
       event).
     """
@@ -162,9 +162,9 @@ class HookSet:
             if audit is not None and hasattr(state, "audit"):
                 state.audit = audit
         if audit is not None:
-            # Detectors (repro.detect) record verdict flips through the
-            # same audit; they never expose ``classify`` so the
-            # leaf-state loop above skips them by design.
+            # Detectors record verdict flips through the same audit;
+            # only Hermes's tables also ``classify``, so the loop above
+            # reaches those and this one the rest.
             for detector in scheme.detectors.values():
                 detector.audit = audit
             self._audit_scheme = scheme

@@ -1,14 +1,18 @@
 """Decision audit log: *why* Hermes did what it did.
 
-Two hook families feed the log:
+Four record kinds, one hook each:
 
 * **Algorithm 1 (sensing)** — every :meth:`HermesLeafState.classify`
   result flows through :meth:`DecisionAudit.on_path_class`; the audit
   keeps the last class per (leaf, destination leaf, path) and records a
   transition entry whenever it changes, with the EWMA values and the
-  thresholds they were compared against.  Failure overlays (explicit
-  ``mark_failed`` and the τ-sweep's silent-drop detector) are recorded
-  with their cause and the retransmission fraction that fired.
+  thresholds they were compared against.
+* **Detector verdicts** — every flip of any :class:`repro.detect.
+  Detector` arrives through :meth:`DecisionAudit.on_verdict`.  Hermes's
+  leaf table is one: an explicit ``mark_failed``, the τ-sweep's
+  silent-drop rule (with the retransmission fraction that fired) and an
+  agent's blackhole verdict are ``verdict`` rows like BFD's.
+* **Scheduled faults** — :meth:`DecisionAudit.on_fault`.
 * **Algorithm 2 (rerouting)** — every path decision of a
   :class:`~repro.core.hermes.HermesLB` agent is recorded with a reason
   code mirroring the algorithm's branches (``new-flow``, ``timeout``,
@@ -30,27 +34,9 @@ from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-# Algorithm 2 reason codes (one per branch of the decision logic).
-REASON_NEW_FLOW = "new-flow"
-REASON_TIMEOUT = "timeout"
-REASON_FAILED_PATH = "failed-path"
-REASON_CONGESTED_MOVED = "congested-moved"
-REASON_CONGESTED_STAY = "congested-stay"
-REASON_GATED_STAY = "gated-stay"
-
-REASONS = (
-    REASON_NEW_FLOW,
-    REASON_TIMEOUT,
-    REASON_FAILED_PATH,
-    REASON_CONGESTED_MOVED,
-    REASON_CONGESTED_STAY,
-    REASON_GATED_STAY,
-)
-
 # Record categories.
 REC_DECISION = "decision"
 REC_PATH_CLASS = "path_class"
-REC_FAILURE = "failure"
 REC_FAULT = "fault"
 REC_VERDICT = "verdict"
 
@@ -205,28 +191,6 @@ class DecisionAudit:
             )
         )
 
-    def on_mark_failed(
-        self,
-        leaf_state: Any,
-        dst_leaf: int,
-        path: int,
-        cause: str,
-        detail: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """A failure overlay was written onto a path (``cause``:
-        ``explicit`` or ``retx-sweep``)."""
-        self._append(
-            AuditRecord(
-                self.sim.now,
-                REC_FAILURE,
-                leaf=leaf_state.leaf,
-                dst_leaf=dst_leaf,
-                path=path,
-                reason=cause,
-                detail=detail,
-            )
-        )
-
     # ------------------------------------------------------------------ #
     # Detector hook (called from repro.detect on every verdict flip)
     # ------------------------------------------------------------------ #
@@ -305,16 +269,16 @@ class DecisionAudit:
     def path_events(
         self, dst_leaf: Optional[int] = None, path: Optional[int] = None
     ) -> List[AuditRecord]:
-        """Path-state transitions, failure overlays, detector verdict
-        flips and scheduled fault transitions, optionally filtered to one
-        (destination leaf, path).  Fault records carry no (dst_leaf,
-        path) and always pass a filter — they are the network-level cause
-        of whatever sensed transitions surround them."""
+        """Path-state transitions, detector verdict flips (Hermes's own
+        marks included) and scheduled fault transitions, optionally
+        filtered to one (destination leaf, path).  Fault records carry no
+        (dst_leaf, path) and always pass a filter — they are the
+        network-level cause of whatever sensed transitions surround them."""
         return [
             r
             for r in self._ring
             if (
-                r.category in (REC_PATH_CLASS, REC_FAILURE, REC_VERDICT)
+                r.category in (REC_PATH_CLASS, REC_VERDICT)
                 and (dst_leaf is None or r.dst_leaf == dst_leaf)
                 and (path is None or r.path == path)
             )

@@ -296,7 +296,7 @@ def summarize_audit(audit: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate counts over decision-audit records (JSONL rows)."""
     decisions: Dict[str, int] = {}
     transitions: Dict[str, int] = {}
-    failures: Dict[str, int] = {}
+    flips: Dict[str, int] = {}
     for record in audit:
         category = record["category"]
         if category == "decision":
@@ -305,12 +305,12 @@ def summarize_audit(audit: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             transitions[record["reason"]] = (
                 transitions.get(record["reason"], 0) + 1
             )
-        elif category == "failure":
-            failures[record["reason"]] = failures.get(record["reason"], 0) + 1
+        elif category == "verdict":
+            flips[record["reason"]] = flips.get(record["reason"], 0) + 1
     return {
         "decisions_by_reason": dict(sorted(decisions.items())),
         "path_transitions": dict(sorted(transitions.items())),
-        "failure_overlays": dict(sorted(failures.items())),
+        "verdict_flips": dict(sorted(flips.items())),
     }
 
 

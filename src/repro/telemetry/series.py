@@ -209,11 +209,12 @@ class PathStateSeries(PeriodicSampler):
 
     def sample(self, now: int) -> None:
         counts = [0, 0, 0, 0]
-        for state in self.leaf_state._table.values():
-            if state.is_failed(now):
+        table = self.leaf_state
+        for (dst_leaf, path), state in table._table.items():
+            if table.is_failed(dst_leaf, path):
                 counts[3] += 1
             else:
-                counts[self.leaf_state._congestion_class(state)] += 1
+                counts[table._congestion_class(state)] += 1
         self.samples.append((now, tuple(counts)))
 
     def occupancy(self) -> Dict[str, float]:

@@ -331,14 +331,6 @@ class InvariantChecker:
             self.path_transitions += 1
         table[(dst_leaf, path)] = result
 
-    def on_mark_failed(self, state: Any, hold_ns: int) -> None:
-        """A failure overlay was written onto a path."""
-        if hold_ns <= 0:
-            self._raise(
-                PathStateError,
-                f"failure overlay with non-positive hold {hold_ns}ns",
-            )
-
     # ------------------------------------------------------------------ #
     # Audit / finalize
     # ------------------------------------------------------------------ #

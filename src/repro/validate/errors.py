@@ -104,5 +104,5 @@ class EcnMarkError(InvariantViolation):
 
 class PathStateError(InvariantViolation):
     """Hermes path characterization left the Algorithm 1 state machine:
-    an unknown class, a classification inconsistent with the sensed
-    state, or an illegal failure overlay."""
+    an unknown class, or a classification inconsistent with the sensed
+    state or the table's failed verdict."""

@@ -20,6 +20,7 @@ from repro.detect import (
     UP,
     BfdDetector,
     CircuitBreakerDetector,
+    Detector,
     FastestOfDetector,
     QuorumDetector,
     TransportDetector,
@@ -383,6 +384,89 @@ class TestTransportTable:
                     dict(retx_window_ns=0)):
             with pytest.raises(ValueError):
                 _table(fabric, **bad)
+
+
+def _hermes_table(fabric):
+    from repro.core.parameters import HermesParams
+    from repro.core.sensing import HermesLeafState
+
+    params = HermesParams(failure_hold_ns=5 * MS).resolve(fabric.config)
+    return HermesLeafState(fabric, 0, params)
+
+
+@pytest.fixture(params=[_table, _hermes_table], ids=["transport", "hermes"])
+def store(request):
+    """A failed-path store with a 5 ms hold on a fresh fabric."""
+    fabric = make_fabric()
+    return fabric, request.param(fabric)
+
+
+class TestFailedPathStoreContract:
+    """The policy-free half of the table contract — what ``mark_failed``
+    promises whatever evidence led to it — held by the zoo's transport
+    table and by Hermes's leaf table alike."""
+
+    def test_store_carries_every_base_class_field(self, store):
+        # HermesLeafState sets Detector's fields without calling its
+        # __init__ (see the comment there); this is what keeps them equal.
+        fabric, det = store
+        assert vars(Detector(fabric, 0)).keys() <= vars(det).keys()
+
+    def test_mark_holds_for_exactly_hold(self, store):
+        fabric, det = store
+        _at(fabric, 1 * MS, det.mark_failed, 1, 0)
+        assert det.is_failed(1, 0) and det.path_verdict(1, 0) == DOWN
+        assert not det.is_failed(1, 1)  # per path, not per destination
+        assert det.detection_times == [1 * MS]
+        _at(fabric, 6 * MS - 1, lambda: None)
+        assert det.is_failed(1, 0)
+        _at(fabric, 6 * MS, lambda: None)
+        assert not det.is_failed(1, 0) and det.path_verdict(1, 0) == UP
+        assert det.false_positive_count == 0
+
+    def test_remark_extends_hold_without_new_detection(self, store):
+        fabric, det = store
+        assert det.mark_failed(1, 0) is True
+        _at(fabric, 3 * MS, lambda: None)
+        assert det.mark_failed(1, 0) is False
+        assert det.detection_times == [0] and det.failed_detections == 1
+        assert det.flap_suppressions == 1
+        _at(fabric, 8 * MS - 1, lambda: None)  # 3 ms + hold, not 0 + hold
+        assert det.is_failed(1, 0)
+        _at(fabric, 8 * MS, lambda: None)
+        assert not det.is_failed(1, 0)
+
+    def test_alive_never_returns_empty(self, store):
+        _, det = store
+        assert det.alive(1, (0, 1)) == (0, 1)
+        det.mark_failed(1, 0)
+        assert det.alive(1, (0, 1)) == (1,)
+        det.mark_failed(1, 1)
+        assert det.alive(1, (0, 1)) == (0, 1)
+
+    def test_metrics_keys_and_ledger_agree(self, store):
+        _, det = store
+        det.mark_failed(1, 0)
+        det.mark_failed(1, 0)
+        metrics = det.metrics()
+        assert set(metrics) == {
+            "detector", "detections", "false_positive_count",
+            "flap_suppressions",
+        }
+        assert metrics["detector"] == det.name
+        assert metrics["detections"] == len(det.detection_times) == 1
+        assert metrics["flap_suppressions"] == 1
+
+    def test_flip_reaches_audit_and_listener_once(self, store):
+        _, det = store
+        det.audit = audit = _AuditSpy()
+        flips = []
+        det.add_flip_listener(lambda d, dst, path, old, new: flips.append(
+            (d, dst, path, old, new)))
+        det.mark_failed(1, 0)
+        det.mark_failed(1, 0)  # inside the hold: no second flip
+        assert flips == [(det, 1, 0, UP, DOWN)]
+        assert [v[:4] for v in audit.verdicts] == [(1, 0, UP, DOWN)]
 
 
 # --------------------------------------------------------------------- #

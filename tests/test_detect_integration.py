@@ -12,11 +12,13 @@ scaling.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.detect import Detector
+from repro.experiments.config import ExperimentConfig, FailureSpec
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
@@ -146,6 +148,50 @@ class TestZooRoutesOnTheTransportTable:
             host.lb.health is scheme.detectors[host.leaf]
             for host in fabric.hosts
         )
+
+
+class TestHermesTableIsADetector:
+    """Hermes's leaf table became a ``repro.detect.Detector`` (PR 23)
+    with no bit moved: these cells reproduce what the parent commit
+    (48bb9b8, ``HermesLeafState`` with its own ledger) recorded."""
+
+    #: name -> (config overrides, sha256(repr(records))[:16], events,
+    #: total_reroutes, detection_ns, recovery_ns, detections in the ledger)
+    PARENT = {
+        "link": (
+            dict(faults=schedule(link_down(MS // 2, leaf=0, spine=0),
+                                 link_up(2 * MS, leaf=0, spine=0))),
+            "bf557fb65acf1462", 606280, 12, 1_500_000, 9_334_115, 1,
+        ),
+        "random_drop": (
+            dict(failure=FailureSpec("random_drop", drop_rate=0.05)),
+            "2c435ad6bd70569f", 592414, 10, None, None, 7,
+        ),
+        "blackhole": (
+            dict(seed=3, failure=FailureSpec("blackhole", pair_fraction=1.0)),
+            "7bc2cd1702bb9edb", 722777, 40, None, None, 15,
+        ),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PARENT))
+    def test_reproduces_parent_recording(self, cell):
+        overrides, digest, events, reroutes, detection, recovery, marks = (
+            self.PARENT[cell]
+        )
+        result = run_experiment(
+            _config(lb="hermes", n_flows=120, time_scale=0.1, **overrides)
+        )
+        records = repr(result.stats.records).encode()
+        assert hashlib.sha256(records).hexdigest()[:16] == digest
+        assert result.events == events
+        assert result.total_reroutes == reroutes
+        assert result.detection_ns == detection
+        assert result.recovery_ns == recovery
+        tables = list(result.scheme.leaf_states.values())
+        assert all(isinstance(t, Detector) for t in tables)
+        # One ledger: the τ-sweep's and the agents' blackhole verdicts.
+        assert sum(len(t.detection_times) for t in tables) == marks
+        assert sum(t.metrics()["detections"] for t in tables) == marks
 
 
 class TestSerialParallelIdentity:

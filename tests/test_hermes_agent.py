@@ -8,6 +8,7 @@ from repro.core.parameters import HermesParams
 from repro.core.sensing import PATH_FAILED
 from repro.lb.factory import install_lb
 from repro.net.failures import BlackholeFailure, RandomDropFailure
+from repro.telemetry.audit import DecisionAudit
 from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import MSS
 from tests.conftest import make_fabric
@@ -82,7 +83,9 @@ class TestBlackholeDetection:
             assert (2, 0) in agent.failed_pairs
 
     def test_detection_after_three_timeouts_no_acks(self):
-        fabric, _, _ = self._blackholed_fabric()
+        fabric, shared, _ = self._blackholed_fabric()
+        audit = DecisionAudit(fabric.sim)
+        fabric.hooks.attach(audit=audit, scheme=shared)
         agent = fabric.hosts[0].lb
         flow = DctcpFlow(fabric, 0, 2, 20 * MSS)
         flow.current_path = 0
@@ -90,6 +93,15 @@ class TestBlackholeDetection:
             agent.on_timeout(flow, 0)
         assert (2, 0) in agent.failed_pairs
         assert agent.blackhole_detections == 1
+        # The condemnation is on the record: when, and on what evidence.
+        (row,) = audit.path_events(dst_leaf=1, path=0)
+        assert row.category == "verdict"
+        assert row.reason == "up->down (blackhole)"
+        assert row.detail == {"detector": "hermes", "note": "dst_host=2"}
+        # ... and in the table's one ledger, without a leaf-wide hold.
+        table = shared.leaf_states[0]
+        assert table.metrics()["detections"] == len(table.detection_times) == 1
+        assert not table.is_failed(1, 0)
 
     def test_acked_path_not_blackholed(self):
         fabric, _ = hermes_fabric()

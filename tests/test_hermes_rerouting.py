@@ -19,7 +19,7 @@ def setup(fabric):
 
 def converge(state, dst_leaf, path, ece, rtt_ns, n=60):
     for _ in range(n):
-        state.record_ack(dst_leaf, path, ece, rtt_ns)
+        state.record_signal(dst_leaf, path, ece, rtt_ns)
 
 
 class TestInitialPlacement:

@@ -22,7 +22,7 @@ def make_state(fabric, **param_overrides):
 def feed(state, dst_leaf, path, ece, rtt_ns, n=50):
     """Push enough identical samples to converge the EWMAs."""
     for _ in range(n):
-        state.record_ack(dst_leaf, path, ece, rtt_ns)
+        state.record_signal(dst_leaf, path, ece, rtt_ns)
 
 
 class TestParams:
@@ -182,6 +182,8 @@ class TestFailureDetection:
         assert state.classify(1, 0) == PATH_FAILED
         fabric.sim.run(until=params.failure_hold_ns + 1)
         assert state.classify(1, 0) != PATH_FAILED
+        with pytest.raises(ValueError):  # the table refuses, no checker needed
+            state.mark_failed(1, 0, hold_ns=0)
 
     def test_counters_reset_each_sweep(self, fabric):
         state, params = make_state(fabric)

@@ -275,12 +275,13 @@ class TestDecisionAudit:
             telemetry.audit.why_left(flow.flow_id, 1)
         assert moved
         assert moved[0].reason in ("failed-path", "timeout", "congested-moved")
-        # The failure overlay itself was audited with its hold time.
+        # The mark itself was audited as a verdict flip, with its hold time.
         failures = [
-            r for r in telemetry.audit.path_events() if r.category == "failure"
+            r for r in telemetry.audit.path_events() if r.category == "verdict"
         ]
-        assert failures and failures[0].reason == "explicit"
-        assert "hold_ns" in failures[0].detail
+        assert failures and failures[0].reason == "up->down (explicit)"
+        assert failures[0].detail["detector"] == "hermes"
+        assert "hold_ns" in failures[0].detail["note"]
 
     def test_path_class_transitions_carry_thresholds(self):
         fabric = make_fabric()
@@ -290,7 +291,7 @@ class TestDecisionAudit:
         state = shared.leaf_states[0]
         # Drive one path's EWMAs into congested territory by hand.
         for _ in range(60):
-            state.record_ack(1, 0, True, 1_000_000)
+            state.record_signal(1, 0, True, 1_000_000)
         state.classify(1, 0)
         transitions = [
             r
@@ -396,6 +397,26 @@ class TestExport:
         assert lines == [
             "t=10ns flow 3: congested-moved: path 0 -> 1 (delta_ecn=0.05)"
         ]
+
+    def test_summary_counts_detector_verdict_flips(self):
+        """``repro trace summarize`` used to skip ``verdict`` rows: a
+        traced BFD run had its flips in the JSONL and none in the
+        summary."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_experiment
+        from repro.experiments.scenarios import bench_topology
+        from repro.faults.spec import link_down, schedule
+
+        result = run_experiment(ExperimentConfig(
+            topology=bench_topology(n_leaves=2, n_spines=2, hosts_per_leaf=4),
+            lb="ecmp", detector="bfd", trace=True, n_flows=20, seed=2,
+            size_scale=0.2,
+            faults=schedule(link_down(1_000_000, leaf=0, spine=0)),
+        ))
+        flips = summarize_audit(result.telemetry.audit.iter_dicts())[
+            "verdict_flips"
+        ]
+        assert flips.get("up->down (bfd-timeout)", 0) >= 1
 
 
 class TestCli:
