@@ -37,7 +37,6 @@ from repro.api import (
     DctcpFlow,
     ExperimentConfig,
     Fabric,
-    FailureSpec,
     QueueSampler,
     RngStreams,
     Simulator,
@@ -50,7 +49,13 @@ from repro.api import (
 )
 from repro.core.parameters import HermesParams
 from repro.core.probing import probe_overhead_model
-from repro.faults.spec import link_down, link_up, schedule
+from repro.faults.spec import (
+    blackhole_on,
+    link_down,
+    link_up,
+    random_drop_start,
+    schedule,
+)
 from repro.net.packet import PROBE_BYTES
 from repro.sim.engine import microseconds
 from repro.transport.tcp import MSS
@@ -562,6 +567,19 @@ def every_run(text, label, predicate) -> Claim:
     return holds(text, lambda results: all(map(predicate, results[label].runs)))
 
 
+# What the fault plane reports about one run (Figs. 16 / 17, the timeline).
+def detects(run) -> bool:
+    return run.detection_ns is not None
+
+
+def never_detects(run) -> bool:
+    return run.detection_ns is None
+
+
+def strands_flows(run) -> bool:
+    return run.unrecovered_timeouts > 0
+
+
 # ------------------------------------------------------------- the table
 
 FIGURES: List[Figure] = [
@@ -829,12 +847,18 @@ FIGURES: List[Figure] = [
         " Presto* hit hardest; LetFlow in between",
         grid(FAILURE_FABRIC, FAILURE_SCHEMES, (0.3, 0.5), ("web-search",),
              n_flows=100, extra_drain_ns=3_000_000_000,
-             failure=FailureSpec(kind="random_drop", spine=0, drop_rate=0.02)),
+             faults=schedule(random_drop_start(0, spine=0, drop_rate=0.02))),
         [by_load("web-search", FAILURE_SCHEMES, (0.3, 0.5))],
         # Hermes (detects and avoids) beats the oblivious schemes
         [below("web-search", "hermes", other, load, k)
          for load in (0.3, 0.5)
-         for other, k in (("ecmp", 1.0), ("conga", 1.05))],
+         for other, k in (("ecmp", 1.0), ("conga", 1.05))]
+        + [every_run(f"{text} [web-search, {lb}, {load}]",
+                     ("web-search", lb, load), predicate)
+           for load in (0.3, 0.5)
+           for text, lb, predicate in (
+               ("hermes detects the lossy spine", "hermes", detects),
+               ("ecmp never detects", "ecmp", never_detects))],
     ),
     # One spine deterministically drops packets for half of the (src, dst)
     # pairs from rack 0 to rack 1.  Unfinished flows are charged the full
@@ -846,8 +870,8 @@ FIGURES: List[Figure] = [
         " finishes but slowly; LetFlow second best",
         grid(FAILURE_FABRIC, FAILURE_SCHEMES, (0.4,), ("web-search",),
              n_flows=120, extra_drain_ns=3_000_000_000,
-             failure=FailureSpec(kind="blackhole", spine=0, src_leaf=0,
-                                 dst_leaf=1, pair_fraction=0.5)),
+             faults=schedule(blackhole_on(0, spine=0, src_leaf=0, dst_leaf=1,
+                                          fraction=0.5))),
         [records("scheme", {
             "avg FCT incl. unfinished (ms)": "penalized_fct_ms",
             "unfinished fraction": "unfinished"},
@@ -859,7 +883,13 @@ FIGURES: List[Figure] = [
                     of(("web-search", "ecmp", 0.4), "unfinished")),
         ] + [below("web-search", "hermes", other, 0.4, k, "penalized_fct_ms")
              for other, k in (("ecmp", 1.0), ("presto", 1.0),
-                              ("letflow", 1.15))],
+                              ("letflow", 1.15))]
+        + [every_run(text, ("web-search", lb, 0.4), predicate)
+           for text, lb, predicate in (
+               ("hermes detects the blackhole", "hermes", detects),
+               ("ecmp never detects", "ecmp", never_detects),
+               ("ecmp strands flows (unrecovered_timeouts > 0)", "ecmp",
+                strands_flows))],
     ),
     # Data-mining at 70% load on the asymmetric fabric: Hermes with probing
     # and / or timely rerouting switched off (18a), and a probe-interval
@@ -922,16 +952,15 @@ FIGURES: List[Figure] = [
          recovery_fault_timeline],
         [every_run(text, ("web-search", lb, 0.5), predicate)
          for text, lb, predicate in (
-             ("hermes detects the outage", "hermes",
-              lambda r: r.detection_ns is not None),
+             ("hermes detects the outage", "hermes", detects),
              ("hermes drains the damage", "hermes",
               lambda r: r.recovery_ns is not None),
              ("hermes strands no flow", "hermes",
               lambda r: r.unrecovered_timeouts == 0),
              ("ecmp never detects (it has no failure detector)", "ecmp",
-              lambda r: r.detection_ns is None),
+              never_detects),
              ("ecmp strands the flows hashed onto the dark link", "ecmp",
-              lambda r: r.unrecovered_timeouts > 0))],
+              strands_flows))],
     ),
     # TCP instead of DCTCP: Hermes senses with RTT only (no ECN), delta_RTT
     # and T_RTT_high set 1.5x larger.  TCP's loss-driven sawtooth is

@@ -13,12 +13,12 @@ Run:  python examples/asymmetric_fabric.py
 """
 
 from repro.api import (
+    SPRAYING_SCHEMES,
     ExperimentConfig,
     bench_topology,
     format_table,
     run_experiment,
     scheme_names,
-    spraying_schemes,
 )
 
 SCHEMES = scheme_names()  # the whole factory registry, new schemes included
@@ -35,7 +35,7 @@ def main() -> None:
     rows = []
     for scheme in SCHEMES:
         extra = {}
-        if scheme in spraying_schemes():
+        if scheme in SPRAYING_SCHEMES:
             # Paper methodology: mask reordering for the spraying schemes.
             extra["reorder_mask_us"] = 100.0
         result = run_experiment(

@@ -14,19 +14,19 @@ Run:  python examples/switch_failure_drill.py
 
 from repro.api import (
     ExperimentConfig,
-    FailureSpec,
+    FaultEventSpec,
     bench_topology,
     format_table,
     run_experiment,
 )
+from repro.faults import blackhole_on, random_drop_start, schedule
 
 
-def drill(kind: str) -> None:
+def drill(kind: str, failure: FaultEventSpec) -> None:
+    """``failure`` exists from the start: a fault schedule of one event
+    at t=0 (a later ``random_drop_stop`` / ``blackhole_off`` would heal
+    it mid-run)."""
     print(f"--- {kind} on spine 0 ---")
-    failure = FailureSpec(
-        kind=kind, spine=0, drop_rate=0.02, src_leaf=0, dst_leaf=1,
-        pair_fraction=0.5,
-    )
     rows = []
     detections = {}
     for scheme in ("ecmp", "hermes"):
@@ -38,7 +38,7 @@ def drill(kind: str) -> None:
                 load=0.4,
                 n_flows=120,
                 seed=3,
-                failure=failure,
+                faults=schedule(failure),
                 extra_drain_ns=3_000_000_000,
             )
         )
@@ -75,8 +75,9 @@ def drill(kind: str) -> None:
 
 
 def main() -> None:
-    drill("blackhole")
-    drill("random_drop")
+    drill("blackhole",
+          blackhole_on(0, spine=0, src_leaf=0, dst_leaf=1, fraction=0.5))
+    drill("random_drop", random_drop_start(0, spine=0, drop_rate=0.02))
     print("Hermes routes around failed switches; ECMP cannot — blackholed")
     print("flows never finish and randomly-dropped ones crawl.")
 

@@ -35,7 +35,6 @@ from repro.hooks import HookSet
 from repro.experiments import (
     ExperimentConfig,
     ExperimentResult,
-    FailureSpec,
     run_experiment,
     format_table,
     testbed_topology,
@@ -60,7 +59,6 @@ __all__ = [
     "probe_overhead_model",
     "ExperimentConfig",
     "ExperimentResult",
-    "FailureSpec",
     "run_experiment",
     "run_grid",
     "ResultSummary",

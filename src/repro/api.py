@@ -14,8 +14,9 @@ don't make::
 The surface:
 
 * :class:`ExperimentConfig` / :class:`TopologyConfig` /
-  :class:`FailureSpec` — declarative run description, JSON round-trip
-  via ``ExperimentConfig.to_dict()`` / ``ExperimentConfig.from_dict()``;
+  :class:`FaultScheduleSpec` — declarative run description (a switch
+  broken from the start is a :class:`FaultEventSpec` at t=0), JSON round
+  trip via ``ExperimentConfig.to_dict()`` / ``ExperimentConfig.from_dict()``;
 * :func:`run_experiment` — one config → one
   :class:`~repro.experiments.result.ExperimentResult`, in-process;
 * :func:`run_grid` — many configs → :class:`ResultSummary` list, with
@@ -44,13 +45,12 @@ import json
 import os
 from typing import Any, Dict, IO, List, Optional, Sequence, Union
 
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import (
     summary_dict,
     write_flow_csv,
     write_summary_json,
 )
-from repro.experiments.parallel import grid_configs
 from repro.experiments.parallel import run_cells as _run_cells
 from repro.experiments.result import ExperimentResult, ResultSummary
 from repro.experiments.runner import run_experiment
@@ -69,7 +69,6 @@ from repro.lb.factory import (
     SPRAYING_SCHEMES,
     install_lb,
     scheme_names,
-    spraying_schemes,
 )
 from repro.metrics.fct import FctStats, FlowRecord
 from repro.metrics.streaming import STREAMING_AUTO_FLOWS, StreamingFctStats
@@ -100,7 +99,6 @@ __all__ = [
     "ExperimentResult",
     "ResultSummary",
     "TopologyConfig",
-    "FailureSpec",
     "FaultScheduleSpec",
     "FaultEventSpec",
     "FctStats",
@@ -121,7 +119,6 @@ __all__ = [
     "summary_dict",
     "write_flow_csv",
     "write_summary_json",
-    "grid_configs",
     "bench_topology",
     "testbed_topology",
     "simulation_topology",
@@ -133,7 +130,6 @@ __all__ = [
     "SPRAYING_SCHEMES",
     "install_lb",
     "scheme_names",
-    "spraying_schemes",
     "Fabric",
     "Simulator",
     "WheelSimulator",

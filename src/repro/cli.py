@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core.probing import probe_overhead_model
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ResultCache, run_cells
 from repro.experiments.report import format_table
 from repro.experiments.result import ResultSummary
@@ -99,15 +99,15 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-scale", type=float, default=None,
                         help="defaults to --size-scale")
     parser.add_argument("--transport", choices=["dctcp", "tcp"], default="dctcp")
-    parser.add_argument("--failure", choices=["random_drop", "blackhole"],
-                        default=None)
-    parser.add_argument("--drop-rate", type=float, default=0.02)
     parser.add_argument("--faults", default=None, metavar="SCHEDULE",
                         help="time-scheduled fault plane, e.g. "
                              "'link_down@5ms:leaf=0,spine=1; "
-                             "link_up@20ms:leaf=0,spine=1' or "
+                             "link_up@20ms:leaf=0,spine=1', "
                              "'flap@2ms:leaf=0,spine=0,period=4ms,"
-                             "duty=0.5,until=30ms' (times in ns/us/ms/s)")
+                             "duty=0.5,until=30ms' or, for a switch "
+                             "that malfunctions from the start, "
+                             "'random_drop_start@0:spine=0,rate=0.02' "
+                             "(times in ns/us/ms/s)")
     parser.add_argument("--detector", default=None, metavar="SPEC",
                         help="failure-detection plane (repro.detect), "
                              "e.g. 'transport', 'bfd:tx=100us,mult=3', "
@@ -160,10 +160,6 @@ def _config_from_args(args, lb: str) -> ExperimentConfig:
             topology = builder(hosts_per_leaf=hosts_per_leaf)
     else:
         topology = TOPOLOGIES[args.topology](asymmetric=args.asymmetric)
-    failure = None
-    if args.failure:
-        failure = FailureSpec(kind=args.failure, spine=0,
-                              drop_rate=args.drop_rate)
     faults = None
     if getattr(args, "faults", None):
         from repro.faults import parse_schedule
@@ -189,7 +185,6 @@ def _config_from_args(args, lb: str) -> ExperimentConfig:
         seed=args.seed,
         size_scale=args.size_scale,
         time_scale=time_scale,
-        failure=failure,
         faults=faults,
         detector=getattr(args, "detector", None),
         **extra,
@@ -387,7 +382,6 @@ def cmd_chaos(args) -> int:
         [
             case.seed,
             case.config.lb,
-            case.config.failure.kind if case.config.failure else "-",
             (
                 case.config.faults.events[0].action
                 if case.config.faults
@@ -399,7 +393,7 @@ def cmd_chaos(args) -> int:
         for case in results
     ]
     print(format_table(
-        ["seed", "scheme", "failure", "faults", "events", "verdict"], rows
+        ["seed", "scheme", "faults", "events", "verdict"], rows
     ))
     if failures:
         for case in failures:

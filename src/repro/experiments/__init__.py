@@ -4,7 +4,7 @@ Every table and figure of the paper maps to a scenario preset here and a
 bench under ``benchmarks/`` (see DESIGN.md §3 for the full index).
 """
 
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     ResultCache,
     resolve_jobs,
@@ -23,7 +23,6 @@ from repro.experiments.scenarios import (
 
 __all__ = [
     "ExperimentConfig",
-    "FailureSpec",
     "ExperimentResult",
     "ResultCache",
     "ResultSummary",

@@ -10,7 +10,6 @@ from repro.net.topology import TopologyConfig
 from repro.sim.engine import DEFAULT_SCHEDULER, SCHEDULERS, seconds
 
 TRANSPORTS = ("dctcp", "tcp")
-FAILURE_KINDS = ("random_drop", "blackhole")
 
 
 def _reject_unknown_keys(section: str, data: Dict[str, Any], cls: type) -> None:
@@ -23,36 +22,6 @@ def _reject_unknown_keys(section: str, data: Dict[str, Any], cls: type) -> None:
         raise ValueError(
             f"unknown {section} keys: {sorted(unknown)}; known: {sorted(known)}"
         )
-
-
-@dataclass
-class FailureSpec:
-    """A switch malfunction to inject (paper §5.3.3).
-
-    Attributes:
-        kind: ``"random_drop"`` or ``"blackhole"``.
-        spine: index of the malfunctioning spine switch.
-        drop_rate: per-packet drop probability (random_drop).
-        src_leaf / dst_leaf / pair_fraction: which (src, dst) host pairs
-            the blackhole matches (blackhole).
-    """
-
-    kind: str
-    spine: int = 0
-    drop_rate: float = 0.02
-    src_leaf: int = 0
-    dst_leaf: int = 1
-    pair_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAILURE_KINDS:
-            raise ValueError(
-                f"unknown failure kind {self.kind!r}; known: {FAILURE_KINDS}"
-            )
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError("drop_rate must be in [0, 1]")
-        if not 0.0 <= self.pair_fraction <= 1.0:
-            raise ValueError("pair_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -83,13 +52,13 @@ class ExperimentConfig:
             scale ``retx_fraction_threshold`` identically to keep the
             detector between congestion noise and failure signal).
         max_cwnd: congestion-window cap in packets.
-        failure: optional switch malfunction, installed statically at t=0.
         faults: optional time-scheduled fault plane (see
             :mod:`repro.faults`) — link down/up, degrade/restore, random
             drops, blackholes and flapping, each applied/reverted at its
-            scheduled nanosecond mid-run.  Fault RNG draws come from a
-            dedicated stream, so runs are bit-identical outside the
-            fault window.  Part of the result-cache key.
+            scheduled nanosecond mid-run; a malfunction that exists from
+            the start (paper §5.3.3) is an event at t=0.  Fault RNG draws
+            come from a dedicated stream, so runs are bit-identical
+            outside the fault window.  Part of the result-cache key.
         extra_drain_ns: how long past the last arrival the run may last
             before unfinished flows are declared (blackholed ECMP flows
             never finish — the paper's Fig. 17b).
@@ -159,7 +128,6 @@ class ExperimentConfig:
     dupthresh: int = 3
     max_cwnd: float = 800.0
     hermes_overrides: Dict[str, Any] = field(default_factory=dict)
-    failure: Optional[FailureSpec] = None
     faults: Optional[FaultScheduleSpec] = None
     extra_drain_ns: int = seconds(2.0)
     visibility_sampling: bool = False
@@ -235,8 +203,6 @@ class ExperimentConfig:
                     )
                 ]
                 out["topology"] = topo
-            elif spec.name == "failure":
-                out["failure"] = None if value is None else asdict(value)
             elif spec.name == "faults":
                 out["faults"] = (
                     None
@@ -267,13 +233,8 @@ class ExperimentConfig:
                 }
             _reject_unknown_keys("topology", topo, TopologyConfig)
             data["topology"] = TopologyConfig(**topo)
-        failure = data.get("failure")
-        if isinstance(failure, dict):
-            _reject_unknown_keys("failure", failure, FailureSpec)
-            data["failure"] = FailureSpec(**failure)
-        faults = data.get("faults")
-        if isinstance(faults, dict):
-            events = faults.get("events", ())
+        if "faults" in data and isinstance(data["faults"], dict):
+            events = data["faults"].get("events", ())
             for event in events:
                 _reject_unknown_keys("faults.events[]", event, FaultEventSpec)
             data["faults"] = FaultScheduleSpec(

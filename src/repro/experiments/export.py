@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from typing import IO, Any, Dict
 
 from repro.experiments.result import ResultSummary
@@ -78,15 +79,12 @@ def summary_dict(result: ResultSummary) -> Dict[str, Any]:
                 "spine_link_gbps": config.topology.spine_link_gbps,
                 "degraded_links": len(config.topology.link_overrides),
             },
-            "failure": (
-                {
-                    "kind": config.failure.kind,
-                    "spine": config.failure.spine,
-                    "drop_rate": config.failure.drop_rate,
-                }
-                if config.failure
+            "faults": (
+                [asdict(event) for event in config.faults.events]
+                if config.faults
                 else None
             ),
+            "detector": config.detector,
         },
         "fct_ms": {
             "mean": safe(stats.mean_ms()),

@@ -687,22 +687,3 @@ def run_cell(
         [config], jobs=1, use_cache=use_cache, cache_dir=cache_dir
     )[0]
 
-
-def grid_configs(
-    schemes: Sequence[str],
-    loads: Sequence[float],
-    seeds: Sequence[int],
-    make_config,
-) -> List[ExperimentConfig]:
-    """Flatten a (scheme x load x seed) grid into a config list.
-
-    ``make_config(scheme, load, seed)`` builds one cell; cells are ordered
-    scheme-major, then load, then seed — the traversal order every bench
-    table assumes.
-    """
-    return [
-        make_config(lb, load, seed)
-        for lb in schemes
-        for load in loads
-        for seed in seeds
-    ]

@@ -6,7 +6,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.detect.base import Detector
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import ExperimentResult
 from repro.faults.plane import FaultSchedule
 from repro.lb.base import InstalledScheme
@@ -19,11 +19,6 @@ from repro.metrics.fct import (
 )
 from repro.metrics.visibility import VisibilitySampler
 from repro.net.fabric import Fabric
-from repro.net.failures import (
-    BlackholeFailure,
-    RandomDropFailure,
-    blackhole_pairs_between_racks,
-)
 from repro.sim.engine import (
     Simulator,
     make_simulator,
@@ -47,19 +42,6 @@ def trace_forced() -> bool:
     """True when ``REPRO_TRACE`` forces the telemetry layer on for every
     run, regardless of each config's ``trace`` flag."""
     return os.environ.get("REPRO_TRACE", "").lower() in ("1", "on", "true", "yes")
-
-
-def _install_failure(fabric: Fabric, spec: FailureSpec, rng: RngStreams) -> None:
-    if spec.kind == "random_drop":
-        failure = RandomDropFailure(spec.drop_rate, rng.get("failure"))
-        failure.install(fabric.topology, spec.spine)
-    else:
-        pairs = blackhole_pairs_between_racks(
-            fabric.topology, spec.src_leaf, spec.dst_leaf, spec.pair_fraction,
-            rng.get("failure"),
-        )
-        failure = BlackholeFailure(pairs)
-        failure.install(fabric.topology, spec.spine)
 
 
 def _flow_record(f) -> FlowRecord:
@@ -182,14 +164,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         from repro.telemetry import watch_lb
 
         watch_lb(telemetry, fabric, scheme)
-    if config.failure is not None:
-        _install_failure(fabric, config.failure, rng)
     fault_plane: Optional[FaultSchedule] = None
     if config.faults is not None and config.faults:
         fault_plane = FaultSchedule(
             fabric,
             config.faults,
-            rng.get("faults"),
+            rng.get("failure"),
             audit=telemetry.audit if telemetry is not None else None,
         ).install()
 

@@ -16,6 +16,7 @@ from repro.faults.spec import (
     blackhole_off,
     blackhole_on,
     flap,
+    format_schedule,
     link_degrade,
     link_down,
     link_restore,
@@ -38,6 +39,7 @@ __all__ = [
     "blackhole_off",
     "blackhole_on",
     "flap",
+    "format_schedule",
     "link_degrade",
     "link_down",
     "link_restore",

@@ -3,10 +3,11 @@
 A :class:`FaultSchedule` binds a declarative
 :class:`~repro.faults.spec.FaultScheduleSpec` to a live fabric: every
 event is scheduled on the simulator and applied (or reverted) at exactly
-its nanosecond, mid-run, while traffic is flowing.  This is what turns
-the static t=0 failure injection of :mod:`repro.net.failures` into the
-paper's actual subject — malfunctions that *start*, *flap*, and *heal*
-while load balancers are trying to detect and route around them.
+its nanosecond while traffic is flowing — the paper's actual subject:
+malfunctions that *start*, *flap*, and *heal* while load balancers are
+trying to detect and route around them.  It is the one injection path: a
+malfunction that exists from the start (paper §5.3.3, Figs. 16 / 17) is
+a schedule whose first event fires at t=0, before any flow arrives.
 
 Mechanics per action family:
 
@@ -94,7 +95,8 @@ class FaultSchedule:
         fabric: the running network.
         spec: the declarative schedule.
         rng: dedicated random stream (blackhole pair picks and drop
-            coin-flips draw here, never from workload/LB streams).
+            coin-flips draw here, never from workload/LB streams); the
+            runner passes its ``"failure"`` stream.
         audit: optional :class:`repro.telemetry.audit.DecisionAudit`;
             fault transitions are logged there when attached.
 

@@ -37,7 +37,7 @@ The CLI accepts the same schedule as a compact string (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Tuple
 
 #: Actions that install a malfunction.
@@ -370,3 +370,25 @@ def parse_schedule(text: str) -> FaultScheduleSpec:
     if not events:
         raise ValueError("empty fault schedule")
     return FaultScheduleSpec(tuple(events))
+
+
+def format_schedule(spec: FaultScheduleSpec) -> str:
+    """The inverse of :func:`parse_schedule`: ``parse_schedule(
+    format_schedule(spec)) == spec``.  An event names its target and
+    every field that is not at its default; times are bare nanoseconds."""
+    defaults = {f.name: f.default for f in fields(FaultEventSpec)}
+    chunks = []
+    for event in spec.events:
+        target = ("leaf", "spine") if event.action in LINK_ACTIONS else ("spine",)
+        items = [
+            f"{key}={getattr(event, name)!r}"
+            for key, (name, _) in _KEY_FIELDS.items()
+            if name in target or getattr(event, name) != defaults[name]
+        ]
+        items += [
+            f"{key}={getattr(event, key + '_ns')}"
+            for key in ("period", "until")
+            if getattr(event, key + "_ns")
+        ]
+        chunks.append(f"{event.action}@{event.time_ns}:{','.join(items)}")
+    return "; ".join(chunks)

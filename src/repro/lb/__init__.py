@@ -30,7 +30,6 @@ from repro.lb.factory import (
     SPRAYING_SCHEMES,
     install_lb,
     scheme_names,
-    spraying_schemes,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "LB_CLASSES",
     "SPRAYING_SCHEMES",
     "scheme_names",
-    "spraying_schemes",
 ]

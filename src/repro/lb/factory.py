@@ -137,11 +137,6 @@ def scheme_names() -> Tuple[str, ...]:
 SPRAYING_SCHEMES: Tuple[str, ...] = ("diffflow", "drb", "presto", "reps")
 
 
-def spraying_schemes() -> Tuple[str, ...]:
-    """The blind per-packet sprayers (alphabetical)."""
-    return SPRAYING_SCHEMES
-
-
 #: Schemes whose agents route on a per-leaf failure table: their
 #: installers take the table as ``leaf_health``, and a configured
 #: detector *is* that table instead of riding alongside it.

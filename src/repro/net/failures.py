@@ -29,9 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class _RevocableFailure:
     """Base for drop-predicate failures: installable and *uninstallable*.
 
-    The dynamic fault plane (:mod:`repro.faults`) reverts failures
-    mid-run, so every handle remembers which ports it attached to and can
-    remove itself again.  Static t=0 installation keeps working unchanged.
+    The fault plane (:mod:`repro.faults`, the only installer on the run
+    path) reverts failures mid-run, so every handle remembers which ports
+    it attached to and can remove itself again.
     """
 
     def __init__(self) -> None:
@@ -52,10 +52,6 @@ class _RevocableFailure:
             except ValueError:
                 pass
         self._ports.clear()
-
-    @property
-    def installed(self) -> bool:
-        return bool(self._ports)
 
 
 class RandomDropFailure(_RevocableFailure):

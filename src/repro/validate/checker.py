@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
+from repro.faults.spec import format_schedule
 from repro.validate.errors import (
     CapacityError,
     ClockError,
@@ -420,9 +421,11 @@ def experiment_command(config: Any) -> str:
         f"--time-scale {config.time_scale}",
         f"--transport {config.transport}",
     ]
-    if config.failure is not None:
-        parts.append(f"--failure {config.failure.kind}")
-        parts.append(f"--drop-rate {config.failure.drop_rate}")
+    if config.faults:
+        parts.append(f"--faults '{format_schedule(config.faults)}'")
+    if config.detector is not None:
+        parts.append(f"--detector '{config.detector}'")
+    parts.append(f"--drain-ms {config.extra_drain_ns / 1e6}")
     parts.append("--validate")
     return " ".join(parts)
 

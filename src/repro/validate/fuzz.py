@@ -14,10 +14,10 @@ Replay is one paste: every case prints/raises with
 (pytest), both of which re-enter the exact same run.
 
 :func:`shrink_case` greedily minimizes a failing configuration — drop
-the failure injection, shrink the flow count, collapse the topology,
-simplify scheme/transport — re-running each candidate and keeping it
-only while the violation persists, so the config that lands in a bug
-report is the smallest one that still breaks.
+the fault schedule, then single events of it, shrink the flow count,
+collapse the topology, simplify scheme/transport — re-running each
+candidate and keeping it only while the violation persists, so the
+config that lands in a bug report is the smallest one that still breaks.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.spec import (
+    FaultEventSpec,
     FaultScheduleSpec,
     blackhole_off,
     blackhole_on,
@@ -239,22 +240,17 @@ def chaos_config(seed: int, with_faults: Optional[bool] = None) -> ExperimentCon
     )
 
     lb = rng.choice(CHAOS_SCHEMES)
-    failure: Optional[FailureSpec] = None
+    # A switch broken from the start (paper §5.3.3): the t=0 event.
+    events: List[FaultEventSpec] = []
     if rng.random() < 0.35:
         if rng.random() < 0.5:
-            failure = FailureSpec(
-                kind="random_drop",
-                spine=rng.randrange(n_spines),
+            events.append(random_drop_start(
+                0, spine=rng.randrange(n_spines),
                 drop_rate=rng.choice((0.02, 0.05)),
-            )
+            ))
         else:
-            failure = FailureSpec(
-                kind="blackhole",
-                spine=rng.randrange(n_spines),
-                src_leaf=0,
-                dst_leaf=1,
-                pair_fraction=0.5,
-            )
+            # rack 0 -> rack 1, half the pairs: the builder's defaults
+            events.append(blackhole_on(0, spine=rng.randrange(n_spines)))
 
     transport = "tcp" if rng.random() < 0.25 else "dctcp"
     workload = rng.choice(("web-search", "data-mining"))
@@ -264,14 +260,13 @@ def chaos_config(seed: int, with_faults: Optional[bool] = None) -> ExperimentCon
     # Drawn last so the base scenario is identical with and without a
     # fault schedule — a faulted case differs from its unfaulted twin
     # only by the schedule itself.
-    faults: Optional[FaultScheduleSpec] = None
     if with_faults is None:
         with_faults = rng.random() < 0.45
     if with_faults:
-        faults = _draw_fault_schedule(
+        events.extend(_draw_fault_schedule(
             random.Random(f"repro-chaos-faults-{seed}"),
             n_leaves, n_spines, overrides,
-        )
+        ).events)
 
     # Detector coin drawn after the faults coin (appending to the main
     # stream keeps every pre-existing seed's scenario unchanged); params
@@ -292,8 +287,7 @@ def chaos_config(seed: int, with_faults: Optional[bool] = None) -> ExperimentCon
         size_scale=_SIZE_SCALE,
         time_scale=_SIZE_SCALE,
         reorder_mask_us=100.0 if lb in SPRAYING_SCHEMES else None,
-        failure=failure,
-        faults=faults,
+        faults=schedule(events) if events else None,
         detector=detector,
         extra_drain_ns=_EXTRA_DRAIN_NS,
         validate=True,
@@ -406,10 +400,17 @@ def _reductions(config: ExperimentConfig) -> Iterator[ExperimentConfig]:
     topo = config.topology
     if config.faults is not None:
         yield replace(config, faults=None)
+        events = config.faults.events
+        if len(events) > 1:
+            for i in range(len(events)):
+                try:
+                    yield replace(
+                        config, faults=schedule(events[:i] + events[i + 1:])
+                    )
+                except ValueError:  # a revert would lose its apply
+                    continue
     if config.detector is not None:
         yield replace(config, detector=None)
-    if config.failure is not None:
-        yield replace(config, failure=None)
     if config.n_flows > 2:
         yield replace(config, n_flows=max(2, config.n_flows // 2))
     if topo.link_overrides:

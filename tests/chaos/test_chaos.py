@@ -28,6 +28,18 @@ from repro.validate.errors import (
 )
 from repro.validate.fuzz import chaos_config, run_case, shrink_case
 
+#: The two switch malfunctions a chaos case may carry from t=0.
+STATIC_FAILURES = ("random_drop_start", "blackhole_on")
+
+
+def static_failure(config):
+    """The config's t=0 malfunction event, or ``None``."""
+    events = config.faults.events if config.faults else ()
+    return next(
+        (e for e in events if e.time_ns == 0 and e.action in STATIC_FAILURES),
+        None,
+    )
+
 #: The CI sweep: >= 50 fixed seeds, each expanding into a randomized
 #: topology/scheme/workload/failure scenario.
 CHAOS_SEEDS = list(range(1, 57))
@@ -68,7 +80,8 @@ def test_chaos_covers_failures_and_schemes():
     assert schemes == set(scheme_names()), (
         f"sweep missed {sorted(set(scheme_names()) - schemes)}"
     )
-    assert any(config.failure is not None for config in configs)
+    assert {static_failure(c).action for c in configs
+            if static_failure(c)} == set(STATIC_FAILURES)
     assert any(config.topology.link_overrides for config in configs)
     assert any(config.transport == "tcp" for config in configs)
 
@@ -194,11 +207,11 @@ def test_mutation_violation_shrinks_to_minimal_config():
                 return exc
         return None
 
-    start = chaos_config(3)  # draws a blackhole failure spec
-    assert start.failure is not None
+    start = chaos_config(3)  # draws a blackhole from t=0
+    assert static_failure(start).action == "blackhole_on"
     shrunk = shrink_case(start, probe=probe, max_attempts=12)
     assert isinstance(shrunk.error, ConservationError)
-    assert shrunk.config.failure is None, "failure injection shrunk away"
+    assert shrunk.config.faults is None, "failure injection shrunk away"
     assert shrunk.config.n_flows < start.n_flows
     # The shrunken config must still fail on its own.
     assert probe(shrunk.config) is not None
@@ -241,13 +254,21 @@ def test_forcing_faults_keeps_base_scenario():
     assert plain.faults is None
     assert faulted.faults is not None
     assert replace(faulted, faults=None) == plain
+    # A case that already fails from t=0 keeps that event, first.
+    plain = chaos_config(3, with_faults=False)
+    faulted = chaos_config(3, with_faults=True)
+    assert plain.faults.events == (static_failure(plain),)
+    assert faulted.faults.events[:1] == plain.faults.events
+    assert len(faulted.faults.events) > 1
+    assert replace(faulted, faults=plain.faults) == plain
 
 
 def test_fault_draw_covers_shapes_and_avoids_cut_links():
     configs = [
         chaos_config(seed, with_faults=True) for seed in range(1, 57)
     ]
-    actions = {c.faults.events[0].action for c in configs}
+    actions = {e.action for c in configs for e in c.faults.events
+               if e.time_ns > 0}
     # Every shape family must appear across the sweep.
     assert {"link_down", "link_degrade", "flap",
             "random_drop_start", "blackhole_on"} <= actions
@@ -266,7 +287,16 @@ def test_fault_draw_covers_shapes_and_avoids_cut_links():
 def test_shrinking_drops_fault_schedule_first():
     from repro.validate.fuzz import _reductions
 
-    config = chaos_config(1, with_faults=True)
-    first = next(_reductions(config))
+    from itertools import takewhile
+
+    config = chaos_config(3, with_faults=True)  # t=0 blackhole + a window
+    first, *singles = takewhile(
+        lambda c: c.faults != config.faults, _reductions(config)
+    )
     assert first.faults is None
-    assert first.failure == config.failure
+    # ... then single events; dropping the degrade alone would leave its
+    # restore without an apply, so that candidate is skipped.
+    blackhole, degrade, restore = config.faults.events
+    assert [c.faults.events for c in singles] == [
+        (degrade, restore), (blackhole, degrade)
+    ]

@@ -18,7 +18,6 @@ import repro.api as api
 from repro.api import (
     ExperimentConfig,
     ExperimentResult,
-    FailureSpec,
     FaultEventSpec,
     FaultScheduleSpec,
     FctStats,
@@ -103,11 +102,12 @@ class TestSurface:
         assert api.run_experiment is internal
 
 
-#: A ``failure`` and a ``faults`` section, for the cases that need every
-#: nested dataclass of a config present.
+#: A ``faults`` section (a failure from t=0 and a timed outage), for the
+#: cases that need every nested dataclass of a config present.
 _NESTED_SECTIONS = dict(
-    failure=FailureSpec(kind="random_drop", spine=1, drop_rate=0.05),
     faults=FaultScheduleSpec(events=(
+        FaultEventSpec(action="random_drop_start", time_ns=0, spine=1,
+                       drop_rate=0.05),
         FaultEventSpec(action="link_down", time_ns=5_000_000, leaf=0, spine=1),
         FaultEventSpec(action="link_up", time_ns=9_000_000, leaf=0, spine=1),
     )),
@@ -145,18 +145,21 @@ class TestConfigRoundTrip:
             ExperimentConfig.from_dict(data)
 
     def test_from_dict_rejects_removed_shards_key(self):
-        """``shards`` was deleted with the sharded runner, not defaulted:
-        a stale key fails by name instead of being silently ignored."""
-        data = _small_config().to_dict()
-        data["shards"] = 2
-        with pytest.raises(ValueError, match=r"unknown config keys: \['shards'\]"):
-            ExperimentConfig.from_dict(data)
+        """``shards`` was deleted with the sharded runner and ``failure``
+        with the static injection path, not defaulted: a stale key fails
+        by name instead of being silently ignored."""
+        for key in ("shards", "failure"):
+            data = _small_config().to_dict()
+            data[key] = None
+            with pytest.raises(
+                ValueError, match=rf"unknown config keys: \['{key}'\]"
+            ):
+                ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("section, key, target", [
         ("topology", "kind", lambda d: d["topology"]),
-        ("failure", "blast_radius", lambda d: d["failure"]),
         ("faults.events[]", "pod", lambda d: d["faults"]["events"][1]),
-    ], ids=["topology", "failure", "fault-event"])
+    ], ids=["topology", "fault-event"])
     def test_from_dict_names_unknown_keys_inside_sections(
         self, section, key, target
     ):

@@ -43,6 +43,25 @@ class TestParser:
         )
         assert _config_from_args(args, "ecmp").topology.hosts_per_leaf == 3
 
+    def test_replay_command_reruns_the_faulted_experiment(self):
+        """A violation's replay line carries the fault schedule, the
+        detector and the drain cap, not just the traffic knobs."""
+        import shlex
+        from dataclasses import replace
+
+        from repro.cli import _config_from_args
+        from repro.validate.checker import experiment_command
+        from repro.validate.fuzz import chaos_config
+
+        # A blackhole from t=0 plus a degrade / restore window.
+        config = replace(chaos_config(3, with_faults=True),
+                         detector="bfd:tx=23547,mult=5")
+        argv = shlex.split(experiment_command(config))[3:]  # python -m repro
+        replayed = _config_from_args(build_parser().parse_args(argv), config.lb)
+        for field in ("faults", "detector", "extra_drain_ns", "validate"):
+            assert getattr(replayed, field) == getattr(config, field), field
+        assert len(replayed.faults.events) == 3
+
     def test_hosts_per_leaf_rejected_for_fixed_topologies(self, capsys):
         code = main(["run", "--lb", "ecmp", "--topology", "testbed",
                      "--hosts-per-leaf", "3", "--flows", "5"])
@@ -95,9 +114,10 @@ class TestCommands:
     def test_run_with_failure(self, capsys):
         code = main([
             "run", "--lb", "hermes", "--flows", "10", "--size-scale", "0.05",
-            "--failure", "random_drop", "--drop-rate", "0.05",
+            "--faults", "random_drop_start@0:spine=0,rate=0.05",
         ])
         assert code == 0
+        assert "random_drop_start" in capsys.readouterr().out  # the timeline
 
     def test_unknown_scheme_is_a_clean_error(self, capsys):
         # Bad values exit 2 with a one-line message, not a traceback.

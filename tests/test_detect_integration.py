@@ -18,11 +18,18 @@ from dataclasses import replace
 import pytest
 
 from repro.detect import Detector
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
-from repro.faults.spec import flap, link_down, link_up, schedule
+from repro.faults.spec import (
+    blackhole_on,
+    flap,
+    link_down,
+    link_up,
+    random_drop_start,
+    schedule,
+)
 from repro.lb.factory import install_lb
 from tests.conftest import make_fabric
 
@@ -153,7 +160,10 @@ class TestZooRoutesOnTheTransportTable:
 class TestHermesTableIsADetector:
     """Hermes's leaf table became a ``repro.detect.Detector`` (PR 23)
     with no bit moved: these cells reproduce what the parent commit
-    (48bb9b8, ``HermesLeafState`` with its own ledger) recorded."""
+    (48bb9b8, ``HermesLeafState`` with its own ledger) recorded.  The two
+    malfunctions present from the start are t=0 fault schedules since
+    PR 24: same records and reroutes, one more event (the t=0 fire), and
+    a ``detection_ns`` the static injection path never reported."""
 
     #: name -> (config overrides, sha256(repr(records))[:16], events,
     #: total_reroutes, detection_ns, recovery_ns, detections in the ledger)
@@ -164,12 +174,12 @@ class TestHermesTableIsADetector:
             "bf557fb65acf1462", 606280, 12, 1_500_000, 9_334_115, 1,
         ),
         "random_drop": (
-            dict(failure=FailureSpec("random_drop", drop_rate=0.05)),
-            "2c435ad6bd70569f", 592414, 10, None, None, 7,
+            dict(faults=schedule(random_drop_start(0, spine=0, drop_rate=0.05))),
+            "2c435ad6bd70569f", 592414 + 1, 10, 1_000_000, None, 7,
         ),
         "blackhole": (
-            dict(seed=3, failure=FailureSpec("blackhole", pair_fraction=1.0)),
-            "7bc2cd1702bb9edb", 722777, 40, None, None, 15,
+            dict(seed=3, faults=schedule(blackhole_on(0, spine=0, fraction=1.0))),
+            "7bc2cd1702bb9edb", 722777 + 1, 40, 2_000_000, None, 15,
         ),
     }
 

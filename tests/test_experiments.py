@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_table, gbps
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
@@ -12,6 +12,7 @@ from repro.experiments.scenarios import (
     simulation_topology,
     testbed_topology as make_testbed_topology,
 )
+from repro.faults.spec import blackhole_on, random_drop_start, schedule
 
 
 def tiny_config(**overrides):
@@ -37,10 +38,6 @@ class TestConfigValidation:
     def test_load_checked(self):
         with pytest.raises(ValueError):
             tiny_config(load=0.0)
-
-    def test_failure_kind_checked(self):
-        with pytest.raises(ValueError):
-            FailureSpec(kind="meteor")
 
     def test_time_scale_checked(self):
         with pytest.raises(ValueError):
@@ -124,10 +121,9 @@ class TestRunner:
         config = tiny_config(
             n_flows=60,
             extra_drain_ns=300_000_000,
-            failure=FailureSpec(
-                kind="blackhole", spine=0, src_leaf=0, dst_leaf=1,
-                pair_fraction=1.0,
-            ),
+            faults=schedule(blackhole_on(
+                0, spine=0, src_leaf=0, dst_leaf=1, fraction=1.0,
+            )),
         )
         result = run_experiment(config)
         assert result.stats.unfinished_count > 0
@@ -139,10 +135,9 @@ class TestRunner:
             lb="hermes",
             n_flows=60,
             extra_drain_ns=2_000_000_000,
-            failure=FailureSpec(
-                kind="blackhole", spine=0, src_leaf=0, dst_leaf=1,
-                pair_fraction=1.0,
-            ),
+            faults=schedule(blackhole_on(
+                0, spine=0, src_leaf=0, dst_leaf=1, fraction=1.0,
+            )),
         )
         result = run_experiment(config)
         assert result.stats.unfinished_count == 0
@@ -152,7 +147,7 @@ class TestRunner:
         lossy = run_experiment(
             tiny_config(
                 seed=4,
-                failure=FailureSpec(kind="random_drop", spine=0, drop_rate=0.1),
+                faults=schedule(random_drop_start(0, spine=0, drop_rate=0.1)),
             )
         )
         assert lossy.mean_fct_ms > clean.mean_fct_ms

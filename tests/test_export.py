@@ -4,7 +4,7 @@ import csv
 import io
 import json
 
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import (
     FLOW_FIELDS,
     summary_dict,
@@ -13,6 +13,7 @@ from repro.experiments.export import (
 )
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
+from repro.faults.spec import random_drop_start, schedule
 
 
 def small_result(**overrides):
@@ -66,12 +67,19 @@ class TestSummary:
         assert large is None or large > 0
 
     def test_failure_recorded(self):
+        """The summary says what was injected and what watched for it."""
         result = small_result(
-            failure=FailureSpec(kind="random_drop", spine=0, drop_rate=0.01)
+            faults=schedule(random_drop_start(0, spine=0, drop_rate=0.01)),
+            detector="bfd",
         )
-        data = summary_dict(result)
-        assert data["config"]["failure"]["kind"] == "random_drop"
+        config = summary_dict(result)["config"]
+        (event,) = config["faults"]
+        assert (event["action"], event["time_ns"], event["drop_rate"]) == (
+            "random_drop_start", 0, 0.01)
+        assert config["detector"] == "bfd"
+        assert "failure" not in config
 
     def test_no_failure_is_null(self):
-        data = summary_dict(small_result())
-        assert data["config"]["failure"] is None
+        config = summary_dict(small_result())["config"]
+        assert config["faults"] is None
+        assert config["detector"] is None

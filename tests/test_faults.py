@@ -21,7 +21,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import config_key
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import bench_topology
+from repro.experiments.scenarios import bench_topology, failure_bench_topology
 from repro.faults.plane import FaultSchedule
 from repro.faults.spec import (
     FaultEventSpec,
@@ -29,6 +29,7 @@ from repro.faults.spec import (
     blackhole_off,
     blackhole_on,
     flap,
+    format_schedule,
     link_degrade,
     link_down,
     link_restore,
@@ -162,6 +163,20 @@ class TestParsing:
     def test_parse_schedule_empty(self):
         with pytest.raises(ValueError, match="empty fault schedule"):
             parse_schedule(" ; ")
+
+    def test_format_schedule_is_the_parsers_inverse(self):
+        import random
+
+        from repro.validate.fuzz import _draw_fault_schedule
+
+        for seed in range(1, 57):
+            spec = _draw_fault_schedule(
+                random.Random(f"repro-chaos-faults-{seed}"), 3, 3, {}
+            )
+            assert parse_schedule(format_schedule(spec)) == spec, seed
+        assert format_schedule(schedule(
+            random_drop_start(0, spine=0, drop_rate=0.02)
+        )) == "random_drop_start@0:spine=0,rate=0.02"
 
 
 class TestFlapExpansion:
@@ -301,10 +316,8 @@ class TestRevocableHandles:
         failure.install(fabric.topology, 0)
         ports = fabric.topology.spine_ports(0)
         assert all(failure in p.drop_predicates for p in ports)
-        assert failure.installed
         failure.uninstall()
         assert all(failure not in p.drop_predicates for p in ports)
-        assert not failure.installed
 
     def test_uninstall_is_idempotent(self, fabric):
         from repro.net.failures import BlackholeFailure
@@ -313,7 +326,8 @@ class TestRevocableHandles:
         failure.install(fabric.topology, 1)
         failure.uninstall()
         failure.uninstall()  # second call must not raise
-        assert not failure.installed
+        ports = fabric.topology.spine_ports(1)
+        assert all(failure not in p.drop_predicates for p in ports)
 
 
 # --------------------------------------------------------------------- #
@@ -453,11 +467,10 @@ class TestBlackholePairFractions:
         assert port.drops_injected == 5
 
     def test_zero_rate_failure_is_bit_identical_to_no_failure(self):
-        """The failure RNG is a dedicated stream: installing a 0%-drop
-        failure consumes draws there but must not perturb workload or LB
-        streams — per-flow records stay bit-identical."""
-        from repro.experiments.config import FailureSpec
-
+        """The failure RNG is a dedicated stream: a 0%-drop failure from
+        t=0 consumes draws there but must not perturb workload or LB
+        streams — per-flow records stay bit-identical, and the schedule
+        costs exactly its one t=0 event."""
         base = ExperimentConfig(
             topology=bench_topology(n_leaves=2, n_spines=2, hosts_per_leaf=2),
             lb="hermes",
@@ -469,13 +482,30 @@ class TestBlackholePairFractions:
             time_scale=0.05,
         )
         with_noop = dataclasses.replace(
-            base, failure=FailureSpec(kind="random_drop", spine=0,
-                                      drop_rate=0.0)
+            base, faults=schedule(random_drop_start(0, spine=0, drop_rate=0.0))
         )
         plain = run_experiment(base)
         noop = run_experiment(with_noop)
         assert plain.stats.records == noop.stats.records
-        assert plain.events == noop.events
+        assert noop.events == plain.events + 1
+
+    def test_failure_from_t0_reports_timeline_and_detection(self):
+        """A malfunction that exists from the start is a schedule event
+        at t=0, so the run reports what the fault plane reports for any
+        other fault: a timeline entry and Hermes' detection latency."""
+        result = run_experiment(ExperimentConfig(
+            topology=failure_bench_topology(),
+            lb="hermes",
+            load=0.5,
+            n_flows=60,
+            size_scale=0.05,
+            time_scale=0.05,
+            faults=schedule(random_drop_start(0, spine=0, drop_rate=0.05)),
+        ))
+        (entry,) = result.fault_timeline
+        assert (entry["t"], entry["action"], entry["phase"]) == (
+            0, "random_drop_start", "applied")
+        assert result.detection_ns is not None
 
 
 # --------------------------------------------------------------------- #

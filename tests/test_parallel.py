@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     CellPool,
     ResultCache,
@@ -253,7 +253,6 @@ class TestCacheKey:
             {"hermes_overrides": {"probing_enabled": False}},
             {"extra_drain_ns": 1_000_000_000},
             {"visibility_sampling": True},
-            {"failure": FailureSpec(kind="random_drop", drop_rate=0.01)},
             {
                 "faults": schedule(
                     link_down(1_000_000, leaf=0, spine=0),

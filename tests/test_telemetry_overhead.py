@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments.config import ExperimentConfig, FailureSpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_experiment
+from repro.faults.spec import random_drop_start, schedule
 from repro.net.topology import TopologyConfig
 
 
@@ -26,7 +27,7 @@ def reference_config(**overrides) -> ExperimentConfig:
         seed=3,
         size_scale=0.05,
         time_scale=0.05,
-        failure=FailureSpec(kind="random_drop", spine=0, drop_rate=0.04),
+        faults=schedule(random_drop_start(0, spine=0, drop_rate=0.04)),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
