@@ -18,6 +18,7 @@ from repro.api import (
     format_table,
     run_experiment,
 )
+from repro.lb.base import InstalledScheme
 
 
 class LeastQueueAtStartLB(LoadBalancer):
@@ -42,7 +43,7 @@ def install_least_queue(fabric, **params):
         host.lb = LeastQueueAtStartLB(
             host, fabric, fabric.rng.spawn("least-queue", host.host_id)
         )
-    return {}
+    return InstalledScheme()
 
 
 def main() -> None:

@@ -24,6 +24,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.core.parameters import HermesParams
 from repro.core.sensing import HermesLeafState
+from repro.detect.base import HERMES_PROBE_FLOW_ID
 from repro.net.packet import PROBE_BYTES, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,10 +62,12 @@ class HermesProber:
         #: links eat probes exactly like data packets, and for a long
         #: time those deaths were invisible: ``probes_sent`` minus
         #: ``replies_received`` conflated losses with replies merely
-        #: still in flight.  Wired by install_probe_loss_accounting.
+        #: still in flight.
         self.probes_lost = 0
         self._started = False
-        fabric.hosts[self.agent_host].probe_sink = self.on_reply
+        fabric.claim_probes(
+            self.agent_host, HERMES_PROBE_FLOW_ID, self.on_reply, self.on_lost
+        )
 
     def start(self) -> None:
         """Kick off the periodic probing loop (idempotent).  Rounds are
@@ -98,7 +101,7 @@ class HermesProber:
     def _send_probe(self, dst_leaf: int, path: int) -> None:
         dst_agent = next(iter(self.topology.hosts_of_leaf(dst_leaf)))
         probe = self.fabric.packet_pool.probe(
-            0, self.agent_host, dst_agent, path, self.sim.now
+            HERMES_PROBE_FLOW_ID, self.agent_host, dst_agent, path, self.sim.now
         )
         self.probes_sent += 1
         self.fabric.send(probe)
@@ -117,35 +120,9 @@ class HermesProber:
             if rtt < best_rtt:
                 self._prev_best[dst_leaf] = reply.path_id
 
-
-def install_probe_loss_accounting(fabric: "Fabric", probers: Dict[int, HermesProber]) -> None:
-    """Attribute dropped Hermes probes back to the prober that sent them.
-
-    The fabric calls :attr:`Fabric.probe_drop_sink` with every dying
-    PROBE/PROBE_REPLY; Hermes probes are the ones stamped flow_id 0.  An
-    outbound probe is charged to the *source* agent's prober, a dying
-    reply to the *destination* (the original prober, who will now wait
-    forever).  Non-Hermes probe drops (detector heartbeats, breaker
-    trials) fall through to whatever sink was installed before."""
-    from repro.net.packet import PacketKind
-
-    agents = {prober.agent_host: prober for prober in probers.values()}
-    prev = fabric.probe_drop_sink
-
-    def sink(packet, _agents=agents, _prev=prev) -> None:
-        if packet.flow_id == 0:
-            owner = _agents.get(
-                packet.src
-                if packet.kind == PacketKind.PROBE
-                else packet.dst
-            )
-            if owner is not None:
-                owner.probes_lost += 1
-                return
-        if _prev is not None:
-            _prev(packet)
-
-    fabric.probe_drop_sink = sink
+    def on_lost(self, packet: Packet) -> None:
+        """One of our probes, or its reply, died in-fabric."""
+        self.probes_lost += 1
 
 
 def probe_overhead_model(

@@ -37,7 +37,6 @@ from repro.detect.base import (
     BREAKER_FLOW_ID,
     Detector,
     agent_host_of,
-    chain_probe_sink,
 )
 from repro.detect.bfd import BfdDetector
 from repro.detect.breaker import CircuitBreakerDetector
@@ -70,5 +69,4 @@ __all__ = [
     "build_detector",
     "build_leaf_detectors",
     "agent_host_of",
-    "chain_probe_sink",
 ]

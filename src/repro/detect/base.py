@@ -10,10 +10,10 @@ path usable right now?  The answer is a three-state verdict —
 - ``DOWN``    — conclusive evidence; schemes must steer around it.
 
 Detectors are per-leaf objects: each leaf judges its own uplink paths
-to every destination leaf.  All of them expose the same surface, so the
-zoo schemes that route on a failure table (REPS, DiffFlow, RDNA) accept
-any detector where they run :class:`~repro.detect.transport.
-TransportDetector` by default.
+to every destination leaf.  All of them expose the same surface, so
+every scheme reads whichever one its ``LoadBalancer.detector`` slot
+holds; REPS, DiffFlow and RDNA route on one and default to
+:class:`~repro.detect.transport.TransportDetector`.
 
 Verdict flips are observable twice over: the audit trail receives an
 ``on_verdict`` record for every transition (see
@@ -33,10 +33,11 @@ DOWN = 2
 
 VERDICT_NAMES = {UP: "up", SUSPECT: "suspect", DOWN: "down"}
 
-#: Reserved probe ``flow_id`` sentinels.  The Hermes prober stamps its
-#: probes with flow_id 0; detector probes use distinct negative ids so
-#: one agent host can demultiplex replies for several probe consumers
-#: (see :func:`chain_probe_sink`).
+#: Reserved probe ``flow_id`` sentinels, one per probe stream: data
+#: flows number from 0, so probes take negative ids, and each consumer
+#: claims its ``(host, id)`` stream with :meth:`Fabric.claim_probes
+#: <repro.net.fabric.Fabric.claim_probes>`.
+HERMES_PROBE_FLOW_ID = -100
 BFD_FLOW_ID = -101
 BREAKER_FLOW_ID = -102
 
@@ -47,27 +48,6 @@ def agent_host_of(fabric, leaf: int) -> int:
     """The designated probing host of a leaf (same convention as the
     Hermes prober: the first host of the rack)."""
     return next(iter(fabric.topology.hosts_of_leaf(leaf)))
-
-
-def chain_probe_sink(fabric, host_id: int, flow_id: int, handler) -> None:
-    """Route PROBE_REPLY packets with ``flow_id`` to ``handler``.
-
-    A host has a single ``probe_sink`` slot; probe consumers (the
-    Hermes prober, BFD, breaker trials) coexist by chaining: replies
-    carrying our sentinel id go to ``handler``, everything else falls
-    through to whatever sink was installed before us.  Installation
-    order therefore never matters — each layer only claims its own id.
-    """
-    host = fabric.hosts[host_id]
-    prev = host.probe_sink
-
-    def sink(reply, _prev=prev, _handler=handler, _fid=flow_id):
-        if reply.flow_id == _fid:
-            _handler(reply)
-        elif _prev is not None:
-            _prev(reply)
-
-    host.probe_sink = sink
 
 
 class Detector:

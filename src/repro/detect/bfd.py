@@ -43,7 +43,6 @@ from repro.detect.base import (
     UP,
     Detector,
     agent_host_of,
-    chain_probe_sink,
 )
 from repro.sim.engine import microseconds
 
@@ -98,7 +97,7 @@ class BfdDetector(Detector):
         self.heartbeats_sent = 0
         self.replies_heard = 0
         self._started = False
-        chain_probe_sink(fabric, self.agent_host, BFD_FLOW_ID, self._on_reply)
+        fabric.claim_probes(self.agent_host, BFD_FLOW_ID, self._on_reply)
 
     # ------------------------------------------------------------------ #
     # Verdicts

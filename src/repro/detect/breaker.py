@@ -36,7 +36,6 @@ from repro.detect.base import (
     UP,
     Detector,
     agent_host_of,
-    chain_probe_sink,
 )
 from repro.sim.engine import milliseconds
 
@@ -99,8 +98,8 @@ class CircuitBreakerDetector(Detector):
         self.agent_host = agent_host_of(fabric, leaf)
         self.trials_sent = 0
         self._breakers: Dict[Tuple[int, int], _Breaker] = {}
-        chain_probe_sink(fabric, self.agent_host, BREAKER_FLOW_ID,
-                         self._on_trial_reply)
+        fabric.claim_probes(self.agent_host, BREAKER_FLOW_ID,
+                            self._on_trial_reply)
 
     # ------------------------------------------------------------------ #
     # Verdicts

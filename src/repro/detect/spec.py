@@ -11,8 +11,8 @@ unchanged:
 - ``"fastest:transport+bfd"``
 
 Durations reuse the fault-DSL time grammar (``100us``, ``50ms``,
-``1.5s``, bare ns).  Member lists in combiners are bare kinds joined
-with ``+`` and run with their defaults.
+``1.5s``, bare ns).  Member lists in combiners are distinct bare kinds
+joined with ``+`` and run with their defaults.
 
 Time-valued *defaults* scale with the experiment's ``time_scale`` —
 exactly like the transport's RTO floor does in the runner — while
@@ -161,6 +161,11 @@ def parse_detector(text: str) -> DetectorSpec:
                 name = name.strip().lower()
                 if name in _COMBINER_KINDS:
                     raise ValueError("combiners cannot nest combiners")
+                # Members run with their defaults, so a repeat adds
+                # nothing — and two of one kind would claim one probe
+                # stream twice.
+                if any(m.kind == name for m in member_specs):
+                    raise ValueError(f"member {name!r} is listed twice")
                 member_specs.append(parse_detector(name))
             members = tuple(member_specs)
         else:

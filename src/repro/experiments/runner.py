@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
+from repro.core.parameters import HermesParams
 from repro.detect.base import Detector
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import ExperimentResult
 from repro.faults.plane import FaultSchedule
 from repro.lb.base import InstalledScheme
+from repro.lb.conga import DEFAULT_AGING_NS
+from repro.lb.diffflow import DEFAULT_THRESHOLD_BYTES
 from repro.lb.factory import install_lb
+from repro.lb.rdna import DEFAULT_ELEPHANT_THRESHOLD_BYTES
 from repro.metrics.fct import (
     LARGE_FLOW_BYTES,
     SMALL_FLOW_BYTES,
@@ -68,37 +73,29 @@ def _resolved_lb_params(config: ExperimentConfig) -> Dict[str, Any]:
         # (minimum size sent before rerouting) must scale with them —
         # otherwise caution would freeze into never-reroute.  Timers
         # scale with time_scale to preserve timescale ratios.
-        from repro.core.parameters import HermesParams
-
         params = HermesParams(
-            size_threshold_bytes=int(600_000 * config.size_scale)
+            size_threshold_bytes=int(
+                HermesParams.size_threshold_bytes * config.size_scale
+            )
         )
         if config.time_scale != 1.0:
             params = params.time_scaled(config.time_scale)
         if config.hermes_overrides:
-            from dataclasses import replace
-
             params = replace(params, **config.hermes_overrides)
         lb_params["params"] = params
     if config.lb == "conga" and config.time_scale != 1.0 and "aging_ns" not in lb_params:
-        lb_params["aging_ns"] = max(1, int(10_000_000 * config.time_scale))
+        lb_params["aging_ns"] = max(1, int(DEFAULT_AGING_NS * config.time_scale))
     # Byte thresholds track size_scale like Hermes' S gate.
     if config.lb == "diffflow":
         lb_params.setdefault(
-            "threshold_bytes", max(1, int(100_000 * config.size_scale))
+            "threshold_bytes",
+            max(1, int(DEFAULT_THRESHOLD_BYTES * config.size_scale)),
         )
     elif config.lb == "rdna":
         lb_params.setdefault(
             "elephant_threshold_bytes",
-            max(1, int(1_000_000 * config.size_scale)),
+            max(1, int(DEFAULT_ELEPHANT_THRESHOLD_BYTES * config.size_scale)),
         )
-    # The detection plane rides lb_params so the factory can wire it for
-    # any scheme (and build the zoo's default failure tables when none
-    # is configured); spec-DSL *default* timers scale with time_scale
-    # (explicit values are taken literally) so hold, heartbeat and
-    # breaker windows keep their ratio to the scaled RTO floor.
-    lb_params.setdefault("detector", config.detector)
-    lb_params.setdefault("detector_time_scale", config.time_scale)
     return lb_params
 
 
@@ -156,8 +153,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # Lazy import for the same reason as the validate layer.
         from repro.telemetry import install_telemetry
 
-        telemetry = install_telemetry(fabric, config=config)
-    scheme = install_lb(fabric, config.lb, **_resolved_lb_params(config))
+        telemetry = install_telemetry(fabric)
+    # Spec-DSL *default* timers scale with time_scale (explicit values
+    # are taken literally) so hold, heartbeat and breaker windows keep
+    # their ratio to the scaled RTO floor.
+    scheme = install_lb(
+        fabric,
+        config.lb,
+        detector=config.detector,
+        detector_time_scale=config.time_scale,
+        **_resolved_lb_params(config),
+    )
     if checker is not None:
         fabric.hooks.attach(scheme=scheme)
     if telemetry is not None:
@@ -332,12 +338,14 @@ def _detection_latency_ns(
     failure detector, or never fired one — e.g. ECMP)."""
     if first_apply is None:
         return None
-    # Hermes' leaf tables are detectors too; REPS and DiffFlow list the
-    # same table in both maps, so each object is read once.
+    # Hermes' leaf tables are detectors too.
     tables = (*scheme.leaf_states.values(), *scheme.detectors.values())
-    detectors = {id(d): d for d in tables if isinstance(d, Detector)}
     detections = [
-        t for d in detectors.values() for t in d.detection_times if t >= first_apply
+        t
+        for d in tables
+        if isinstance(d, Detector)
+        for t in d.detection_times
+        if t >= first_apply
     ]
     return min(detections) - first_apply if detections else None
 

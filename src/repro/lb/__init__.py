@@ -6,11 +6,14 @@ interface.  Edge-based schemes (ECMP, Presto*, DRB, CLOVE-ECN,
 FlowBender, Hermes, REPS, DiffFlow, RDNA Balance) keep per-host state;
 switch-based schemes (CONGA, LetFlow, DRILL) share their leaf switch's
 state between all hosts of the rack, which is exactly the visibility
-advantage the paper's Table 2 quantifies.  The zoo schemes additionally
-route on a per-rack failure table — a :mod:`repro.detect` detector,
-:class:`~repro.detect.transport.TransportDetector` unless the experiment
-configures another — so the recovery-timeline metrics read detection
-times uniformly.
+advantage the paper's Table 2 quantifies.
+
+Every scheme reads path health from one slot, ``LoadBalancer.detector``:
+``install_lb`` binds one :mod:`repro.detect` detector per rack, the
+experiment's configured one or else the scheme's ``default_detector``.
+The zoo schemes route on it and default to ``"transport"``
+(:class:`~repro.detect.transport.TransportDetector`); the others default
+to none.  Hermes keeps its own table (``repro.core.sensing``).
 """
 
 from repro.lb.base import LoadBalancer

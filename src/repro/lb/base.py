@@ -35,10 +35,10 @@ class InstalledScheme:
     Every field is empty for a scheme that has no such state."""
 
     #: leaf index -> the scheme's rack-shared state (CONGA tables, Hermes
-    #: path tables, RDNA registries, the zoo's failure tables).
+    #: path tables, RDNA registries).
     leaf_states: Dict[int, Any] = field(default_factory=dict)
-    #: leaf index -> :mod:`repro.detect` detector: the configured one,
-    #: or the default transport table of a scheme that routes on one.
+    #: leaf index -> :mod:`repro.detect` detector bound to the agents:
+    #: the configured one, or the scheme's ``default_detector``.
     detectors: Dict[int, Any] = field(default_factory=dict)
     #: leaf index -> Hermes probe agent.
     probers: Dict[int, Any] = field(default_factory=dict)
@@ -58,16 +58,21 @@ class LoadBalancer:
     #: this claim into reordering expectations.
     granularity = "flow"
 
+    #: Detector spec ``install_lb`` binds when the experiment names none
+    #: (``None``: no detector).  Schemes that route on a failure table
+    #: name one and read :attr:`detector` without a ``None`` check.
+    default_detector: Optional[str] = None
+
     def __init__(self, host: "Host", fabric: "Fabric", rng: random.Random) -> None:
         self.host = host
         self.fabric = fabric
         self.topology = fabric.topology
         self.rng = rng
         self.reroutes = 0  # path changes of already-placed flows
-        #: Optional failure detector (see :mod:`repro.detect`), shared
-        #: per rack and bound by the factory when the experiment asks
-        #: for one.  ``None`` — the default — costs each hook one
-        #: ``is not None`` branch and nothing else.
+        #: Failure detector (see :mod:`repro.detect`), shared per rack
+        #: and bound by ``install_lb`` before the first packet — the
+        #: configured one, else :attr:`default_detector`.  ``None`` costs
+        #: each hook one ``is not None`` branch and nothing else.
         self.detector = None
 
     # -------------------------- helpers ------------------------------- #
@@ -115,10 +120,8 @@ class LoadBalancer:
         """Piggybacked congestion signals (ECN echo + RTT) for a path.
 
         The default implementations of the three transport hooks feed
-        the configured detector, so schemes that do not override them
-        (ECMP, Presto, DRB, LetFlow, DRILL, CONGA) supply passive
-        evidence for free; schemes that do override them feed the
-        detector themselves.
+        the bound detector; a scheme that overrides one for its own
+        state calls ``super()`` for the evidence.
         """
         detector = self.detector
         if detector is not None and path_id >= 0:

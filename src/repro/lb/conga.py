@@ -30,11 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Fabric
     from repro.transport.base import FlowBase
 
+#: Congestion-to-leaf table entries older than this read as idle; the
+#: runner scales it with ``time_scale``.
+DEFAULT_AGING_NS = milliseconds(10)
+
 
 class CongaLeafState:
     """Per-leaf congestion-to-leaf table with aging."""
 
-    def __init__(self, aging_ns: int = milliseconds(10)) -> None:
+    def __init__(self, aging_ns: int = DEFAULT_AGING_NS) -> None:
         self.aging_ns = aging_ns
         # (dst_leaf, path) -> [metric, updated_at]
         self.table: Dict[Tuple[int, int], List[int]] = {}

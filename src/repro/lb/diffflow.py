@@ -15,14 +15,12 @@ The threshold is configurable through ``ExperimentConfig.lb_params``
 ``size_scale`` exactly like Hermes' ``S`` gate, so scaled runs keep the
 paper's short/long boundary.
 
-Failure awareness (``failure_aware=True``, our extension for the
-Fig. 16/17 recovery comparison — the original design predates the fault
-model): RTOs and retransmission bursts feed the rack's shared
+Failure awareness (our extension for the Fig. 16/17 recovery
+comparison — the original design predates the fault model): RTOs and
+retransmission bursts feed the rack's shared detector, by default the
 :class:`~repro.detect.transport.TransportDetector` table; sprayed
 packets avoid failed paths, and a pinned long flow whose path fails is
-re-pinned onto a trusted one at its next packet.  With ``failure_aware=False`` the
-scheme is exactly as published: blind to failures, like its ECMP long
-half."""
+re-pinned onto a trusted one at its next packet."""
 
 from __future__ import annotations
 
@@ -30,10 +28,9 @@ from typing import Dict, TYPE_CHECKING
 
 import zlib
 
-from repro.lb.base import InstalledScheme, LoadBalancer
+from repro.lb.base import LoadBalancer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.detect.base import Detector
     from repro.transport.base import FlowBase
 
 #: Short/long boundary: 100 KB — the paper's (and the literature's)
@@ -46,22 +43,15 @@ class DiffFlowLB(LoadBalancer):
 
     name = "diffflow"
     granularity = "packet"
+    default_detector = "transport"
 
     def __init__(
-        self,
-        host,
-        fabric,
-        rng,
-        health: "Detector",
-        threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
-        failure_aware: bool = True,
+        self, host, fabric, rng, threshold_bytes: int = DEFAULT_THRESHOLD_BYTES
     ) -> None:
         super().__init__(host, fabric, rng)
         if threshold_bytes < 1:
             raise ValueError("threshold_bytes must be >= 1")
-        self.health = health
         self.threshold_bytes = threshold_bytes
-        self.failure_aware = failure_aware
         #: flow_id -> pinned path of a graduated (long) flow.
         self._pinned: Dict[int, int] = {}
         #: flow_id -> pin evictions so far; salts the re-pin hash so a
@@ -84,22 +74,14 @@ class DiffFlowLB(LoadBalancer):
         if flow.bytes_sent < self.threshold_bytes:
             # Short (so far): random packet spraying over trusted paths.
             self.sprayed_pkts += 1
-            candidates = (
-                self.health.alive(dst_leaf, paths)
-                if self.failure_aware
-                else paths
-            )
+            candidates = self.detector.alive(dst_leaf, paths)
             return self._note_path(flow, self.rng.choice(candidates))
         # Long: ECMP-style pin, kept until failure evicts it.
         self.pinned_pkts += 1
         path = self._pinned.get(flow.flow_id)
         if path is not None and path not in paths:
             path = None  # pinned path was cut from under the flow
-        if (
-            path is not None
-            and self.failure_aware
-            and self.health.is_failed(dst_leaf, path)
-        ):
+        if path is not None and self.detector.is_failed(dst_leaf, path):
             path = None
         if path is None:
             if flow.flow_id in self._pinned:
@@ -107,51 +89,19 @@ class DiffFlowLB(LoadBalancer):
                 self._epoch[flow.flow_id] = (
                     self._epoch.get(flow.flow_id, 0) + 1
                 )
-            candidates = (
-                self.health.alive(dst_leaf, paths)
-                if self.failure_aware
-                else paths
-            )
+            candidates = self.detector.alive(dst_leaf, paths)
             path = self._hash_path(flow, candidates)
             self._pinned[flow.flow_id] = path
             return self._note_path(flow, path)
         return path
 
-    def on_ack(self, flow: "FlowBase", path_id: int, ece: bool, rtt_ns: int,
-               is_retx: bool) -> None:
-        if not self.failure_aware:
-            return
-        # A completed round trip is proof the path is alive.
-        self.health.note_ok(self.topology.leaf_of(flow.dst), path_id)
-
     def on_timeout(self, flow: "FlowBase", path_id: int) -> None:
-        if not self.failure_aware or path_id < 0:
-            return
-        self.health.note_timeout(self.topology.leaf_of(flow.dst), path_id)
+        super().on_timeout(flow, path_id)
         # A pinned flow stalled on its path: re-pin at the next packet.
         if self._pinned.get(flow.flow_id) == path_id:
             del self._pinned[flow.flow_id]
             self._epoch[flow.flow_id] = self._epoch.get(flow.flow_id, 0) + 1
 
-    def on_retransmit(self, flow: "FlowBase", path_id: int) -> None:
-        if not self.failure_aware or path_id < 0:
-            return
-        self.health.note_retransmit(self.topology.leaf_of(flow.dst), path_id)
-
     def on_flow_done(self, flow: "FlowBase") -> None:
         self._pinned.pop(flow.flow_id, None)
         self._epoch.pop(flow.flow_id, None)
-
-
-def install_diffflow(fabric, leaf_health, **params) -> InstalledScheme:
-    """Install DiffFlow on every host, each rack sharing its entry of
-    ``leaf_health`` (leaf index -> detector; ``install_lb`` builds it)."""
-    for host in fabric.hosts:
-        host.lb = DiffFlowLB(
-            host,
-            fabric,
-            fabric.rng.spawn("diffflow", host.host_id),
-            leaf_health[host.leaf],
-            **params,
-        )
-    return InstalledScheme(leaf_states=leaf_health)

@@ -1,27 +1,27 @@
 """Load-balancer factory: build and install agents on every host.
 
-``install_lb(fabric, "hermes", rng)`` wires up the whole scheme: per-host
+``install_lb(fabric, "hermes")`` wires up the whole scheme: per-host
 agents, shared per-leaf state where the scheme needs it (CONGA tables,
-Hermes path tables), and auxiliary machinery (Hermes probe agents).
+Hermes path tables), auxiliary machinery (Hermes probe agents) and the
+per-leaf failure detectors the agents read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.lb.base import InstalledScheme
 from repro.lb.clove import CloveEcnLB
-from repro.lb.conga import CongaLB, CongaLeafState
-from repro.lb.diffflow import DiffFlowLB, install_diffflow
+from repro.lb.conga import DEFAULT_AGING_NS, CongaLB, CongaLeafState
+from repro.lb.diffflow import DiffFlowLB
 from repro.lb.drill import DrillLB
 from repro.lb.ecmp import EcmpLB
 from repro.lb.flowbender import FlowBenderLB
 from repro.lb.letflow import LetFlowLB
 from repro.lb.presto import DrbLB, PrestoLB
 from repro.lb.rdna import RdnaBalanceLB, install_rdna
-from repro.lb.reps import RepsLB, install_reps
+from repro.lb.reps import RepsLB
 from repro.net.fabric import Fabric
-from repro.sim.engine import microseconds
 
 
 def _install_simple(cls: type) -> Callable[..., InstalledScheme]:
@@ -39,10 +39,9 @@ def _install_conga(fabric: Fabric, **params: Any) -> InstalledScheme:
     # CONGA is the DRE's only consumer, so it alone switches it on.
     for port in fabric.topology.all_ports():
         port.enable_dre()
-    aging_ns = params.pop("aging_ns", None)
+    aging_ns = params.pop("aging_ns", DEFAULT_AGING_NS)
     leaf_states = {
-        leaf: CongaLeafState(**({"aging_ns": aging_ns} if aging_ns else {}))
-        for leaf in range(fabric.config.n_leaves)
+        leaf: CongaLeafState(aging_ns) for leaf in range(fabric.config.n_leaves)
     }
     for host in fabric.hosts:
         host.lb = CongaLB(
@@ -60,7 +59,7 @@ def _install_hermes(fabric: Fabric, **params: Any) -> InstalledScheme:
     # and a module-level import here would close that cycle.
     from repro.core.hermes import HermesLB
     from repro.core.parameters import HermesParams
-    from repro.core.probing import HermesProber, install_probe_loss_accounting
+    from repro.core.probing import HermesProber
     from repro.core.sensing import HermesLeafState
 
     hermes_params: HermesParams = params.pop("params", HermesParams())
@@ -76,7 +75,6 @@ def _install_hermes(fabric: Fabric, **params: Any) -> InstalledScheme:
         )
         prober.start()
         probers[leaf] = prober
-    install_probe_loss_accounting(fabric, probers)
     for host in fabric.hosts:
         host.lb = HermesLB(
             host,
@@ -101,8 +99,8 @@ LB_REGISTRY: Dict[str, Callable[..., InstalledScheme]] = {
     "flowbender": _install_simple(FlowBenderLB),
     "conga": _install_conga,
     "hermes": _install_hermes,
-    "reps": install_reps,
-    "diffflow": install_diffflow,
+    "reps": _install_simple(RepsLB),
+    "diffflow": _install_simple(DiffFlowLB),
     "rdna": install_rdna,
 }
 
@@ -137,28 +135,26 @@ def scheme_names() -> Tuple[str, ...]:
 SPRAYING_SCHEMES: Tuple[str, ...] = ("diffflow", "drb", "presto", "reps")
 
 
-#: Schemes whose agents route on a per-leaf failure table: their
-#: installers take the table as ``leaf_health``, and a configured
-#: detector *is* that table instead of riding alongside it.
-_HEALTH_TABLE_SCHEMES: Tuple[str, ...] = ("reps", "diffflow", "rdna")
-
-
-def install_lb(fabric: Fabric, name: str, **params: Any) -> InstalledScheme:
+def install_lb(
+    fabric: Fabric,
+    name: str,
+    detector: Optional[Any] = None,
+    detector_time_scale: float = 1.0,
+    **params: Any,
+) -> InstalledScheme:
     """Install scheme ``name`` on every host of ``fabric``.
 
     Returns the scheme's :class:`~repro.lb.base.InstalledScheme` (all
     fields empty for stateless schemes) so harnesses can inspect
     probers, tables, detection counters, etc.
 
-    ``detector`` (a :mod:`repro.detect` spec string or parsed spec) and
-    ``detector_time_scale`` are understood for every scheme: the factory
-    builds one detector per leaf, binds it to each agent's ``detector``
-    slot, publishes the map as ``InstalledScheme.detectors`` and starts
-    active detectors last — after any scheme machinery (the Hermes
-    prober) has claimed its probe sink, so reply demultiplexing chains
-    instead of clobbering.  The health-table schemes route on those
-    detectors, and get the default ``"transport"`` table when none is
-    configured; its timers are set through the spec DSL
+    One install order for every scheme: run the scheme's installer, then
+    build one detector per leaf from ``detector`` (a :mod:`repro.detect`
+    spec string or parsed spec) or, when that is ``None``, from the
+    agents' ``default_detector``; bind it to each agent's ``detector``
+    slot, publish the map as ``InstalledScheme.detectors`` and start it.
+    ``detector_time_scale`` scales the spec's default timers; explicit
+    ones are set through the spec DSL
     (``"transport:hold=…,retx_threshold=…,retx_window=…"``).
     """
     try:
@@ -166,28 +162,17 @@ def install_lb(fabric: Fabric, name: str, **params: Any) -> InstalledScheme:
     except KeyError:
         known = ", ".join(sorted(LB_REGISTRY))
         raise ValueError(f"unknown load balancer {name!r}; known: {known}") from None
-    detector_spec = params.pop("detector", None)
-    time_scale = params.pop("detector_time_scale", 1.0)
-    routes_on_table = name in _HEALTH_TABLE_SCHEMES
-    if detector_spec is None and not routes_on_table:
-        return installer(fabric, **params)
+    scheme = installer(fabric, **params)
+    spec = detector or fabric.hosts[0].lb.default_detector
+    if spec is None:
+        return scheme
     # Imported lazily: repro.detect pulls in implementation modules that
     # themselves import from repro.lb.
     from repro.detect import build_leaf_detectors
 
-    if routes_on_table:
-        detectors = build_leaf_detectors(
-            fabric, detector_spec or "transport", time_scale
-        )
-        scheme = installer(fabric, leaf_health=detectors, **params)
-    else:
-        scheme = installer(fabric, **params)
-        # Built after the installer ran (see docstring: sink chaining).
-        detectors = build_leaf_detectors(fabric, detector_spec, time_scale)
+    detectors = build_leaf_detectors(fabric, spec, detector_time_scale)
     for host in fabric.hosts:
-        agent = host.lb
-        if agent is not None:
-            agent.detector = detectors[host.leaf]
+        host.lb.detector = detectors[host.leaf]
     scheme.detectors = detectors
     for det in detectors.values():
         det.start()

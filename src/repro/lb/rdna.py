@@ -17,7 +17,7 @@ Our reproduction keeps the split edge/controller roles:
   the path currently carrying the fewest elephants (ties break on the
   lowest path id — deterministic) and tracks the assignment until the
   flow completes;
-* failure awareness rides the rack's shared
+* failure awareness rides the rack's shared detector, by default the
   :class:`~repro.detect.transport.TransportDetector` table: a failed
   path's elephants are re-placed on the healthiest least-loaded path
   and mice re-hash off it, giving the scheme a finite Fig. 16-style
@@ -36,7 +36,6 @@ import zlib
 from repro.lb.base import InstalledScheme, LoadBalancer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.detect.base import Detector
     from repro.transport.base import FlowBase
 
 #: Elephant boundary: 1 MB sent, scaled by the runner on scaled runs.
@@ -49,10 +48,11 @@ class RdnaLeafState:
     The per-path elephant counts are the scheme's balancing signal; the
     registry is deliberately ignorant of byte rates — RDNA Balance
     spreads elephants by *count*, trusting isolation to do the rest.
+    Callers pass the candidate paths already filtered by the rack's
+    detector.
     """
 
-    def __init__(self, health: "Detector") -> None:
-        self.health = health
+    def __init__(self) -> None:
         #: flow_id -> (dst_leaf, path) of an isolated elephant.
         self.assignments: Dict[int, Tuple[int, int]] = {}
         #: (dst_leaf, path) -> number of elephants isolated on it.
@@ -60,16 +60,11 @@ class RdnaLeafState:
         self.elephants_seen = 0
         self.replacements = 0
 
-    def _least_loaded(self, dst_leaf: int, paths: Tuple[int, ...]) -> int:
-        candidates = self.health.alive(dst_leaf, paths)
-        return min(
-            candidates,
-            key=lambda p: (self.elephants_on.get((dst_leaf, p), 0), p),
-        )
-
     def place(self, flow_id: int, dst_leaf: int, paths: Tuple[int, ...]) -> int:
         """Isolate a newly detected elephant on the emptiest path."""
-        path = self._least_loaded(dst_leaf, paths)
+        path = min(
+            paths, key=lambda p: (self.elephants_on.get((dst_leaf, p), 0), p)
+        )
         self.assignments[flow_id] = (dst_leaf, path)
         self.elephants_on[(dst_leaf, path)] = (
             self.elephants_on.get((dst_leaf, path), 0) + 1
@@ -81,9 +76,9 @@ class RdnaLeafState:
         """Move an elephant whose path failed (or was cut) elsewhere."""
         old = self.assignments.get(flow_id)
         self.release(flow_id)
-        if old is not None and len(paths) > 1:
+        if old is not None:
             # Never re-place onto the path being fled, even when the
-            # health table's never-strand fallback offers the full set.
+            # detector's never-strand fallback offers the full set.
             paths = tuple(p for p in paths if p != old[1]) or paths
         path = self.place(flow_id, dst_leaf, paths)
         self.elephants_seen -= 1  # a move is not a new elephant
@@ -105,6 +100,7 @@ class RdnaBalanceLB(LoadBalancer):
 
     name = "rdna"
     granularity = "flow"
+    default_detector = "transport"
 
     def __init__(
         self,
@@ -118,7 +114,6 @@ class RdnaBalanceLB(LoadBalancer):
         if elephant_threshold_bytes < 1:
             raise ValueError("elephant_threshold_bytes must be >= 1")
         self.registry = registry
-        self.health = registry.health
         self.elephant_threshold_bytes = elephant_threshold_bytes
         #: flow_id -> hashed mouse path (dropped on failure to re-hash).
         self._mouse_path: Dict[int, int] = {}
@@ -129,32 +124,37 @@ class RdnaBalanceLB(LoadBalancer):
     def select_path(self, flow: "FlowBase", wire_bytes: int) -> int:
         dst_leaf = self.topology.leaf_of(flow.dst)
         paths = self.topology.paths(self.host.leaf, dst_leaf)
+        detector = self.detector
         registry = self.registry
         assignment = registry.assignments.get(flow.flow_id)
         if assignment is not None:
             path = assignment[1]
-            if path in paths and not self.health.is_failed(dst_leaf, path):
+            if path in paths and not detector.is_failed(dst_leaf, path):
                 return path
             # Isolated path died under the elephant: controller re-places.
-            path = registry.replace(flow.flow_id, dst_leaf, paths)
+            path = registry.replace(
+                flow.flow_id, dst_leaf, detector.alive(dst_leaf, paths)
+            )
             return self._note_path(flow, path)
         if flow.bytes_sent >= self.elephant_threshold_bytes:
             # Mouse just graduated: detect + isolate.
             self._mouse_path.pop(flow.flow_id, None)
-            path = registry.place(flow.flow_id, dst_leaf, paths)
+            path = registry.place(
+                flow.flow_id, dst_leaf, detector.alive(dst_leaf, paths)
+            )
             return self._note_path(flow, path)
         # Mouse: static ECMP hash, re-hashed only off failed/cut paths.
         path = self._mouse_path.get(flow.flow_id)
         if (
             path is None
             or path not in paths
-            or self.health.is_failed(dst_leaf, path)
+            or detector.is_failed(dst_leaf, path)
         ):
             if path is not None:
                 self._epoch[flow.flow_id] = (
                     self._epoch.get(flow.flow_id, 0) + 1
                 )
-            candidates = self.health.alive(dst_leaf, paths)
+            candidates = detector.alive(dst_leaf, paths)
             if path is not None and len(candidates) > 1:
                 candidates = tuple(
                     p for p in candidates if p != path
@@ -168,34 +168,15 @@ class RdnaBalanceLB(LoadBalancer):
             return self._note_path(flow, path)
         return path
 
-    def on_ack(self, flow: "FlowBase", path_id: int, ece: bool, rtt_ns: int,
-               is_retx: bool) -> None:
-        # A completed round trip is proof the path is alive.
-        self.health.note_ok(self.topology.leaf_of(flow.dst), path_id)
-
-    def on_timeout(self, flow: "FlowBase", path_id: int) -> None:
-        if path_id < 0:
-            return
-        self.health.note_timeout(self.topology.leaf_of(flow.dst), path_id)
-
-    def on_retransmit(self, flow: "FlowBase", path_id: int) -> None:
-        if path_id < 0:
-            return
-        self.health.note_retransmit(self.topology.leaf_of(flow.dst), path_id)
-
     def on_flow_done(self, flow: "FlowBase") -> None:
         self.registry.release(flow.flow_id)
         self._mouse_path.pop(flow.flow_id, None)
         self._epoch.pop(flow.flow_id, None)
 
 
-def install_rdna(fabric, leaf_health, **params) -> InstalledScheme:
-    """Install RDNA Balance: one elephant registry per rack, wrapped
-    around the rack's entry of ``leaf_health`` (leaf index -> detector;
-    ``install_lb`` builds it)."""
-    leaf_states = {
-        leaf: RdnaLeafState(health) for leaf, health in leaf_health.items()
-    }
+def install_rdna(fabric, **params) -> InstalledScheme:
+    """Install RDNA Balance: one elephant registry per rack."""
+    leaf_states = {leaf: RdnaLeafState() for leaf in range(fabric.config.n_leaves)}
     for host in fabric.hosts:
         host.lb = RdnaBalanceLB(
             host,

@@ -13,16 +13,16 @@ Failure mitigation follows the paper's two rules:
 
 * an RTO **flushes the flow's entire entropy cache** (every cached
   entropy is stale evidence once the flow stalls) and reports the path
-  to the rack's shared
+  to the rack's shared detector — by default the
   :class:`~repro.detect.transport.TransportDetector` table, which fails
   it immediately;
 * retransmissions evict the implicated entropy from the cache and feed
   the table's windowed retransmission counter, so a lossy-but-alive link
   is also detected and avoided.
 
-Fresh entropies are drawn uniformly from the paths the health table
-still trusts, which is what steers traffic off a dead spine within one
-RTO — the behaviour the Fig. 16/17 recovery timelines measure.
+Fresh entropies are drawn uniformly from the paths the detector still
+trusts, which is what steers traffic off a dead spine within one RTO —
+the behaviour the Fig. 16/17 recovery timelines measure.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, TYPE_CHECKING
 
-from repro.lb.base import InstalledScheme, LoadBalancer
+from repro.lb.base import LoadBalancer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.detect.base import Detector
     from repro.transport.base import FlowBase
 
 #: Per-flow entropy cache bound — about one congestion window's worth of
@@ -46,19 +45,14 @@ class RepsLB(LoadBalancer):
 
     name = "reps"
     granularity = "packet"
+    default_detector = "transport"
 
     def __init__(
-        self,
-        host,
-        fabric,
-        rng,
-        health: "Detector",
-        cache_size: int = DEFAULT_CACHE_SIZE,
+        self, host, fabric, rng, cache_size: int = DEFAULT_CACHE_SIZE
     ) -> None:
         super().__init__(host, fabric, rng)
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        self.health = health
         self.cache_size = cache_size
         #: flow_id -> FIFO of recycled path entropies.
         self._cache: Dict[int, Deque[int]] = {}
@@ -71,29 +65,26 @@ class RepsLB(LoadBalancer):
         paths = self.topology.paths(self.host.leaf, dst_leaf)
         cache = self._cache.get(flow.flow_id)
         if cache:
-            health = self.health
+            detector = self.detector
             while cache:
                 entropy = cache.popleft()
                 # A cached entropy may have gone stale: its path can be
                 # cut (topology change) or freshly failed.  Skip, don't
                 # re-queue — staleness is why it is being discarded.
-                if entropy in paths and not health.is_failed(dst_leaf, entropy):
+                if entropy in paths and not detector.is_failed(dst_leaf, entropy):
                     self.recycled += 1
                     return self._note_path(flow, entropy)
-        alive = self.health.alive(dst_leaf, paths)
+        alive = self.detector.alive(dst_leaf, paths)
         self.fresh += 1
         return self._note_path(flow, self.rng.choice(alive))
 
     def on_ack(self, flow: "FlowBase", path_id: int, ece: bool, rtt_ns: int,
                is_retx: bool) -> None:
-        if path_id < 0:
-            return
-        dst_leaf = self.topology.leaf_of(flow.dst)
         # Any round trip is proof of life for the path (clears false
         # failure verdicts) ...
-        self.health.note_ok(dst_leaf, path_id)
+        super().on_ack(flow, path_id, ece, rtt_ns, is_retx)
         # ... but only clean ones prove a *good* entropy worth recycling.
-        if ece or is_retx:
+        if path_id < 0 or ece or is_retx:
             return
         cache = self._cache.get(flow.flow_id)
         if cache is None:
@@ -106,32 +97,15 @@ class RepsLB(LoadBalancer):
         # Failure mitigation: the stall invalidates everything the flow
         # thought it knew about good entropies.
         self._cache.pop(flow.flow_id, None)
-        if path_id >= 0:
-            self.health.note_timeout(self.topology.leaf_of(flow.dst), path_id)
+        super().on_timeout(flow, path_id)
 
     def on_retransmit(self, flow: "FlowBase", path_id: int) -> None:
-        if path_id < 0:
-            return
         cache = self._cache.get(flow.flow_id)
         if cache and path_id in cache:
             self._cache[flow.flow_id] = deque(
                 e for e in cache if e != path_id
             )
-        self.health.note_retransmit(self.topology.leaf_of(flow.dst), path_id)
+        super().on_retransmit(flow, path_id)
 
     def on_flow_done(self, flow: "FlowBase") -> None:
         self._cache.pop(flow.flow_id, None)
-
-
-def install_reps(fabric, leaf_health, **params) -> InstalledScheme:
-    """Install REPS on every host, each rack sharing its entry of
-    ``leaf_health`` (leaf index -> detector; ``install_lb`` builds it)."""
-    for host in fabric.hosts:
-        host.lb = RepsLB(
-            host,
-            fabric,
-            fabric.rng.spawn("reps", host.host_id),
-            leaf_health[host.leaf],
-            **params,
-        )
-    return InstalledScheme(leaf_states=leaf_health)

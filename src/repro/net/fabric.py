@@ -7,7 +7,7 @@ after each link traversal; the final hop lands in :meth:`Host.receive`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.hooks import HookSet
 from repro.net.host import Host
@@ -79,10 +79,9 @@ class Fabric:
         #: dying on a dead link *is* the detection signal, so these
         #: deaths must be countable rather than vanishing silently.
         self.probe_drops = 0
-        #: Optional callback invoked with each dropped probe packet
-        #: while it is still live (before pool release) — the Hermes
-        #: prober and detector planes attribute losses per consumer.
-        self.probe_drop_sink: Optional[Callable[[Packet], None]] = None
+        #: (agent host, probe id) -> (on_reply, on_lost): the one owner
+        #: of each probe stream — see :meth:`claim_probes`.
+        self._probe_owners: Dict[Tuple[int, int], tuple] = {}
         #: The unified attach/detach surface for all observability hooks
         #: (checker / tracer / audit / profiler) — see :mod:`repro.hooks`.
         self.hooks = HookSet(self)
@@ -169,17 +168,42 @@ class Fabric:
             self.flows.pop(flow_id, None)
 
     # ------------------------------------------------------------------ #
-    # Packet plumbing
+    # Probe streams
     # ------------------------------------------------------------------ #
 
+    def claim_probes(
+        self,
+        host: int,
+        probe_id: int,
+        on_reply: Callable[[Packet], None],
+        on_lost: Optional[Callable[[Packet], None]] = None,
+    ) -> None:
+        """Make ``on_reply`` the owner of the probes ``host`` sends with
+        flow id ``probe_id``: every PROBE_REPLY of that stream arriving
+        at ``host`` goes to it, and ``on_lost`` (if given) hears of every
+        probe or reply of the stream that dies in-fabric.  A stream has
+        one owner: claiming it twice is a ``ValueError``."""
+        key = (host, probe_id)
+        if key in self._probe_owners:
+            raise ValueError(
+                f"probe stream {probe_id} of host {host} is already claimed"
+            )
+        self._probe_owners[key] = (on_reply, on_lost)
+
     def _probe_dropped(self, packet: Packet) -> None:
-        """A PROBE/PROBE_REPLY died in-fabric: count it and let whoever
-        owns the probe attribute the loss (the packet is still live —
-        callers release it to the pool only afterwards)."""
+        """A PROBE/PROBE_REPLY died in-fabric: count it and charge the
+        loss to the stream's owner — the sender of a probe, the
+        addressee of a reply (the packet is still live; callers release
+        it to the pool only afterwards)."""
         self.probe_drops += 1
-        sink = self.probe_drop_sink
-        if sink is not None:
-            sink(packet)
+        host = packet.src if packet.kind == PacketKind.PROBE else packet.dst
+        owner = self._probe_owners.get((host, packet.flow_id))
+        if owner is not None and owner[1] is not None:
+            owner[1](packet)
+
+    # ------------------------------------------------------------------ #
+    # Packet plumbing
+    # ------------------------------------------------------------------ #
 
     def send(self, packet: Packet) -> bool:
         """Inject a packet at its source host over ``packet.path_id``.

@@ -7,7 +7,7 @@ TCP/IP stack and qdisc.  Probe request/reply handling lives here too.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.net.packet import Packet, PacketKind
 
@@ -24,18 +24,19 @@ class Host:
         leaf: leaf switch index.
         lb: the load-balancing agent consulted for every outgoing data
             packet (installed by the experiment harness).
-        probe_sink: callback receiving probe replies (installed by the
-            Hermes prober on agent hosts).
+
+    Probe replies go to the owner of their stream (see
+    :meth:`Fabric.claim_probes <repro.net.fabric.Fabric.claim_probes>`);
+    an unclaimed reply is dropped.
     """
 
-    __slots__ = ("host_id", "leaf", "fabric", "lb", "probe_sink")
+    __slots__ = ("host_id", "leaf", "fabric", "lb")
 
     def __init__(self, host_id: int, leaf: int, fabric: "Fabric") -> None:
         self.host_id = host_id
         self.leaf = leaf
         self.fabric = fabric
         self.lb: Optional["LoadBalancer"] = None
-        self.probe_sink: Optional[Callable[[Packet], None]] = None
 
     def receive(self, packet: Packet) -> None:
         """Dispatch an arriving packet to the right consumer."""
@@ -52,8 +53,9 @@ class Host:
             reply = self.fabric.packet_pool.probe_reply(packet)
             self.fabric.send(reply)
         elif kind == PacketKind.PROBE_REPLY:
-            if self.probe_sink is not None:
-                self.probe_sink(packet)
+            owner = self.fabric._probe_owners.get((self.host_id, packet.flow_id))
+            if owner is not None:
+                owner[0](packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.host_id} @leaf{self.leaf})"

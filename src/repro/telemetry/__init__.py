@@ -11,8 +11,8 @@ site, attributes default to ``None``):
   path-state transition and every Algorithm 2 (re)placement with its
   reason code and the threshold values that fired;
 * :mod:`repro.telemetry.series` — time-series samplers (queue backlog,
-  utilization, ECN fraction, path-state occupancy) on cancellable timer
-  events, plus the engine :class:`~repro.telemetry.series.LoopProfiler`;
+  ECN fraction) on cancellable timer events, plus the engine
+  :class:`~repro.telemetry.series.LoopProfiler`;
 * :mod:`repro.telemetry.export` — JSONL / CSV / Perfetto-compatible
   Chrome-trace exporters.
 
@@ -30,10 +30,8 @@ from repro.telemetry.audit import AuditRecord, DecisionAudit
 from repro.telemetry.series import (
     EcnFractionSeries,
     LoopProfiler,
-    PathStateSeries,
     PeriodicSampler,
     QueueSampler,
-    UtilizationSeries,
 )
 from repro.telemetry.tracer import EventTracer, TraceRecord, TracerHooks
 
@@ -103,7 +101,6 @@ class Telemetry:
 
 def install_telemetry(
     fabric: "Fabric",
-    config: Any = None,
     capacity: int = 1_000_000,
     audit_capacity: int = 200_000,
     profile: bool = True,
@@ -118,8 +115,6 @@ def install_telemetry(
 
     Args:
         fabric: the network to observe.
-        config: experiment config (unused today; reserved for trace
-            filtering specs).
         capacity / audit_capacity: ring-buffer bounds.
         profile: attach the engine :class:`LoopProfiler`.
         sample_period_ns: if set, start queue-backlog and ECN-fraction
@@ -150,24 +145,15 @@ def watch_lb(
     telemetry: Telemetry,
     fabric: "Fabric",
     scheme: Optional["InstalledScheme"] = None,
-    sample_period_ns: Optional[int] = None,
 ) -> None:
     """Attach the decision audit to an installed scheme.
 
     Hooks every per-host agent exposing an ``audit`` attribute (Hermes)
     and, given the ``scheme`` that ``install_lb`` returned, every Hermes
     leaf-state table and every detector in it; a no-op for schemes with
-    none of those.  When ``sample_period_ns`` is set, a
-    :class:`PathStateSeries` is started per leaf table.
+    none of those.
     """
     fabric.hooks.attach(audit=telemetry.audit, scheme=scheme)
-    if scheme is not None and sample_period_ns is not None:
-        for leaf, state in scheme.leaf_states.items():
-            if hasattr(state, "audit") and hasattr(state, "classify"):
-                telemetry.add_series(
-                    f"path_state leaf{leaf}",
-                    PathStateSeries(state, sample_period_ns),
-                )
 
 
 __all__ = [
@@ -181,8 +167,6 @@ __all__ = [
     "AuditRecord",
     "PeriodicSampler",
     "QueueSampler",
-    "UtilizationSeries",
     "EcnFractionSeries",
-    "PathStateSeries",
     "LoopProfiler",
 ]

@@ -12,11 +12,8 @@ Samplers:
 
 * :class:`QueueSampler` — per-port backlog (migrated from
   ``repro.metrics.collector``, same query API);
-* :class:`UtilizationSeries` — per-port utilization per interval;
 * :class:`EcnFractionSeries` — fraction of transmitted packets that were
   CE-marked per interval (per port);
-* :class:`PathStateSeries` — Algorithm 1 occupancy: how many of a leaf's
-  sensed paths are good/gray/congested/failed at each instant;
 * :class:`LoopProfiler` — engine-side counters: events dispatched per
   callback kind, heap size and wall-clock per slab of simulated time.
 """
@@ -142,31 +139,6 @@ class UtilizationTracker:
         }
 
 
-class UtilizationSeries(PeriodicSampler):
-    """Per-interval link utilization (fraction of capacity) per port."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        ports: Sequence["OutputPort"],
-        period_ns: int = 1_000_000,
-    ) -> None:
-        super().__init__(sim, period_ns)
-        self.ports = list(ports)
-        self.samples: Dict[str, List[Tuple[int, float]]] = {
-            port.name: [] for port in self.ports
-        }
-        self._last_bytes = {p.name: p.bytes_sent for p in self.ports}
-
-    def sample(self, now: int) -> None:
-        for port in self.ports:
-            sent = port.bytes_sent
-            delta = sent - self._last_bytes[port.name]
-            self._last_bytes[port.name] = sent
-            util = delta * 8e9 / (port.rate_bps * self.period_ns)
-            self.samples[port.name].append((now, util))
-
-
 class EcnFractionSeries(PeriodicSampler):
     """Per-interval fraction of enqueued packets that got CE-marked."""
 
@@ -191,50 +163,6 @@ class EcnFractionSeries(PeriodicSampler):
             dp = pkts - last_pkts
             fraction = (marks - last_marks) / dp if dp > 0 else 0.0
             self.samples[port.name].append((now, fraction))
-
-
-class PathStateSeries(PeriodicSampler):
-    """Algorithm 1 occupancy over one rack's sensed path table: at each
-    tick, how many (destination leaf, path) entries are good / gray /
-    congested / failed."""
-
-    CLASS_NAMES = ("good", "gray", "congested", "failed")
-
-    def __init__(
-        self, leaf_state: Any, period_ns: int = 1_000_000
-    ) -> None:
-        super().__init__(leaf_state.sim, period_ns)
-        self.leaf_state = leaf_state
-        self.samples: List[Tuple[int, Tuple[int, int, int, int]]] = []
-
-    def sample(self, now: int) -> None:
-        counts = [0, 0, 0, 0]
-        table = self.leaf_state
-        for (dst_leaf, path), state in table._table.items():
-            if table.is_failed(dst_leaf, path):
-                counts[3] += 1
-            else:
-                counts[table._congestion_class(state)] += 1
-        self.samples.append((now, tuple(counts)))
-
-    def occupancy(self) -> Dict[str, float]:
-        """Mean fraction of sensed paths in each class over the run."""
-        if not self.samples:
-            return {name: 0.0 for name in self.CLASS_NAMES}
-        totals = [0.0, 0.0, 0.0, 0.0]
-        weight = 0
-        for _, counts in self.samples:
-            n = sum(counts)
-            if n == 0:
-                continue
-            weight += 1
-            for i, c in enumerate(counts):
-                totals[i] += c / n
-        if weight == 0:
-            return {name: 0.0 for name in self.CLASS_NAMES}
-        return {
-            name: totals[i] / weight for i, name in enumerate(self.CLASS_NAMES)
-        }
 
 
 class LoopProfiler:

@@ -87,6 +87,8 @@ class TestDetectorSpec:
             "bfd:tx=abc",
             "quorum:bfd",            # combiners need >= 2 members
             "quorum:quorum+bfd",     # no nesting
+            "quorum:bfd+bfd",        # a repeated member adds nothing
+            "fastest:transport+bfd+transport",
             "transport:hold",        # missing value
         ):
             with pytest.raises(ValueError):

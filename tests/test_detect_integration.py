@@ -18,11 +18,13 @@ from dataclasses import replace
 import pytest
 
 from repro.detect import Detector
+from repro.detect.base import HERMES_PROBE_FLOW_ID
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.faults.spec import (
+    blackhole_off,
     blackhole_on,
     flap,
     link_down,
@@ -31,6 +33,7 @@ from repro.faults.spec import (
     schedule,
 )
 from repro.lb.factory import install_lb
+from repro.net.packet import PacketKind
 from tests.conftest import make_fabric
 
 MS = 1_000_000
@@ -152,9 +155,74 @@ class TestZooRoutesOnTheTransportTable:
         assert table.hold_ns == 7 * MS            # explicit: literal
         assert table.retx_window_ns == 5 * MS     # default: scaled
         assert all(
-            host.lb.health is scheme.detectors[host.leaf]
+            host.lb.detector is scheme.detectors[host.leaf]
             for host in fabric.hosts
         )
+
+    def test_detector_is_set_through_the_config_only(self):
+        # lb_params is no side door past config.detector's validation.
+        with pytest.raises(TypeError):
+            run_experiment(_config(lb="reps", lb_params={"detector": "bfd"}))
+
+
+class TestZooReadsItsDetectorSlot:
+    """REPS, DiffFlow and RDNA read ``LoadBalancer.detector`` and install
+    like any other scheme (their own installers, the ``health`` argument
+    and the factory's second branch are gone) with no bit moved: these
+    cells reproduce what the parent commit (5cbadf8) recorded."""
+
+    BLACKHOLE = schedule(
+        blackhole_on(5 * MS, spine=0, fraction=1.0),
+        blackhole_off(20 * MS, spine=0),
+    )
+
+    #: (lb, fault, detector) -> (sha256(repr(records))[:16], events,
+    #: detection_ns, recovery_ns)
+    PARENT = {
+        ("reps", "link_down", None): ("3adad7846051a66d", 234722, 115815, None),
+        ("reps", "link_down", "bfd"): ("bca0f75efe7cc460", 262993, 300000, 0),
+        ("reps", "link_down", "quorum:transport+bfd"): (
+            "bda2e8b384957241", 263086, 300000, 0),
+        ("reps", "blackhole", None): ("092eaaf0dcdabcbd", 265286, 114127, 0),
+        ("reps", "blackhole", "bfd"): ("29c41913c87cf243", 263393, 300000, 0),
+        ("reps", "blackhole", "quorum:transport+bfd"): (
+            "0e2e7a3bfa8cce37", 261251, 300000, 0),
+        ("diffflow", "link_down", None): (
+            "552872ac03e01540", 213061, 2833456, None),
+        ("diffflow", "link_down", "bfd"): ("207ec1fea00b043f", 257113, 300000, 0),
+        ("diffflow", "link_down", "quorum:transport+bfd"): (
+            "2cee6e0d2b579734", 259553, 2833456, 1055500),
+        ("diffflow", "blackhole", None): (
+            "83c808ad5dcd88be", 224162, 2833456, None),
+        ("diffflow", "blackhole", "bfd"): ("7b6ebc88858f6bbf", 257922, 300000, 0),
+        ("diffflow", "blackhole", "quorum:transport+bfd"): (
+            "447cca537303476d", 261004, 2833456, 1042106),
+        ("rdna", "link_down", None): (
+            "3ecca41624ee4243", 246602, 10067915, 668333),
+        ("rdna", "link_down", "bfd"): ("6add79227e463655", 255453, 300000, 0),
+        ("rdna", "link_down", "quorum:transport+bfd"): (
+            "95416999eaee50fa", 256340, 10067915, 671472),
+        ("rdna", "blackhole", None): (
+            "7fe5d2062fefaa13", 247834, 10067915, 669586),
+        ("rdna", "blackhole", "bfd"): ("724ada4b1fba7ecd", 256949, 300000, 0),
+        ("rdna", "blackhole", "quorum:transport+bfd"): (
+            "a019108a5a73a858", 259064, 10067915, 672674),
+    }
+
+    @pytest.mark.parametrize(
+        "lb, fault, detector", sorted(PARENT, key=repr), ids=repr
+    )
+    def test_reproduces_parent_recording(self, lb, fault, detector):
+        digest, events, detection, recovery = self.PARENT[lb, fault, detector]
+        faults = FAULTS if fault == "link_down" else self.BLACKHOLE
+        result = run_experiment(
+            _config(lb=lb, faults=faults, detector=detector)
+        )
+        records = repr(result.stats.records).encode()
+        assert hashlib.sha256(records).hexdigest()[:16] == digest
+        assert result.events == events
+        assert result.detection_ns == detection
+        assert result.recovery_ns == recovery
 
 
 class TestHermesTableIsADetector:
@@ -231,6 +299,17 @@ class TestProbeLossAccounting:
         # to its owning prober, and the run summary surfaces the total.
         assert attributed > 0
         assert result.probe_losses == attributed
+
+    def test_hermes_probes_carry_no_data_flow_id(self):
+        # Probes are their own stream: a traced run files none of them,
+        # nor their replies, under a data flow.
+        result = run_experiment(_config(lb="hermes", n_flows=20, trace=True))
+        probes = [
+            r for r in result.telemetry.tracer.events
+            if r.packet_kind in (PacketKind.PROBE, PacketKind.PROBE_REPLY)
+        ]
+        assert probes
+        assert all(r.flow_id == HERMES_PROBE_FLOW_ID for r in probes)
 
     def test_clean_run_loses_no_probes(self):
         result = run_experiment(_config(lb="hermes", detector=None))

@@ -1,5 +1,7 @@
 """Unit tests for fabric forwarding and host dispatch."""
 
+import pytest
+
 from repro.net.packet import Packet, PacketKind, make_probe
 from tests.conftest import make_fabric
 
@@ -57,8 +59,8 @@ class TestForwarding:
 class TestProbeEcho:
     def test_probe_answered_with_reply(self, fabric):
         replies = []
-        fabric.hosts[0].probe_sink = replies.append
-        probe = make_probe(0, 0, 2, 1, fabric.sim.now)
+        fabric.claim_probes(0, -7, replies.append)
+        probe = make_probe(-7, 0, 2, 1, fabric.sim.now)
         fabric.send(probe)
         fabric.sim.run()
         assert len(replies) == 1
@@ -67,17 +69,26 @@ class TestProbeEcho:
 
     def test_reply_rtt_positive(self, fabric):
         replies = []
-        fabric.hosts[0].probe_sink = replies.append
-        probe = make_probe(0, 0, 2, 0, fabric.sim.now)
+        fabric.claim_probes(0, -7, replies.append)
+        probe = make_probe(-7, 0, 2, 0, fabric.sim.now)
         fabric.send(probe)
         fabric.sim.run()
         rtt = fabric.sim.now - replies[0].ts_echo
         assert rtt > 0
 
     def test_reply_without_sink_ignored(self, fabric):
-        probe = make_probe(0, 1, 2, 0, fabric.sim.now)
-        fabric.send(probe)
-        fabric.sim.run()  # host 1 has no probe_sink; must not raise
+        replies = []
+        fabric.claim_probes(0, -7, replies.append)
+        fabric.send(make_probe(-7, 1, 2, 0, fabric.sim.now))
+        fabric.send(make_probe(-8, 0, 2, 0, fabric.sim.now))
+        fabric.sim.run()  # unclaimed streams: dropped, must not raise
+        assert replies == []
+
+    def test_a_probe_stream_has_one_owner(self, fabric):
+        fabric.claim_probes(0, -7, print)
+        fabric.claim_probes(1, -7, print)  # same id, other host: fine
+        with pytest.raises(ValueError, match="already claimed"):
+            fabric.claim_probes(0, -7, print)
 
 
 class TestFlowDoneCallback:
