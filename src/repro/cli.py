@@ -5,38 +5,58 @@ Examples::
     python -m repro run --lb hermes --workload web-search --load 0.6
     python -m repro compare --schemes ecmp,conga,hermes --asymmetric
     python -m repro probe-model --leaves 100 --spines 100
+
+Every flag a command accepts is one it reads.  The commands that build
+configs — ``run``, ``compare``, ``submit`` and ``trace run`` — take the
+experiment-shape flags (``--topology`` ... ``--drain-ms``) plus
+``--scheduler`` and ``--validate``; on top of those ``compare`` and
+``submit`` take ``--jobs``, and ``run`` and ``compare`` take
+``--no-cache``.  ``chaos`` and ``golden`` take ``--scheduler``,
+``serve`` takes ``--no-cache``; ``cache``, ``jobs``, ``probe-model``,
+``trace summarize`` and ``trace export`` take only their own flags.
+Tracing is ``trace run`` (or ``REPRO_TRACE=1`` for any run).
+
+``run``, ``compare`` and ``submit`` print their results through one
+function, :func:`print_results`, from the per-cell dicts ``GET
+/result`` serves, so a grid prints the same table run locally or by a
+service.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import os
+import signal
 import sys
+import time
 from typing import List, Optional, Sequence
 
 from repro.core.probing import probe_overhead_model
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.export import cell_dict
 from repro.experiments.parallel import ResultCache, run_cells
 from repro.experiments.report import format_table
-from repro.experiments.result import ResultSummary
-from repro.lb.factory import SPRAYING_SCHEMES, scheme_names
 from repro.experiments.scenarios import (
     bench_topology,
     failure_bench_topology,
     simulation_topology,
     testbed_topology,
 )
-from repro.sim.engine import SCHEDULERS
+from repro.faults import parse_schedule
+from repro.lb.factory import SPRAYING_SCHEMES, scheme_names
+from repro.net.topology import TopologyConfig
+from repro.sim.engine import SCHEDULERS, milliseconds
 
+#: ``--topology`` presets.  ``--asymmetric`` applies to all but
+#: failure-bench, ``--hosts-per-leaf`` only to bench and failure-bench.
 TOPOLOGIES = {
     "bench": bench_topology,
     "testbed": testbed_topology,
     "simulation": simulation_topology,
-    "failure-bench": lambda asymmetric=False: failure_bench_topology(),
+    "failure-bench": failure_bench_topology,
 }
-
-#: Topology builders that accept a rack-size override.
-_SIZED_TOPOLOGIES = {"bench": bench_topology,
-                     "failure-bench": failure_bench_topology}
 
 
 def _positive_int(value: str) -> int:
@@ -49,43 +69,39 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The flags every subcommand shares, as one argparse parent.
-
-    ``repro run/compare/chaos/golden/trace/cache`` all accept these; each
-    subcommand consumes what applies to it (e.g. ``--trace`` is implied
-    by ``trace run``, and ``cache`` uses none of the run-shape flags).
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scheduler",
-                        choices=SCHEDULERS,
-                        default=None,
+#: Flags more than one command takes; each command adds, by name, the
+#: ones it reads (see the module docstring for which).
+_SHARED_FLAGS = {
+    "--scheduler": dict(choices=SCHEDULERS, default=None,
                         help="event-queue engine (default: the config's, "
                              "normally wheel; results are bit-identical "
                              "on both engines; "
-                             "$REPRO_SCHEDULER overrides everything)")
-    common.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes for multi-cell runs "
-                             "(default: $REPRO_JOBS, else all cores); "
-                             "1 = in-process")
-    common.add_argument("--validate", action="store_true",
-                        help="run under the repro.validate invariant "
-                             "layer (conservation, FIFO, clock, ECN, "
-                             "path-state checks)")
-    common.add_argument("--trace", action="store_true",
-                        help="attach the repro.telemetry layer "
-                             "(structured tracer, decision audit, loop "
-                             "profiler) to every run")
-    common.add_argument("--no-cache", action="store_true",
-                        help="skip the on-disk result cache")
-    return common
+                             "$REPRO_SCHEDULER overrides everything)"),
+    "--validate": dict(action="store_true",
+                       help="run under the repro.validate invariant "
+                            "layer (conservation, FIFO, clock, ECN, "
+                            "path-state checks)"),
+    "--jobs": dict(type=_positive_int, default=None,
+                   help="worker processes for multi-cell runs "
+                        "(default: $REPRO_JOBS, else all cores); "
+                        "1 = in-process"),
+    "--no-cache": dict(action="store_true",
+                       help="skip the on-disk result cache"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """Experiment-shape flags (what to run; the shared parent carries
-    how to run it)."""
+    """Experiment-shape flags plus ``--scheduler`` / ``--validate``:
+    everything a command that builds configs reads."""
     parser.add_argument("--topology", choices=sorted(TOPOLOGIES), default="bench")
-    parser.add_argument("--asymmetric", action="store_true")
+    parser.add_argument("--asymmetric", action="store_true",
+                        help="the preset's asymmetric variant (not for "
+                             "failure-bench)")
     parser.add_argument("--hosts-per-leaf", type=_positive_int, default=None,
                         metavar="N",
                         help="override the rack size of the bench / "
@@ -119,63 +135,42 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "Fig. 16-style runs cap it so flows a "
                              "failure-blind scheme strands register as "
                              "unrecovered instead of limping home")
+    _add_flags(parser, "--scheduler", "--validate")
 
 
-def _apply_common(config: ExperimentConfig, args) -> ExperimentConfig:
-    """Overlay the shared flags (--scheduler/--validate/--trace) onto a
-    config, e.g. one loaded from ``--config file.json``."""
-    import dataclasses
+def _engine_fields(args) -> dict:
+    """The config fields ``--scheduler`` / ``--validate`` set."""
+    fields = {"scheduler": args.scheduler} if args.scheduler else {}
+    if args.validate:
+        fields["validate"] = True
+    return fields
 
-    updates = {}
-    if getattr(args, "scheduler", None):
-        updates["scheduler"] = args.scheduler
-    if getattr(args, "validate", False):
-        updates["validate"] = True
-    if getattr(args, "trace", False):
-        updates["trace"] = True
-    return dataclasses.replace(config, **updates) if updates else config
+
+def _topology(args) -> TopologyConfig:
+    name = args.topology
+    if args.asymmetric and name == "failure-bench":
+        raise ValueError(f"--asymmetric is not supported for topology {name!r}")
+    build = TOPOLOGIES[name]
+    topology = build(asymmetric=True) if args.asymmetric else build()
+    if args.hosts_per_leaf is None:
+        return topology
+    if name not in ("bench", "failure-bench"):
+        raise ValueError(
+            f"--hosts-per-leaf is not supported for topology {name!r}"
+        )
+    return dataclasses.replace(topology, hosts_per_leaf=args.hosts_per_leaf)
 
 
 def _config_from_args(args, lb: str) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        # --config FILE is the full experiment spec (the to_dict()
-        # round-trip); shape flags are ignored, shared flags overlay.
-        import json
-
-        with open(args.config) as fh:
-            loaded = ExperimentConfig.from_dict(json.load(fh))
-        return _apply_common(loaded, args)
-    hosts_per_leaf = getattr(args, "hosts_per_leaf", None)
-    if hosts_per_leaf is not None:
-        builder = _SIZED_TOPOLOGIES.get(args.topology)
-        if builder is None:
-            raise ValueError(
-                f"--hosts-per-leaf is not supported for "
-                f"topology {args.topology!r}"
-            )
-        if args.topology == "bench":
-            topology = builder(asymmetric=args.asymmetric,
-                               hosts_per_leaf=hosts_per_leaf)
-        else:
-            topology = builder(hosts_per_leaf=hosts_per_leaf)
-    else:
-        topology = TOPOLOGIES[args.topology](asymmetric=args.asymmetric)
-    faults = None
-    if getattr(args, "faults", None):
-        from repro.faults import parse_schedule
-
-        faults = parse_schedule(args.faults)
-    time_scale = args.time_scale if args.time_scale is not None else args.size_scale
-    extra = {}
+    topology = _topology(args)
+    extra = _engine_fields(args)
     if lb in SPRAYING_SCHEMES:
         extra["reorder_mask_us"] = (
             800.0 if topology.host_link_gbps <= 2.0 else 100.0
         )
-    if getattr(args, "drain_ms", None) is not None:
-        from repro.sim.engine import milliseconds
-
+    if args.drain_ms is not None:
         extra["extra_drain_ns"] = milliseconds(args.drain_ms)
-    config = ExperimentConfig(
+    return ExperimentConfig(
         topology=topology,
         lb=lb,
         transport=args.transport,
@@ -184,25 +179,30 @@ def _config_from_args(args, lb: str) -> ExperimentConfig:
         n_flows=args.flows,
         seed=args.seed,
         size_scale=args.size_scale,
-        time_scale=time_scale,
-        faults=faults,
-        detector=getattr(args, "detector", None),
+        time_scale=(
+            args.time_scale if args.time_scale is not None else args.size_scale
+        ),
+        faults=parse_schedule(args.faults) if args.faults else None,
+        detector=args.detector,
         **extra,
     )
-    return _apply_common(config, args)
 
 
-def _result_row(lb: str, result: ResultSummary) -> List:
-    stats = result.stats
-    return [
-        lb,
-        result.mean_fct_ms,
-        stats.small.mean_ms(),
-        stats.small.p99_ms(),
-        stats.large.mean_ms(),
-        stats.unfinished_count,
-        result.total_reroutes,
-    ]
+def _grid_from_args(args) -> List[ExperimentConfig]:
+    """The configs ``run`` / ``compare`` / ``submit`` name: one per
+    ``--schemes`` entry, or ``run``'s one ``--lb`` — or its ``--config``
+    file, which ignores the shape flags but not ``--scheduler`` /
+    ``--validate``."""
+    if args.command != "run":
+        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+        if not schemes:
+            raise ValueError("no schemes given")
+        return [_config_from_args(args, lb) for lb in schemes]
+    if args.config is None:
+        return [_config_from_args(args, args.lb)]
+    with open(args.config) as fh:
+        loaded = ExperimentConfig.from_dict(json.load(fh))
+    return [dataclasses.replace(loaded, **_engine_fields(args))]
 
 
 RESULT_HEADERS = [
@@ -217,104 +217,86 @@ def _fault_ms(value_ns: Optional[int]) -> str:
     return "-" if value_ns is None else f"{value_ns / 1e6:.3f}"
 
 
-def _print_fault_report(pairs: List) -> None:
-    """Detection/recovery table + fault timeline for faulted runs."""
-    rows = [
-        [lb, _fault_ms(r.detection_ns), _fault_ms(r.recovery_ns),
-         r.unrecovered_timeouts]
-        for lb, r in pairs
-    ]
-    print("\nfault plane:")
-    print(format_table(FAULT_HEADERS, rows))
-    timeline = pairs[0][1].fault_timeline
+def print_results(schemes: Sequence[str], cells: Sequence[dict]) -> int:
+    """Print one results table from :func:`~repro.experiments.export.
+    cell_dict`-shaped cells — plus the fault-plane table and timeline
+    when the grid carried faults — and warn on stderr about each failed
+    cell.  Returns the exit status: 1 if any cell failed."""
+    rows, fault_rows, timeline, failed = [], [], (), []
+    for lb, cell in zip(schemes, cells):
+        if "error" in cell:
+            failed.append((lb, cell["error"]))
+            rows.append([lb] + [None] * (len(RESULT_HEADERS) - 1))
+            fault_rows.append([lb] + [None] * (len(FAULT_HEADERS) - 1))
+            continue
+        fct, run = cell["fct_ms"], cell["run"]
+        rows.append([
+            lb, fct["mean"], fct["small_mean"], fct["small_p99"],
+            fct["large_mean"], cell["flows"]["unfinished"],
+            run["total_reroutes"],
+        ])
+        fault_rows.append([
+            lb, _fault_ms(run["detection_ns"]), _fault_ms(run["recovery_ns"]),
+            run["unrecovered_timeouts"],
+        ])
+        timeline = timeline or run["fault_timeline"]
+    print(format_table(RESULT_HEADERS, rows))
     if timeline:
+        print("\nfault plane:")
+        print(format_table(FAULT_HEADERS, fault_rows))
         print("\nfault timeline:")
         for event in timeline:
             print(
                 f"  t={event['t'] / 1e6:10.3f}ms  {event['action']:<18}"
                 f"{event['target']:<22}{event['phase']}"
             )
-
-
-def _print_cell_errors(pairs: List) -> int:
-    """Report failed cells (timeout / crashed worker) on stderr."""
-    failed = [(lb, r.error) for lb, r in pairs if r.error is not None]
     for lb, reason in failed:
         print(f"warning: cell '{lb}' failed: {reason}", file=sys.stderr)
-    return len(failed)
+    return 1 if failed else 0
 
 
 def cmd_run(args) -> int:
-    config = _config_from_args(args, args.lb)
-    result = run_cells(
-        [config],
-        jobs=1,
-        use_cache=False if args.no_cache else None,
-    )[0]
-    lb = config.lb  # may come from --config, not --lb
-    print(format_table(RESULT_HEADERS, [_result_row(lb, result)]))
-    if result.fault_timeline:
-        _print_fault_report([(lb, result)])
-    if _print_cell_errors([(lb, result)]):
-        return 1
-    return 0
-
-
-def cmd_compare(args) -> int:
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    if not schemes:
-        print("no schemes given", file=sys.stderr)
-        return 2
-    configs = [_config_from_args(args, lb) for lb in schemes]
+    """``run`` and ``compare``: a grid of schemes, one table (``run`` is
+    the one-scheme grid, in-process)."""
+    configs = _grid_from_args(args)
     results = run_cells(
         configs, jobs=args.jobs, use_cache=False if args.no_cache else None
     )
-    rows = [
-        _result_row(lb, result) for lb, result in zip(schemes, results)
-    ]
-    print(format_table(RESULT_HEADERS, rows))
-    if any(r.fault_timeline for r in results):
-        _print_fault_report(list(zip(schemes, results)))
-    if _print_cell_errors(list(zip(schemes, results))):
-        return 1
-    return 0
+    return print_results(
+        [config.lb for config in configs],  # --config names its own lb
+        [cell_dict(result) for result in results],
+    )
 
 
-def _parse_bytes(value: str) -> int:
-    """'500M', '2G', '100k', '12345' -> bytes."""
-    units = {"k": 1024, "m": 1024**2, "g": 1024**3, "t": 1024**4}
-    text = value.strip().lower().rstrip("b")
-    factor = 1
-    if text and text[-1] in units:
-        factor = units[text[-1]]
-        text = text[:-1]
-    try:
-        return int(float(text) * factor)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{value!r} is not a size (try 12345, 500M, 2G)"
-        ) from None
-
-
-def _parse_age(value: str) -> float:
-    """'30d', '12h', '15m', '90s', '3600' -> seconds."""
-    units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
+def _parse_units(value: str, units: dict, what: str) -> float:
+    """A number with an optional one-letter unit suffix, scaled."""
     text = value.strip().lower()
-    factor = 1.0
+    factor = 1
     if text and text[-1] in units:
         factor = units[text[-1]]
         text = text[:-1]
     try:
         return float(text) * factor
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{value!r} is not an age (try 3600, 90s, 12h, 30d)"
-        ) from None
+        raise argparse.ArgumentTypeError(f"{value!r} is not {what}") from None
+
+
+def _parse_bytes(value: str) -> int:
+    """'500M', '2G', '100k', '12345' -> bytes."""
+    units = {"k": 1024, "m": 1024**2, "g": 1024**3, "t": 1024**4}
+    return int(_parse_units(value.strip().rstrip("bB"), units,
+                            "a size (try 12345, 500M, 2G)"))
+
+
+def _parse_age(value: str) -> float:
+    """'30d', '12h', '15m', '90s', '3600' -> seconds."""
+    units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
+    return _parse_units(value, units, "an age (try 3600, 90s, 12h, 30d)")
 
 
 def cmd_cache(args) -> int:
     cache = ResultCache()
-    if getattr(args, "action", None) == "prune":
+    if args.action == "prune":
         if args.max_bytes is None and args.max_age is None:
             print(
                 "error: prune needs --max-bytes and/or --max-age",
@@ -344,7 +326,7 @@ def cmd_cache(args) -> int:
 def cmd_chaos(args) -> int:
     from repro.validate.fuzz import chaos_command, run_case, run_sweep, shrink_case
 
-    with_faults = True if getattr(args, "faults", False) else None
+    with_faults = True if args.faults else None
     if args.seed is not None:
         # Single-case replay: the command every violation fingerprint
         # points back to.
@@ -379,26 +361,17 @@ def cmd_chaos(args) -> int:
     )
     failures = [case for case in results if not case.ok]
     rows = [
-        [
-            case.seed,
-            case.config.lb,
-            (
-                case.config.faults.events[0].action
-                if case.config.faults
-                else "-"
-            ),
-            case.events,
-            "VIOLATION" if not case.ok else "ok",
-        ]
+        [case.seed, case.config.lb,
+         case.config.faults.events[0].action if case.config.faults else "-",
+         case.events, "ok" if case.ok else "VIOLATION"]
         for case in results
     ]
-    print(format_table(
-        ["seed", "scheme", "faults", "events", "verdict"], rows
-    ))
+    print(format_table(["seed", "scheme", "faults", "events", "verdict"], rows))
     if failures:
         for case in failures:
             print(f"\n{case.error}", file=sys.stderr)
-            print(f"replay: {chaos_command(case.seed)}", file=sys.stderr)
+            replay = chaos_command(case.seed, with_faults, args.scheduler)
+            print(f"replay: {replay}", file=sys.stderr)
         return 1
     print(f"\n{len(results)} cases, all invariants held")
     return 0
@@ -409,7 +382,7 @@ def cmd_golden(args) -> int:
 
     path = args.path or golden.DEFAULT_PATH
     actual = golden.compute_reference(
-        scheduler=args.scheduler, detector=getattr(args, "detector", None)
+        scheduler=args.scheduler, detector=args.detector
     )
     if args.refresh:
         golden.write_reference(actual, path)
@@ -439,10 +412,6 @@ def cmd_golden(args) -> int:
 
 def cmd_trace_run(args) -> int:
     """Run one cell with the telemetry layer on and write a trace dir."""
-    import dataclasses
-    import json
-    import os
-
     from repro.experiments.runner import run_experiment
     from repro.telemetry.export import write_jsonl, write_perfetto
 
@@ -479,7 +448,7 @@ def cmd_trace_run(args) -> int:
             {"run": meta, "telemetry": telemetry.summary()}, fh, indent=2
         )
         fh.write("\n")
-    print(format_table(RESULT_HEADERS, [_result_row(args.lb, result)]))
+    print_results([config.lb], [cell_dict(result)])
     print(
         f"\ntrace dir: {args.out}\n"
         f"  events.jsonl   {n_events} records\n"
@@ -497,9 +466,6 @@ def cmd_trace_run(args) -> int:
 
 def cmd_trace_summarize(args) -> int:
     """Aggregate a trace directory written by ``trace run``."""
-    import json
-    import os
-
     from repro.telemetry.export import (
         explain_flow,
         read_jsonl,
@@ -528,8 +494,6 @@ def cmd_trace_summarize(args) -> int:
 
 def cmd_trace_export(args) -> int:
     """Re-export a trace directory as Perfetto JSON or CSV."""
-    import os
-
     from repro.telemetry.export import read_jsonl, write_csv, write_perfetto
 
     events_path = os.path.join(args.dir, "events.jsonl")
@@ -555,8 +519,6 @@ def cmd_serve(args) -> int:
     """Run the always-on experiment service until interrupted — by
     Ctrl-C or by ``SIGTERM`` (plain ``kill``, systemd, a CI step), which
     stop it the same way: worker processes shut down, port released."""
-    import signal
-
     from repro.serve import serve
 
     service = serve(
@@ -578,8 +540,6 @@ def cmd_serve(args) -> int:
     )
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        import time
-
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -589,14 +549,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    """Build a grid from the run flags and submit it to a service."""
-    from repro.serve import BackpressureError, ServiceClient
+    """Submit the grid ``compare`` would run to a service; print the
+    table ``compare`` would print."""
+    from repro.serve import BackpressureError, ServiceClient, ServiceError
 
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    if not schemes:
-        print("no schemes given", file=sys.stderr)
-        return 2
-    configs = [_config_from_args(args, lb) for lb in schemes]
+    configs = _grid_from_args(args)
     client = ServiceClient(args.url)
     try:
         job = client.submit(
@@ -620,22 +577,11 @@ def cmd_submit(args) -> int:
             + (f" — {status['error']}" if status.get("error") else ""),
             file=sys.stderr,
         )
+    try:  # a failed job still has the cells that finished
+        cells = client.result(job_id)["cells"]
+    except ServiceError:
         return 1
-    cells = client.result(job_id)["cells"]
-    rows = []
-    for lb, cell in zip(schemes, cells):
-        fct = cell["fct_ms"]
-        rows.append([
-            lb,
-            fct["mean"],
-            fct["small_mean"],
-            fct["small_p99"],
-            fct["large_mean"],
-            cell["flows"]["unfinished"],
-            cell["run"]["total_reroutes"],
-        ])
-    print(format_table(RESULT_HEADERS, rows))
-    return 0
+    return print_results([config.lb for config in configs], cells)
 
 
 def cmd_jobs(args) -> int:
@@ -656,8 +602,6 @@ def cmd_jobs(args) -> int:
             )
         return 0
     if args.job:
-        import json
-
         print(json.dumps(client.status(args.job), indent=2, sort_keys=True))
         return 0
     rows = [
@@ -696,10 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hermes (SIGCOMM 2017) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_parser()
 
-    run_parser = sub.add_parser("run", help="run one experiment",
-                                parents=[common])
+    run_parser = sub.add_parser("run", help="run one experiment, in-process")
     run_parser.add_argument("--lb", default="hermes", metavar="SCHEME",
                             help="load-balancing scheme (default: hermes; "
                                  "one of: " + ", ".join(scheme_names()) + ")")
@@ -707,18 +649,19 @@ def build_parser() -> argparse.ArgumentParser:
                             help="load the full experiment spec from a "
                                  "JSON file (ExperimentConfig.to_dict "
                                  "format); shape flags are ignored, "
-                                 "shared flags still apply")
+                                 "--scheduler / --validate still apply")
     _add_run_arguments(run_parser)
-    run_parser.set_defaults(fn=cmd_run)
+    _add_flags(run_parser, "--no-cache")
+    run_parser.set_defaults(fn=cmd_run, jobs=1)
 
-    compare_parser = sub.add_parser("compare", help="race several schemes",
-                                    parents=[common])
+    compare_parser = sub.add_parser("compare", help="race several schemes")
     compare_parser.add_argument("--schemes", default="ecmp,conga,hermes",
                                 help="comma-separated schemes to race "
                                      "(default: ecmp,conga,hermes; known: "
                                      + ", ".join(scheme_names()) + ")")
     _add_run_arguments(compare_parser)
-    compare_parser.set_defaults(fn=cmd_compare)
+    _add_flags(compare_parser, "--jobs", "--no-cache")
+    compare_parser.set_defaults(fn=cmd_run)
 
     probe_parser = sub.add_parser(
         "probe-model", help="Table 6 probing overhead model"
@@ -732,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_parser = sub.add_parser(
         "cache", help="inspect, clear or prune the experiment result cache",
-        parents=[common],
     )
     cache_parser.add_argument("action", nargs="?", choices=["prune"],
                               default=None,
@@ -752,7 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = sub.add_parser(
         "serve", help="run the always-on experiment service (HTTP + SSE)",
-        parents=[common],
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8642)
@@ -767,11 +708,11 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SECONDS",
                               help="default per-cell budget for jobs that "
                                    "set none")
+    _add_flags(serve_parser, "--no-cache")
     serve_parser.set_defaults(fn=cmd_serve)
 
     submit_parser = sub.add_parser(
         "submit", help="submit a scheme grid to a running service",
-        parents=[common],
     )
     submit_parser.add_argument("--url", default="http://127.0.0.1:8642",
                                help="service base URL")
@@ -789,11 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--timeout", type=float, default=600.0,
                                help="wait budget in seconds")
     _add_run_arguments(submit_parser)
+    _add_flags(submit_parser, "--jobs")
     submit_parser.set_defaults(fn=cmd_submit)
 
     jobs_parser = sub.add_parser(
         "jobs", help="list a service's jobs, or watch one via SSE",
-        parents=[common],
     )
     jobs_parser.add_argument("--url", default="http://127.0.0.1:8642",
                              help="service base URL")
@@ -809,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser = sub.add_parser(
         "chaos",
         help="run seeded chaos scenarios under full invariant checking",
-        parents=[common],
     )
     chaos_parser.add_argument("--seed", type=int, default=None,
                               help="replay a single case by seed")
@@ -823,12 +763,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--faults", action="store_true",
                               help="attach a randomized time-scheduled "
                                    "fault schedule to every case")
+    _add_flags(chaos_parser, "--scheduler")
     chaos_parser.set_defaults(fn=cmd_chaos)
 
     golden_parser = sub.add_parser(
         "golden",
         help="check (or refresh) the golden reference-grid statistics",
-        parents=[common],
     )
     golden_parser.add_argument("--refresh", action="store_true",
                                help="recompute and overwrite the "
@@ -841,6 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "cell; passive detectors (transport, "
                                     "breaker) must reproduce the committed "
                                     "reference bit-for-bit")
+    _add_flags(golden_parser, "--scheduler")
     golden_parser.set_defaults(fn=cmd_golden)
 
     trace_parser = sub.add_parser(
@@ -851,7 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_run = trace_sub.add_parser(
         "run", help="run one cell with tracing on, write a trace directory",
-        parents=[common],
     )
     trace_run.add_argument("--lb", default="hermes", metavar="SCHEME",
                            help="load-balancing scheme (default: hermes; "
@@ -865,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_summarize = trace_sub.add_parser(
         "summarize", help="aggregate an existing trace directory",
-        parents=[common],
     )
     trace_summarize.add_argument("--dir", default="trace-out")
     trace_summarize.add_argument("--flow", type=int, default=None,
@@ -874,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_export = trace_sub.add_parser(
         "export", help="re-export a trace directory (perfetto or csv)",
-        parents=[common],
     )
     trace_export.add_argument("--dir", default="trace-out")
     trace_export.add_argument("--format", choices=["perfetto", "csv"],

@@ -106,6 +106,16 @@ def summary_dict(result: ResultSummary) -> Dict[str, Any]:
     }
 
 
+def cell_dict(result: ResultSummary) -> Dict[str, Any]:
+    """One grid cell as JSON: ``{"error": reason}`` for a cell that
+    produced no result (timed out, crashed), else :func:`summary_dict`.
+    ``GET /result`` serves a job's cells in this shape and the CLI
+    prints every results table from it."""
+    if result.error is not None:
+        return {"error": result.error}
+    return summary_dict(result)
+
+
 def write_summary_json(result: ResultSummary, stream: IO[str]) -> None:
     """Serialize :func:`summary_dict` as indented JSON."""
     json.dump(summary_dict(result), stream, indent=2, sort_keys=True)

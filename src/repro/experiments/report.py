@@ -6,6 +6,8 @@ from typing import Iterable, List, Sequence
 
 
 def _fmt(value) -> str:
+    if value is None:  # a JSON null: NaN, or no value at all
+        return "-"
     if isinstance(value, float):
         if value != value:  # NaN
             return "-"

@@ -10,7 +10,7 @@ bounded queue, worker pool, event broker, and a
                       a backpressure error once the queue is full.
 ``GET /jobs``         every job's public view, submission order.
 ``GET /status/<id>``  one job's public view.
-``GET /result/<id>``  per-cell summaries (``summary_dict`` shape) of a
+``GET /result/<id>``  per-cell summaries (``cell_dict`` shape) of a
                       finished job; 409 while it is still active.
 ``POST /cancel/<id>`` cancel a queued job; 409 if it already left the queue.
 ``GET /healthz``      liveness: queue depth, worker threads alive
@@ -40,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.export import summary_dict
+from repro.experiments.export import cell_dict
 from repro.experiments.parallel import ResultCache, cache_enabled
 from repro.serve.queue import JobQueue, QueueFull, Submission
 from repro.serve.state import (
@@ -391,12 +391,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if job.results is None:
             self._error(409, f"{job_id} produced no results ({job.state})")
             return
-        cells = []
-        for summary in job.results:
-            if summary.error is not None:
-                cells.append({"error": summary.error})
-            else:
-                cells.append(summary_dict(summary))
+        cells = [cell_dict(summary) for summary in job.results]
         self._json(
             200,
             {

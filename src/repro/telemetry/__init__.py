@@ -47,20 +47,11 @@ class Telemetry:
     tests of single components.
     """
 
-    def __init__(
-        self,
-        sim: Any,
-        capacity: int = 1_000_000,
-        audit_capacity: int = 200_000,
-        profile: bool = True,
-        profile_slab_ns: int = 100_000_000,
-    ) -> None:
+    def __init__(self, sim: Any) -> None:
         self.sim = sim
-        self.tracer = EventTracer(sim, capacity=capacity)
-        self.audit = DecisionAudit(sim, capacity=audit_capacity)
-        self.profiler = (
-            LoopProfiler(sim, slab_ns=profile_slab_ns) if profile else None
-        )
+        self.tracer = EventTracer(sim)
+        self.audit = DecisionAudit(sim)
+        self.profiler = LoopProfiler(sim)
         #: name -> sampler; populated by :meth:`add_series`.
         self.series: Dict[str, PeriodicSampler] = {}
 
@@ -90,21 +81,15 @@ class Telemetry:
 
     def summary(self) -> Dict[str, Any]:
         """One dict answering "what did this run do" at a glance."""
-        report: Dict[str, Any] = {
+        return {
             "trace": self.tracer.summary(),
             "audit": self.audit.summary(),
+            "loop": self.profiler.summary(),
         }
-        if self.profiler is not None:
-            report["loop"] = self.profiler.summary()
-        return report
 
 
 def install_telemetry(
-    fabric: "Fabric",
-    capacity: int = 1_000_000,
-    audit_capacity: int = 200_000,
-    profile: bool = True,
-    sample_period_ns: Optional[int] = None,
+    fabric: "Fabric", sample_period_ns: Optional[int] = None
 ) -> Telemetry:
     """Attach a fresh :class:`Telemetry` to every layer of a fabric.
 
@@ -115,17 +100,10 @@ def install_telemetry(
 
     Args:
         fabric: the network to observe.
-        capacity / audit_capacity: ring-buffer bounds.
-        profile: attach the engine :class:`LoopProfiler`.
         sample_period_ns: if set, start queue-backlog and ECN-fraction
             samplers over every port at this period.
     """
-    telemetry = Telemetry(
-        fabric.sim,
-        capacity=capacity,
-        audit_capacity=audit_capacity,
-        profile=profile,
-    )
+    telemetry = Telemetry(fabric.sim)
     fabric.hooks.attach(
         tracer=telemetry.tracer, profiler=telemetry.profiler
     )

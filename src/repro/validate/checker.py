@@ -426,6 +426,7 @@ def experiment_command(config: Any) -> str:
     if config.detector is not None:
         parts.append(f"--detector '{config.detector}'")
     parts.append(f"--drain-ms {config.extra_drain_ns / 1e6}")
+    parts.append(f"--scheduler {config.scheduler}")
     parts.append("--validate")
     return " ".join(parts)
 

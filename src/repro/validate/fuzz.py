@@ -63,9 +63,15 @@ _SIZE_SCALE = 0.03
 _EXTRA_DRAIN_NS = 50_000_000
 
 
-def chaos_command(seed: int, with_faults: Optional[bool] = None) -> str:
+def chaos_command(
+    seed: int,
+    with_faults: Optional[bool] = None,
+    scheduler: Optional[str] = None,
+) -> str:
     """The exact CLI invocation replaying one chaos case."""
     flag = " --faults" if with_faults else ""
+    if scheduler is not None:
+        flag += f" --scheduler {scheduler}"
     return (
         f"python -m repro chaos --seed {seed}{flag}  "
         f"(or: REPRO_CHAOS_SEED={seed} pytest tests/chaos/test_chaos.py "
@@ -339,7 +345,7 @@ def run_case(
     except InvariantViolation as exc:
         # Stamp the chaos replay command over the generic run command:
         # the randomized topology is only reachable through the seed.
-        exc.fingerprint.command = chaos_command(seed, with_faults=with_faults)
+        exc.fingerprint.command = chaos_command(seed, with_faults, scheduler)
         amended = type(exc)(exc.detail, exc.fingerprint)
         if raise_error:
             raise amended from exc

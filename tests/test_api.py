@@ -96,6 +96,13 @@ class TestSurface:
             assert name in repro.__all__
             assert getattr(repro, name) is not None
 
+    def test_package_root_is_exactly_the_facade(self):
+        """One public surface: the root publishes ``repro.api.__all__``
+        and its version, nothing the facade lacks."""
+        assert set(repro.__all__) == set(api.__all__) | {"__version__"}
+        for name in api.__all__:
+            assert getattr(repro, name) is getattr(api, name), name
+
     def test_facade_objects_are_the_real_objects(self):
         from repro.experiments.runner import run_experiment as internal
 

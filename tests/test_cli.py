@@ -58,9 +58,73 @@ class TestParser:
                          detector="bfd:tx=23547,mult=5")
         argv = shlex.split(experiment_command(config))[3:]  # python -m repro
         replayed = _config_from_args(build_parser().parse_args(argv), config.lb)
-        for field in ("faults", "detector", "extra_drain_ns", "validate"):
+        for field in ("faults", "detector", "extra_drain_ns", "validate",
+                      "scheduler"):
             assert getattr(replayed, field) == getattr(config, field), field
         assert len(replayed.faults.events) == 3
+
+    def test_every_accepted_flag_is_read(self):
+        """No shared parent hands a command flags it ignores: 109
+        (command, flag) pairs, each one read by its command."""
+        import argparse
+
+        def pairs(parser, prefix=()):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield from pairs(child, prefix + (name,))
+                elif prefix and action.option_strings[:1] not in ([], ["-h"]):
+                    yield " ".join(prefix), action.option_strings[-1]
+
+        accepted = set(pairs(build_parser()))
+        assert len(accepted) == 109
+        assert {c for c, f in accepted if f == "--validate"} == {
+            "run", "compare", "submit", "trace run"}
+        assert {c for c, f in accepted if f == "--jobs"} == {
+            "compare", "submit"}
+        assert {c for c, f in accepted if f == "--no-cache"} == {
+            "run", "compare", "serve"}
+        assert {c for c, f in accepted if f == "--scheduler"} == {
+            "run", "compare", "submit", "trace run", "chaos", "golden"}
+        assert not [c for c, f in accepted if f == "--trace"]
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "--trace"],
+        ["serve", "--validate"],
+        ["jobs", "--scheduler", "heap"],
+        ["run", "--jobs", "2"],
+        ["run", "--trace"],
+        ["trace", "summarize", "--no-cache"],
+        ["golden", "--jobs", "2"],
+    ])
+    def test_ignored_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_asymmetric_rejected_for_failure_bench(self, capsys):
+        code = main(["run", "--lb", "ecmp", "--topology", "failure-bench",
+                     "--asymmetric", "--flows", "5"])
+        assert code == 2
+        assert "--asymmetric" in capsys.readouterr().err
+
+    def test_resized_presets_equal_their_builders(self):
+        """``--hosts-per-leaf`` resizes a preset without redrawing its
+        asymmetric links: the draw depends on leaves, spines and seed."""
+        from repro.cli import _config_from_args
+        from repro.experiments.scenarios import (
+            bench_topology, failure_bench_topology)
+
+        parser = build_parser()
+        for argv, expected in (
+            (["--asymmetric"], bench_topology(asymmetric=True,
+                                               hosts_per_leaf=3)),
+            (["--topology", "failure-bench"],
+             failure_bench_topology(hosts_per_leaf=3)),
+        ):
+            args = parser.parse_args(["run", "--hosts-per-leaf", "3", *argv])
+            assert _config_from_args(args, "ecmp").topology == expected
 
     def test_hosts_per_leaf_rejected_for_fixed_topologies(self, capsys):
         code = main(["run", "--lb", "ecmp", "--topology", "testbed",
@@ -124,6 +188,104 @@ class TestCommands:
         assert main(["run", "--lb", "bogus", "--flows", "5"]) == 2
         err = capsys.readouterr().err
         assert "unknown load balancer 'bogus'" in err
+
+
+#: stdout of two commands at the commit before every results table
+#: came from one printer; the printer must reproduce it byte for byte.
+PARENT = {
+    ("run", "--lb", "ecmp", "--flows", "10", "--size-scale", "0.05",
+     "--load", "0.4"): [
+        'scheme  avg FCT (ms)  small avg  small p99  large avg  unfinished  reroutes',
+        '------  ------------  ---------  ---------  ---------  ----------  --------',
+        'ecmp    0.0254        0.0117     0.0156     -          0           0       ',
+        '',
+    ],
+    ("compare", "--schemes", "ecmp,hermes", "--flows", "30", "--jobs", "1",
+     "--no-cache", "--faults", "link_down@1ms:leaf=0,spine=1"): [
+        'scheme  avg FCT (ms)  small avg  small p99  large avg  unfinished  reroutes',
+        '------  ------------  ---------  ---------  ---------  ----------  --------',
+        'ecmp    0.0596        0.0204     0.0994     -          0           0       ',
+        'hermes  0.0487        0.0166     0.0280     -          0           0       ',
+        '',
+        'fault plane:',
+        'scheme  detect (ms)  recover (ms)  unrecovered',
+        '------  -----------  ------------  -----------',
+        'ecmp    -            -             0          ',
+        'hermes  -            -             0          ',
+        '',
+        'fault timeline:',
+        '  t=     1.000ms  link_down         leaf0<->spine1        applied',
+        '',
+    ],
+}
+
+#: A faulted grid whose cells detect and recover (so the fault plane
+#: prints times) and have an empty size class (a ``-`` column).
+GRID = ["--schemes", "ecmp,hermes", "--flows", "30", "--size-scale", "0.05",
+        "--faults", "link_down@1ms:leaf=0,spine=1; link_up@3ms:leaf=0,spine=1",
+        "--detector", "bfd:tx=100us,mult=3"]
+
+
+class TestResultsTable:
+    @pytest.mark.parametrize("argv", list(PARENT), ids=["run", "compare"])
+    def test_parent_output(self, argv, capsys):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == "\n".join(PARENT[argv])
+
+    def test_submit_prints_what_compare_prints(self, capsys):
+        """The service's cells and local results go through one printer,
+        so a grid prints the same table run either way."""
+        from repro.serve import serve
+
+        assert main(["compare", *GRID, "--jobs", "1", "--no-cache"]) == 0
+        local = capsys.readouterr().out
+        assert "0.300" in local  # a detection time
+        assert local.splitlines()[2].split()[4] == "-"  # no large flows
+
+        service = serve(port=0, n_workers=1, use_cache=False)
+        try:
+            host, port = service.http_address
+            assert main(["submit", *GRID, "--jobs", "1",
+                         "--url", f"http://{host}:{port}"]) == 0
+        finally:
+            service.stop()
+        banner, _, remote = capsys.readouterr().out.partition("\n")
+        assert banner.startswith("submitted job-")
+        assert remote == local
+
+    def test_failed_cells_print_a_row_and_a_warning(self, capsys):
+        from repro.cli import print_results
+
+        cells = [{"error": "cell timed out after 1.0s"}]
+        assert print_results(["hermes"], cells) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[2].split() == ["hermes"] + ["-"] * 6
+        assert "cell 'hermes' failed: cell timed out" in captured.err
+
+
+class TestChaosReplay:
+    def test_sweep_replay_line_carries_faults_and_engine(
+        self, monkeypatch, capsys
+    ):
+        """The replay line of a failing sweep case re-runs that case:
+        a ``--faults`` sweep draws other scenarios than a plain one."""
+        from repro.validate import fuzz
+
+        def one_failing_case(seeds, with_faults=None, scheduler=None):
+            config = fuzz.chaos_config(7, with_faults=with_faults)
+            return [fuzz.CaseResult(
+                seed=7, config=config, error="boom", invariants=None,
+                events=0, mean_fct_ms=0.0, unfinished=0)]
+
+        monkeypatch.setattr(fuzz, "run_sweep", one_failing_case)
+        assert main(["chaos", "--cases", "1", "--faults",
+                     "--scheduler", "heap"]) == 1
+        replay = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("replay: ")]
+        assert replay == [
+            "replay: " + fuzz.chaos_command(7, True, "heap")
+        ]
+        assert "--seed 7 --faults --scheduler heap" in replay[0]
 
 
 class TestUnitParsers:

@@ -7,6 +7,7 @@ import json
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import (
     FLOW_FIELDS,
+    cell_dict,
     summary_dict,
     write_flow_csv,
     write_summary_json,
@@ -83,3 +84,15 @@ class TestSummary:
         config = summary_dict(small_result())["config"]
         assert config["faults"] is None
         assert config["detector"] is None
+
+
+class TestCellDict:
+    def test_finished_cell_is_its_summary(self):
+        result = small_result()
+        assert cell_dict(result) == summary_dict(result)
+
+    def test_failed_cell_is_its_reason(self):
+        from dataclasses import replace
+
+        failed = replace(small_result(), error="cell timed out after 1.0s")
+        assert cell_dict(failed) == {"error": "cell timed out after 1.0s"}
