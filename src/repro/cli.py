@@ -698,8 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8642)
     serve_parser.add_argument("--workers", type=_positive_int, default=2,
-                              help="concurrent jobs (each fans its cells "
-                                   "out over processes; default 2)")
+                              help="cell pools, each as many processes "
+                                   "wide as a job's --jobs; a pool takes "
+                                   "the next job's cells as soon as a "
+                                   "process is free (default 2)")
     serve_parser.add_argument("--queue-capacity", type=_positive_int,
                               default=64,
                               help="queued-job bound; submissions past it "

@@ -39,15 +39,27 @@ running the survivors serially in-process, so one poisoned cell can no
 longer take the other N-1 down with it.
 
 The worker processes have one owner, :class:`CellPool` — the only place
-in ``src/`` that builds a ``ProcessPoolExecutor``.  ``run_cells`` makes
-one for the length of a call unless the caller hands it a pool to keep
-(``pool=``): the experiment service holds one per worker thread, so a
-job pays a round trip through live workers (~0.2 ms) instead of a fork
-and a reap.  Workers that outlive a call change three things:
+in ``src/`` that builds a ``ProcessPoolExecutor``.  A grid runs in two
+halves: :func:`start_cells` looks every cell up in the cache and submits
+the misses, and ``.results()`` on the :class:`CellRun` it returns
+collects them, retries, falls back to serial and caches the new
+results.  :func:`run_cells` calls the two back to back and makes a pool
+for the length of the call unless the caller hands it one to keep
+(``pool=``).  The experiment service holds one per worker thread and
+calls the halves on two threads: a job pays a round trip through live
+workers (~0.2 ms) instead of a fork and a reap, and the next job's cells
+go to a worker the moment one is free.  Workers that outlive a call
+change four things:
 
 * a worker can die *between* calls.  A pool found broken when the next
   call submits is respawned on the spot and costs that call none of its
   retry rounds — no cell had started;
+* two callers can share the workers.  Cells wait in the pool's queue
+  until a worker is free, so a cell's budget starts when the cell does,
+  not while it waits behind another caller's.  A kill after one
+  caller's cell hung takes the cells running beside it with it, the
+  other caller's too; they come back as ``BrokenProcessPool`` and are
+  retried, and the waiting ones move to the respawned workers;
 * workers must not outlive their parent.  Each one blocks a daemon
   thread on the parent's sentinel and calls ``os._exit`` when it fires, so
   a ``kill -9`` of the parent leaves no orphan holding its inherited
@@ -61,6 +73,7 @@ and a reap.  Workers that outlive a call change three things:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -68,8 +81,9 @@ import pickle
 import tempfile
 import threading
 import time
-from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from concurrent.futures import CancelledError, Future
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import ResultSummary
@@ -433,42 +447,152 @@ def _exit_with_parent() -> None:
     ).start()
 
 
+class _Cell(Future):
+    """A cell's future in a :class:`CellPool`: it waits in the pool's
+    queue until a worker is free, and only then is it handed to the
+    executor — and on the clock of its caller's budget."""
+
+    def __init__(self, fn, item: Any) -> None:
+        super().__init__()
+        self.fn = fn
+        self.item = item
+        #: The executor it was handed to; ``None`` while it waits.
+        self.executor = None
+        #: Set when it reaches a worker, or ends without one.
+        self.started = threading.Event()
+        self.add_done_callback(lambda _: self.started.set())
+
+
 class CellPool:
     """The worker processes cells run in, and their whole life: spawned
     lazily, kept between uses, killed when a cell hangs or a worker
     dies, shut down once.
 
-    Not thread-safe on purpose: one pool belongs to one caller at a time
-    (the service keeps one per worker thread), so killing it after a
-    timeout can never hit somebody else's cells.  Only :meth:`close` and
-    the read-only :meth:`alive` / :attr:`spawns` may come from another
-    thread (the service's ``stop()`` and its health probes).
+    Safe to share between threads: the experiment service submits a
+    job's cells on one thread and collects them on another, while the
+    next job is admitted.  Cells wait in the pool's own queue, in
+    submission order, and go to the executor only when a worker is free,
+    so a cell's budget starts when it starts and a kill takes only the
+    cells that were running.  :attr:`in_flight` counts the cells
+    submitted and not yet finished; :meth:`wait_for_room` blocks on it.
+    A kill (after a timeout, a dead worker or a cell that raised) takes
+    every running cell with it, another caller's too; those come back
+    as ``BrokenProcessPool`` and are retried, and the waiting ones move
+    to respawned workers.  A width change kills nothing: it respawns
+    only while no cell is in flight.
     """
 
     def __init__(self) -> None:
         self._executor = None
         self._width = 0
         self._closed = False
+        # Reentrant: an executor future that is already done runs its
+        # callback inside ``add_done_callback``, under the lock.
+        self._room = threading.Condition(threading.RLock())
+        self._waiting: Deque[_Cell] = deque()
+        self._running = 0
         #: Executors built so far; 1 for as long as nothing went wrong
         #: and every use asked for the same width.
         self.spawns = 0
 
-    def executor(self, width: int):
-        """The live executor, ``width`` workers wide — a new one if
-        there is none, or if the last use asked for another width."""
-        if self._closed:
-            raise RuntimeError("cell pool is closed")
-        if self._executor is not None and width != self._width:
-            self.discard()
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
+    @property
+    def in_flight(self) -> int:
+        """Cells submitted and not yet finished, over every caller."""
+        return self._running + len(self._waiting)
 
-            self._executor = ProcessPoolExecutor(
-                max_workers=width, initializer=_exit_with_parent
-            )
-            self._width = width
-            self.spawns += 1
-        return self._executor
+    def submit(self, width: int, fn, items: Sequence[Any]) -> List[_Cell]:
+        """Queue ``fn(item)`` for every item; returns one future per
+        item, in order.  A pool that is idle takes ``width`` as its new
+        width (respawning if it differs); a busy one keeps its own."""
+        with self._room:
+            if self._closed:
+                raise RuntimeError("cell pool is closed")
+            if width != self._width and not self.in_flight:
+                # Under the lock, which discard() must not hold while
+                # the executor fails futures — but none is pending.
+                self.discard()
+                self._width = width
+            cells = [_Cell(fn, item) for item in items]
+            self._waiting.extend(cells)
+            self._dispatch()
+        return cells
+
+    def withdraw(self, cells: Sequence[_Cell]) -> None:
+        """Drop the cells that still wait (cancelled); running ones run
+        on."""
+        with self._room:
+            for cell in cells:
+                if cell in self._waiting:
+                    self._waiting.remove(cell)
+                    cell.cancel()
+            self._room.notify_all()
+
+    def _dispatch(self) -> None:
+        """Hand waiting cells to the executor while a worker is free
+        (under the lock).  Workers that died since their last cell —
+        idle, or with another caller's — are replaced on the spot: no
+        waiting cell had started, so none is lost."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        while self._waiting and self._running < self._width:
+            if self._closed:
+                while self._waiting:
+                    self._waiting.popleft().set_exception(
+                        RuntimeError("cell pool is closed")
+                    )
+                return
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self._width, initializer=_exit_with_parent
+                )
+                self.spawns += 1
+            executor = self._executor
+            cell = self._waiting[0]
+            try:
+                future = executor.submit(cell.fn, cell.item)
+            except BrokenProcessPool:
+                if self._forget(executor):
+                    # No join: this may be its own manager thread, in a
+                    # callback, and that thread reaps the workers anyway.
+                    executor.shutdown(wait=False, cancel_futures=True)
+                continue
+            self._waiting.popleft()
+            self._running += 1
+            cell.executor = executor
+            cell.started.set()
+            future.add_done_callback(functools.partial(self._finished, cell))
+
+    def _finished(self, cell: _Cell, future: Any) -> None:
+        with self._room:
+            self._running -= 1
+            self._room.notify_all()
+            self._dispatch()
+        if future.cancelled():
+            cell.set_exception(CancelledError())
+        elif future.exception() is not None:
+            cell.set_exception(future.exception())
+        else:
+            cell.set_result(future.result())
+
+    def wait_for_room(
+        self, width: Optional[int] = None, timeout: Optional[float] = None
+    ) -> bool:
+        """Block until a job may start here; ``False`` on timeout.
+
+        Without ``width``: until a worker is free (fewer cells in flight
+        than workers).  With one: the same when it is the pool's width
+        and more than one, else until no cell is in flight at all — a
+        job that needs a respawn, or runs in-process, waits for the pool
+        to drain."""
+
+        def room() -> bool:
+            if width is None or (width > 1 and width == self._width):
+                return self.in_flight < max(self._width, 1)
+            return self.in_flight == 0
+
+        with self._room:
+            return self._room.wait_for(room, timeout)
 
     def _workers(self) -> list:
         # The executor has no public accessor for its processes.
@@ -480,28 +604,44 @@ class CellPool:
         """Worker processes currently running."""
         return sum(1 for proc in self._workers() if proc.is_alive())
 
-    def discard(self) -> None:
-        """Kill the workers without waiting for their cells; the next
-        :meth:`executor` call respawns.  For a hung cell (it holds its
+    def _forget(self, executor: Any) -> bool:
+        """Kill ``executor``'s workers and drop it, if it is still the
+        live one (under the lock); the caller shuts it down."""
+        if executor is None or executor is not self._executor:
+            return False
+        for proc in self._workers():
+            proc.kill()
+        self._executor = None
+        return True
+
+    def discard(self, executor=None) -> None:
+        """Kill the workers without waiting for their cells; waiting
+        cells move to respawned ones.  For a hung cell (it holds its
         worker forever, so a graceful shutdown would hang too) and for a
         pool a dead worker has broken.  ``SIGKILL``, not ``SIGTERM``: a
         worker forked from a process that handles ``SIGTERM`` inherits
         the handler.  Workers keep nothing a clean exit would flush —
-        everything a cell produces travels back in its future."""
-        executor = self._executor
-        if executor is None:
-            return
-        for proc in self._workers():
-            proc.kill()
-        self._executor = None
-        # Returns once the executor's manager thread has reaped them.
-        executor.shutdown(wait=True, cancel_futures=True)
+        everything a cell produces travels back in its future.
+
+        With ``executor``, only if that is still the live one: a caller
+        whose cells ran on workers somebody else already replaced has
+        nothing left to kill."""
+        with self._room:
+            current = self._executor
+            if not self._forget(current if executor is None else executor):
+                return
+        # Outside the lock: the executor's manager thread fails the
+        # killed cells' futures, and their callbacks take it.  Returns
+        # once that thread has reaped the workers.
+        current.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
-        """Shut down for good (idempotent); :meth:`executor` raises
-        afterwards, so a caller still mid-grid on another thread fails
-        instead of respawning."""
-        self._closed = True
+        """Shut down for good (idempotent): waiting cells fail, and
+        :meth:`submit` raises afterwards, so a caller still mid-grid on
+        another thread fails instead of respawning."""
+        with self._room:
+            self._closed = True
+            self._dispatch()
         self.discard()
 
     def __enter__(self) -> "CellPool":
@@ -511,71 +651,70 @@ class CellPool:
         self.close()
 
 
-#: Pool restarts before falling back to serial in-process execution.
+#: Pool rounds before falling back to serial in-process execution.
 MAX_POOL_ROUNDS = 2
 
 
 def _pool_round(
     configs: Sequence[ExperimentConfig],
     pending: List[int],
-    results: List[Optional["ResultSummary"]],
     pool: CellPool,
     width: int,
+) -> Dict[int, _Cell]:
+    """Start one attempt over ``pending`` on ``pool``'s workers; returns
+    a future per index."""
+    cells = pool.submit(width, _run_cell, [configs[i] for i in pending])
+    return dict(zip(pending, cells))
+
+
+def _collect_round(
+    configs: Sequence[ExperimentConfig],
+    cells: Dict[int, _Cell],
+    results: List[Optional[ResultSummary]],
+    pool: CellPool,
     timeout: Optional[float],
 ) -> List[int]:
-    """One attempt over ``pending`` on ``pool``'s workers.
+    """Wait for one round's cells.
 
     Fills ``results`` for every cell that completed (or exceeded the
     per-cell timeout, which yields a failed-with-reason summary) and
     returns the indices that still need a run — non-empty exactly when a
     worker died (``BrokenProcessPool``) or was killed after a timeout,
-    taking queued cells down with it.  The pool is then left discarded:
-    its next use respawns.
+    taking running cells down with it.  Their workers are discarded:
+    the pool's next use respawns.
     """
-    from concurrent.futures import CancelledError
     from concurrent.futures import TimeoutError as FutureTimeout
     from concurrent.futures.process import BrokenProcessPool
 
-    def submit_all() -> Dict[int, Any]:
-        executor = pool.executor(width)
-        return {i: executor.submit(_run_cell, configs[i]) for i in pending}
-
-    try:
-        futures = submit_all()
-    except BrokenProcessPool:
-        # A held pool whose worker died while idle.  No cell had
-        # started, so this is not one of the caller's retry rounds.
-        pool.discard()
-        futures = submit_all()
     leftover: List[int] = []
     try:
-        for i in pending:
+        for i, cell in cells.items():
             try:
-                # Each wait gets a fresh budget: cells run concurrently
-                # and queued cells accrue waiting time, so a shared
-                # deadline would kill innocent cells on large grids.
-                # This errs toward leniency — a hung cell still cannot
-                # stall the grid longer than ~timeout past the previous
-                # cell's completion.
-                results[i] = futures[i].result(timeout=timeout)
+                # The budget starts when the cell reaches a worker, not
+                # while it waits behind other cells, this caller's or
+                # another's.
+                cell.started.wait()
+                results[i] = cell.result(timeout=timeout)
             except FutureTimeout:
                 results[i] = _failed_summary(
                     configs[i],
                     f"cell exceeded REPRO_CELL_TIMEOUT={timeout:g}s",
                 )
                 # The worker is wedged inside the cell; the only way out
-                # is to kill it, which breaks the pool for queued cells —
-                # they surface below as BrokenProcessPool and get retried.
-                pool.discard()
+                # is to kill it, which takes the cells running beside
+                # it — they surface as BrokenProcessPool and are retried.
+                pool.discard(cell.executor)
             except (BrokenProcessPool, CancelledError):
                 leftover.append(i)
+                pool.discard(cell.executor)
     except BaseException:
         # A cell that raised fails the whole call; nobody will read its
-        # siblings, and the next call must not queue behind them.
-        pool.discard()
+        # siblings, so none may wait or keep running.
+        pool.withdraw(list(cells.values()))
+        for cell in cells.values():
+            if not cell.done():
+                pool.discard(cell.executor)
         raise
-    if leftover:
-        pool.discard()
     return leftover
 
 
@@ -597,16 +736,97 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def run_cells(
+class CellRun:
+    """One grid on its way: what :func:`start_cells` found in the cache
+    and submitted, until :meth:`results` collects the rest.
+
+    The two halves may run on different threads (the experiment service
+    admits the next job while this one's cells still run); each half runs
+    once, in that order.
+    """
+
+    def __init__(
+        self,
+        configs: Sequence[ExperimentConfig],
+        results: List[Optional[ResultSummary]],
+        misses: List[int],
+        cache: Optional[ResultCache],
+        timeout: Optional[float],
+        pool: Optional[CellPool] = None,
+        width: int = 0,
+        owned: bool = False,
+    ) -> None:
+        self._configs = configs
+        self._results = results
+        self._misses = misses
+        self._cache = cache
+        self._timeout = timeout
+        self._pool = pool
+        self._width = width
+        self._owned = owned
+        self._round: Optional[Dict[int, _Cell]] = None
+        if pool is not None:
+            try:
+                self._round = _pool_round(configs, misses, pool, width)
+            except BaseException:
+                self._release()
+                raise
+
+    @property
+    def on_workers(self) -> bool:
+        """Whether cells are out on worker processes (until
+        :meth:`results` has collected them)."""
+        return self._round is not None
+
+    def _release(self) -> None:
+        if self._owned:
+            self._pool.close()
+
+    def results(self) -> List[ResultSummary]:
+        """Every cell's summary, in input order: collects the pool
+        rounds (up to :data:`MAX_POOL_ROUNDS`), runs what is left
+        in-process and caches the new results."""
+        configs, results = self._configs, self._results
+        pending = [] if self._pool is not None else list(self._misses)
+        try:
+            for attempt in range(1, MAX_POOL_ROUNDS + 1):
+                if self._round is None:
+                    break
+                pending = _collect_round(
+                    configs, self._round, results, self._pool, self._timeout
+                )
+                self._round = None
+                if pending and attempt < MAX_POOL_ROUNDS:
+                    self._round = _pool_round(
+                        configs, pending, self._pool, self._width
+                    )
+        finally:
+            self._release()
+        # Serial path — and the crash-tolerance fallback: cells that
+        # survived MAX_POOL_ROUNDS broken pools re-run in-process, where
+        # a worker crash cannot eat them (a cell that kills *this*
+        # process was never going to produce a result anywhere).
+        for i in pending:
+            results[i] = _run_cell(configs[i])
+        if self._cache is not None:
+            for i in self._misses:
+                summary = results[i]
+                if not configs[i].trace and summary.error is None:
+                    self._cache.put(configs[i], summary)
+        return results  # type: ignore[return-value]
+
+
+def start_cells(
     configs: Sequence[ExperimentConfig],
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     cell_timeout_s: Optional[float] = None,
     pool: Optional[CellPool] = None,
-) -> List[ResultSummary]:
-    """Run every cell, in parallel, through the cache; results in input
-    order.
+) -> CellRun:
+    """Look every cell up in the cache and submit the misses to worker
+    processes; ``.results()`` on the returned :class:`CellRun` collects
+    them.
 
     Args:
         configs: the grid cells.
@@ -649,32 +869,37 @@ def run_cells(
         else:
             misses.append(i)
 
-    if misses:
-        timeout = cell_timeout(cell_timeout_s)
-        pending = list(misses)
-        held = pool is not None
-        if jobs > 1 and (held or len(pending) > 1):
-            with (nullcontext(pool) if held else CellPool()) as cells:
-                for _ in range(MAX_POOL_ROUNDS):
-                    if not pending:
-                        break
-                    width = jobs if held else min(jobs, len(pending))
-                    pending = _pool_round(
-                        configs, pending, results, cells, width, timeout
-                    )
-        # Serial path — and the crash-tolerance fallback: cells that
-        # survived MAX_POOL_ROUNDS broken pools re-run in-process, where
-        # a worker crash cannot eat them (a cell that kills *this*
-        # process was never going to produce a result anywhere).
-        for i in pending:
-            results[i] = _run_cell(configs[i])
-        if cache is not None:
-            for i in misses:
-                summary = results[i]
-                if not configs[i].trace and summary.error is None:
-                    cache.put(configs[i], summary)
+    timeout = cell_timeout(cell_timeout_s) if misses else None
+    held = pool is not None
+    if misses and jobs > 1 and (held or len(misses) > 1):
+        return CellRun(
+            configs, results, misses, cache, timeout,
+            pool=pool if held else CellPool(),
+            width=jobs if held else min(jobs, len(misses)),
+            owned=not held,
+        )
+    return CellRun(configs, results, misses, cache, timeout)
 
-    return results  # type: ignore[return-value]
+
+def run_cells(
+    configs: Sequence[ExperimentConfig],
+    jobs: Optional[int] = None,
+    use_cache: Optional[bool] = None,
+    cache_dir: Optional[str] = None,
+    cell_timeout_s: Optional[float] = None,
+    pool: Optional[CellPool] = None,
+) -> List[ResultSummary]:
+    """Run every cell, in parallel, through the cache; results in input
+    order.  ``start_cells(...).results()``: see :func:`start_cells` for
+    the arguments."""
+    return start_cells(
+        configs,
+        jobs=jobs,
+        use_cache=use_cache,
+        cache_dir=cache_dir,
+        cell_timeout_s=cell_timeout_s,
+        pool=pool,
+    ).results()
 
 
 def run_cell(

@@ -1,9 +1,17 @@
-"""Client for the experiment service — HTTP (urllib, stdlib-only).
+"""Client for the experiment service — HTTP (``http.client``, stdlib-only).
 
 The in-process client is :class:`~repro.serve.server.ExperimentService`
 itself (``submit``/``wait``/``result`` are its methods); this module is
 the *remote* half: the same verbs against a running ``repro serve``
 daemon, plus an SSE reader for the event stream.
+
+A client keeps one HTTP/1.1 connection per thread that uses it
+(``TCP_NODELAY`` on, as ``http.client`` sets it), so a poll costs a
+request, not a TCP handshake and a server thread; one client may be
+shared by any number of threads.  When the server has closed a held
+connection (idle timeout, restart), the request is sent once more on a
+new one — safe for ``POST /submit`` too, which deduplicates by content.
+``events()`` opens a connection of its own for the stream.
 
     client = ServiceClient("http://127.0.0.1:8642")
     job = client.submit([config.to_dict() for config in grid])
@@ -13,10 +21,11 @@ daemon, plus an SSE reader for the event stream.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.experiments.config import ExperimentConfig
@@ -38,7 +47,7 @@ class BackpressureError(ServiceError):
 
 
 class ServiceClient:
-    """Talks the service's JSON protocol over urllib.
+    """Talks the service's JSON protocol over one connection per thread.
 
     Args:
         base_url: e.g. ``http://127.0.0.1:8642`` (no trailing slash
@@ -49,6 +58,13 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
+        #: Every connection a thread holds, for close().
+        self._connections: List[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Verbs
@@ -129,14 +145,18 @@ class ServiceClient:
         comments reset the timer, so an idle-but-healthy stream keeps
         yielding nothing rather than dying.
         """
-        url = self.base_url + "/events"
+        path = self._prefix + "/events"
         if job_id:
-            url += f"?job_id={job_id}"
-        request = urllib.request.Request(url, method="GET")
-        with urllib.request.urlopen(request, timeout=timeout_s) as stream:
+            path += f"?job_id={job_id}"
+        stream = self._connect(timeout_s)
+        try:
+            stream.request("GET", path)
+            response = stream.getresponse()
+            if response.status >= 400:
+                self._raise_for(response.status, response.read())
             data_lines: List[str] = []
             while True:
-                raw = stream.readline()
+                raw = response.readline()
                 if not raw:
                     return  # server closed the stream
                 line = raw.decode("utf-8").rstrip("\n")
@@ -148,10 +168,23 @@ class ServiceClient:
                 if line == "" and data_lines:
                     yield json.loads("\n".join(data_lines))
                     data_lines = []
+        finally:
+            stream.close()
 
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
+
+    def close(self) -> None:
+        """Close the connections the client's threads hold (a thread
+        that uses the client afterwards opens a new one)."""
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+        for connection in connections:
+            connection.close()
+
+    def _connect(self, timeout_s: float) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self._netloc, timeout=timeout_s)
 
     def _request(
         self,
@@ -159,25 +192,56 @@ class ServiceClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        url = self.base_url + path
         body = None
         headers = {}
         if payload is not None:
             body = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=body, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
+        for attempt in range(2):
+            connection = getattr(self._local, "connection", None)
+            if connection is None:
+                connection = self._local.connection = self._connect(
+                    self.timeout_s
+                )
+                with self._connections_lock:
+                    self._connections.append(connection)
             try:
-                message = json.loads(exc.read()).get("error", str(exc))
-            except Exception:  # noqa: BLE001 — error body is best-effort
-                message = str(exc)
-            if exc.code == 429:
-                raise BackpressureError(exc.code, message) from None
-            raise ServiceError(exc.code, message) from None
+                connection.request(
+                    method, self._prefix + path, body=body, headers=headers
+                )
+                response = connection.getresponse()
+                raw = response.read()
+                break
+            except (ConnectionResetError, ConnectionAbortedError,
+                    BrokenPipeError):
+                # The server closed the held connection (idle timeout,
+                # restart): once more on a new one.  RemoteDisconnected
+                # is a ConnectionResetError.
+                self._drop(connection)
+                if attempt:
+                    raise
+            except BaseException:
+                # A timeout or a half-read reply leaves the connection
+                # in an unknown state; the next request opens a new one.
+                self._drop(connection)
+                raise
+        if response.status >= 400:
+            self._raise_for(response.status, raw)
+        return json.loads(raw)
+
+    def _drop(self, connection: http.client.HTTPConnection) -> None:
+        connection.close()
+        self._local.connection = None
+        with self._connections_lock:
+            if connection in self._connections:
+                self._connections.remove(connection)
+
+    @staticmethod
+    def _raise_for(status: int, raw: bytes) -> None:
+        try:
+            message = json.loads(raw).get("error", raw.decode())
+        except Exception:  # noqa: BLE001 — error body is best-effort
+            message = raw.decode("utf-8", "replace")
+        if status == 429:
+            raise BackpressureError(status, message)
+        raise ServiceError(status, message)

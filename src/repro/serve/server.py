@@ -15,15 +15,23 @@ bounded queue, worker pool, event broker, and a
 ``POST /cancel/<id>`` cancel a queued job; 409 if it already left the queue.
 ``GET /healthz``      liveness: queue depth, worker threads alive
                       (respawning any that died), restart counter, cell
-                      worker processes alive and process pools spawned.
+                      worker processes alive, process pools spawned and
+                      ``cells_in_flight`` (cells submitted to the held
+                      pools and not yet finished).
 ``GET /metrics``      counters in JSON (jobs by state, completed/failed,
-                      queue depth, cache size, cell workers and pool
-                      spawns) and queue-wait / run time p50 and p90 over
-                      the jobs that ran.
+                      queue depth, cache size, cell workers, pool
+                      spawns and ``cells_in_flight``) and queue-wait /
+                      run time p50 and p90 over the jobs that ran.
 ``GET /events``       ``text/event-stream`` of job lifecycle + telemetry
                       events (optionally ``?job_id=`` filtered), with
                       keep-alive comments so proxies do not reap it.
 ====================  ======================================================
+
+Connections are HTTP/1.1 keep-alive: a client may send any number of
+requests over one (``ServiceClient`` holds one per thread), and the
+server closes one that stays idle for :data:`IDLE_TIMEOUT_S`, so a
+silent client cannot pin a handler thread.  ``/events`` streams until
+the watched job ends or the client goes.
 
 Everything is stdlib — the service adds no dependency, just like the
 rest of the repo.  The in-process surface (``service.submit(...)``)
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import json
 import queue as _queue
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence
@@ -53,6 +62,10 @@ from repro.serve.state import (
 from repro.serve.workers import WorkerPool
 
 __all__ = ["EventBroker", "ExperimentService", "serve"]
+
+#: Seconds a keep-alive connection may sit idle before the server
+#: closes it.
+IDLE_TIMEOUT_S = 60.0
 
 
 class EventBroker:
@@ -101,7 +114,8 @@ class ExperimentService:
     :meth:`result` — or over HTTP via :meth:`start_http`.
 
     Args:
-        n_workers: concurrent jobs.
+        n_workers: cell pools, one per worker thread; each runs the
+            cells of as many jobs as it has free processes.
         queue_capacity: queued-job bound (backpressure past it).
         use_cache / cache_dir: result-cache knobs for ``run_cells``.
         default_cell_timeout_s: per-cell budget for jobs that set none.
@@ -160,16 +174,7 @@ class ExperimentService:
     def wait(self, job_id: str, timeout_s: float = 60.0) -> Dict[str, Any]:
         """Block until the job leaves the active states (or timeout);
         returns its public view either way."""
-        import time
-
-        deadline = time.monotonic() + timeout_s
-        while True:
-            job = self.table.get(job_id)
-            if job.state not in ACTIVE_STATES:
-                return job.to_dict()
-            if time.monotonic() >= deadline:
-                return job.to_dict()
-            time.sleep(0.05)
+        return self.table.wait(job_id, timeout_s).to_dict()
 
     def result(self, job_id: str) -> List[Any]:
         """The finished job's :class:`ResultSummary` list (input order).
@@ -243,8 +248,7 @@ class ExperimentService:
             pass
 
         Handler.service = service
-        httpd = ThreadingHTTPServer((host, port), Handler)
-        httpd.daemon_threads = True
+        httpd = _KeepAliveServer((host, port), Handler)
         self._httpd = httpd
         self._http_thread = threading.Thread(
             target=httpd.serve_forever, name="repro-serve-http", daemon=True
@@ -256,6 +260,7 @@ class ExperimentService:
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd.close_connections()
             self._httpd = None
 
     @property
@@ -263,11 +268,50 @@ class ExperimentService:
         return self._httpd.server_address if self._httpd else None
 
 
+class _KeepAliveServer(ThreadingHTTPServer):
+    """A thread per connection, and a register of the open ones: a
+    keep-alive connection outlives the request that opened it, so
+    stopping the server has to close them too."""
+
+    daemon_threads = True
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection: its handler thread reads EOF and
+        exits, and its client's next request reconnects."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
+
+
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto one shared :class:`ExperimentService`."""
 
     service: ExperimentService  # installed by start_http
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends; with Nagle's algorithm on,
+    # the second waits for the peer's delayed ACK (~40 ms) on a reused
+    # connection.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     # -------------------------- plumbing ------------------------------ #
 
@@ -331,8 +375,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         try:
+            # Read first, whatever the route: an unread body would be
+            # parsed as the connection's next request.
+            doc = self._read_body()
             if self.path == "/submit":
-                self._post_submit()
+                self._post_submit(doc)
             elif self.path.startswith("/cancel/"):
                 self._post_cancel(self.path[len("/cancel/"):])
             else:
@@ -349,8 +396,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             except Exception:
                 pass
 
-    def _post_submit(self) -> None:
-        doc = self._read_body()
+    def _post_submit(self, doc: Dict[str, Any]) -> None:
         raw_configs = doc.get("configs")
         if not isinstance(raw_configs, list) or not raw_configs:
             raise ValueError("'configs' must be a non-empty list")

@@ -13,8 +13,9 @@ cells).  Its lifecycle is a small monotone state machine::
 Transitions are validated (``running -> queued`` is a bug, not a
 state), timestamped, and published to the event broker so SSE clients
 watch jobs move without polling.  All state lives behind one lock in
-:class:`JobTable`; the table is the single source of truth the queue,
-the worker pool and the HTTP layer all share.
+:class:`JobTable` (a condition, notified when a job ends, so waiting on
+a job in-process takes no polling); the table is the single source of
+truth the queue, the worker pool and the HTTP layer all share.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class JobTable:
     def __init__(
         self, publish: Optional[Callable[[Dict[str, Any]], None]] = None
     ) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
         self._jobs: Dict[str, Job] = {}
         self._counter = itertools.count(1)
         self._publish = publish
@@ -184,8 +185,23 @@ class JobTable:
                 job.error = error
             if results is not None:
                 job.results = results
+            if state in TERMINAL_STATES:
+                self._lock.notify_all()
         self._emit(job, state)
         return job
+
+    def wait(self, job_id: str, timeout_s: Optional[float] = None) -> Job:
+        """Block until the job leaves the active states or ``timeout_s``
+        passes; returns the job either way."""
+        with self._lock:
+            try:
+                job = self._jobs[job_id]
+            except KeyError:
+                raise UnknownJob(job_id) from None
+            self._lock.wait_for(
+                lambda: job.state not in ACTIVE_STATES, timeout_s
+            )
+            return job
 
     def find_by_key(
         self, job_key: str, states: Tuple[str, ...]

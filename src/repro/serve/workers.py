@@ -3,34 +3,44 @@
 Isolation is layered:
 
 * **Cell level** — every cell of a job with ``jobs_per_cell > 1`` runs
-  in a worker *process* via the crash-tolerant
-  :func:`~repro.experiments.parallel.run_cells` grid runner — a job's
-  only cell and the one miss of a half-cached job included, so each
-  gets its ``cell_timeout_s`` and none simulates inside the daemon
+  in a worker *process* via the crash-tolerant grid runner
+  (:func:`~repro.experiments.parallel.start_cells`, then ``.results()``)
+  — a job's only cell and the one miss of a half-cached job included, so
+  each gets its ``cell_timeout_s`` and none simulates inside the daemon
   (``jobs_per_cell=1`` asks for exactly that, for a debugger).  Each
   worker thread holds one
   :class:`~repro.experiments.parallel.CellPool` for its whole life, so
   a job pays a round trip through live workers, not a fork and a reap.
-  One pool per thread, not one shared: no lock, a timeout kill cannot
-  hit another job's cells, and at most ``n_workers × jobs_per_cell``
-  processes exist, as before.  A hung cell gets the workers killed and
-  the next use respawns them; a worker that segfaults or is OOM-killed
-  mid-cell costs that pool round (then a serial fallback), one that
-  died idle between jobs costs nothing; never the service.  Workers
-  exit with the daemon, however it dies, and see the environment as of
-  their spawn.
+  The thread schedules cells, not jobs: it admits the next job the
+  moment one of its pool's processes is free, submits that job's misses
+  and hands the collection to a thread of the job's own, so no core
+  idles while a job waits for its slowest cell.  A cell's budget starts
+  when it reaches a worker, not while it waits behind another job's.  A
+  timeout kill can hit another job's running cells; they come back as
+  ``BrokenProcessPool`` and are retried, never failed.  A job that runs
+  in-process, or asks for another width, is admitted only once the pool
+  is empty, so a respawn never kills an admitted job's cells and at most
+  ``n_workers × jobs_per_cell`` processes exist, as before.  A hung cell
+  gets the workers killed and the next use respawns them; a worker that
+  segfaults or is OOM-killed mid-cell costs that pool round (then a
+  serial fallback), one that died idle between jobs costs nothing; never
+  the service.  Workers exit with the daemon, however it dies, and see
+  the environment as of their spawn.
 * **Job level (bulkhead)** — each job executes inside a catch-all on
-  its worker thread: any exception marks *that job* failed and the
-  thread moves on to the next one.  One poisoned job cannot take the
-  pool down.
+  the thread that admits it and on the one that collects it: any
+  exception marks *that job* failed and the threads move on.  One
+  poisoned job cannot take the pool down.
 * **Pool level** — a supervisor respawns worker threads that died
   anyway (the catch-all makes this near-impossible, but an always-on
   service does not get to assume "near").  ``ensure_workers`` runs on
   every submission and health probe, so the pool self-heals on the
   paths that matter.
 
+Admission keeps the queue's meaning: jobs leave it one at a time, in
+priority order, and its capacity counts queued jobs only.
+
 Per-job budgets: ``cell_timeout_s`` is threaded *explicitly* into
-``run_cells`` — service threads must not mutate ``REPRO_CELL_TIMEOUT``
+``start_cells`` — service threads must not mutate ``REPRO_CELL_TIMEOUT``
 (process-global, races across concurrent jobs).
 """
 
@@ -40,7 +50,12 @@ import threading
 import traceback
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.parallel import CellPool, run_cells
+from repro.experiments.parallel import (
+    CellPool,
+    CellRun,
+    resolve_jobs,
+    start_cells,
+)
 from repro.serve.queue import JobQueue
 from repro.serve.state import DONE, FAILED, RUNNING, JobTable, UnknownJob
 
@@ -52,9 +67,9 @@ class WorkerPool:
 
     Args:
         queue / table: the shared service plumbing.
-        n_workers: concurrent jobs (each job fans its *cells* out over
-            processes on its own; keep this small).
-        use_cache / cache_dir: forwarded to ``run_cells``.
+        n_workers: cell pools, one per worker thread (each pool is a
+            job's ``jobs_per_cell`` processes wide; keep this small).
+        use_cache / cache_dir: forwarded to ``start_cells``.
         default_cell_timeout_s: budget for jobs that set none.
         publish: event-broker callback for per-cell telemetry events.
     """
@@ -141,6 +156,9 @@ class WorkerPool:
                 "cell_workers_alive": sum(
                     c.alive() for c in self._cell_pools
                 ),
+                "cells_in_flight": sum(
+                    c.in_flight for c in self._cell_pools
+                ),
             }
 
     def stop(self, timeout: float = 5.0) -> None:
@@ -161,24 +179,59 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
 
     def _work_loop(self, cells: CellPool) -> None:
+        collectors: List[threading.Thread] = []
         with cells:
             while not self._stop.is_set():
+                # A job starts the moment a worker process is free, not
+                # when the job before it is done.
+                if not cells.wait_for_room(timeout=0.2):
+                    continue
                 job_id = self.queue.pop(timeout=0.2)
                 if job_id is None:
                     continue
+                collectors = [t for t in collectors if t.is_alive()]
                 try:
-                    self._run_job(job_id, cells)
+                    run = self._admit(job_id, cells)
                 except Exception:  # noqa: BLE001 — bulkhead, see module doc
-                    # _run_job already tried to mark the job failed; if
+                    # _admit already tried to mark the job failed; if
                     # even that failed the job table is gone and so is
                     # the point of crashing the worker over it.
                     traceback.print_exc()
+                    continue
+                if run is None:
+                    continue
+                if not run.on_workers:
+                    # All cached, or in-process (admitted into an empty
+                    # pool, which stays empty while this thread runs it).
+                    self._collect(job_id, run)
+                    continue
+                collector = threading.Thread(
+                    target=self._collect,
+                    args=(job_id, run),
+                    name=f"{threading.current_thread().name}-{job_id}",
+                    daemon=True,
+                )
+                collector.start()
+                collectors.append(collector)
+            # Let admitted jobs finish before the pool closes (stop()
+            # closes it sooner if they take too long).
+            for collector in collectors:
+                collector.join()
 
-    def _run_job(self, job_id: str, cells: CellPool) -> None:
+    def _admit(self, job_id: str, cells: CellPool) -> Optional[CellRun]:
+        """Start a popped job: its cache lookups and the submission of
+        its misses, on the admitting thread, in pop order.  ``None``
+        when the job is gone or already failed."""
         try:
             job = self.table.get(job_id)
         except UnknownJob:
-            return
+            return None
+        try:
+            width = resolve_jobs(job.jobs_per_cell)
+        except ValueError:
+            width = None  # start_cells raises it again, in the bulkhead
+        if width is not None:
+            cells.wait_for_room(width)
         self.table.transition(job_id, RUNNING)
         timeout = (
             job.cell_timeout_s
@@ -186,7 +239,7 @@ class WorkerPool:
             else self.default_cell_timeout_s
         )
         try:
-            results = run_cells(
+            return start_cells(
                 job.configs,
                 jobs=job.jobs_per_cell,
                 use_cache=self.use_cache,
@@ -195,12 +248,30 @@ class WorkerPool:
                 pool=cells,
             )
         except Exception as exc:  # noqa: BLE001 — job bulkhead
-            self.table.transition(
-                job_id, FAILED, error=f"{type(exc).__name__}: {exc}"
-            )
-            with self._lock:
-                self.failed += 1
-            return
+            self._fail(job_id, exc)
+            return None
+
+    def _collect(self, job_id: str, run: CellRun) -> None:
+        """Wait for a job's cells, then cache, publish and transition
+        it; a catch-all, like the admitting thread's."""
+        try:
+            try:
+                results = run.results()
+            except Exception as exc:  # noqa: BLE001 — job bulkhead
+                self._fail(job_id, exc)
+                return
+            self._finish(job_id, results)
+        except Exception:  # noqa: BLE001 — bulkhead, see module doc
+            traceback.print_exc()
+
+    def _fail(self, job_id: str, exc: Exception) -> None:
+        self.table.transition(
+            job_id, FAILED, error=f"{type(exc).__name__}: {exc}"
+        )
+        with self._lock:
+            self.failed += 1
+
+    def _finish(self, job_id: str, results: List[Any]) -> None:
         failed_cells = [r for r in results if r.error is not None]
         self._emit_cells(job_id, results)
         if failed_cells:

@@ -14,6 +14,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -540,6 +541,41 @@ class TestCellPool:
             assert 22 in in_process  # the serial fallback, and only then
             # Idle death, then one respawn per round the crash broke.
             assert pool.spawns == 2 + 1 + parallel.MAX_POOL_ROUNDS - 1
+
+    def test_in_flight_is_exact_when_threads_share_the_pool(self):
+        """Eight threads submit to and collect from one pool with a
+        tiny switch interval: a lost update to the count of cells in
+        flight would leave it off zero, and admission stuck."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        low = []
+        try:
+            with CellPool() as pool:
+
+                def hammer(seed):
+                    for _ in range(10):
+                        futures = pool.submit(
+                            2, _rng_draws, [seed, seed + 1]
+                        )
+                        for future in futures:
+                            assert future.result(timeout=30.0)
+                        low.append(pool.in_flight)
+
+                threads = [
+                    threading.Thread(target=hammer, args=(seed,))
+                    for seed in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(low) == 80 and min(low) >= 0
+                assert pool.in_flight == 0
+                assert pool.wait_for_room(2, timeout=0)
+                assert pool.spawns == 1
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_close_is_idempotent_and_final(self):
         pool = CellPool()

@@ -5,12 +5,14 @@ kills its worker *process* (``REPRO_TEST_CRASH_SEED``) must still
 complete — the grid runner restarts its pool, falls back to serial, and
 the service's ``/healthz`` stays green throughout.  Around it: queue
 backpressure and dedup, the job lifecycle state machine, worker-thread
-respawn, and the SSE stream delivering job lifecycle + telemetry
-events.
+respawn, admission of the next job the moment a cell process frees,
+keep-alive connections, and the SSE stream delivering job lifecycle +
+telemetry events.
 """
 
 from __future__ import annotations
 
+import http.client
 import multiprocessing
 import os
 import signal
@@ -23,6 +25,8 @@ import time
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.result import ResultSummary
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.serve import (
     DONE,
@@ -36,6 +40,7 @@ from repro.serve import (
     ServiceClient,
     ServiceError,
 )
+from repro.serve import server
 from repro.serve.state import InvalidTransition, UnknownJob
 from tests.conftest import child_env
 
@@ -54,6 +59,15 @@ def _config(seed=1, load=0.5, n_flows=10):
     )
 
 
+def _wait_until(predicate, timeout_s: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 @pytest.fixture
 def service():
     svc = ExperimentService(n_workers=1, queue_capacity=4, use_cache=False)
@@ -66,7 +80,9 @@ def service():
 def http_service(service):
     httpd = service.start_http(port=0)
     port = httpd.server_address[1]
-    yield service, ServiceClient(f"http://127.0.0.1:{port}", timeout_s=30.0)
+    client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=30.0)
+    yield service, client
+    client.close()
 
 
 class TestJobTable:
@@ -175,6 +191,20 @@ class TestServiceInProcess:
         except RuntimeError:
             pass  # still queued/running — expected when we beat the worker
         service.wait(submission.job.job_id, timeout_s=60.0)
+
+    def test_wait_blocks_instead_of_polling(self, service, monkeypatch):
+        """``wait`` blocks on the job table's condition; it does not
+        poll."""
+        submission = service.submit(
+            [_config(seed=4), _config(seed=5)], jobs_per_cell=1
+        )
+
+        def no_sleep(_seconds):
+            raise AssertionError("wait polled")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        status = service.wait(submission.job.job_id, timeout_s=60.0)
+        assert status["state"] == DONE
 
     def test_worker_thread_respawn(self, service):
         """A dead worker thread is respawned by the health probe —
@@ -314,6 +344,160 @@ class TestHeldCellPool:
         assert multiprocessing.active_children()
         svc.stop()
         assert multiprocessing.active_children() == []
+
+
+class TestAdmission:
+    """A worker thread schedules cells, not jobs: the next job is
+    admitted the moment a process of its pool is free, and clients poll
+    it over one held connection per thread.  One worker thread and
+    ``jobs_per_cell=2`` throughout: one pool, two processes."""
+
+    def _finish(self, svc, *submissions):
+        return [
+            svc.wait(sub.job.job_id, timeout_s=60.0) for sub in submissions
+        ]
+
+    def test_next_job_runs_beside_a_slow_cell(self, service, monkeypatch):
+        """B runs beside A's slow cell instead of waiting for it while
+        A's other process idles."""
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "70:1")
+        a = service.submit([_config(seed=70), _config(seed=71)], jobs_per_cell=2)
+        b = service.submit([_config(seed=72), _config(seed=73)], jobs_per_cell=2)
+        a_end, b_end = self._finish(service, a, b)
+        assert a_end["state"] == b_end["state"] == DONE
+        assert b_end["started_s"] < a_end["finished_s"]
+        assert b_end["finished_s"] < a_end["finished_s"]
+        assert service.health()["cells_in_flight"] == 0
+
+    def test_priority_decides_who_gets_the_free_process(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "74:1")
+        busy = service.submit(
+            [_config(seed=74), _config(seed=74, load=0.6)], jobs_per_cell=2
+        )
+        assert _wait_until(lambda: service.health()["cells_in_flight"] == 2)
+        low = service.submit([_config(seed=75), _config(seed=76)], jobs_per_cell=2)
+        high = service.submit(
+            [_config(seed=77), _config(seed=78)], priority=5, jobs_per_cell=2
+        )
+        ends = self._finish(service, busy, low, high)
+        assert [end["state"] for end in ends] == [DONE] * 3
+        assert ends[2]["started_s"] < ends[1]["started_s"]
+
+    def test_other_width_waits_for_the_pool_to_drain(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "79:1")
+        a = service.submit([_config(seed=79), _config(seed=80)], jobs_per_cell=2)
+        assert _wait_until(lambda: service.health()["cell_pool_spawns"] == 1)
+        wide = service.submit(
+            [_config(seed=81), _config(seed=82)], jobs_per_cell=3
+        )
+        a_end, wide_end = self._finish(service, a, wide)
+        assert a_end["state"] == wide_end["state"] == DONE
+        # Admitted once the sleeping cell, not just the fast one, was done.
+        assert wide_end["started_s"] > a_end["started_s"] + 0.9
+        health = service.health()
+        assert health["cell_pool_spawns"] == 2
+        assert health["cell_workers_alive"] == 3
+
+    def test_timeout_in_a_neighbour_is_retried_not_failed(
+        self, service, monkeypatch
+    ):
+        """A's hung cell gets the workers killed while B's cells run on
+        them; B's cells come back broken, run again, and B ends done
+        with the records of a direct run."""
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "83:1.5")
+        a = service.submit(
+            [_config(seed=83), _config(seed=84)],
+            jobs_per_cell=2, cell_timeout_s=0.5,
+        )
+        b_configs = [_config(seed=83, load=0.6), _config(seed=85)]
+        b = service.submit(b_configs, jobs_per_cell=2)
+        a_end, b_end = self._finish(service, a, b)
+        assert a_end["state"] == FAILED
+        assert "REPRO_CELL_TIMEOUT=0.5" in a_end["error"]
+        assert b_end["state"] == DONE, b_end
+        assert b_end["started_s"] < a_end["finished_s"]
+        # The kill hit B mid-cell, and the pool respawned for B.
+        assert service.health()["cell_pool_spawns"] == 2
+        for served, config in zip(service.result(b.job.job_id), b_configs):
+            direct = ResultSummary.from_result(run_experiment(config))
+            assert served.stats.records == direct.stats.records
+            assert served.sim_time_ns == direct.sim_time_ns
+            assert served.events == direct.events
+
+    def test_one_client_shared_by_threads(self, http_service):
+        _, client = http_service
+        job_id = client.submit([_config(seed=86)], jobs_per_cell=2)["job_id"]
+        errors = []
+
+        def poll():
+            try:
+                for _ in range(50):
+                    assert client.status(job_id)["job_id"] == job_id
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=poll) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert client.wait(job_id, timeout_s=60.0)["state"] == DONE
+
+    def test_client_reconnects_after_a_restart(self, http_service):
+        service, client = http_service
+        port = service.http_address[1]
+        other = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=30.0)
+        assert client.healthz()["ok"] and other.healthz()["ok"]
+        service.stop_http()
+        # Stopping closed the held connections: nothing answers on them.
+        with pytest.raises(OSError):
+            other.healthz()
+        service.start_http(port=port)
+        assert client.healthz()["ok"]
+        other.close()
+
+
+class TestKeepAlive:
+    """The server answers on a reused connection without stalling and
+    closes it when idle."""
+
+    def test_reused_connection_does_not_stall(self, http_service):
+        """With Nagle's algorithm on, each reply on a reused connection
+        waited ~40 ms for a delayed ACK (headers and body go out in two
+        sends)."""
+        service, _ = http_service
+        host, port = service.http_address
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        started = time.perf_counter()
+        try:
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert time.perf_counter() - started < 0.3
+
+    def test_server_closes_an_idle_connection(self, service, monkeypatch):
+        monkeypatch.setattr(server._ServiceHandler, "timeout", 0.2)
+        httpd = service.start_http(port=0)
+        client = ServiceClient(
+            f"http://127.0.0.1:{httpd.server_address[1]}", timeout_s=30.0
+        )
+        try:
+            assert client.healthz()["ok"]
+            assert httpd._connections
+            assert _wait_until(lambda: not httpd._connections, timeout_s=5.0)
+            assert client.healthz()["ok"]
+        finally:
+            client.close()
 
 
 def test_daemon_stops_on_sigterm(tmp_path):
