@@ -46,11 +46,7 @@ import os
 from typing import Any, Dict, IO, List, Optional, Sequence, Union
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.export import (
-    summary_dict,
-    write_flow_csv,
-    write_summary_json,
-)
+from repro.experiments.export import summary_dict
 from repro.experiments.parallel import run_cells as _run_cells
 from repro.experiments.result import ExperimentResult, ResultSummary
 from repro.experiments.runner import run_experiment
@@ -92,7 +88,7 @@ from repro.sim.rng import RngStreams
 from repro.telemetry.series import QueueSampler
 from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import TcpFlow
-from repro.workload.patterns import incast, permutation, staggered_elephants
+from repro.workload.patterns import incast
 
 __all__ = [
     "ExperimentConfig",
@@ -117,8 +113,6 @@ __all__ = [
     "save_result",
     "load_result",
     "summary_dict",
-    "write_flow_csv",
-    "write_summary_json",
     "bench_topology",
     "testbed_topology",
     "simulation_topology",
@@ -141,8 +135,6 @@ __all__ = [
     "DctcpFlow",
     "TcpFlow",
     "incast",
-    "permutation",
-    "staggered_elephants",
 ]
 
 

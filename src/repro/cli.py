@@ -440,7 +440,6 @@ def cmd_trace_run(args) -> int:
         os.path.join(args.out, "perfetto.json"),
         telemetry.tracer.iter_dicts(),
         telemetry.audit.iter_dicts(),
-        series=telemetry.counter_series(),
         meta=meta,
     )
     with open(os.path.join(args.out, "summary.json"), "w") as fh:

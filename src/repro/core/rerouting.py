@@ -22,7 +22,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.core.parameters import HermesParams
 from repro.core.sensing import (
-    PATH_CONGESTED,
     PATH_FAILED,
     PATH_GOOD,
     PATH_GRAY,

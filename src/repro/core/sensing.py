@@ -54,8 +54,6 @@ PATH_GRAY = 1
 PATH_CONGESTED = 2
 PATH_FAILED = 3
 
-TYPE_NAMES = {0: "good", 1: "gray", 2: "congested", 3: "failed"}
-
 
 class PathState:
     """Sensed condition of one (destination leaf, path).

@@ -25,7 +25,7 @@ mind, rather than polling.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 UP = 0
 SUSPECT = 1

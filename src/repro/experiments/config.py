@@ -45,7 +45,6 @@ class ExperimentConfig:
             ``size_scale`` keeps the paper's timescale ratios (RTO vs
             FCT, detection delay vs run span) intact on scaled runs.
         reorder_mask_us: receiver-side reordering mask for Presto*/DRB.
-        dupthresh: sender duplicate-ACK threshold.
         hermes_overrides: field overrides applied on top of the
             automatically scaled Hermes parameters (e.g. a failure bench
             that scales the injected drop rate by ``1/size_scale`` must
@@ -125,7 +124,6 @@ class ExperimentConfig:
     size_scale: float = 1.0
     time_scale: float = 1.0
     reorder_mask_us: Optional[float] = None
-    dupthresh: int = 3
     max_cwnd: float = 800.0
     hermes_overrides: Dict[str, Any] = field(default_factory=dict)
     faults: Optional[FaultScheduleSpec] = None

@@ -1,55 +1,16 @@
-"""Result export: per-flow CSV traces and JSON summaries.
+"""Result export: one run as a JSON-serializable summary dict.
 
-Downstream analysis (pandas, gnuplot, spreadsheets) wants flat files;
-these helpers serialize a :class:`ResultSummary` (or the
-:class:`ExperimentResult` extending it) without pulling any dependency
-into the library.
+The CLI prints every results table from these dicts and the service's
+``GET /result`` serves them; :func:`repro.api.save_result` is the
+persisted form of a whole run.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict
-from typing import IO, Any, Dict
+from typing import Any, Dict
 
 from repro.experiments.result import ResultSummary
-
-FLOW_FIELDS = [
-    "flow_id",
-    "src",
-    "dst",
-    "size_bytes",
-    "start_ns",
-    "fct_ns",
-    "retransmissions",
-    "timeouts",
-    "finished",
-]
-
-
-def write_flow_csv(result: ResultSummary, stream: IO[str]) -> int:
-    """Write one row per flow; returns the number of rows written."""
-    writer = csv.writer(stream)
-    writer.writerow(FLOW_FIELDS)
-    count = 0
-    for record in result.stats.records:
-        writer.writerow(
-            [
-                record.flow_id,
-                record.src,
-                record.dst,
-                record.size_bytes,
-                record.start_ns,
-                record.fct_ns if record.fct_ns is not None else "",
-                record.retransmissions,
-                record.timeouts,
-                int(record.finished),
-            ]
-        )
-        count += 1
-    return count
-
 
 def summary_dict(result: ResultSummary) -> Dict[str, Any]:
     """A JSON-serializable summary of one experiment: the headline
@@ -115,8 +76,3 @@ def cell_dict(result: ResultSummary) -> Dict[str, Any]:
         return {"error": result.error}
     return summary_dict(result)
 
-
-def write_summary_json(result: ResultSummary, stream: IO[str]) -> None:
-    """Serialize :func:`summary_dict` as indented JSON."""
-    json.dump(summary_dict(result), stream, indent=2, sort_keys=True)
-    stream.write("\n")

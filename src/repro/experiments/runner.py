@@ -24,12 +24,7 @@ from repro.metrics.fct import (
 )
 from repro.metrics.visibility import VisibilitySampler
 from repro.net.fabric import Fabric
-from repro.sim.engine import (
-    Simulator,
-    make_simulator,
-    microseconds,
-    scheduler_forced,
-)
+from repro.sim.engine import make_simulator, microseconds
 from repro.sim.rng import RngStreams
 from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import TcpFlow
@@ -102,7 +97,6 @@ def _resolved_lb_params(config: ExperimentConfig) -> Dict[str, Any]:
 def _flow_kwargs(config: ExperimentConfig) -> Dict[str, Any]:
     """Constructor kwargs for every flow of this config."""
     kwargs: Dict[str, Any] = {
-        "dupthresh": config.dupthresh,
         "max_cwnd": config.max_cwnd,
         "min_rto_ns": max(1, int(10_000_000 * config.time_scale)),
     }
@@ -263,8 +257,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     sim.run(until=deadline)
     if sampler is not None:
         sampler.stop()
-    if telemetry is not None:
-        telemetry.stop_series()
 
     if stats_stream is not None:
         # Whatever is still registered and unfinished: fold it in (the

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.net.topology import TopologyConfig
 

@@ -38,7 +38,7 @@ The CLI accepts the same schedule as a compact string (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Tuple
+from typing import Tuple
 
 #: Actions that install a malfunction.
 APPLY_ACTIONS = (
@@ -69,13 +69,6 @@ REVERT_OF = {
 
 #: Actions targeting one (leaf, spine) link.
 LINK_ACTIONS = ("link_down", "link_up", "link_degrade", "link_restore", "flap")
-#: Actions targeting one spine switch.
-SPINE_ACTIONS = (
-    "random_drop_start",
-    "random_drop_stop",
-    "blackhole_on",
-    "blackhole_off",
-)
 
 
 @dataclass(frozen=True)

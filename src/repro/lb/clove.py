@@ -10,7 +10,7 @@ shortcoming Hermes' active probing addresses.
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from repro.lb.base import LoadBalancer
 from repro.sim.engine import microseconds

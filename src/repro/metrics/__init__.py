@@ -1,4 +1,4 @@
-"""Metrics: FCT statistics, queue/throughput sampling, visibility.
+"""Metrics: FCT statistics, queue sampling, visibility.
 
 FCT is the paper's primary metric, broken down into small (<100 KB) and
 large (>10 MB) flows; the visibility counter reproduces Table 2.
@@ -6,7 +6,7 @@ large (>10 MB) flows; the visibility counter reproduces Table 2.
 
 from repro.metrics.fct import FlowRecord, FctStats, SMALL_FLOW_BYTES, LARGE_FLOW_BYTES
 from repro.metrics.streaming import STREAMING_AUTO_FLOWS, StreamingFctStats
-from repro.telemetry.series import QueueSampler, UtilizationTracker
+from repro.telemetry.series import QueueSampler
 from repro.metrics.visibility import VisibilitySampler
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "SMALL_FLOW_BYTES",
     "LARGE_FLOW_BYTES",
     "QueueSampler",
-    "UtilizationTracker",
     "VisibilitySampler",
 ]

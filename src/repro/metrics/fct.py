@@ -32,14 +32,6 @@ class FlowRecord:
     def finished(self) -> bool:
         return self.fct_ns is not None
 
-    @property
-    def is_small(self) -> bool:
-        return self.size_bytes < SMALL_FLOW_BYTES
-
-    @property
-    def is_large(self) -> bool:
-        return self.size_bytes > LARGE_FLOW_BYTES
-
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile of pre-sorted data, q in [0, 100]."""

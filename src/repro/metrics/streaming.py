@@ -202,7 +202,8 @@ class StreamingFctStats:
     def cross_check_ms(self, q: float) -> float:
         """The *other* estimator's value for ``q`` — reservoir when the
         digest answered, digest otherwise.  Large disagreement between
-        the two flags an estimator bug (asserted by the bench)."""
+        the two flags an estimator bug (asserted by
+        ``tests/test_streaming_stats.py``)."""
         if self.finished_count == 0:
             return float("nan")
         if self._reservoir.exact:

@@ -7,7 +7,7 @@ and probe replies are separate packet instances.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class PacketKind:

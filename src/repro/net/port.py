@@ -454,14 +454,6 @@ class OutputPort:
         """All losses at this port, injected failures included."""
         return self.drops_overflow + self.drops_injected + self.drops_linkdown
 
-    def utilization_since(self, start_ns: int, bytes_at_start: int) -> float:
-        """Average utilization between ``start_ns`` and now."""
-        elapsed = self.sim.now - start_ns
-        if elapsed <= 0:
-            return 0.0
-        sent = self.bytes_sent - bytes_at_start
-        return sent * 8 * 1e9 / (self.rate_bps * elapsed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OutputPort({self.name} {self.rate_bps / 1e9:.1f}Gbps "

@@ -123,10 +123,10 @@ class LeafSpineTopology:
         self.config = config
         cfg = config
 
-        def port(name: str, rate_gbps: float, ecn_scale_rate: Optional[float] = None) -> OutputPort:
+        def port(name: str, rate_gbps: float) -> OutputPort:
             # ECN threshold tracks the DCTCP guideline K ∝ C so that slower
             # links mark earlier (paper uses 32 KB at 1 Gbps).
-            scale = (ecn_scale_rate or rate_gbps) / 10.0
+            scale = rate_gbps / 10.0
             ecn_k = max(15_000, int(cfg.ecn_threshold_bytes * scale))
             return OutputPort(
                 sim,
@@ -235,7 +235,7 @@ class LeafSpineTopology:
     # ------------------------------------------------------------------ #
 
     def uplink_ports(self, leaf: int) -> List[Tuple[int, OutputPort]]:
-        """Alive (spine, port) uplinks of a leaf — what DRILL inspects."""
+        """Alive (spine, port) uplinks of a leaf (cut links omitted)."""
         return [
             (s, p) for s, p in enumerate(self.leaf_up[leaf]) if p is not None
         ]

@@ -10,8 +10,8 @@ site, attributes default to ``None``):
 * :mod:`repro.telemetry.audit` — decision audit log: every Algorithm 1
   path-state transition and every Algorithm 2 (re)placement with its
   reason code and the threshold values that fired;
-* :mod:`repro.telemetry.series` — time-series samplers (queue backlog,
-  ECN fraction) on cancellable timer events, plus the engine
+* :mod:`repro.telemetry.series` — time-series samplers (queue backlog)
+  on cancellable timer events, plus the engine
   :class:`~repro.telemetry.series.LoopProfiler`;
 * :mod:`repro.telemetry.export` — JSONL / CSV / Perfetto-compatible
   Chrome-trace exporters.
@@ -27,12 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from repro.telemetry.audit import AuditRecord, DecisionAudit
-from repro.telemetry.series import (
-    EcnFractionSeries,
-    LoopProfiler,
-    PeriodicSampler,
-    QueueSampler,
-)
+from repro.telemetry.series import LoopProfiler, PeriodicSampler, QueueSampler
 from repro.telemetry.tracer import EventTracer, TraceRecord, TracerHooks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,32 +47,6 @@ class Telemetry:
         self.tracer = EventTracer(sim)
         self.audit = DecisionAudit(sim)
         self.profiler = LoopProfiler(sim)
-        #: name -> sampler; populated by :meth:`add_series`.
-        self.series: Dict[str, PeriodicSampler] = {}
-
-    def add_series(
-        self, name: str, sampler: PeriodicSampler, start: bool = True
-    ) -> PeriodicSampler:
-        """Register (and by default start) a time-series sampler."""
-        self.series[name] = sampler
-        if start:
-            sampler.start()
-        return sampler
-
-    def stop_series(self) -> None:
-        """Cancel every registered sampler's pending tick."""
-        for sampler in self.series.values():
-            sampler.stop()
-
-    def counter_series(self) -> Dict[str, list]:
-        """Per-port counter tracks for the Perfetto export."""
-        out: Dict[str, list] = {}
-        for name, sampler in self.series.items():
-            samples = getattr(sampler, "samples", None)
-            if isinstance(samples, dict):
-                for port_name, points in samples.items():
-                    out[f"{name} {port_name}"] = points
-        return out
 
     def summary(self) -> Dict[str, Any]:
         """One dict answering "what did this run do" at a glance."""
@@ -88,34 +57,18 @@ class Telemetry:
         }
 
 
-def install_telemetry(
-    fabric: "Fabric", sample_period_ns: Optional[int] = None
-) -> Telemetry:
+def install_telemetry(fabric: "Fabric") -> Telemetry:
     """Attach a fresh :class:`Telemetry` to every layer of a fabric.
 
     Wires the tracer into the fabric (send / forward / flow lifecycle)
     and every port (drops), and the profiler into the engine.  Hermes
     audit hooks are created later by ``install_lb``; attach them with
     :func:`watch_lb` once the scheme is installed.
-
-    Args:
-        fabric: the network to observe.
-        sample_period_ns: if set, start queue-backlog and ECN-fraction
-            samplers over every port at this period.
     """
     telemetry = Telemetry(fabric.sim)
     fabric.hooks.attach(
         tracer=telemetry.tracer, profiler=telemetry.profiler
     )
-    if sample_period_ns is not None:
-        ports = fabric.topology.all_ports()
-        telemetry.add_series(
-            "backlog", QueueSampler(fabric.sim, ports, sample_period_ns)
-        )
-        telemetry.add_series(
-            "ecn_fraction",
-            EcnFractionSeries(fabric.sim, ports, sample_period_ns),
-        )
     return telemetry
 
 
@@ -145,6 +98,5 @@ __all__ = [
     "AuditRecord",
     "PeriodicSampler",
     "QueueSampler",
-    "EcnFractionSeries",
     "LoopProfiler",
 ]

@@ -20,7 +20,7 @@ Two properties the streaming collector leans on:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["ReservoirSampler"]
 

@@ -153,11 +153,6 @@ class TDigest:
         """Total ingested weight."""
         return self._total + math.fsum(w for _, w in self._buffer)
 
-    @property
-    def n_centroids(self) -> int:
-        self._compress()
-        return len(self._means)
-
     def memory_items(self) -> int:
         """Retained items (centroids + buffered values) — the number the
         bounded-memory tests assert on."""

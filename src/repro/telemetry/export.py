@@ -15,8 +15,7 @@ https://ui.perfetto.dev load natively:
   flow timeline reads directly off the track;
 * a ``hermes`` thread carrying Algorithm 2 decisions and Algorithm 1
   path-state transitions as instant events with their reason codes and
-  threshold values in ``args``;
-* optional counter tracks (queue backlog series) as ``C`` events.
+  threshold values in ``args``.
 
 Timestamps are microseconds (the format's unit); nanosecond precision is
 preserved as fractional microseconds.
@@ -59,20 +58,16 @@ def read_jsonl(path: str) -> Iterator[Dict[str, Any]]:
                 yield json.loads(line)
 
 
-def write_csv(
-    path: str,
-    records: Iterable[Dict[str, Any]],
-    fields: Iterable[str] = EVENT_FIELDS,
-) -> int:
-    """Flatten records to CSV (dict-valued fields are JSON-encoded)."""
-    fields = list(fields)
+def write_csv(path: str, records: Iterable[Dict[str, Any]]) -> int:
+    """Flatten records to CSV in :data:`EVENT_FIELDS` order (dict-valued
+    fields are JSON-encoded)."""
     count = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(EVENT_FIELDS)
         for record in records:
             row = []
-            for field in fields:
+            for field in EVENT_FIELDS:
                 value = record.get(field)
                 if isinstance(value, dict):
                     value = json.dumps(value, sort_keys=True)
@@ -94,7 +89,6 @@ _HERMES_TID = 1
 def perfetto_trace(
     events: Iterable[Dict[str, Any]],
     audit: Iterable[Dict[str, Any]] = (),
-    series: Optional[Dict[str, List]] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Build a Chrome-trace/Perfetto JSON document from exported records.
@@ -102,8 +96,6 @@ def perfetto_trace(
     Args:
         events: tracer record dicts (``events.jsonl`` rows).
         audit: decision-audit record dicts (``audit.jsonl`` rows).
-        series: optional ``{counter_name: [(t_ns, value), ...]}`` counter
-            tracks (e.g. queue backlogs).
         meta: run metadata embedded as ``otherData``.
     """
     trace_events: List[Dict[str, Any]] = [
@@ -225,19 +217,6 @@ def perfetto_trace(
             }
         )
 
-    if series:
-        for counter, points in sorted(series.items()):
-            for t_ns, value in points:
-                trace_events.append(
-                    {
-                        "ph": "C",
-                        "name": counter,
-                        "ts": t_ns / 1000.0,
-                        "pid": _FABRIC_PID,
-                        "args": {"value": value},
-                    }
-                )
-
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ns",
@@ -249,11 +228,10 @@ def write_perfetto(
     path: str,
     events: Iterable[Dict[str, Any]],
     audit: Iterable[Dict[str, Any]] = (),
-    series: Optional[Dict[str, List]] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Write the Perfetto JSON; returns the number of trace events."""
-    document = perfetto_trace(events, audit, series=series, meta=meta)
+    document = perfetto_trace(events, audit, meta=meta)
     with open(path, "w") as fh:
         json.dump(document, fh)
         fh.write("\n")

@@ -12,8 +12,6 @@ Samplers:
 
 * :class:`QueueSampler` — per-port backlog (migrated from
   ``repro.metrics.collector``, same query API);
-* :class:`EcnFractionSeries` — fraction of transmitted packets that were
-  CE-marked per interval (per port);
 * :class:`LoopProfiler` — engine-side counters: events dispatched per
   callback kind, heap size and wall-clock per slab of simulated time.
 """
@@ -110,59 +108,6 @@ class QueueSampler(PeriodicSampler):
         mean = self.mean_backlog(port_name)
         var = sum((b - mean) ** 2 for _, b in series) / (len(series) - 1)
         return var**0.5
-
-
-class UtilizationTracker:
-    """Average utilization of ports over a measurement window.
-
-    Not periodic — a two-point window (reset .. read), migrated from
-    ``repro.metrics.collector`` unchanged.
-    """
-
-    def __init__(self, sim: "Simulator", ports: Sequence["OutputPort"]) -> None:
-        self.sim = sim
-        self.ports = list(ports)
-        self._start_ns = sim.now
-        self._bytes_at_start = {p.name: p.bytes_sent for p in self.ports}
-
-    def reset(self) -> None:
-        self._start_ns = self.sim.now
-        self._bytes_at_start = {p.name: p.bytes_sent for p in self.ports}
-
-    def utilization(self) -> Dict[str, float]:
-        """Per-port average utilization since the last reset."""
-        return {
-            p.name: p.utilization_since(
-                self._start_ns, self._bytes_at_start[p.name]
-            )
-            for p in self.ports
-        }
-
-
-class EcnFractionSeries(PeriodicSampler):
-    """Per-interval fraction of enqueued packets that got CE-marked."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        ports: Sequence["OutputPort"],
-        period_ns: int = 1_000_000,
-    ) -> None:
-        super().__init__(sim, period_ns)
-        self.ports = list(ports)
-        self.samples: Dict[str, List[Tuple[int, float]]] = {
-            port.name: [] for port in self.ports
-        }
-        self._last = {p.name: (p.ecn_marks, p.pkts_sent) for p in self.ports}
-
-    def sample(self, now: int) -> None:
-        for port in self.ports:
-            marks, pkts = port.ecn_marks, port.pkts_sent
-            last_marks, last_pkts = self._last[port.name]
-            self._last[port.name] = (marks, pkts)
-            dp = pkts - last_pkts
-            fraction = (marks - last_marks) / dp if dp > 0 else 0.0
-            self.samples[port.name].append((now, fraction))
 
 
 class LoopProfiler:

@@ -47,9 +47,6 @@ KIND_NAMES = {
     EV_FAULT: "fault",
 }
 
-#: Packet-movement kinds (subset dispatched from fabric/port hooks).
-PACKET_KINDS = frozenset((EV_SEND, EV_HOP, EV_DELIVER, EV_DROP))
-
 
 class TraceRecord:
     """One observed event.
@@ -322,9 +319,6 @@ class EventTracer(TracerHooks):
     def counts_by_kind(self) -> Dict[str, int]:
         """Total records *observed* per kind (eviction-independent)."""
         return {KIND_NAMES[k]: v for k, v in sorted(self.counts.items())}
-
-    def flow_events(self, flow_id: int) -> List[TraceRecord]:
-        return [r for r in self._ring if r.flow_id == flow_id]
 
     def paths_used(self, flow_id: int) -> List[int]:
         """Distinct path ids a flow's data packets used, in first-use order."""

@@ -13,13 +13,14 @@ Two policies are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set, TYPE_CHECKING
+from typing import Callable, Optional, Set
 
 from repro.net.packet import Packet, clone_packet
 from repro.sim.engine import Event, Simulator
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.transport.tcp import TcpFlow
+#: Duplicate ACKs the sender needs for fast retransmit; the masking
+#: receiver's flush burst sends this many.
+DUPTHRESH = 3
 
 
 class Receiver:
@@ -32,15 +33,12 @@ class Receiver:
             CE mark and timestamp.
         mask_timeout_ns: if set, reordering is masked: no duplicate ACKs
             until a gap has persisted this long.
-        dupthresh: how many duplicate ACKs the sender needs for fast
-            retransmit (used for the flush burst when masking).
     """
 
     __slots__ = (
         "sim",
         "send_ack",
         "mask_timeout_ns",
-        "dupthresh",
         "rcv_next",
         "_ooo",
         "_gap_timer",
@@ -51,12 +49,10 @@ class Receiver:
         sim: Simulator,
         send_ack: Callable[[Packet, int], None],
         mask_timeout_ns: Optional[int] = None,
-        dupthresh: int = 3,
     ) -> None:
         self.sim = sim
         self.send_ack = send_ack
         self.mask_timeout_ns = mask_timeout_ns
-        self.dupthresh = dupthresh
         self.rcv_next = 0
         self._ooo: Set[int] = set()
         self._gap_timer: Optional[Event] = None
@@ -100,7 +96,7 @@ class Receiver:
         self._gap_timer = None
         if not self._ooo:
             return
-        self.send_ack(template, self.dupthresh)
+        self.send_ack(template, DUPTHRESH)
         # Re-arm in case the retransmission is lost too.
         self._gap_timer = self.sim.schedule(
             self.mask_timeout_ns, self._flush_gap, template

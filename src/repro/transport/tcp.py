@@ -20,7 +20,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.net.packet import HEADER_BYTES, Packet, PacketKind
 from repro.sim.engine import Event
 from repro.transport.base import FlowBase
-from repro.transport.reorder import Receiver
+from repro.transport.reorder import DUPTHRESH, Receiver
 from repro.transport.rto import RtoEstimator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,7 +37,6 @@ class TcpFlow(FlowBase):
         src / dst: endpoint host ids.
         size_bytes: application bytes to transfer.
         init_cwnd: initial window in packets (paper: 10).
-        dupthresh: duplicate-ACK threshold for fast retransmit.
         max_cwnd: cap on the congestion window in packets.
         reorder_mask_ns: if set, the receiver masks reordering for this
             long before emitting duplicate ACKs (Presto*/DRB evaluation).
@@ -50,7 +49,6 @@ class TcpFlow(FlowBase):
         dst: int,
         size_bytes: int,
         init_cwnd: int = 10,
-        dupthresh: int = 3,
         max_cwnd: float = 800.0,
         reorder_mask_ns: Optional[int] = None,
         min_rto_ns: int = 10_000_000,
@@ -62,7 +60,6 @@ class TcpFlow(FlowBase):
         self.cwnd = float(init_cwnd)
         self.ssthresh = float(max_cwnd)
         self.max_cwnd = max_cwnd
-        self.dupthresh = dupthresh
         # Classic TCP is not ECN-capable here; DCTCP flips this on.  The
         # flag propagates to every data packet so switches only CE-mark
         # traffic whose transport will react.
@@ -83,8 +80,7 @@ class TcpFlow(FlowBase):
         # retransmission accounting depends on this).
         self._path_of: dict[int, int] = {}
         self.receiver = Receiver(
-            self.sim, self._emit_ack, mask_timeout_ns=reorder_mask_ns,
-            dupthresh=dupthresh,
+            self.sim, self._emit_ack, mask_timeout_ns=reorder_mask_ns
         )
 
     # ------------------------------------------------------------------ #
@@ -190,7 +186,7 @@ class TcpFlow(FlowBase):
             self.dup_acks += 1
             if self.in_recovery:
                 self.cwnd += 1.0  # window inflation per extra dup ACK
-            elif self.dup_acks >= self.dupthresh:
+            elif self.dup_acks >= DUPTHRESH:
                 self._enter_recovery()
         self._maybe_send()
 
@@ -203,7 +199,7 @@ class TcpFlow(FlowBase):
     def _enter_recovery(self) -> None:
         flight = self.snd_nxt - self.snd_una
         self.ssthresh = max(flight / 2.0, 2.0)
-        self.cwnd = self.ssthresh + float(self.dupthresh)
+        self.cwnd = self.ssthresh + float(DUPTHRESH)
         self.in_recovery = True
         self.recover = self.snd_nxt
         self._transmit(self.snd_una, retx=True)

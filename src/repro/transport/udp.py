@@ -2,14 +2,14 @@
 
 Used by the congestion-mismatch microbenchmarks (paper Fig. 2: a 9 Gbps
 rate-limited UDP flow shares the fabric with a sprayed DCTCP flow).  The
-receiver side just counts bytes into time bins so throughput over time
-can be plotted.
+receiver side counts delivered bytes, from which
+:meth:`UdpFlow.mean_goodput_gbps` gives the delivered rate.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.net.packet import HEADER_BYTES, PacketKind
 from repro.sim.engine import Event
@@ -29,7 +29,6 @@ class UdpFlow(FlowBase):
         fixed_path: pin all packets to one spine; if ``None``, the host's
             load-balancing agent is consulted per packet (so UDP can be
             sprayed by Presto/DRB like any other traffic).
-        rx_bin_ns: width of the receive-throughput histogram bins.
     """
 
     def __init__(
@@ -41,7 +40,6 @@ class UdpFlow(FlowBase):
         duration_ns: Optional[int] = None,
         packet_bytes: int = 1500,
         fixed_path: Optional[int] = None,
-        rx_bin_ns: int = 1_000_000,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError(f"UDP rate must be positive, got {rate_bps}")
@@ -56,10 +54,8 @@ class UdpFlow(FlowBase):
         self.packet_bytes = packet_bytes
         self.fixed_path = fixed_path
         self.interval_ns = int(packet_bytes * 8 * 1e9 / rate_bps)
-        self.rx_bin_ns = rx_bin_ns
         self.rx_bytes = 0
         self._last_rx_ns = 0
-        self._rx_bins: dict[int, int] = {}
         self._seq = 0
         self._intra_rack = (
             fabric.topology.leaf_of(src) == fabric.topology.leaf_of(dst)
@@ -127,19 +123,9 @@ class UdpFlow(FlowBase):
     def on_data(self, packet: Packet) -> None:
         self.rx_bytes += packet.size
         self._last_rx_ns = self.sim.now
-        bin_idx = self.sim.now // self.rx_bin_ns
-        self._rx_bins[bin_idx] = self._rx_bins.get(bin_idx, 0) + packet.size
 
     def on_ack(self, packet: Packet) -> None:  # pragma: no cover - no ACKs
         pass
-
-    def goodput_series(self) -> List[Tuple[float, float]]:
-        """Received throughput per bin as ``(time_seconds, gbps)``."""
-        series = []
-        for bin_idx in sorted(self._rx_bins):
-            gbps = self._rx_bins[bin_idx] * 8 / self.rx_bin_ns
-            series.append((bin_idx * self.rx_bin_ns / 1e9, gbps))
-        return series
 
     def mean_goodput_gbps(self) -> float:
         """Average received rate from first send to last receive (queued

@@ -72,19 +72,6 @@ class FlowSizeDistribution:
             total += mass * (self._sizes[i] + self._sizes[i - 1]) / 2.0
         return total
 
-    def cdf_at(self, size_bytes: float) -> float:
-        """CDF evaluated at a size (linear interpolation)."""
-        if size_bytes <= self._sizes[0]:
-            return self._cdfs[0] if size_bytes < self._sizes[0] else self._cdfs[0]
-        if size_bytes >= self._sizes[-1]:
-            return 1.0
-        idx = bisect.bisect_right(self._sizes, size_bytes)
-        lo_s, hi_s = self._sizes[idx - 1], self._sizes[idx]
-        lo_c, hi_c = self._cdfs[idx - 1], self._cdfs[idx]
-        if hi_s == lo_s:
-            return hi_c
-        return lo_c + (size_bytes - lo_s) / (hi_s - lo_s) * (hi_c - lo_c)
-
     def scaled(self, factor: float) -> "FlowSizeDistribution":
         """A copy with every size multiplied by ``factor`` (min 1 byte)."""
         if factor <= 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.net.topology import TopologyConfig
 from repro.workload.distributions import FlowSizeDistribution

@@ -1,17 +1,15 @@
-"""Synthetic traffic patterns beyond Poisson pair traffic.
+"""Synthetic traffic beyond Poisson pair traffic: incast.
 
-The paper's discussion touches scenarios the Poisson generator cannot
+The paper's discussion touches a scenario the Poisson generator cannot
 express: incast (many-to-one, where MPTCP famously suffers and where a
-load balancer must not spray the synchronized burst into one queue) and
-permutation traffic (each host talks to exactly one other host — the
-classic bisection stress test).  Both are provided here for examples,
-tests and extension studies.
+load balancer must not spray the synchronized burst into one queue).
+``examples/incast_study.py`` builds its workload with it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.net.topology import TopologyConfig
 from repro.workload.generator import FlowArrival
@@ -55,54 +53,3 @@ def incast(
         for src in senders
     ]
 
-
-def permutation(
-    config: TopologyConfig,
-    flow_bytes: int,
-    rng: random.Random,
-    start_ns: int = 0,
-    inter_rack_only: bool = True,
-    max_attempts: int = 1000,
-) -> List[FlowArrival]:
-    """A random permutation: every host sends one flow, every host
-    receives one flow (the classic full-bisection stress test)."""
-    hosts = list(range(config.n_hosts))
-    k = config.hosts_per_leaf
-    for _ in range(max_attempts):
-        receivers = hosts[:]
-        rng.shuffle(receivers)
-        ok = all(
-            src != dst and (not inter_rack_only or src // k != dst // k)
-            for src, dst in zip(hosts, receivers)
-        )
-        if ok:
-            return [
-                FlowArrival(start_ns, src, dst, flow_bytes)
-                for src, dst in zip(hosts, receivers)
-            ]
-    raise RuntimeError("could not find a valid permutation (fabric too small?)")
-
-
-def staggered_elephants(
-    config: TopologyConfig,
-    n_flows: int,
-    flow_bytes: int,
-    gap_ns: int,
-    rng: random.Random,
-    inter_rack_only: bool = True,
-) -> List[FlowArrival]:
-    """Long-lived flows starting ``gap_ns`` apart between random pairs —
-    the steady traffic that starves flowlet-based schemes (paper §2.2.2)."""
-    arrivals = []
-    k = config.hosts_per_leaf
-    for i in range(n_flows):
-        while True:
-            src = rng.randrange(config.n_hosts)
-            dst = rng.randrange(config.n_hosts)
-            if src == dst:
-                continue
-            if inter_rack_only and src // k == dst // k:
-                continue
-            break
-        arrivals.append(FlowArrival(i * gap_ns, src, dst, flow_bytes))
-    return arrivals

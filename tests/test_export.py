@@ -1,17 +1,7 @@
-"""Tests for the CSV/JSON exporters."""
-
-import csv
-import io
-import json
+"""Tests for the summary / cell dict exporters."""
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.export import (
-    FLOW_FIELDS,
-    cell_dict,
-    summary_dict,
-    write_flow_csv,
-    write_summary_json,
-)
+from repro.experiments.export import cell_dict, summary_dict
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.faults.spec import random_drop_start, schedule
@@ -31,36 +21,7 @@ def small_result(**overrides):
     return run_experiment(ExperimentConfig(**defaults))
 
 
-class TestFlowCsv:
-    def test_row_per_flow(self):
-        result = small_result()
-        buffer = io.StringIO()
-        rows = write_flow_csv(result, buffer)
-        assert rows == 12
-        parsed = list(csv.reader(io.StringIO(buffer.getvalue())))
-        assert parsed[0] == FLOW_FIELDS
-        assert len(parsed) == 13
-
-    def test_fct_parseable(self):
-        result = small_result()
-        buffer = io.StringIO()
-        write_flow_csv(result, buffer)
-        reader = csv.DictReader(io.StringIO(buffer.getvalue()))
-        for row in reader:
-            assert int(row["fct_ns"]) > 0
-            assert row["finished"] == "1"
-
-
 class TestSummary:
-    def test_summary_roundtrips_as_json(self):
-        result = small_result()
-        buffer = io.StringIO()
-        write_summary_json(result, buffer)
-        data = json.loads(buffer.getvalue())
-        assert data["config"]["lb"] == "ecmp"
-        assert data["flows"]["total"] == 12
-        assert data["fct_ms"]["mean"] > 0
-
     def test_nan_becomes_null(self):
         result = small_result(size_scale=0.01)  # likely no "large" flows
         data = summary_dict(result)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.telemetry.series import QueueSampler, UtilizationTracker
+from repro.telemetry.series import QueueSampler
 from repro.metrics.fct import (
     LARGE_FLOW_BYTES,
     SMALL_FLOW_BYTES,
@@ -129,25 +129,6 @@ class TestQueueSampler:
     def test_invalid_period(self, fabric):
         with pytest.raises(ValueError):
             QueueSampler(fabric.sim, [], period_ns=0)
-
-
-class TestUtilizationTracker:
-    def test_utilization_of_busy_port(self, fabric):
-        port = fabric.topology.host_up[0]
-        tracker = UtilizationTracker(fabric.sim, [port])
-        for i in range(100):
-            port.enqueue(Packet(0, 0, 2, i, 1500, PacketKind.DATA, path_id=0))
-        fabric.sim.run(until=100 * port.tx_time_ns(1500))
-        assert tracker.utilization()[port.name] == pytest.approx(1.0, rel=0.01)
-
-    def test_reset(self, fabric):
-        port = fabric.topology.host_up[0]
-        tracker = UtilizationTracker(fabric.sim, [port])
-        port.enqueue(Packet(0, 0, 2, 0, 1500, PacketKind.DATA, path_id=0))
-        fabric.sim.run()
-        tracker.reset()
-        fabric.sim.run(until=fabric.sim.now + 10_000)
-        assert tracker.utilization()[port.name] == 0.0
 
 
 class TestVisibilitySampler:

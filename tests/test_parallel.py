@@ -248,7 +248,7 @@ class TestCacheKey:
             {"size_scale": 0.06},
             {"time_scale": 0.5},
             {"transport": "tcp"},
-            {"dupthresh": 4},
+            {"max_cwnd": 400.0},
             {"reorder_mask_us": 100.0},
             {"lb_params": {"flowlet_timeout_ns": 123}},
             {"hermes_overrides": {"probing_enabled": False}},

@@ -1,10 +1,10 @@
-"""Unit tests for the synthetic traffic patterns."""
+"""Unit tests for the incast traffic pattern."""
 
 import random
 
 import pytest
 
-from repro.workload.patterns import incast, permutation, staggered_elephants
+from repro.workload.patterns import incast
 from tests.conftest import small_config
 
 
@@ -39,36 +39,3 @@ class TestIncast:
         with pytest.raises(ValueError):
             incast(small_config(), 99, 1, 10_000, random.Random(0))
 
-
-class TestPermutation:
-    def test_every_host_sends_once(self):
-        cfg = small_config(hosts_per_leaf=4)
-        arrivals = permutation(cfg, 10_000, random.Random(1))
-        assert sorted(a.src for a in arrivals) == list(range(cfg.n_hosts))
-
-    def test_every_host_receives_once(self):
-        cfg = small_config(hosts_per_leaf=4)
-        arrivals = permutation(cfg, 10_000, random.Random(1))
-        assert sorted(a.dst for a in arrivals) == list(range(cfg.n_hosts))
-
-    def test_no_self_and_inter_rack(self):
-        cfg = small_config(hosts_per_leaf=4)
-        arrivals = permutation(cfg, 10_000, random.Random(1))
-        for a in arrivals:
-            assert a.src != a.dst
-            assert a.src // 4 != a.dst // 4
-
-
-class TestStaggeredElephants:
-    def test_gap_spacing(self):
-        arrivals = staggered_elephants(
-            small_config(), 5, 10**6, 1_000, random.Random(2)
-        )
-        assert [a.time_ns for a in arrivals] == [0, 1000, 2000, 3000, 4000]
-
-    def test_pairs_valid(self):
-        cfg = small_config()
-        arrivals = staggered_elephants(cfg, 20, 10**6, 100, random.Random(2))
-        for a in arrivals:
-            assert a.src != a.dst
-            assert a.src // 2 != a.dst // 2

@@ -303,14 +303,6 @@ class TestAccounting:
         sim.run()
         assert port.max_backlog == 6_000
 
-    def test_utilization_since(self):
-        sim = Simulator()
-        port, _ = make_port(sim, rate_gbps=10.0)
-        start, bytes0 = sim.now, port.bytes_sent
-        port.enqueue(data(0))
-        sim.run(until=1_200)  # exactly the serialization time
-        assert port.utilization_since(start, bytes0) == pytest.approx(1.0)
-
 
 class TestDre:
     def test_dre_rises_with_traffic(self):

@@ -11,7 +11,7 @@ from repro.net.port import OutputPort
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.transport.rto import RtoEstimator
-from repro.workload.distributions import DATA_MINING, WEB_SEARCH, FlowSizeDistribution
+from repro.workload.distributions import DATA_MINING, WEB_SEARCH
 
 
 # --------------------------------------------------------------------- #
@@ -137,28 +137,6 @@ def test_distribution_samples_in_support(seed):
         hi = dist.points()[-1][0]
         sample = dist.sample(rng)
         assert lo <= sample <= hi or sample == 1
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=1, max_value=10**9),
-                  st.floats(min_value=0, max_value=1)),
-        min_size=2,
-        max_size=20,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_distribution_cdf_monotone_everywhere(raw_points):
-    """Any valid CDF we can construct has a monotone cdf_at."""
-    sizes = sorted(s for s, _ in raw_points)
-    cdfs = sorted(c for _, c in raw_points)
-    cdfs[0], cdfs[-1] = 0.0, 1.0
-    points = list(zip(sizes, cdfs))
-    dist = FlowSizeDistribution("prop", points)
-    probes = [sizes[0] - 1, sizes[0], (sizes[0] + sizes[-1]) // 2, sizes[-1] + 1]
-    values = [dist.cdf_at(p) for p in sorted(probes)]
-    assert values == sorted(values)
-    assert 0.0 <= min(values) and max(values) <= 1.0
 
 
 @given(st.floats(min_value=0.001, max_value=10.0),

@@ -21,21 +21,16 @@ from repro.telemetry.export import (
     write_jsonl,
     write_perfetto,
 )
-from repro.telemetry.series import (
-    EcnFractionSeries,
-    LoopProfiler,
-    PeriodicSampler,
-    QueueSampler,
-)
+from repro.telemetry.series import LoopProfiler, PeriodicSampler, QueueSampler
 from repro.telemetry.tracer import EventTracer
 from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import MSS
 from tests.conftest import make_fabric
 
 
-def traced_fabric(**kwargs):
+def traced_fabric():
     fabric = make_fabric()
-    telemetry = install_telemetry(fabric, **kwargs)
+    telemetry = install_telemetry(fabric)
     return fabric, telemetry
 
 
@@ -159,26 +154,6 @@ class TestPeriodicSampler:
         sys.modules.pop("repro.metrics.collector", None)
         with pytest.raises(ImportError):
             importlib.import_module("repro.metrics.collector")
-
-    def test_ecn_fraction_series(self, sim):
-        class FakePort:
-            name = "p"
-            ecn_marks = 0
-            pkts_sent = 0
-
-        port = FakePort()
-        series = EcnFractionSeries(sim, [port], period_ns=100)
-        series.start()
-
-        def traffic(pkts, marks):
-            port.pkts_sent += pkts
-            port.ecn_marks += marks
-
-        sim.schedule(50, traffic, 10, 5)
-        sim.schedule(150, traffic, 10, 0)
-        sim.run(until=250)
-        values = [v for _, v in series.samples["p"]]
-        assert values == [0.5, 0.0]
 
     def test_loop_profiler_counts_by_kind(self, sim):
         profiler = LoopProfiler(sim, slab_ns=1_000)
@@ -321,13 +296,12 @@ class TestDecisionAudit:
 
 class TestExport:
     def run_traced(self):
-        fabric, telemetry = traced_fabric(sample_period_ns=100_000)
+        fabric, telemetry = traced_fabric()
         install_lb(fabric, "ecmp")
         flow = DctcpFlow(fabric, 0, 2, 10 * MSS)
         fabric.register_flow(flow)
         flow.start()
         fabric.sim.run(until=10_000_000)
-        telemetry.stop_series()
         return telemetry
 
     def test_jsonl_roundtrip(self, tmp_path):
@@ -354,15 +328,14 @@ class TestExport:
             path,
             telemetry.tracer.iter_dicts(),
             telemetry.audit.iter_dicts(),
-            series=telemetry.counter_series(),
             meta={"lb": "ecmp"},
         )
         doc = json.load(open(path))
         assert set(doc) >= {"traceEvents", "displayTimeUnit", "otherData"}
         events = doc["traceEvents"]
         phases = {e["ph"] for e in events}
-        # Metadata, instants, flow spans, counters all present.
-        assert {"M", "i", "b", "e", "C"} <= phases
+        # Metadata, instants and flow spans; no counter tracks.
+        assert phases == {"M", "i", "b", "e"}
         spans_b = [e for e in events if e["ph"] == "b"]
         spans_e = [e for e in events if e["ph"] == "e"]
         assert len(spans_b) == len(spans_e) == 1

@@ -71,11 +71,6 @@ class TestSampling:
         small = sum(1 for s in samples if s <= 10_000)
         assert small / len(samples) == pytest.approx(0.8, abs=0.05)
 
-    def test_cdf_at(self):
-        assert WEB_SEARCH.cdf_at(0) == 0.0
-        assert WEB_SEARCH.cdf_at(10**9) == 1.0
-        assert 0.0 < WEB_SEARCH.cdf_at(100_000) < 1.0
-
     def test_scaled_preserves_shape(self):
         scaled = WEB_SEARCH.scaled(0.1)
         assert scaled.mean() == pytest.approx(WEB_SEARCH.mean() * 0.1, rel=0.01)
