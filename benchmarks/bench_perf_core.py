@@ -22,11 +22,11 @@ one (scheme x load x seed) grid:
    records and recording ``events_per_sec_heap`` + the heap→wheel
    speedup ratio ``wheel_speedup_x``;
 6. **streaming** — the serial grid re-run with ``streaming_stats=True``
-   (t-digest + reservoir collector, per-flow records dropped),
+   (bounded-memory collector, per-flow records dropped),
    asserting event counts and exact aggregates match the exact-mode run
    and recording ``events_per_sec_streaming``, plus a pure-estimator
    accuracy probe: a seeded heavy-tailed stream through
-   :class:`~repro.telemetry.digest.TDigest` whose p99 relative error
+   :class:`~repro.metrics.tdigest.TDigest` whose p99 relative error
    against the sorted truth lands in ``digest_p99_rel_err``.
 
 It also asserts that the parallel run's per-flow records are
@@ -205,7 +205,7 @@ def measure(
     import random as _random
 
     from repro.metrics.fct import percentile
-    from repro.telemetry.digest import TDigest
+    from repro.metrics.tdigest import TDigest
 
     streaming_events = 0
     streaming_start = time.perf_counter()
@@ -230,7 +230,7 @@ def measure(
 
     # Estimator accuracy probe, decoupled from the (small) grid: a
     # seeded heavy-tailed stream large enough that the digest — not the
-    # exact reservoir — is the estimator of record.
+    # kept FCTs — is the estimator of record.
     rng = _random.Random(1)
     digest_values = [rng.lognormvariate(12.0, 1.6) for _ in range(100_000)]
     digest = TDigest()

@@ -30,9 +30,9 @@ The surface:
 * :func:`serve` / :class:`ExperimentService` / :class:`ServiceClient` —
   the always-on experiment service (bounded job queue, crash-tolerant
   worker pool, HTTP JSON API + SSE; see :mod:`repro.serve`);
-* :class:`StreamingFctStats` / :class:`TDigest` /
-  :class:`ReservoirSampler` — bounded-memory statistics for
-  million-flow cells (``ExperimentConfig(streaming_stats=True)``).
+* :class:`StreamingFctStats` / :class:`TDigest` — bounded-memory
+  statistics for million-flow cells
+  (``ExperimentConfig(streaming_stats=True)``).
 
 Internal layers (``repro.sim``, ``repro.net``, ``repro.telemetry``, ...)
 remain importable but may reshuffle between releases; this module is the
@@ -68,6 +68,7 @@ from repro.lb.factory import (
 )
 from repro.metrics.fct import FctStats, FlowRecord
 from repro.metrics.streaming import STREAMING_AUTO_FLOWS, StreamingFctStats
+from repro.metrics.tdigest import TDigest
 from repro.net.fabric import Fabric
 from repro.serve import (
     BackpressureError,
@@ -76,7 +77,6 @@ from repro.serve import (
     ServiceClient,
     serve,
 )
-from repro.telemetry.digest import ReservoirSampler, TDigest
 from repro.net.topology import TopologyConfig
 from repro.sim.engine import (
     SCHEDULERS,
@@ -102,7 +102,6 @@ __all__ = [
     "StreamingFctStats",
     "STREAMING_AUTO_FLOWS",
     "TDigest",
-    "ReservoirSampler",
     "serve",
     "ExperimentService",
     "ServiceClient",
@@ -163,7 +162,7 @@ def run_grid(
 
 
 #: save_result file format version (bumped on incompatible change).
-_RESULT_FORMAT = 1
+_RESULT_FORMAT = 2
 
 
 def save_result(
@@ -172,8 +171,8 @@ def save_result(
 ) -> None:
     """Persist one run to JSON: full config (``to_dict``), either
     per-flow records (exact run) or the serialized streaming collector
-    (``streaming_stats`` run — there are no records; the digest/reservoir
-    state round-trips instead), and every other :class:`ResultSummary`
+    (``streaming_stats`` run — there are no records; the kept FCTs or
+    the digest round-trip instead), and every other :class:`ResultSummary`
     field under its own name.  :func:`load_result` restores it as a
     :class:`ResultSummary` either way."""
     stats = result.stats

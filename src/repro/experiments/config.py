@@ -82,9 +82,9 @@ class ExperimentConfig:
             every flow record retained, exact percentiles.  ``True``:
             the bounded-memory
             :class:`~repro.metrics.streaming.StreamingFctStats`
-            collector — O(centroids) state (t-digest + seeded
-            reservoir cross-check), exact means/counts, estimated
-            percentiles, no per-flow records; finished flows are also
+            collector — bounded state (exact percentiles up to 4 096
+            finished flows per bucket, a t-digest past that), exact
+            means/counts, no per-flow records; finished flows are also
             evicted from the fabric registry as they complete, so a
             million-flow cell no longer holds a million flow objects.
             ``None`` (default): auto — streaming kicks in at

@@ -673,11 +673,13 @@ def _collect_round(
     results: List[Optional[ResultSummary]],
     pool: CellPool,
     timeout: Optional[float],
+    timeout_name: str,
 ) -> List[int]:
     """Wait for one round's cells.
 
     Fills ``results`` for every cell that completed (or exceeded the
-    per-cell timeout, which yields a failed-with-reason summary) and
+    per-cell timeout, which yields a failed-with-reason summary naming
+    ``timeout_name``, where the budget came from) and
     returns the indices that still need a run — non-empty exactly when a
     worker died (``BrokenProcessPool``) or was killed after a timeout,
     taking running cells down with it.  Their workers are discarded:
@@ -698,7 +700,7 @@ def _collect_round(
             except FutureTimeout:
                 results[i] = _failed_summary(
                     configs[i],
-                    f"cell exceeded REPRO_CELL_TIMEOUT={timeout:g}s",
+                    f"cell exceeded {timeout_name}={timeout:g}s",
                 )
                 # The worker is wedged inside the cell; the only way out
                 # is to kill it, which takes the cells running beside
@@ -752,6 +754,7 @@ class CellRun:
         misses: List[int],
         cache: Optional[ResultCache],
         timeout: Optional[float],
+        timeout_name: str,
         pool: Optional[CellPool] = None,
         width: int = 0,
         owned: bool = False,
@@ -761,6 +764,7 @@ class CellRun:
         self._misses = misses
         self._cache = cache
         self._timeout = timeout
+        self._timeout_name = timeout_name
         self._pool = pool
         self._width = width
         self._owned = owned
@@ -793,7 +797,8 @@ class CellRun:
                 if self._round is None:
                     break
                 pending = _collect_round(
-                    configs, self._round, results, self._pool, self._timeout
+                    configs, self._round, results, self._pool,
+                    self._timeout, self._timeout_name,
                 )
                 self._round = None
                 if pending and attempt < MAX_POOL_ROUNDS:
@@ -870,15 +875,18 @@ def start_cells(
             misses.append(i)
 
     timeout = cell_timeout(cell_timeout_s) if misses else None
+    timeout_name = (
+        "REPRO_CELL_TIMEOUT" if cell_timeout_s is None else "cell_timeout_s"
+    )
     held = pool is not None
     if misses and jobs > 1 and (held or len(misses) > 1):
         return CellRun(
-            configs, results, misses, cache, timeout,
+            configs, results, misses, cache, timeout, timeout_name,
             pool=pool if held else CellPool(),
             width=jobs if held else min(jobs, len(misses)),
             owned=not held,
         )
-    return CellRun(configs, results, misses, cache, timeout)
+    return CellRun(configs, results, misses, cache, timeout, timeout_name)
 
 
 def run_cells(

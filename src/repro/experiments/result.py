@@ -80,8 +80,9 @@ class ResultSummary:
     #: (``config.trace`` / ``REPRO_TRACE``).
     telemetry_summary: Optional[Dict[str, Any]] = None
     #: Why the cell produced no result (``None`` for a successful run).
-    #: Set for cells that exceeded ``REPRO_CELL_TIMEOUT``; failed cells
-    #: are never written to the cache.
+    #: Set for cells that exceeded their budget (``cell_timeout_s`` or
+    #: ``REPRO_CELL_TIMEOUT``); failed cells are never written to the
+    #: cache.
     error: Optional[str] = None
 
     @property
@@ -96,8 +97,8 @@ class ResultSummary:
     @property
     def percentile_estimators(self) -> Dict[str, str]:
         """Which estimator produced each reported percentile:
-        ``"exact"`` (sorted records), ``"reservoir"`` (streaming run
-        small enough that the sample held every FCT — still exact),
+        ``"exact"`` (sorted FCTs — every exact run, and a streaming run
+        whose bucket finished at most ``EXACT_LIMIT`` flows),
         ``"tdigest"`` (estimated, <1% relative error at p50/p99), or
         ``"none"`` (no finished flows).  A summary is thereby explicit
         about which numbers are measurements and which are estimates."""

@@ -191,9 +191,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # must not pay for the streaming machinery.
         from repro.metrics.streaming import StreamingFctStats
 
-        stats_stream = StreamingFctStats(
-            small_bytes=small_b, large_bytes=large_b, seed=config.seed
-        )
+        stats_stream = StreamingFctStats(small_b, large_b)
         fabric.enable_flow_eviction()
     # Exact mode keeps every flow object for end-of-run record building.
     # Streaming mode keeps none: outcomes fold into the collector as

@@ -141,8 +141,8 @@ class FctStats:
 
     def estimators(self) -> Dict[str, str]:
         """Which estimator produced each reported percentile: always
-        the sorted records here (the streaming collector answers with
-        ``"reservoir"`` / ``"tdigest"`` / ``"none"``)."""
+        the sorted records here (the streaming collector says the same
+        up to its exact limit and ``"tdigest"`` past it)."""
         return {"p50": "exact", "p99": "exact"}
 
     def total_retransmissions(self) -> int:

@@ -6,24 +6,23 @@ workloads far below the million-flow scale the ROADMAP targets.
 :class:`StreamingFctStats` offers the same read surface (``count`` /
 ``finished_count`` / ``unfinished_fraction`` / ``mean_ms`` /
 ``median_ms`` / ``p99_ms`` / ``small`` / ``large`` /
-``total_retransmissions``) while retaining only O(centroids) state:
+``total_retransmissions``) while retaining only bounded state:
 
 * exact counters (counts, FCT sum, retransmissions, timeouts) — means
   and fractions are *exact*, never estimated;
-* one :class:`~repro.telemetry.digest.TDigest` per flow-size bucket
-  (all / small / large) for percentiles;
-* one seeded :class:`~repro.telemetry.digest.ReservoirSampler` per
-  bucket as the cross-check estimator.  While a run is small enough
-  that the reservoir still holds every FCT, the reservoir *is* exact
-  and is used as the estimator of record; past that point the t-digest
-  takes over.  :meth:`estimators` reports which one produced each
-  percentile — carried into ``ResultSummary.percentile_estimators`` so
-  a summary is explicit about estimated vs exact tails.
+* one percentile path per flow-size bucket (all / small / large): up
+  to :data:`EXACT_LIMIT` finished flows the bucket keeps the FCTs
+  verbatim and answers with :func:`~repro.metrics.fct.percentile`, the
+  function :class:`FctStats` uses, so its percentiles are equal to the
+  exact collector's; the flow after that hands the kept FCTs, in
+  arrival order, to a :class:`~repro.metrics.tdigest.TDigest`, which
+  answers from then on.  :meth:`estimators` reports which one produced
+  each percentile (``"exact"`` / ``"tdigest"``) — carried into
+  ``ResultSummary.percentile_estimators`` so a summary is explicit
+  about estimated vs exact tails.
 
-Collectors from parallel shards/workers merge associatively with
-:meth:`merge`, and :meth:`to_dict` / :meth:`from_dict` round-trip the
-full state through JSON (how the experiment service ships streaming
-results over the wire).
+:meth:`to_dict` / :meth:`from_dict` round-trip the full state through
+JSON (how ``save_result`` persists a streaming run).
 
 What it does *not* offer: ``records`` (there are none — that is the
 point) and ``subset`` (arbitrary predicates need records).  Callers
@@ -32,16 +31,17 @@ that require per-flow records must run with ``streaming_stats=False``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.fct import (
     LARGE_FLOW_BYTES,
     SMALL_FLOW_BYTES,
     FlowRecord,
+    percentile,
 )
-from repro.telemetry.digest import ReservoirSampler, TDigest
+from repro.metrics.tdigest import TDigest
 
-__all__ = ["StreamingFctStats", "STREAMING_AUTO_FLOWS"]
+__all__ = ["StreamingFctStats", "STREAMING_AUTO_FLOWS", "EXACT_LIMIT"]
 
 #: Flow count at which the runner switches to streaming collection when
 #: ``ExperimentConfig.streaming_stats`` is left at ``None`` (auto).
@@ -49,25 +49,17 @@ __all__ = ["StreamingFctStats", "STREAMING_AUTO_FLOWS"]
 #: CSV export, recovery forensics) want them.
 STREAMING_AUTO_FLOWS = 200_000
 
-#: Reservoir size: runs with up to this many finished flows get exact
-#: percentiles from the reservoir; larger runs use the t-digest.
-DEFAULT_RESERVOIR = 4096
-
-#: t-digest compression: ~2x centroids; <1% relative error at p50/p99
-#: on the FCT distributions the workload generator produces.
-DEFAULT_COMPRESSION = 400.0
+#: Finished flows a bucket keeps verbatim: up to this many its
+#: percentiles are exact; the next one hands them to the t-digest.
+EXACT_LIMIT = 4096
 
 
 class StreamingFctStats:
-    """Mergeable constant-memory stand-in for :class:`FctStats`.
+    """Bounded-memory stand-in for :class:`FctStats`.
 
     Args:
         small_bytes / large_bytes: bucket boundaries, pre-scaled by the
             caller exactly like :class:`FctStats`.
-        compression: t-digest accuracy knob.
-        reservoir_capacity: cross-check sample size.
-        seed: reservoir seed — collectors that must merge
-            deterministically should use the experiment seed.
     """
 
     #: Discriminator for code handling both collector flavours.
@@ -77,18 +69,14 @@ class StreamingFctStats:
         self,
         small_bytes: int = SMALL_FLOW_BYTES,
         large_bytes: int = LARGE_FLOW_BYTES,
-        compression: float = DEFAULT_COMPRESSION,
-        reservoir_capacity: int = DEFAULT_RESERVOIR,
-        seed: int = 1,
         _buckets: bool = True,
     ) -> None:
         self.small_bytes = small_bytes
         self.large_bytes = large_bytes
-        self.compression = compression
-        self.reservoir_capacity = reservoir_capacity
-        self.seed = seed
-        self._digest = TDigest(compression)
-        self._reservoir = ReservoirSampler(reservoir_capacity, seed=seed)
+        # Exactly one of the two holds the FCTs: the verbatim list up to
+        # EXACT_LIMIT finished flows, the digest after.
+        self._fcts: Optional[List[int]] = []
+        self._digest: Optional[TDigest] = None
         self.count = 0
         self.finished_count = 0
         self._fct_sum_ns = 0
@@ -99,14 +87,8 @@ class StreamingFctStats:
         self.small: "StreamingFctStats"
         self.large: "StreamingFctStats"
         if _buckets:
-            self.small = StreamingFctStats(
-                small_bytes, large_bytes, compression,
-                reservoir_capacity, seed + 1, _buckets=False,
-            )
-            self.large = StreamingFctStats(
-                small_bytes, large_bytes, compression,
-                reservoir_capacity, seed + 2, _buckets=False,
-            )
+            self.small = StreamingFctStats(small_bytes, large_bytes, False)
+            self.large = StreamingFctStats(small_bytes, large_bytes, False)
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -149,8 +131,15 @@ class StreamingFctStats:
         if fct_ns is not None:
             self.finished_count += 1
             self._fct_sum_ns += fct_ns
-            self._digest.add(float(fct_ns))
-            self._reservoir.add(float(fct_ns))
+            if self._fcts is None:
+                self._digest.add(float(fct_ns))
+            elif self.finished_count <= EXACT_LIMIT:
+                self._fcts.append(fct_ns)
+            else:
+                self._digest = TDigest()
+                self._digest.extend(map(float, self._fcts))
+                self._digest.add(float(fct_ns))
+                self._fcts = None
 
     # ------------------------------------------------------------------ #
     # Aggregates (FctStats read surface)
@@ -183,36 +172,32 @@ class StreamingFctStats:
         return self.percentile_ms(99.0)
 
     def percentile_ms(self, q: float) -> float:
-        """Estimated percentile (``q`` in [0, 100]); NaN when empty."""
+        """Percentile (``q`` in [0, 100]); NaN when empty."""
         value_ns, _ = self.quantile_ns(q)
         return float("nan") if value_ns is None else value_ns / 1e6
 
     def quantile_ns(self, q: float) -> Tuple[Optional[float], str]:
-        """(value_ns, estimator) — estimator is ``"reservoir"`` while
-        the reservoir still holds every FCT (exact), else
-        ``"tdigest"``; ``(None, "none")`` for an empty bucket."""
+        """(value_ns, estimator) — see :meth:`estimators`;
+        ``(None, "none")`` for an empty bucket."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if self.finished_count == 0:
-            return None, "none"
-        if self._reservoir.exact:
-            return self._reservoir.quantile(q / 100.0), "reservoir"
-        return self._digest.quantile(q / 100.0), "tdigest"
+        name = self._estimator()
+        if name == "exact":
+            return percentile(sorted(self._fcts), q), name
+        if name == "tdigest":
+            return self._digest.quantile(q / 100.0), name
+        return None, name
 
-    def cross_check_ms(self, q: float) -> float:
-        """The *other* estimator's value for ``q`` — reservoir when the
-        digest answered, digest otherwise.  Large disagreement between
-        the two flags an estimator bug (asserted by
-        ``tests/test_streaming_stats.py``)."""
+    def _estimator(self) -> str:
         if self.finished_count == 0:
-            return float("nan")
-        if self._reservoir.exact:
-            return self._digest.quantile(q / 100.0) / 1e6
-        return self._reservoir.quantile(q / 100.0) / 1e6
+            return "none"
+        return "exact" if self._fcts is not None else "tdigest"
 
     def estimators(self) -> Dict[str, str]:
-        """Which estimator produced each reported percentile."""
-        _, name = self.quantile_ns(50.0)
+        """Which estimator produces each reported percentile:
+        ``"exact"`` while the bucket keeps every FCT, else
+        ``"tdigest"``.  Reading the label leaves the digest as it is."""
+        name = self._estimator()
         # Same selection rule for every q; spelled per-percentile so the
         # summary stays self-describing if the rule ever differentiates.
         return {"p50": name, "p99": name}
@@ -224,9 +209,12 @@ class StreamingFctStats:
         return self._timeouts
 
     def memory_items(self) -> int:
-        """Retained items across all buckets (centroids + buffers +
-        reservoir samples) — the bounded-memory assertion target."""
-        own = self._digest.memory_items() + len(self._reservoir.sample)
+        """Retained items across all buckets (kept FCTs, or digest
+        centroids + buffer) — the bounded-memory assertion target."""
+        if self._fcts is not None:
+            own = len(self._fcts)
+        else:
+            own = self._digest.memory_items()
         for bucket in (getattr(self, "small", None), getattr(self, "large", None)):
             if isinstance(bucket, StreamingFctStats):
                 own += bucket.memory_items()
@@ -250,43 +238,6 @@ class StreamingFctStats:
         )
 
     # ------------------------------------------------------------------ #
-    # Merge (shard composition)
-    # ------------------------------------------------------------------ #
-
-    def merge(self, other: "StreamingFctStats") -> None:
-        """Absorb another collector (e.g. a parallel shard's).
-
-        Counters add exactly; digests merge associatively; reservoirs
-        merge by weighted resampling.  Bucket boundaries must match —
-        merging differently-scaled cells would silently mix units.
-        """
-        if (self.small_bytes, self.large_bytes) != (
-            other.small_bytes, other.large_bytes
-        ):
-            raise ValueError(
-                "cannot merge collectors with different size buckets: "
-                f"{(self.small_bytes, self.large_bytes)} vs "
-                f"{(other.small_bytes, other.large_bytes)}"
-            )
-        self._merge_one(other)
-        for name in ("small", "large"):
-            mine = getattr(self, name, None)
-            theirs = getattr(other, name, None)
-            if isinstance(mine, StreamingFctStats) and isinstance(
-                theirs, StreamingFctStats
-            ):
-                mine._merge_one(theirs)
-
-    def _merge_one(self, other: "StreamingFctStats") -> None:
-        self.count += other.count
-        self.finished_count += other.finished_count
-        self._fct_sum_ns += other._fct_sum_ns
-        self._retransmissions += other._retransmissions
-        self._timeouts += other._timeouts
-        self._digest.merge(other._digest)
-        self._reservoir = self._reservoir.merged(other._reservoir)
-
-    # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
 
@@ -301,16 +252,13 @@ class StreamingFctStats:
         return {
             "small_bytes": self.small_bytes,
             "large_bytes": self.large_bytes,
-            "compression": self.compression,
-            "reservoir_capacity": self.reservoir_capacity,
-            "seed": self.seed,
             "count": self.count,
             "finished_count": self.finished_count,
             "fct_sum_ns": self._fct_sum_ns,
             "retransmissions": self._retransmissions,
             "timeouts": self._timeouts,
-            "digest": self._digest.to_dict(),
-            "reservoir": self._reservoir.to_dict(),
+            "fcts": None if self._fcts is None else list(self._fcts),
+            "digest": None if self._digest is None else self._digest.to_dict(),
         }
 
     @classmethod
@@ -326,21 +274,17 @@ class StreamingFctStats:
     def _one_from_dict(
         cls, data: Dict[str, Any], _buckets: bool
     ) -> "StreamingFctStats":
-        stats = cls(
-            small_bytes=data["small_bytes"],
-            large_bytes=data["large_bytes"],
-            compression=data["compression"],
-            reservoir_capacity=data["reservoir_capacity"],
-            seed=data["seed"],
-            _buckets=_buckets,
-        )
+        stats = cls(data["small_bytes"], data["large_bytes"], _buckets)
         stats.count = int(data["count"])
         stats.finished_count = int(data["finished_count"])
         stats._fct_sum_ns = int(data["fct_sum_ns"])
         stats._retransmissions = int(data["retransmissions"])
         stats._timeouts = int(data["timeouts"])
-        stats._digest = TDigest.from_dict(data["digest"])
-        stats._reservoir = ReservoirSampler.from_dict(data["reservoir"])
+        if data["digest"] is None:
+            stats._fcts = [int(v) for v in data["fcts"]]
+        else:
+            stats._fcts = None
+            stats._digest = TDigest.from_dict(data["digest"])
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.telemetry.digest import TDigest
+from repro.metrics.tdigest import TDigest
 
 __all__ = [
     "QUEUED",
@@ -234,8 +234,7 @@ class JobTable:
         job's submit→result latency went.
 
         Folded through :class:`TDigest` on read, from the timestamps
-        each job carries anyway, so the job path itself never enters
-        ``repro.telemetry``.
+        each job carries anyway.
         """
         with self._lock:
             spans = [

@@ -359,14 +359,6 @@ class Simulator:
             if next_time is None or next_time > until:
                 self.now = until
 
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._queue.clear()
-        self.now = 0
-        self._seq = 0
-        self._events_fired = 0
-        self._stop_requested = False
-
 
 class WheelSimulator(Simulator):
     """Hierarchical calendar queue: a slotted timer wheel over a fallback
@@ -407,10 +399,6 @@ class WheelSimulator(Simulator):
         self._mask = self._num_slots - 1
         #: Like every container here, slots hold the 4-tuple entries.
         self._slots: list[list] = [[] for _ in range(self._num_slots)]
-        self._reset_wheel()
-
-    def _reset_wheel(self) -> None:
-        """Empty-wheel state (the slot lists themselves excepted)."""
         #: Absolute index of the slot the cursor occupies (== drained).
         self._cur_slot = 0
         #: Events living in slot lists (bucket and overflow not counted).
@@ -688,12 +676,6 @@ class WheelSimulator(Simulator):
         if until is not None:
             self._advance_clock(until)
         return fired
-
-    def reset(self) -> None:
-        super().reset()
-        for slot in self._slots:
-            slot.clear()
-        self._reset_wheel()
 
     def wheel_stats(self) -> dict:
         """Occupancy / rollover counters (also surfaced by the telemetry

@@ -226,7 +226,7 @@ def _full_summary_values(streaming: bool) -> dict:
     outcomes = [(4_000, 1_000_000, 0, 0), (90_000, 7_000_000, 3, 1),
                 (2_000_000, None, 5, 2)]
     if streaming:
-        stats = StreamingFctStats(small_bytes=5_000, large_bytes=500_000, seed=3)
+        stats = StreamingFctStats(small_bytes=5_000, large_bytes=500_000)
         for outcome in outcomes:
             stats.add(*outcome)
     else:

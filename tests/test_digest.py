@@ -1,8 +1,8 @@
-"""Property tests for the mergeable streaming-statistics layer.
+"""Property tests for the t-digest behind streaming FCT statistics.
 
-The t-digest's contract — <1% relative error at p50/p99, exactly
-commutative merges, bit-identical serialization round-trips — is what
-lets million-flow cells report percentiles from O(centroids) state.
+The t-digest's contract — <1% relative error at p50/p99, bounded
+memory, bit-identical serialization round-trips — is what lets
+million-flow cells report percentiles from O(centroids) state.
 These tests pin that contract across distribution shapes (uniform,
 heavy-tailed, bimodal) and seeds, because an estimator that is only
 accurate on friendly data is worse than none.
@@ -11,13 +11,12 @@ accurate on friendly data is worse than none.
 from __future__ import annotations
 
 import json
-import math
 import random
 
 import pytest
 
 from repro.metrics.fct import percentile
-from repro.telemetry.digest import ReservoirSampler, TDigest
+from repro.metrics.tdigest import COMPRESSION, TDigest
 
 
 def _uniform(rng, n):
@@ -74,84 +73,22 @@ class TestTDigestAccuracy:
         assert digest.max == max(values)
 
     def test_memory_bounded(self):
-        digest = TDigest(compression=100)
+        digest = TDigest()
         rng = random.Random(5)
         for _ in range(200_000):
             digest.add(rng.random())
         # Centroids + buffer stay O(compression) no matter the stream.
-        assert digest.memory_items() < 100 * 6
+        assert digest.memory_items() < COMPRESSION * 6
         assert digest.count == 200_000
-
-    def test_cdf_inverts_quantile(self):
-        rng = random.Random(11)
-        digest = TDigest()
-        digest.extend(_uniform(rng, 20_000))
-        for q in (0.1, 0.5, 0.9, 0.99):
-            value = digest.quantile(q)
-            assert abs(digest.cdf(value) - q) < 0.01
 
     def test_rejects_bad_input(self):
         digest = TDigest()
         with pytest.raises(ValueError):
             digest.add(float("nan"))
         with pytest.raises(ValueError):
-            digest.add(1.0, weight=0.0)
-        with pytest.raises(ValueError):
             digest.quantile(1.5)
         with pytest.raises(ValueError):
-            TDigest(compression=5)
-        with pytest.raises(ValueError):
             TDigest().quantile(0.5)  # empty
-
-
-class TestTDigestMerge:
-    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
-    def test_merged_exactly_commutative(self, name):
-        rng = random.Random(19)
-        a, b = TDigest(), TDigest()
-        a.extend(DISTRIBUTIONS[name](rng, 5_000))
-        b.extend(DISTRIBUTIONS[name](rng, 3_000))
-        assert a.merged(b).to_dict() == b.merged(a).to_dict()
-
-    def test_merge_associative_within_resolution(self):
-        """(a+b)+c vs a+(b+c): centroid means may differ slightly, but
-        quantiles must agree to well under the accuracy budget."""
-        rng = random.Random(23)
-        parts = [TDigest() for _ in range(3)]
-        for part in parts:
-            part.extend(_heavy_tailed(rng, 4_000))
-        a, b, c = parts
-        left = a.merged(b).merged(c)
-        right = a.merged(b.merged(c))
-        assert left.count == pytest.approx(right.count)
-        for q in (0.5, 0.99):
-            assert _rel_err(left.quantile(q), right.quantile(q)) < 0.005
-
-    def test_merge_matches_single_stream(self):
-        """Sharded ingestion must estimate like single-stream ingestion
-        — the property parallel workers rely on."""
-        rng = random.Random(29)
-        values = _heavy_tailed(rng, 30_000)
-        whole = TDigest()
-        whole.extend(values)
-        shards = [TDigest() for _ in range(4)]
-        for i, value in enumerate(values):
-            shards[i % 4].add(value)
-        merged = shards[0]
-        for shard in shards[1:]:
-            merged.merge(shard)
-        assert merged.count == pytest.approx(whole.count)
-        ordered = sorted(values)
-        for q in (50.0, 99.0):
-            truth = percentile(ordered, q)
-            assert _rel_err(merged.quantile(q / 100.0), truth) < 0.01
-
-    def test_merge_empty_is_identity(self):
-        digest = TDigest()
-        digest.extend([1.0, 2.0, 3.0])
-        before = digest.to_dict()
-        digest.merge(TDigest())
-        assert digest.to_dict() == before
 
 
 class TestTDigestSerialization:
@@ -181,58 +118,3 @@ class TestTDigestSerialization:
     def test_empty_round_trip(self):
         restored = TDigest.from_dict(TDigest().to_dict())
         assert restored.count == 0
-
-
-class TestReservoirSampler:
-    def test_exact_below_capacity(self):
-        sampler = ReservoirSampler(capacity=100, seed=1)
-        values = [float(i) for i in range(50)]
-        for value in values:
-            sampler.add(value)
-        assert sampler.exact
-        assert sampler.quantile(0.5) == percentile(sorted(values), 50.0)
-
-    def test_uniformity_above_capacity(self):
-        """Algorithm R keeps an unbiased sample: the sample mean of a
-        uniform stream lands near the stream mean."""
-        rng = random.Random(41)
-        sampler = ReservoirSampler(capacity=2_000, seed=7)
-        for _ in range(100_000):
-            sampler.add(rng.uniform(0.0, 1.0))
-        assert not sampler.exact
-        assert len(sampler.sample) == 2_000
-        mean = sum(sampler.sample) / len(sampler.sample)
-        assert abs(mean - 0.5) < 0.03
-
-    def test_deterministic_and_serializable(self):
-        a = ReservoirSampler(capacity=64, seed=9)
-        b = ReservoirSampler(capacity=64, seed=9)
-        rng = random.Random(43)
-        values = [rng.random() for _ in range(1_000)]
-        for value in values:
-            a.add(value)
-            b.add(value)
-        assert a.sample == b.sample
-        restored = ReservoirSampler.from_dict(
-            json.loads(json.dumps(a.to_dict()))
-        )
-        assert restored.to_dict() == a.to_dict()
-        # The restored sampler continues the exact PRNG sequence.
-        a.add(0.123)
-        restored.add(0.123)
-        assert restored.sample == a.sample
-
-    def test_merged_represents_both_streams(self):
-        rng = random.Random(47)
-        a = ReservoirSampler(capacity=512, seed=1)
-        b = ReservoirSampler(capacity=512, seed=2)
-        for _ in range(5_000):
-            a.add(rng.uniform(0.0, 1.0))
-        for _ in range(5_000):
-            b.add(rng.uniform(2.0, 3.0))
-        merged = a.merged(b)
-        assert merged.count == 10_000
-        # Half the mass below 1, half above 2 → the median sits between
-        # the two bands and the quartiles inside them.
-        assert 0.0 <= merged.quantile(0.25) <= 1.0
-        assert 2.0 <= merged.quantile(0.75) <= 3.0

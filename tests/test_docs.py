@@ -1,8 +1,7 @@
 """The module maps in DESIGN.md and README.md match ``src/repro``.
 
-DESIGN §7 names every module file (``telemetry/digest/`` is one entry,
-and ``__init__.py`` files are implied); README's Architecture block
-names every top-level subpackage.  A change that adds, deletes or moves
+DESIGN §7 names every module file (``__init__.py`` files are implied);
+README's Architecture block names every top-level subpackage.  A change that adds, deletes or moves
 a module without updating the maps fails here.
 """
 
@@ -14,8 +13,6 @@ from typing import List, Set
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-#: Packages the map names as one directory entry instead of file by file.
-FOLDED = ("telemetry/digest/",)
 
 
 def _fenced_block_after(doc: str, heading: str) -> List[str]:
@@ -26,15 +23,11 @@ def _fenced_block_after(doc: str, heading: str) -> List[str]:
 
 
 def _source_modules() -> Set[str]:
-    found = set()
-    for path in SRC.rglob("*.py"):
-        rel = path.relative_to(SRC).as_posix()
-        folded = [entry for entry in FOLDED if rel.startswith(entry)]
-        if folded:
-            found.add(folded[0])
-        elif path.name != "__init__.py":
-            found.add(rel)
-    return found
+    return {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if path.name != "__init__.py"
+    }
 
 
 def _design_module_map() -> Set[str]:

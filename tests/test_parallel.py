@@ -468,7 +468,7 @@ class TestCellPool:
                 [config], jobs=2, use_cache=False, cell_timeout_s=0.5,
                 pool=pool,
             )
-            assert "REPRO_CELL_TIMEOUT=0.5" in held[0].error
+            assert "cell_timeout_s=0.5" in held[0].error
             # jobs=1 stays in-process whatever the caller holds.
             inline = run_cells([config], jobs=1, use_cache=False, pool=pool)
             assert inline[0].error is None

@@ -264,7 +264,7 @@ class TestHeldCellPool:
         hung = svc.submit(configs, jobs_per_cell=2, cell_timeout_s=0.5)
         status = svc.wait(hung.job.job_id, timeout_s=30.0)
         assert status["state"] == FAILED, status
-        assert "REPRO_CELL_TIMEOUT=0.5" in status["error"]
+        assert "cell_timeout_s=0.5" in status["error"]
         assert time.monotonic() - started < 3.0
         follow_up = svc.submit(
             [_config(seed=31), _config(seed=32)], jobs_per_cell=2
@@ -417,7 +417,7 @@ class TestAdmission:
         b = service.submit(b_configs, jobs_per_cell=2)
         a_end, b_end = self._finish(service, a, b)
         assert a_end["state"] == FAILED
-        assert "REPRO_CELL_TIMEOUT=0.5" in a_end["error"]
+        assert "cell_timeout_s=0.5" in a_end["error"]
         assert b_end["state"] == DONE, b_end
         assert b_end["started_s"] < a_end["finished_s"]
         # The kill hit B mid-cell, and the pool respawned for B.

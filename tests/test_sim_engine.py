@@ -161,14 +161,6 @@ class TestRunControl:
     def test_peek_time_empty(self, sim):
         assert sim.peek_time() is None
 
-    def test_reset(self, sim):
-        sim.schedule(10, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0
-        assert sim.pending == 0
-        assert sim.events_fired == 0
-
 
 @pytest.mark.parametrize("engine", [Simulator, WheelSimulator])
 class TestPost:
@@ -256,17 +248,6 @@ class TestPost:
         assert sim.peek_time() == 7  # a post is never "cancelled"
         assert sim.run() == 2
 
-    def test_reset_drops_posts(self, engine):
-        sim = engine()
-        fired = []
-        sim.post(5, fired.append, "near")
-        sim.post(NS_PER_SEC, fired.append, "far")  # wheel: overflow heap
-        sim.reset()
-        assert sim.pending == 0
-        assert sim.peek_time() is None
-        assert sim.run() == 0
-        assert fired == []
-
 
 class TestStop:
     def test_stop_ends_run_at_current_event(self, sim):
@@ -349,20 +330,3 @@ class TestEventOrdering:
         noop = lambda: None  # noqa: E731
         with pytest.raises(TypeError):
             Event(1, 0, noop, ()) < Event(1, 1, noop, ())
-
-
-class TestWheelReset:
-    def test_reset_zeroes_the_wheel_counters(self):
-        """wheel_stats() after reset() must describe the new run, not the
-        previous one."""
-        sim = WheelSimulator()
-        for i in range(100):
-            sim.schedule((i + 1) * 5_000, lambda: None)
-        sim.schedule(NS_PER_SEC, lambda: None)  # overflow + cursor jump
-        sim.run()
-        before = sim.wheel_stats()
-        assert before["slots_opened"] > 0 and before["overflow_pushes"] == 1
-        sim.reset()
-        fresh = WheelSimulator().wheel_stats()
-        assert sim.wheel_stats() == fresh
-        assert sim.events_fired == 0

@@ -412,17 +412,3 @@ def test_wheel_periodic_rearm_stays_in_slot():
     sim.cancel(event)
     sim.run()
     assert len(ticks) == 9, "cancelled periodic must not re-arm"
-
-
-def test_wheel_reset_clears_all_structures():
-    sim = WheelSimulator(slot_ns_bits=4, num_slot_bits=3)
-    sim.schedule(5, lambda: None)
-    sim.schedule(10_000, lambda: None)  # overflow
-    sim.reset()
-    assert sim.pending == 0
-    assert sim.peek_time() is None
-    assert sim.now == 0
-    fired = []
-    sim.schedule(1, fired.append, "post-reset")
-    sim.run()
-    assert fired == ["post-reset"]

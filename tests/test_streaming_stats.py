@@ -2,8 +2,9 @@
 
 Two layers under test:
 
-* the collector itself — exact counters, estimator-of-record selection
-  (reservoir while exact, t-digest beyond), shard merging, JSON round
+* the collector itself — exact counters, the percentile path (kept
+  FCTs up to ``EXACT_LIMIT`` finished flows, equal to ``FctStats``; a
+  t-digest fed the same FCTs in the same order beyond), JSON round
   trip, and the bounded-memory guarantee at million-flow scale;
 * the runner wiring — ``streaming_stats=True`` runs the same simulation
   (bit-identical aggregate results on the golden grid) while retaining
@@ -26,10 +27,11 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.metrics.fct import FctStats, FlowRecord
 from repro.metrics.streaming import (
-    DEFAULT_RESERVOIR,
+    EXACT_LIMIT,
     STREAMING_AUTO_FLOWS,
     StreamingFctStats,
 )
+from repro.metrics.tdigest import COMPRESSION, TDigest
 
 
 def _records(n, seed=1, unfinished_every=50):
@@ -61,45 +63,81 @@ class TestCollector:
     def test_exact_aggregates_match_fctstats(self):
         records = _records(3_000)
         exact = FctStats(records)
-        streaming = StreamingFctStats(seed=1)
+        streaming = StreamingFctStats()
         for record in records:
             streaming.add_record(record)
         assert streaming.count == exact.count
         assert streaming.finished_count == exact.finished_count
         assert streaming.unfinished_count == exact.unfinished_count
         assert streaming.unfinished_fraction == exact.unfinished_fraction
-        # Means are computed from exact sums — equal, not approximate.
-        assert streaming.mean_ms() == pytest.approx(exact.mean_ms(), rel=1e-12)
-        assert streaming.mean_ms(10**9) == pytest.approx(
-            exact.mean_ms(10**9), rel=1e-12
-        )
-        assert streaming.small.mean_ms() == pytest.approx(
-            exact.small.mean_ms(), rel=1e-12
-        )
-        assert streaming.large.mean_ms() == pytest.approx(
-            exact.large.mean_ms(), rel=1e-12
-        )
+        assert streaming.mean_ms(10**9) == exact.mean_ms(10**9)
+        # Below EXACT_LIMIT every bucket keeps its FCTs: means (exact
+        # sums) and percentiles (the same function) are equal, not
+        # approximate.
+        for mine, theirs in (
+            (streaming, exact),
+            (streaming.small, exact.small),
+            (streaming.large, exact.large),
+        ):
+            assert mine.finished_count <= EXACT_LIMIT
+            assert mine.estimators() == {"p50": "exact", "p99": "exact"}
+            assert mine.mean_ms() == theirs.mean_ms()
+            assert mine.median_ms() == theirs.median_ms()
+            assert mine.p99_ms() == theirs.p99_ms()
         assert (
             streaming.total_retransmissions() == exact.total_retransmissions()
         )
 
     def test_estimator_of_record_switches(self):
-        streaming = StreamingFctStats(seed=1)
+        streaming = StreamingFctStats()
         for record in _records(100, unfinished_every=0):
             streaming.add_record(record)
-        # 100 finished flows: the reservoir still holds everything.
-        assert streaming.estimators() == {"p50": "reservoir", "p99": "reservoir"}
+        # 100 finished flows: the collector still keeps every FCT.
+        assert streaming.estimators() == {"p50": "exact", "p99": "exact"}
         exact = FctStats(_records(100, unfinished_every=0))
-        assert streaming.median_ms() == pytest.approx(exact.median_ms())
-        assert streaming.p99_ms() == pytest.approx(exact.p99_ms())
-        for record in _records(DEFAULT_RESERVOIR + 100, seed=2):
+        assert streaming.median_ms() == exact.median_ms()
+        assert streaming.p99_ms() == exact.p99_ms()
+        for record in _records(EXACT_LIMIT + 100, seed=2):
             streaming.add_record(record)
         assert streaming.estimators() == {"p50": "tdigest", "p99": "tdigest"}
+
+    def test_handover_at_exact_limit(self):
+        """Exact through the EXACT_LIMIT-th finished flow, t-digest from
+        the next one on — and the digest is the one a TDigest fed the
+        same FCTs in the same order builds, whatever bucket it is."""
+        rng = random.Random(5)
+        fcts = [int(rng.lognormvariate(13.0, 1.5)) for _ in range(EXACT_LIMIT + 600)]
+        streaming = StreamingFctStats()
+        for i, fct in enumerate(fcts[:EXACT_LIMIT]):
+            streaming.add(2_000, fct)
+            if i % 97 == 0:
+                streaming.add(2_000, None)  # unfinished: not counted
+        assert streaming.small.finished_count == EXACT_LIMIT
+        assert streaming.estimators() == {"p50": "exact", "p99": "exact"}
+        assert streaming.small.estimators() == {"p50": "exact", "p99": "exact"}
+        assert streaming.large.estimators() == {"p50": "none", "p99": "none"}
+        truth = FctStats(
+            FlowRecord(i, 0, 1, 2_000, i, fct)
+            for i, fct in enumerate(fcts[:EXACT_LIMIT])
+        )
+        assert streaming.p99_ms() == truth.p99_ms()
+        assert streaming.small.median_ms() == truth.median_ms()
+
+        streaming.add(2_000, fcts[EXACT_LIMIT])
+        assert streaming.estimators() == {"p50": "tdigest", "p99": "tdigest"}
+        assert streaming.small.estimators() == {"p50": "tdigest", "p99": "tdigest"}
+        for fct in fcts[EXACT_LIMIT + 1:]:
+            streaming.add(2_000, fct)
+        reference = TDigest()
+        reference.extend(float(fct) for fct in fcts)
+        assert streaming._digest.to_dict() == reference.to_dict()
+        assert streaming.small._digest.to_dict() == reference.to_dict()
+        assert streaming.p99_ms() == reference.quantile(0.99) / 1e6
 
     def test_percentiles_within_one_percent_at_scale(self):
         records = _records(60_000, unfinished_every=0)
         exact = FctStats(records)
-        streaming = StreamingFctStats(seed=1)
+        streaming = StreamingFctStats()
         for record in records:
             streaming.add_record(record)
         for estimate, truth in (
@@ -107,10 +145,6 @@ class TestCollector:
             (streaming.p99_ms(), exact.p99_ms()),
         ):
             assert abs(estimate - truth) / truth < 0.01
-        # And the cross-check estimator agrees to sampling noise.
-        assert abs(streaming.cross_check_ms(99.0) - exact.p99_ms()) / (
-            exact.p99_ms()
-        ) < 0.15
 
     def test_empty_collector(self):
         streaming = StreamingFctStats()
@@ -124,33 +158,10 @@ class TestCollector:
         with pytest.raises(NotImplementedError):
             StreamingFctStats().subset(lambda r: True)
 
-    def test_merge_shards_matches_single_stream(self):
-        records = _records(8_000)
-        whole = StreamingFctStats(seed=1)
-        for record in records:
-            whole.add_record(record)
-        shards = [StreamingFctStats(seed=1) for _ in range(3)]
-        for i, record in enumerate(records):
-            shards[i % 3].add_record(record)
-        merged = shards[0]
-        merged.merge(shards[1])
-        merged.merge(shards[2])
-        assert merged.count == whole.count
-        assert merged.finished_count == whole.finished_count
-        assert merged.mean_ms() == pytest.approx(whole.mean_ms(), rel=1e-12)
-        assert merged.small.count == whole.small.count
-        assert merged.p99_ms() == pytest.approx(whole.p99_ms(), rel=0.02)
-
-    def test_merge_rejects_mismatched_buckets(self):
-        a = StreamingFctStats(small_bytes=100)
-        b = StreamingFctStats(small_bytes=200)
-        with pytest.raises(ValueError, match="size buckets"):
-            a.merge(b)
-
     def test_json_round_trip(self):
         import json
 
-        streaming = StreamingFctStats(seed=3)
+        streaming = StreamingFctStats()
         for record in _records(5_000):
             streaming.add_record(record)
         doc = json.loads(json.dumps(streaming.to_dict()))
@@ -163,18 +174,18 @@ class TestCollector:
 
     def test_million_flows_bounded_memory(self):
         """The acceptance bar: a million FCTs stream through in
-        O(centroids + reservoir) retained items — about four decades
-        below the flow count — with p50/p99 within 1% of exact."""
+        O(centroids) retained items — about four decades below the
+        flow count — with p50/p99 within 1% of exact."""
         rng = random.Random(1)
-        streaming = StreamingFctStats(seed=1)
+        streaming = StreamingFctStats()
         values = []
         for _ in range(1_000_000):
             fct = int(rng.lognormvariate(13.0, 1.6))
             values.append(fct)
             streaming.add(50_000, fct)
         assert streaming.count == 1_000_000
-        # 3 collectors x (reservoir + digest); digest buffers are capped.
-        budget = 3 * (DEFAULT_RESERVOIR + 4 * 400 + 2 * 400)
+        # 3 collectors x digest (buffer + centroids), both capped.
+        budget = 3 * (4 * COMPRESSION + 2 * COMPRESSION)
         assert streaming.memory_items() <= budget
         from repro.metrics.fct import percentile
 
@@ -217,13 +228,9 @@ class TestRunnerIntegration:
         assert streaming.sim_time_ns == exact.sim_time_ns
         assert streaming.stats.count == exact.stats.count
         assert streaming.stats.finished_count == exact.stats.finished_count
-        assert streaming.stats.mean_ms() == pytest.approx(
-            exact.stats.mean_ms(), rel=1e-12
-        )
-        # 40 flows → reservoir is exact → percentiles equal too.
-        assert streaming.stats.p99_ms() == pytest.approx(
-            exact.stats.p99_ms(), rel=1e-9
-        )
+        assert streaming.stats.mean_ms() == exact.stats.mean_ms()
+        # 40 flows → every FCT is kept → percentiles equal too.
+        assert streaming.stats.p99_ms() == exact.stats.p99_ms()
         # No per-flow state retained anywhere.
         assert streaming.stats.records == ()
         assert streaming.fabric is not None
@@ -270,8 +277,8 @@ class TestRunnerIntegration:
             use_cache=False,
         )
         assert streaming.percentile_estimators == {
-            "p50": "reservoir",
-            "p99": "reservoir",
+            "p50": "exact",
+            "p99": "exact",
         }
         assert exact.percentile_estimators == {"p50": "exact", "p99": "exact"}
 
@@ -287,7 +294,7 @@ class TestRunnerIntegration:
         assert loaded.stats.count == result.stats.count
         assert loaded.stats.mean_ms() == result.stats.mean_ms()
         assert loaded.stats.p99_ms() == result.stats.p99_ms()
-        assert loaded.percentile_estimators["p99"] == "reservoir"
+        assert loaded.percentile_estimators["p99"] == "exact"
         assert loaded.config == result.config
 
     def test_streaming_is_part_of_cache_key(self, topo):
