@@ -16,9 +16,10 @@ a regression shows up where it happened:
   fabric (no transport, no load balancer): serialization, queueing,
   propagation, delivery, recycle.  Isolates the
   ``OutputPort``/``Fabric`` fast path plus the packet pool.
-* **end_to_end** — a small experiment grid under ``heap`` and
-  ``wheel``, with allocation counts (``sys``/``gc`` deltas and
-  the pool counters) around the default-engine run.
+* **end_to_end** — a small experiment grid on the wheel every run
+  builds and on the reference ``heap`` substituted for it in the runner,
+  with allocation counts (``sys``/``gc`` deltas and the pool counters)
+  around each.
 
 Results land in ``BENCH_hotpath.json`` at the repo root.  CI runs
 ``--smoke`` and gates the end-to-end wheel throughput against the
@@ -41,22 +42,23 @@ dispatch, so a steady-state run retains almost nothing per event — and
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(__file__))  # for direct execution
 
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.net.fabric import Fabric
 from repro.net.packet import HEADER_BYTES, PacketKind
-from repro.sim.engine import make_simulator
+from repro.sim.engine import Simulator, WheelSimulator, make_simulator
 from repro.sim.rng import RngStreams
 
 DEFAULT_OUT = os.path.join(
@@ -237,7 +239,9 @@ def bench_end_to_end(smoke: bool, n_flows: int, repeats: int = 3) -> Dict:
     # Untimed warm-up (scheme imports, method caches) — same reasoning
     # as bench_perf_core.measure.
     run_experiment(configs[0])
-    for scheduler in ("heap", "wheel"):
+    # The wheel is what every run builds; the reference heap is
+    # substituted for it in the runner.
+    for engine, engine_class in (("heap", Simulator), ("wheel", WheelSimulator)):
         best_wall = None
         total_events = 0
         pool = None
@@ -249,12 +253,11 @@ def bench_end_to_end(smoke: bool, n_flows: int, repeats: int = 3) -> Dict:
             blocks_before = sys.getallocatedblocks()
             gc_before = sum(s["collections"] for s in gc.get_stats())
             start = time.perf_counter()
-            for config in configs:
-                result = run_experiment(
-                    dataclasses.replace(config, scheduler=scheduler)
-                )
-                total_events += result.events
-                runs.append(result)
+            with mock.patch.object(runner, "make_simulator", engine_class):
+                for config in configs:
+                    result = run_experiment(config)
+                    total_events += result.events
+                    runs.append(result)
             wall = time.perf_counter() - start
             blocks_after = sys.getallocatedblocks()
             gc_after = sum(s["collections"] for s in gc.get_stats())
@@ -263,7 +266,7 @@ def bench_end_to_end(smoke: bool, n_flows: int, repeats: int = 3) -> Dict:
                 reference_records = records
             else:
                 assert records == reference_records, (
-                    f"{scheduler} diverged from heap records"
+                    f"{engine} diverged from heap records"
                 )
             if best_wall is None or wall < best_wall:
                 best_wall = wall
@@ -279,7 +282,7 @@ def bench_end_to_end(smoke: bool, n_flows: int, repeats: int = 3) -> Dict:
                     ),
                     "gc_collections": gc_after - gc_before,
                 }
-        report[scheduler] = {
+        report[engine] = {
             "total_events": total_events,
             "wall_s": round(best_wall, 3),
             "events_per_sec": round(total_events / best_wall, 1),
@@ -401,8 +404,8 @@ def test_hotpath_smoke(tmp_path):
     # The pool must actually recycle on the unobserved fast path.
     assert chain["pool_reuse_fraction"] > 0.9
     e2e = report["end_to_end"]
-    for scheduler in ("heap", "wheel"):
-        assert e2e[scheduler]["events_per_sec"] > 0
+    for engine in ("heap", "wheel"):
+        assert e2e[engine]["events_per_sec"] > 0
 
 
 if __name__ == "__main__":

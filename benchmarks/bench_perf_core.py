@@ -3,8 +3,8 @@
 Tracks the repo's performance trajectory from PR 1 onward.  Phases over
 one (scheme x load x seed) grid:
 
-1. **serial** — every cell in-process on the **default engine** (the
-   calendar wheel since PR 7), timed per cell: ``events_per_sec`` (and
+1. **serial** — every cell in-process on the engine every run builds
+   (the calendar wheel), timed per cell: ``events_per_sec`` (and
    its alias ``events_per_sec_wheel``, kept for cross-PR diffing) plus
    per-scheme wall-clock;
 2. **parallel cold** — the same grid through
@@ -17,9 +17,9 @@ one (scheme x load x seed) grid:
 4. **traced** — the serial grid re-run with ``trace=True``
    (:mod:`repro.telemetry` fully attached), to record what observability
    costs when it is ON;
-5. **heap** — the serial grid re-run with ``scheduler="heap"`` (the
-   reference binary-heap engine), asserting bit-identical per-flow
-   records and recording ``events_per_sec_heap`` + the heap→wheel
+5. **heap** — the serial grid re-run with the reference binary-heap
+   :class:`~repro.sim.engine.Simulator` substituted for the engine the
+   runner builds, asserting bit-identical per-flow records and recording ``events_per_sec_heap`` + the heap→wheel
    speedup ratio ``wheel_speedup_x``;
 6. **streaming** — the serial grid re-run with ``streaming_stats=True``
    (bounded-memory collector, per-flow records dropped),
@@ -53,6 +53,7 @@ import sys
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(__file__))  # for direct execution
 
@@ -62,8 +63,10 @@ from repro.experiments.parallel import (
     resolve_jobs,
     run_cells,
 )
+from repro.experiments import runner
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
+from repro.sim.engine import Simulator, WheelSimulator
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_core.json"
@@ -127,7 +130,10 @@ def measure(
         total_events += result.events
         serial_results.append(result)
     serial_wall = time.perf_counter() - serial_start
-    default_engine = serial_results[0].scheduler_info.get("name", "?")
+    default_engine = (
+        "wheel" if isinstance(serial_results[0].fabric.sim, WheelSimulator)
+        else "heap"
+    )
 
     # Phases 2 + 3: parallel cold then warm, against a throwaway cache.
     # Always run — they double as the determinism + cache correctness
@@ -182,20 +188,22 @@ def measure(
         )
     traced_wall = time.perf_counter() - traced_start
 
-    # Phase 5: the same grid on the reference heap engine.  The default
-    # wheel must reproduce the heap's records bit-for-bit (the scheduler
-    # equivalence contract); the throughput ratio is the payoff.
+    # Phase 5: the same grid on the reference heap engine, substituted
+    # for the wheel the runner builds.  The wheel must reproduce the
+    # heap's records bit-for-bit (the engine equivalence contract); the
+    # throughput ratio is the payoff.
     heap_events = 0
     heap_start = time.perf_counter()
-    for config, wheel_result in zip(configs, serial_results):
-        heap = run_experiment(dataclasses.replace(config, scheduler="heap"))
-        heap_events += heap.events
-        assert heap.stats.records == wheel_result.stats.records, (
-            "heap scheduler diverged from wheel scheduler"
-        )
-        assert heap.events == wheel_result.events, (
-            "heap scheduler fired a different event count"
-        )
+    with mock.patch.object(runner, "make_simulator", Simulator):
+        for config, wheel_result in zip(configs, serial_results):
+            heap = run_experiment(config)
+            heap_events += heap.events
+            assert heap.stats.records == wheel_result.stats.records, (
+                "heap engine diverged from wheel engine"
+            )
+            assert heap.events == wheel_result.events, (
+                "heap engine fired a different event count"
+            )
     heap_wall = time.perf_counter() - heap_start
 
     # Phase 6: streaming statistics.  Same simulation with the bounded-

@@ -78,12 +78,7 @@ from repro.serve import (
     serve,
 )
 from repro.net.topology import TopologyConfig
-from repro.sim.engine import (
-    SCHEDULERS,
-    Simulator,
-    WheelSimulator,
-    make_simulator,
-)
+from repro.sim.engine import Simulator, WheelSimulator, make_simulator
 from repro.sim.rng import RngStreams
 from repro.telemetry.series import QueueSampler
 from repro.transport.dctcp import DctcpFlow
@@ -126,7 +121,6 @@ __all__ = [
     "Fabric",
     "Simulator",
     "WheelSimulator",
-    "SCHEDULERS",
     "make_simulator",
     "RngStreams",
     "HookSet",
@@ -162,7 +156,7 @@ def run_grid(
 
 
 #: save_result file format version (bumped on incompatible change).
-_RESULT_FORMAT = 2
+_RESULT_FORMAT = 3
 
 
 def save_result(

@@ -9,11 +9,11 @@ Examples::
 Every flag a command accepts is one it reads.  The commands that build
 configs — ``run``, ``compare``, ``submit`` and ``trace run`` — take the
 experiment-shape flags (``--topology`` ... ``--drain-ms``) plus
-``--scheduler`` and ``--validate``; on top of those ``compare`` and
-``submit`` take ``--jobs``, and ``run`` and ``compare`` take
-``--no-cache``.  ``chaos`` and ``golden`` take ``--scheduler``,
+``--validate``; on top of those ``compare`` and ``submit`` take
+``--jobs``, and ``run`` and ``compare`` take ``--no-cache``.
 ``serve`` takes ``--no-cache``; ``cache``, ``jobs``, ``probe-model``,
-``trace summarize`` and ``trace export`` take only their own flags.
+``chaos``, ``golden``, ``trace summarize`` and ``trace export`` take
+only their own flags.
 Tracing is ``trace run`` (or ``REPRO_TRACE=1`` for any run).
 
 ``run``, ``compare`` and ``submit`` print their results through one
@@ -47,7 +47,7 @@ from repro.experiments.scenarios import (
 from repro.faults import parse_schedule
 from repro.lb.factory import SPRAYING_SCHEMES, scheme_names
 from repro.net.topology import TopologyConfig
-from repro.sim.engine import SCHEDULERS, milliseconds
+from repro.sim.engine import milliseconds
 
 #: ``--topology`` presets.  ``--asymmetric`` applies to all but
 #: failure-bench, ``--hosts-per-leaf`` only to bench and failure-bench.
@@ -72,11 +72,6 @@ def _positive_int(value: str) -> int:
 #: Flags more than one command takes; each command adds, by name, the
 #: ones it reads (see the module docstring for which).
 _SHARED_FLAGS = {
-    "--scheduler": dict(choices=SCHEDULERS, default=None,
-                        help="event-queue engine (default: the config's, "
-                             "normally wheel; results are bit-identical "
-                             "on both engines; "
-                             "$REPRO_SCHEDULER overrides everything)"),
     "--validate": dict(action="store_true",
                        help="run under the repro.validate invariant "
                             "layer (conservation, FIFO, clock, ECN, "
@@ -96,8 +91,8 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """Experiment-shape flags plus ``--scheduler`` / ``--validate``:
-    everything a command that builds configs reads."""
+    """Experiment-shape flags plus ``--validate``: everything a command
+    that builds configs reads."""
     parser.add_argument("--topology", choices=sorted(TOPOLOGIES), default="bench")
     parser.add_argument("--asymmetric", action="store_true",
                         help="the preset's asymmetric variant (not for "
@@ -135,15 +130,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "Fig. 16-style runs cap it so flows a "
                              "failure-blind scheme strands register as "
                              "unrecovered instead of limping home")
-    _add_flags(parser, "--scheduler", "--validate")
-
-
-def _engine_fields(args) -> dict:
-    """The config fields ``--scheduler`` / ``--validate`` set."""
-    fields = {"scheduler": args.scheduler} if args.scheduler else {}
-    if args.validate:
-        fields["validate"] = True
-    return fields
+    _add_flags(parser, "--validate")
 
 
 def _topology(args) -> TopologyConfig:
@@ -163,7 +150,7 @@ def _topology(args) -> TopologyConfig:
 
 def _config_from_args(args, lb: str) -> ExperimentConfig:
     topology = _topology(args)
-    extra = _engine_fields(args)
+    extra = {"validate": True} if args.validate else {}
     if lb in SPRAYING_SCHEMES:
         extra["reorder_mask_us"] = (
             800.0 if topology.host_link_gbps <= 2.0 else 100.0
@@ -191,8 +178,7 @@ def _config_from_args(args, lb: str) -> ExperimentConfig:
 def _grid_from_args(args) -> List[ExperimentConfig]:
     """The configs ``run`` / ``compare`` / ``submit`` name: one per
     ``--schemes`` entry, or ``run``'s one ``--lb`` — or its ``--config``
-    file, which ignores the shape flags but not ``--scheduler`` /
-    ``--validate``."""
+    file, which ignores the shape flags but not ``--validate``."""
     if args.command != "run":
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
         if not schemes:
@@ -202,7 +188,9 @@ def _grid_from_args(args) -> List[ExperimentConfig]:
         return [_config_from_args(args, args.lb)]
     with open(args.config) as fh:
         loaded = ExperimentConfig.from_dict(json.load(fh))
-    return [dataclasses.replace(loaded, **_engine_fields(args))]
+    if args.validate:
+        loaded = dataclasses.replace(loaded, validate=True)
+    return [loaded]
 
 
 RESULT_HEADERS = [
@@ -334,7 +322,6 @@ def cmd_chaos(args) -> int:
             args.seed,
             raise_error=not args.shrink,
             with_faults=with_faults,
-            scheduler=args.scheduler,
         )
         if case.ok:
             inv = case.invariants or {}
@@ -356,9 +343,7 @@ def cmd_chaos(args) -> int:
         return 1
 
     seeds = range(args.base_seed, args.base_seed + args.cases)
-    results = run_sweep(
-        seeds, with_faults=with_faults, scheduler=args.scheduler
-    )
+    results = run_sweep(seeds, with_faults=with_faults)
     failures = [case for case in results if not case.ok]
     rows = [
         [case.seed, case.config.lb,
@@ -370,7 +355,7 @@ def cmd_chaos(args) -> int:
     if failures:
         for case in failures:
             print(f"\n{case.error}", file=sys.stderr)
-            replay = chaos_command(case.seed, with_faults, args.scheduler)
+            replay = chaos_command(case.seed, with_faults)
             print(f"replay: {replay}", file=sys.stderr)
         return 1
     print(f"\n{len(results)} cases, all invariants held")
@@ -381,9 +366,7 @@ def cmd_golden(args) -> int:
     from repro.validate import golden
 
     path = args.path or golden.DEFAULT_PATH
-    actual = golden.compute_reference(
-        scheduler=args.scheduler, detector=args.detector
-    )
+    actual = golden.compute_reference(detector=args.detector)
     if args.refresh:
         golden.write_reference(actual, path)
         print(f"golden reference written to {path}")
@@ -648,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="load the full experiment spec from a "
                                  "JSON file (ExperimentConfig.to_dict "
                                  "format); shape flags are ignored, "
-                                 "--scheduler / --validate still apply")
+                                 "--validate still applies")
     _add_run_arguments(run_parser)
     _add_flags(run_parser, "--no-cache")
     run_parser.set_defaults(fn=cmd_run, jobs=1)
@@ -764,7 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--faults", action="store_true",
                               help="attach a randomized time-scheduled "
                                    "fault schedule to every case")
-    _add_flags(chaos_parser, "--scheduler")
     chaos_parser.set_defaults(fn=cmd_chaos)
 
     golden_parser = sub.add_parser(
@@ -782,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "cell; passive detectors (transport, "
                                     "breaker) must reproduce the committed "
                                     "reference bit-for-bit")
-    _add_flags(golden_parser, "--scheduler")
     golden_parser.set_defaults(fn=cmd_golden)
 
     trace_parser = sub.add_parser(

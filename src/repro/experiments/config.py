@@ -7,7 +7,7 @@ from typing import Any, Dict, Optional
 
 from repro.faults.spec import FaultEventSpec, FaultScheduleSpec
 from repro.net.topology import TopologyConfig
-from repro.sim.engine import DEFAULT_SCHEDULER, SCHEDULERS, seconds
+from repro.sim.engine import seconds
 
 TRANSPORTS = ("dctcp", "tcp")
 
@@ -90,14 +90,6 @@ class ExperimentConfig:
             ``None`` (default): auto — streaming kicks in at
             ``STREAMING_AUTO_FLOWS`` (200k) flows, below that exact.
             Part of the result-cache key like every other field.
-        scheduler: event-queue engine: ``"wheel"`` (slotted timer wheel,
-            the default) or ``"heap"`` (binary heap, the original
-            engine).  Both produce bit-identical results (enforced by
-            the golden grid and the scheduler-differential suite).
-            ``REPRO_SCHEDULER`` overrides every config (and bypasses
-            the result cache).  Not part of the result, only of how
-            fast it is computed — but kept in the cache key so A/B
-            benches never share entries.
         detector: optional failure-detector spec (see
             :mod:`repro.detect`): ``"transport"``,
             ``"bfd:tx=100us,mult=3"``, ``"breaker:threshold=0.5"``,
@@ -132,7 +124,6 @@ class ExperimentConfig:
     validate: bool = False
     trace: bool = False
     streaming_stats: Optional[bool] = None
-    scheduler: str = DEFAULT_SCHEDULER
     detector: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -148,19 +139,32 @@ class ExperimentConfig:
             raise ValueError("size_scale must be positive")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; known: {SCHEDULERS}"
-            )
+        if self.max_cwnd <= 0:
+            raise ValueError("max_cwnd must be positive")
+        if self.reorder_mask_us is not None and self.reorder_mask_us < 0:
+            raise ValueError("reorder_mask_us must not be negative")
+        if self.extra_drain_ns < 0:
+            raise ValueError("extra_drain_ns must not be negative")
         if self.streaming_stats not in (None, True, False):
             raise ValueError(
                 "streaming_stats must be True, False or None (auto), "
                 f"got {self.streaming_stats!r}"
             )
+        # Names are checked eagerly so a typo fails at config time (a
+        # service answers 400), not three layers deep in an installer.
+        # Imported here: these registries pull in lb/net modules this
+        # module must not depend on.  The lb registry is read at build
+        # time, so a scheme registered before the config is accepted.
+        from repro.lb.factory import LB_REGISTRY
+        from repro.workload.distributions import distribution_by_name
+
+        if self.lb not in LB_REGISTRY:
+            raise ValueError(
+                f"unknown load balancer {self.lb!r}; "
+                f"known: {', '.join(sorted(LB_REGISTRY))}"
+            )
+        distribution_by_name(self.workload)
         if self.detector is not None:
-            # Validate eagerly so a typo fails at config time, not three
-            # layers deep in an installer.  Imported here: repro.detect
-            # pulls in lb/net modules this module must not depend on.
             from repro.detect.spec import parse_detector
 
             parse_detector(self.detector)

@@ -87,7 +87,6 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import ResultSummary
-from repro.sim.engine import scheduler_forced
 from repro.experiments.runner import (
     run_experiment,
     trace_forced,
@@ -852,11 +851,9 @@ def start_cells(
     jobs = resolve_jobs(jobs)
     if use_cache is None:
         use_cache = cache_enabled()
-    if validate_forced() or trace_forced() or scheduler_forced():
+    if validate_forced() or trace_forced():
         # A cached summary was produced without the invariant/telemetry
-        # layer (or under a different engine than the one REPRO_SCHEDULER
-        # asks to exercise); serving it would silently skip what the user
-        # forced on.
+        # layer; serving it would silently skip what the user forced on.
         use_cache = False
     cache = ResultCache(cache_dir) if use_cache else None
 

@@ -62,8 +62,6 @@ class ResultSummary:
     #: Flows that suffered timeouts and were still unfinished at the end
     #: of the run — the signature of a scheme that never recovered.
     unrecovered_timeouts: int = 0
-    #: Which engine actually ran the cell (after env resolution).
-    scheduler_info: Dict[str, Any] = field(default_factory=dict)
     #: Aggregated counters of the configured :mod:`repro.detect` plane
     #: (folded over all leaves; combiners nest a ``members`` list):
     #: detections, false positives, flap suppressions and — when the run

@@ -130,9 +130,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     past the last arrival, whichever comes first; flows still active then
     are reported as unfinished.
     """
-    # REPRO_SCHEDULER overrides the config, the same way REPRO_VALIDATE/
-    # REPRO_TRACE override their flags.
-    sim = make_simulator(config.scheduler)
+    sim = make_simulator()
     rng = RngStreams(config.seed)
     fabric = Fabric(sim, config.topology, rng)
     checker = None
@@ -292,7 +290,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         total_reroutes=sum(
             host.lb.reroutes for host in fabric.hosts if host.lb is not None
         ),
-        scheduler_info={"name": sim.scheduler},
         probe_losses=fabric.probe_drops,
         fabric=fabric,
         scheme=scheme,

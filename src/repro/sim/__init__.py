@@ -1,20 +1,16 @@
 """Discrete-event simulation engine.
 
 The engine is deliberately tiny: an integer-nanosecond clock, a cancellable
-event queue (binary heap or slotted timer wheel — see
-:data:`repro.sim.SCHEDULERS`), and seeded random-number streams.  All
-higher layers (network, transport, load balancers) are built on top of it.
+event queue (a slotted timer wheel over the reference binary heap — see
+:mod:`repro.sim.engine`), and seeded random-number streams.  All higher
+layers (network, transport, load balancers) are built on top of it.
 """
 
 from repro.sim.engine import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
     Event,
     Simulator,
     WheelSimulator,
     make_simulator,
-    resolve_scheduler,
-    scheduler_forced,
 )
 from repro.sim.rng import RngStreams
 
@@ -23,9 +19,5 @@ __all__ = [
     "Simulator",
     "WheelSimulator",
     "RngStreams",
-    "SCHEDULERS",
-    "DEFAULT_SCHEDULER",
     "make_simulator",
-    "resolve_scheduler",
-    "scheduler_forced",
 ]

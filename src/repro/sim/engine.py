@@ -6,19 +6,18 @@ instant fire in scheduling order (FIFO), which the transport layer relies
 on (e.g. an ACK processed before the retransmission timer set in the same
 nanosecond).
 
-Two interchangeable schedulers implement that contract:
-
-* :class:`Simulator` — a single binary heap (the original engine and the
-  perf baseline);
-* :class:`WheelSimulator` — a hierarchical calendar queue: near-future
-  events land in fixed-width time slots (O(1) schedule/cancel via
-  slot-local lists), far-future events overflow into a fallback heap that
-  refills the wheel as the cursor advances.
+Every run executes on :class:`WheelSimulator` (what
+:func:`make_simulator` builds): a hierarchical calendar queue where
+near-future events land in fixed-width time slots (O(1) schedule/cancel
+via slot-local lists) and far-future events overflow into a fallback heap
+that refills the wheel as the cursor advances.  Its base class
+:class:`Simulator` — a single binary heap, the original engine — is the
+reference the tests compare it against.
 
 Both dispatch events in exactly the same total order — ``(time, seq)``
 with ``seq`` monotonically increasing per schedule — so results are
 bit-identical whichever engine runs them (enforced by the golden grid and
-the scheduler-differential test suite).  Every queue container of both
+the engine-differential test suite).  Every queue container of both
 engines holds 4-tuples that start with ``(time, seq)``, so that order is
 decided by C-level int comparisons inside ``heapq``/``bisect``/
 ``list.sort`` and never calls back into Python.
@@ -30,13 +29,11 @@ queue entry is the whole event, with no handle and nothing to cancel.  A
 *cancellable* one (``schedule``, ``schedule_at``, ``reschedule``,
 ``schedule_periodic``) is ``(time, seq, None, event)``; one ``fn is
 None`` test per dispatch tells them apart and only that branch reads an
-:class:`Event`.  Select the engine per run with
-``ExperimentConfig(scheduler=...)`` or globally with ``REPRO_SCHEDULER``.
+:class:`Event`.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
@@ -48,17 +45,6 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
-#: Known scheduler names (see :func:`make_simulator`): the binary heap
-#: and the calendar wheel.
-SCHEDULERS = ("heap", "wheel")
-
-#: The engine built when nothing asks for a specific one.  The wheel is
-#: bit-identical to the heap (enforced by the golden grid and the
-#: scheduler-differential suite) at 1.0-1.1x its speed on the reference
-#: grid (``wheel_speedup_x`` in BENCH_core.json, re-recorded at PRs 15 and
-#: 18), so it is the default; ``"heap"`` stays selectable per config or
-#: via ``REPRO_SCHEDULER``.
-DEFAULT_SCHEDULER = "wheel"
 
 def seconds(value: float) -> int:
     """Convert seconds to integer nanoseconds."""
@@ -123,9 +109,6 @@ class Simulator:
     The loop stops when the queue drains, when ``until`` is reached, or
     when ``max_events`` events have fired.
     """
-
-    #: Name under which :func:`make_simulator` builds this engine.
-    scheduler = "heap"
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -387,8 +370,6 @@ class WheelSimulator(Simulator):
             an ~8.4 ms window that holds RTO timers and samplers; only
             flow arrivals and drain deadlines overflow).
     """
-
-    scheduler = "wheel"
 
     def __init__(self, slot_ns_bits: int = 12, num_slot_bits: int = 11) -> None:
         super().__init__()
@@ -697,37 +678,12 @@ class WheelSimulator(Simulator):
         }
 
 
-# --------------------------------------------------------------------- #
-# Scheduler selection
-# --------------------------------------------------------------------- #
-
-
-def resolve_scheduler(scheduler: Optional[str] = None) -> str:
-    """Effective scheduler name: ``REPRO_SCHEDULER`` env > argument >
-    :data:`DEFAULT_SCHEDULER`.  Raises ``ValueError`` for unknown names."""
-    env = os.environ.get("REPRO_SCHEDULER")
-    source = ""
-    if env:
-        scheduler = env
-        source = " (from REPRO_SCHEDULER)"
-    if scheduler is None:
-        scheduler = DEFAULT_SCHEDULER
-    if scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}{source}; known: {SCHEDULERS}"
-        )
-    return scheduler
-
-
-def scheduler_forced() -> bool:
-    """True when ``REPRO_SCHEDULER`` overrides every config's scheduler
-    choice (which also bypasses the result cache — a cached summary says
-    nothing about the engine the override asked to exercise)."""
-    return bool(os.environ.get("REPRO_SCHEDULER"))
-
-
-def make_simulator(scheduler: Optional[str] = None) -> Simulator:
-    """Build the engine named by ``scheduler`` (after env resolution)."""
-    if resolve_scheduler(scheduler) == "heap":
+def make_simulator(engine: str = "wheel") -> Simulator:
+    """The engine every run uses: the calendar wheel.  ``"heap"`` builds
+    the reference :class:`Simulator` instead, for the benchmark's
+    dispatch rung and the engine property tests."""
+    if engine == "heap":
         return Simulator()
-    return WheelSimulator()
+    if engine == "wheel":
+        return WheelSimulator()
+    raise ValueError(f"unknown engine {engine!r}; known: heap, wheel")

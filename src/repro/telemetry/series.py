@@ -210,8 +210,5 @@ class LoopProfiler:
         }
         wheel_stats = getattr(self.sim, "wheel_stats", None)
         if wheel_stats is not None:
-            out["scheduler"] = "wheel"
             out["wheel"] = wheel_stats()
-        else:
-            out["scheduler"] = getattr(self.sim, "scheduler", "heap")
         return out

@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Fabric
 
 MSS = 1460  # payload bytes per packet
+INIT_CWND = 10  # initial window in packets (the paper's setting)
 
 
 class TcpFlow(FlowBase):
@@ -36,7 +37,6 @@ class TcpFlow(FlowBase):
         fabric: the network.
         src / dst: endpoint host ids.
         size_bytes: application bytes to transfer.
-        init_cwnd: initial window in packets (paper: 10).
         max_cwnd: cap on the congestion window in packets.
         reorder_mask_ns: if set, the receiver masks reordering for this
             long before emitting duplicate ACKs (Presto*/DRB evaluation).
@@ -48,7 +48,6 @@ class TcpFlow(FlowBase):
         src: int,
         dst: int,
         size_bytes: int,
-        init_cwnd: int = 10,
         max_cwnd: float = 800.0,
         reorder_mask_ns: Optional[int] = None,
         min_rto_ns: int = 10_000_000,
@@ -57,7 +56,7 @@ class TcpFlow(FlowBase):
         self.mss = MSS
         self.n_pkts = (size_bytes + MSS - 1) // MSS
         self._last_payload = size_bytes - (self.n_pkts - 1) * MSS
-        self.cwnd = float(init_cwnd)
+        self.cwnd = float(INIT_CWND)
         self.ssthresh = float(max_cwnd)
         self.max_cwnd = max_cwnd
         # Classic TCP is not ECN-capable here; DCTCP flips this on.  The

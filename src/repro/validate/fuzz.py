@@ -63,15 +63,9 @@ _SIZE_SCALE = 0.03
 _EXTRA_DRAIN_NS = 50_000_000
 
 
-def chaos_command(
-    seed: int,
-    with_faults: Optional[bool] = None,
-    scheduler: Optional[str] = None,
-) -> str:
+def chaos_command(seed: int, with_faults: Optional[bool] = None) -> str:
     """The exact CLI invocation replaying one chaos case."""
     flag = " --faults" if with_faults else ""
-    if scheduler is not None:
-        flag += f" --scheduler {scheduler}"
     return (
         f"python -m repro chaos --seed {seed}{flag}  "
         f"(or: REPRO_CHAOS_SEED={seed} pytest tests/chaos/test_chaos.py "
@@ -322,7 +316,6 @@ def run_case(
     config: Optional[ExperimentConfig] = None,
     raise_error: bool = True,
     with_faults: Optional[bool] = None,
-    scheduler: Optional[str] = None,
 ) -> CaseResult:
     """Run one chaos case under full invariant checking.
 
@@ -333,19 +326,15 @@ def run_case(
             them in the :class:`CaseResult` for sweep-style reporting.
         with_faults: forwarded to :func:`chaos_config` (ignored when
             ``config`` is given).
-        scheduler: event engine override (``"heap"``/``"wheel"``) applied
-            on top of the (generated or given) config.
     """
     if config is None:
         config = chaos_config(seed, with_faults=with_faults)
-    if scheduler is not None:
-        config = replace(config, scheduler=scheduler)
     try:
         result = run_experiment(config)
     except InvariantViolation as exc:
         # Stamp the chaos replay command over the generic run command:
         # the randomized topology is only reachable through the seed.
-        exc.fingerprint.command = chaos_command(seed, with_faults, scheduler)
+        exc.fingerprint.command = chaos_command(seed, with_faults)
         amended = type(exc)(exc.detail, exc.fingerprint)
         if raise_error:
             raise amended from exc
@@ -373,16 +362,10 @@ def run_sweep(
     seeds: Iterable[int],
     raise_error: bool = False,
     with_faults: Optional[bool] = None,
-    scheduler: Optional[str] = None,
 ) -> List[CaseResult]:
     """Run a batch of chaos cases; violations are collected, not raised."""
     return [
-        run_case(
-            seed,
-            raise_error=raise_error,
-            with_faults=with_faults,
-            scheduler=scheduler,
-        )
+        run_case(seed, raise_error=raise_error, with_faults=with_faults)
         for seed in seeds
     ]
 

@@ -69,15 +69,10 @@ def golden_configs() -> List[ExperimentConfig]:
     ]
 
 
-def compute_reference(
-    scheduler: Optional[str] = None, detector: Optional[str] = None
-) -> Dict:
+def compute_reference(detector: Optional[str] = None) -> Dict:
     """Run the grid in-process and summarize every cell.
 
-    ``scheduler`` overrides the event engine per cell (``"heap"`` /
-    ``"wheel"``); both engines must reproduce the same committed
-    reference — that equivalence is itself a test.  ``detector``
-    attaches a :mod:`repro.detect` spec to every cell: a *passive*
+    ``detector`` attaches a :mod:`repro.detect` spec to every cell: a *passive*
     detector (transport, breaker) must also reproduce the committed
     reference bit-for-bit — the clean grid gives it no evidence to act
     on, so any deviation means the detector perturbed a run it was only
@@ -85,8 +80,6 @@ def compute_reference(
     """
     cells: Dict[str, Dict] = {}
     for config in golden_configs():
-        if scheduler is not None:
-            config = replace(config, scheduler=scheduler)
         if detector is not None:
             config = replace(config, detector=detector)
         result = run_experiment(config)

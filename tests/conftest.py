@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
+from unittest import mock
 
 import pytest
 
@@ -50,3 +52,16 @@ def sim() -> Simulator:
 @pytest.fixture
 def fabric() -> Fabric:
     return make_fabric()
+
+
+@pytest.fixture
+def on_heap():
+    """``with on_heap(): ...`` — every experiment run inside the block
+    builds the reference heap :class:`Simulator` instead of the wheel
+    every run uses, so an experiment-level differential can compare the
+    two engines bit for bit."""
+    from repro.experiments import runner
+
+    return functools.partial(
+        mock.patch.object, runner, "make_simulator", Simulator
+    )

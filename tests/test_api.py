@@ -74,21 +74,21 @@ class TestSurface:
         assert public == set(api.__all__)
 
     def test_removed_surface_stays_removed(self):
-        """Deleted, not deprecated: the sharded runner (PR 13), the
-        TopologySpec / Clos layer and ``wheel:auto`` (PR 22) left no
-        alias, module or scheduler name behind."""
+        """Deleted, not deprecated: the sharded runner, the
+        TopologySpec / Clos layer and the engine option left no alias,
+        module or config field behind."""
         import importlib
 
         assert not [name for name in api.__all__ if "shard" in name]
         for name in ("TopologySpec", "LeafSpineSpec", "ClosSpec",
-                     "spec_from_dict", "as_topology_spec", "grid_results"):
+                     "spec_from_dict", "as_topology_spec", "grid_results",
+                     "SCHEDULERS", "DEFAULT_SCHEDULER"):
             assert not hasattr(api, name), name
         for module in ("repro.net.spec", "repro.net.clos", "repro.sim.tuning"):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
-        assert api.SCHEDULERS == ("heap", "wheel")
-        with pytest.raises(ValueError, match=r"unknown scheduler 'wheel:auto'"):
-            _small_config(scheduler="wheel:auto")
+        with pytest.raises(TypeError, match="scheduler"):
+            _small_config(scheduler="wheel")
 
     def test_package_root_reexports_facade(self):
         for name in ("run_experiment", "run_grid", "save_result",
@@ -134,14 +134,13 @@ class TestConfigRoundTrip:
             topology=topology,
             **_NESTED_SECTIONS,
             lb_params={"flowlet_gap_us": 50.0},
-            scheduler="wheel",
         )
         restored = ExperimentConfig.from_dict(config.to_dict())
         assert restored == config
         assert restored.topology.link_overrides == {(0, 1): 4.0, (1, 0): 4.0}
 
     def test_round_trip_survives_json(self):
-        config = _small_config(scheduler="wheel")
+        config = _small_config()
         wire = json.dumps(config.to_dict(), sort_keys=True)
         assert ExperimentConfig.from_dict(json.loads(wire)) == config
 
@@ -211,10 +210,13 @@ class TestResultRoundTrip:
         assert loaded.stats.records == result.stats.records
 
     def test_load_rejects_foreign_format(self, tmp_path):
+        # Format 2 files carry the engine keys the result record dropped.
         path = tmp_path / "bad.json"
-        path.write_text('{"format": 999}')
-        with pytest.raises(ValueError, match="format"):
-            load_result(path)
+        for version in (2, 999):
+            path.write_text(f'{{"format": {version}}}')
+            with pytest.raises(ValueError,
+                               match="unsupported result file format"):
+                load_result(path)
 
 
 _SUMMARY_FIELDS = [f.name for f in dataclasses.fields(ResultSummary)]
@@ -237,8 +239,7 @@ def _full_summary_values(streaming: bool) -> dict:
         )
     return {
         "config": _small_config(
-            lb="reps", detector="bfd", scheduler="heap",
-            streaming_stats=streaming,
+            lb="reps", detector="bfd", streaming_stats=streaming,
         ),
         "stats": stats,
         "sim_time_ns": 12_345_678,
@@ -253,7 +254,6 @@ def _full_summary_values(streaming: bool) -> dict:
         "detection_ns": 300_000,
         "recovery_ns": 2_500_000,
         "unrecovered_timeouts": 2,
-        "scheduler_info": {"name": "heap"},
         "detector_metrics": {
             "detector": "bfd", "detections": 4, "false_positive_count": 1,
             "flap_suppressions": 2, "detection_ns": 300_000,
@@ -279,8 +279,8 @@ def _comparable(name: str, value):
 def test_result_field_survives_every_copy(name, streaming):
     """The guard for "one field list": a field declared on
     ``ResultSummary`` but dropped by a copier or a serializer fails its
-    own case here (``scheduler_info``, ``detector_metrics`` and
-    ``probe_losses`` did not survive ``save_result`` before)."""
+    own case here (``detector_metrics`` and ``probe_losses`` did not
+    survive ``save_result`` before)."""
     values = _full_summary_values(streaming)
     summary = ResultSummary(**{n: values[n] for n in _SUMMARY_FIELDS})
     want = _comparable(name, values[name])
@@ -328,8 +328,9 @@ class TestRunGrid:
         for a, b in zip(serial, grid):
             assert a.stats.records == b.stats.records
 
-    def test_wheel_scheduler_through_the_facade(self):
-        config = _small_config(scheduler="wheel")
-        heap = run_experiment(_small_config())
+    def test_wheel_scheduler_through_the_facade(self, on_heap):
+        config = _small_config()
         wheel = run_experiment(config)
+        with on_heap():
+            heap = run_experiment(config)
         assert heap.stats.records == wheel.stats.records

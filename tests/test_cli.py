@@ -58,13 +58,12 @@ class TestParser:
                          detector="bfd:tx=23547,mult=5")
         argv = shlex.split(experiment_command(config))[3:]  # python -m repro
         replayed = _config_from_args(build_parser().parse_args(argv), config.lb)
-        for field in ("faults", "detector", "extra_drain_ns", "validate",
-                      "scheduler"):
+        for field in ("faults", "detector", "extra_drain_ns", "validate"):
             assert getattr(replayed, field) == getattr(config, field), field
         assert len(replayed.faults.events) == 3
 
     def test_every_accepted_flag_is_read(self):
-        """No shared parent hands a command flags it ignores: 109
+        """No shared parent hands a command flags it ignores: 103
         (command, flag) pairs, each one read by its command."""
         import argparse
 
@@ -77,21 +76,19 @@ class TestParser:
                     yield " ".join(prefix), action.option_strings[-1]
 
         accepted = set(pairs(build_parser()))
-        assert len(accepted) == 109
+        assert len(accepted) == 103
         assert {c for c, f in accepted if f == "--validate"} == {
             "run", "compare", "submit", "trace run"}
         assert {c for c, f in accepted if f == "--jobs"} == {
             "compare", "submit"}
         assert {c for c, f in accepted if f == "--no-cache"} == {
             "run", "compare", "serve"}
-        assert {c for c, f in accepted if f == "--scheduler"} == {
-            "run", "compare", "submit", "trace run", "chaos", "golden"}
         assert not [c for c, f in accepted if f == "--trace"]
 
     @pytest.mark.parametrize("argv", [
         ["cache", "--trace"],
         ["serve", "--validate"],
-        ["jobs", "--scheduler", "heap"],
+        ["chaos", "--jobs", "2"],
         ["run", "--jobs", "2"],
         ["run", "--trace"],
         ["trace", "summarize", "--no-cache"],
@@ -264,28 +261,23 @@ class TestResultsTable:
 
 
 class TestChaosReplay:
-    def test_sweep_replay_line_carries_faults_and_engine(
-        self, monkeypatch, capsys
-    ):
+    def test_sweep_replay_line_carries_faults(self, monkeypatch, capsys):
         """The replay line of a failing sweep case re-runs that case:
         a ``--faults`` sweep draws other scenarios than a plain one."""
         from repro.validate import fuzz
 
-        def one_failing_case(seeds, with_faults=None, scheduler=None):
+        def one_failing_case(seeds, with_faults=None):
             config = fuzz.chaos_config(7, with_faults=with_faults)
             return [fuzz.CaseResult(
                 seed=7, config=config, error="boom", invariants=None,
                 events=0, mean_fct_ms=0.0, unfinished=0)]
 
         monkeypatch.setattr(fuzz, "run_sweep", one_failing_case)
-        assert main(["chaos", "--cases", "1", "--faults",
-                     "--scheduler", "heap"]) == 1
+        assert main(["chaos", "--cases", "1", "--faults"]) == 1
         replay = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("replay: ")]
-        assert replay == [
-            "replay: " + fuzz.chaos_command(7, True, "heap")
-        ]
-        assert "--seed 7 --faults --scheduler heap" in replay[0]
+        assert replay == ["replay: " + fuzz.chaos_command(7, True)]
+        assert "--seed 7 --faults " in replay[0]
 
 
 class TestUnitParsers:

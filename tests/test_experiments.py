@@ -43,6 +43,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(time_scale=0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(extra_drain_ns=-10**9), "extra_drain_ns"),
+        (dict(max_cwnd=0.0), "max_cwnd"),
+        (dict(max_cwnd=-3.0), "max_cwnd"),
+        (dict(reorder_mask_us=-1.0), "reorder_mask_us"),
+        (dict(lb="no-such-scheme"), "unknown load balancer 'no-such-scheme'"),
+        (dict(workload="cache-follower"), "unknown workload 'cache-follower'"),
+    ])
+    def test_bad_input_rejected_when_built(self, overrides, message):
+        """Each of these used to crash mid-run, or to return an empty
+        run, instead of failing here."""
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**overrides)
+
+    def test_scheme_registered_before_build_is_accepted(self, monkeypatch):
+        from repro.lb.factory import LB_REGISTRY
+
+        monkeypatch.setitem(LB_REGISTRY, "my-scheme", LB_REGISTRY["ecmp"])
+        assert run_experiment(tiny_config(lb="my-scheme", n_flows=5)).events > 0
+
 
 class TestScenarios:
     def test_testbed_shape(self):

@@ -1,18 +1,16 @@
-"""Scheduler equivalence: the calendar wheel IS the binary heap.
+"""Engine equivalence: the calendar wheel IS the binary heap.
 
-The wheel engine is a pure performance substitution — every observable
-output (per-flow records, event counts, reroutes, fault timelines) must
-be bit-identical to the heap's on the same config.  This file enforces
-that contract three ways:
+Every run executes on the wheel; the heap :class:`Simulator` is the
+reference it is compared against (the ``on_heap`` fixture substitutes it
+for one block of runs).  Every observable output (per-flow records, event
+counts, reroutes, fault timelines) must be bit-identical.  This file
+enforces that contract three ways:
 
-1. the committed golden reference grid, recomputed under each engine;
+1. the committed golden reference grid, recomputed on the heap (the
+   wheel's grid is ``test_golden_grid.py``'s);
 2. a per-cell record-level differential on the golden configs;
 3. a chaos-seed differential: randomized configs (failures, faults,
-   transports) run under both engines and compared record-by-record.
-
-Plus the knob plumbing: ``ExperimentConfig.scheduler`` validation, the
-``REPRO_SCHEDULER`` environment override, and the cache bypass when an
-override forces a non-default engine.
+   transports) run on both engines and compared record-by-record.
 """
 
 import dataclasses
@@ -21,15 +19,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.sim.engine import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    Simulator,
-    WheelSimulator,
-    make_simulator,
-    resolve_scheduler,
-    scheduler_forced,
-)
+from repro.sim.engine import Simulator, WheelSimulator, make_simulator
 from repro.validate import golden
 from repro.validate.fuzz import chaos_config
 
@@ -39,32 +29,35 @@ CHAOS_SEEDS = range(1, 11)
 
 
 # --------------------------------------------------------------------- #
-# Golden grid under both engines
+# Golden grid on the reference engine
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_golden_grid_matches_committed_reference(scheduler):
-    """Both engines must reproduce the committed (heap-computed)
-    reference statistics exactly."""
+def test_golden_grid_on_heap_matches_committed_reference(on_heap):
+    """The reference engine must reproduce the committed statistics
+    exactly."""
     expected = golden.load_reference(golden.DEFAULT_PATH)
     assert expected is not None, (
         f"missing golden reference at {golden.DEFAULT_PATH}"
     )
-    actual = golden.compute_reference(scheduler=scheduler)
+    with on_heap():
+        actual = golden.compute_reference()
     mismatches = golden.compare_reference(expected, actual)
     assert not mismatches, (
-        f"{scheduler} engine drifted from the committed reference:\n"
+        "heap engine drifted from the committed reference:\n"
         + "\n".join(mismatches)
     )
 
 
-def test_golden_cells_bit_identical_across_engines():
+def test_golden_cells_bit_identical_across_engines(on_heap):
     """Stronger than the summary check: the full per-flow record lists
     must match, flow by flow, field by field."""
     for config in golden.golden_configs()[:4]:
-        heap = run_experiment(dataclasses.replace(config, scheduler="heap"))
-        wheel = run_experiment(dataclasses.replace(config, scheduler="wheel"))
+        wheel = run_experiment(config)
+        with on_heap():
+            heap = run_experiment(config)
+        assert type(wheel.fabric.sim) is WheelSimulator
+        assert type(heap.fabric.sim) is Simulator
         assert heap.stats.records == wheel.stats.records, (
             f"records diverged on {config.lb}@{config.load}"
         )
@@ -79,15 +72,16 @@ def test_golden_cells_bit_identical_across_engines():
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_chaos_seed_bit_identical_across_engines(seed):
+def test_chaos_seed_bit_identical_across_engines(seed, on_heap):
     """Randomized configs (scheme x transport x failure rotation) must
-    produce identical results under heap and wheel."""
+    produce identical results on heap and wheel."""
     config = chaos_config(seed)
     # The differential is about the engines, not the invariant layer;
     # drop validate so the comparison runs at full speed.
     config = dataclasses.replace(config, validate=False)
-    heap = run_experiment(dataclasses.replace(config, scheduler="heap"))
-    wheel = run_experiment(dataclasses.replace(config, scheduler="wheel"))
+    wheel = run_experiment(config)
+    with on_heap():
+        heap = run_experiment(config)
     assert heap.stats.records == wheel.stats.records, (
         f"seed {seed} ({config.lb}/{config.transport}) diverged"
     )
@@ -97,44 +91,28 @@ def test_chaos_seed_bit_identical_across_engines(seed):
 
 
 # --------------------------------------------------------------------- #
-# Knob plumbing
+# One engine per run
 # --------------------------------------------------------------------- #
 
 
 def test_config_rejects_unknown_scheduler():
-    topology = golden.golden_configs()[0].topology
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        ExperimentConfig(topology=topology, lb="ecmp", scheduler="quantum")
+    """The engine is not a config field: a config dict (or a service
+    request body) that still names one is refused like any unknown key."""
+    data = golden.golden_configs()[0].to_dict()
+    data["scheduler"] = "heap"
+    with pytest.raises(ValueError, match=r"unknown config keys: \['scheduler'\]"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_make_simulator_engine_selection():
+    assert type(make_simulator()) is WheelSimulator
     assert type(make_simulator("heap")) is Simulator
     assert type(make_simulator("wheel")) is WheelSimulator
-
-
-def test_env_override_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
-    assert resolve_scheduler("heap") == "wheel"
-    assert scheduler_forced()
-    assert type(make_simulator("heap")) is WheelSimulator
-
-
-def test_env_override_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "abacus")
-    with pytest.raises(ValueError, match="REPRO_SCHEDULER"):
-        resolve_scheduler("heap")
-
-
-def test_no_override_defaults_to_config(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert DEFAULT_SCHEDULER == "wheel"
-    assert resolve_scheduler(None) == DEFAULT_SCHEDULER
-    assert resolve_scheduler("heap") == "heap"
-    assert resolve_scheduler("wheel") == "wheel"
-    assert not scheduler_forced()
+    with pytest.raises(ValueError, match="unknown engine 'abacus'"):
+        make_simulator("abacus")
 
 
 def test_config_default_scheduler_is_wheel():
-    topology = golden.golden_configs()[0].topology
-    config = ExperimentConfig(topology=topology, lb="ecmp")
-    assert config.scheduler == "wheel"
+    """Every run builds the wheel."""
+    config = dataclasses.replace(golden.golden_configs()[0], n_flows=5)
+    assert type(run_experiment(config).fabric.sim) is WheelSimulator

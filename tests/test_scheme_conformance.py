@@ -63,7 +63,8 @@ EXPECTATIONS = {
 }
 
 SCHEMES = sorted(LB_REGISTRY)
-ENGINES = ("heap", "wheel")
+#: Reference engines every run's (wheel) result must reproduce.
+REFERENCE_ENGINES = ("heap",)
 
 
 def conformance_config(scheme, **overrides):
@@ -187,12 +188,11 @@ class TestSchemeConformance:
             f"{scheme}: faulted run is not deterministic"
         )
 
-    @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "wheel"])
-    def test_engine_equivalence(self, scheme, engine):
-        # "wheel" is the base run (the default engine) — compare the
-        # other engines against it.
+    @pytest.mark.parametrize("engine", REFERENCE_ENGINES)
+    def test_engine_equivalence(self, scheme, engine, on_heap):
         base = _run(scheme)
-        other = _run(scheme, f"engine:{engine}", scheduler=engine)
+        with on_heap():
+            other = run_experiment(conformance_config(scheme))
         assert _same_results(base, other), (
             f"{scheme}: {engine} engine diverged from wheel engine"
         )

@@ -586,6 +586,23 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert "unknown topology keys: ['kind']" in excinfo.value.message
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lb", "no-such-scheme", "unknown load balancer 'no-such-scheme'"),
+        ("scheduler", "heap", "unknown config keys: ['scheduler']"),
+    ])
+    def test_unknown_lb_or_config_key_is_400(self, http_service, key, value,
+                                             message):
+        """A scheme the service does not know (or the engine key a
+        config no longer has) is refused at submit, not accepted and
+        failed when the cell runs."""
+        _, client = http_service
+        config = _config().to_dict()
+        config[key] = value
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit([config])
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.message
+
     def test_healthz_and_metrics(self, http_service):
         _, client = http_service
         health = client.healthz()
