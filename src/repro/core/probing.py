@@ -76,7 +76,7 @@ class HermesProber:
             return
         self._started = True
         jitter = (self.leaf * 7919) % max(1, self.params.probe_interval_ns)
-        self.sim.schedule(jitter, self._round)
+        self.sim.post(jitter, self._round)
 
     def _round(self) -> None:
         for dst_leaf in range(self.topology.config.n_leaves):
@@ -87,7 +87,7 @@ class HermesProber:
                 continue
             for path in self._candidates(dst_leaf, paths):
                 self._send_probe(dst_leaf, path)
-        self.sim.schedule(self.params.probe_interval_ns, self._round)
+        self.sim.post(self.params.probe_interval_ns, self._round)
 
     def _candidates(self, dst_leaf: int, paths) -> set:
         """Two random choices plus the previous best (deduplicated)."""

@@ -150,7 +150,7 @@ class HermesLeafState(Detector):
         """Begin the periodic τ failure sweep (idempotent)."""
         if not self._sweep_started:
             self._sweep_started = True
-            self.sim.schedule(self.params.retx_sweep_interval_ns, self._sweep)
+            self.sim.post(self.params.retx_sweep_interval_ns, self._sweep)
 
     def state(self, dst_leaf: int, path: int) -> PathState:
         """The (created-on-demand) state for one path."""
@@ -290,4 +290,4 @@ class HermesLeafState(Detector):
             state.sent_pkts = 0
             state.retx_pkts = 0
             state.retx_by_flow.clear()
-        self.sim.schedule(params.retx_sweep_interval_ns, self._sweep)
+        self.sim.post(params.retx_sweep_interval_ns, self._sweep)

@@ -133,7 +133,7 @@ class BfdDetector(Detector):
         # Deterministic per-leaf jitter de-phases the racks' rounds (the
         # same convention the Hermes prober uses) without touching RNG.
         jitter = (self.leaf * 7919) % max(1, self.tx_interval_ns)
-        self.sim.schedule(jitter, self._round)
+        self.sim.post(jitter, self._round)
 
     def _round(self) -> None:
         now = self.sim.now
@@ -165,7 +165,7 @@ class BfdDetector(Detector):
                                    path, now)
                 self.heartbeats_sent += 1
                 send(probe)
-        self.sim.schedule(self.tx_interval_ns, self._round)
+        self.sim.post(self.tx_interval_ns, self._round)
 
     # ------------------------------------------------------------------ #
     # Echo handling

@@ -204,8 +204,8 @@ class CircuitBreakerDetector(Detector):
         breaker.down_since = self.sim.now
         breaker.epoch += 1
         self._flip(dst_leaf, path, old, DOWN, cause, detail)
-        self.sim.schedule(self.open_timeout_ns, self._on_open_timeout,
-                          dst_leaf, path, breaker.epoch)
+        self.sim.post(self.open_timeout_ns, self._on_open_timeout,
+                      dst_leaf, path, breaker.epoch)
 
     def _reopen(self, dst_leaf: int, path: int, breaker: _Breaker,
                 cause: str) -> None:
@@ -218,8 +218,8 @@ class CircuitBreakerDetector(Detector):
         audit = self.audit
         if audit is not None:
             audit.on_verdict(self, dst_leaf, path, DOWN, DOWN, cause, "")
-        self.sim.schedule(self.open_timeout_ns, self._on_open_timeout,
-                          dst_leaf, path, breaker.epoch)
+        self.sim.post(self.open_timeout_ns, self._on_open_timeout,
+                      dst_leaf, path, breaker.epoch)
 
     def _close(self, dst_leaf: int, path: int, breaker: _Breaker,
                cause: str) -> None:
@@ -251,8 +251,8 @@ class CircuitBreakerDetector(Detector):
         )
         self.trials_sent += 1
         self.fabric.send(probe)
-        self.sim.schedule(self.trial_timeout_ns, self._on_trial_timeout,
-                          dst_leaf, path, breaker.epoch)
+        self.sim.post(self.trial_timeout_ns, self._on_trial_timeout,
+                      dst_leaf, path, breaker.epoch)
 
     def _on_trial_timeout(self, dst_leaf: int, path: int, epoch: int) -> None:
         breaker = self._breakers.get((dst_leaf, path))

@@ -229,7 +229,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if sim.now >= fault_end_ns:
                 sim.stop()
             else:
-                sim.schedule_at(fault_end_ns, sim.stop)
+                sim.post(fault_end_ns - sim.now, sim.stop)
 
     fabric.on_flow_done = on_done
 
@@ -245,7 +245,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         flow.start()
 
     for arrival in arrivals:
-        sim.schedule_at(arrival.time_ns, start_flow, arrival)
+        sim.post(arrival.time_ns - sim.now, start_flow, arrival)
 
     deadline = arrivals[-1].time_ns + config.extra_drain_ns
     # One uninterrupted run: the last flow's completion callback calls

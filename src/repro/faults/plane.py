@@ -163,7 +163,7 @@ class FaultSchedule:
         for event in events:
             self._validate_target(event)
         for event in events:
-            self.sim.schedule_at(event.time_ns, self._fire, event)
+            self.sim.post(event.time_ns - self.sim.now, self._fire, event)
         return self
 
     def _validate_target(self, event: FaultEventSpec) -> None:

@@ -23,13 +23,25 @@ decided by C-level int comparisons inside ``heapq``/``bisect``/
 ``list.sort`` and never calls back into Python.
 
 Entries come in two kinds.  A *posted* callback (:meth:`Simulator.post`:
-fire-and-forget, 99.9 % of a run's events — a port's tx completion and
-the packet's arrival at the next hop) is ``(time, seq, fn, args)``: the
-queue entry is the whole event, with no handle and nothing to cancel.  A
-*cancellable* one (``schedule``, ``schedule_at``, ``reschedule``,
-``schedule_periodic``) is ``(time, seq, None, event)``; one ``fn is
-None`` test per dispatch tells them apart and only that branch reads an
-:class:`Event`.
+fire-and-forget, nearly every event of a run — a port's tx completion,
+the packet's arrival at the next hop, flow arrivals, probe and BFD
+rounds) is ``(time, seq, fn, args)``: the queue entry is the whole event,
+with no handle and nothing to cancel.  A *timer* (``schedule``,
+``schedule_at``, ``rearm``, ``schedule_periodic``) is ``(time, seq,
+None, event)``; one ``fn is None`` test per dispatch tells them apart
+and only that branch reads an :class:`Event`.
+
+A timer moves without churning the queue.  :meth:`Simulator.rearm`
+draws the next seq — the one draw a cancel plus a fresh ``schedule``
+would make — and records ``(time, seq)`` as the event's *target*, but
+files a queue entry only when the target is earlier than the entry the
+event already has queued.  An entry whose seq is not its event's target
+is *stale*: when the loop, :meth:`~Simulator.peek_time` or a refill
+meets it, the event's latest filed entry is re-filed at the target and
+any older one is dropped; neither fires nor counts as an event.  So an
+RTO that every ACK pushes later costs a few attribute writes per ACK and
+one re-file per timeout period, and the dispatch order is still exactly
+``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -62,24 +74,29 @@ def microseconds(value: float) -> int:
 
 
 class Event:
-    """The handle of a *cancellable* scheduled callback.
+    """The handle of a *timer*: a callback that may be cancelled or moved.
 
-    Only callers that may need to ``cancel()`` or re-arm get one (timers,
-    samplers, fault schedules); fire-and-forget callbacks go through
+    Only callers that may need to ``cancel()`` or re-arm get one (the RTO,
+    samplers, periodic ticks); fire-and-forget callbacks go through
     :meth:`Simulator.post` and have no ``Event`` at all.
 
-    Events are one-shot.  ``cancel()`` marks the event dead; the engine
-    skips dead events when they surface, which is cheaper than removing
-    them from the queue.  A fired (or never-scheduled) event may be
-    re-armed with :meth:`Simulator.reschedule`, which reuses the object
-    instead of allocating a new one — the periodic samplers live on this.
+    ``time`` and ``seq`` are the event's *target*, its place in the
+    dispatch order.  :meth:`Simulator.rearm` moves the target in place
+    from any state — pending, fired, cancelled or never armed — so one
+    object serves a timer for its whole life.  ``filed_time`` and
+    ``filed_seq`` name the latest queue entry filed for it (``filed_time
+    == _NEVER``: none is queued).  The target is filed only when it is
+    earlier than that entry; otherwise the entry, once it surfaces as
+    *stale* (seq not the target's), is re-filed at the target.
+    ``cancel()`` marks the event dead; the engine skips dead entries when
+    they surface, which is cheaper than removing them from the queue.
 
     Events define no ordering: every queue holds ``(time, seq, None,
     event)`` entries and ``seq`` is unique, so comparisons are decided on
     machine ints in C and never reach the event.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "filed_time", "filed_seq")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
@@ -87,13 +104,22 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
+        # Built unfiled: only Simulator.rearm files an entry.
+        self.filed_time = _NEVER
+        self.filed_seq = -1
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
         self.cancelled = True
 
+    @property
+    def armed(self) -> bool:
+        """Whether the event will fire: armed, and neither fired nor
+        cancelled since."""
+        return not self.cancelled and self.filed_time != _NEVER
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "armed" if self.armed else "cancelled" if self.cancelled else "idle"
         return f"Event(t={self.time}, fn={getattr(self.fn, '__name__', self.fn)}, {state})"
 
 
@@ -128,6 +154,11 @@ class Simulator:
         #: :class:`repro.telemetry.series.LoopProfiler`); same nullable
         #: pattern — one branch per event when off.
         self._profiler = None
+        # What surfaced without firing (see _skip); the wheel reports
+        # them in wheel_stats().
+        self.stale_refiled = 0
+        self.stale_dropped = 0
+        self.cancelled_skipped = 0
 
     # ------------------------------------------------------------------ #
     # Hook views (read-only: no setter, so assignment raises)
@@ -151,13 +182,7 @@ class Simulator:
 
     def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay_ns`` nanoseconds from now."""
-        if delay_ns < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        time, seq = self.now + delay_ns, self._seq
-        event = Event(time, seq, fn, args)
-        self._seq = seq + 1
-        heappush(self._queue, (time, seq, None, event))
-        return event
+        return self.rearm(Event(_NEVER, -1, fn, args), delay_ns)
 
     # Kept for benchmarks/suite/layers.py and benchmarks/bench_hotpath.py,
     # which call it and ``.cancel()`` its result; remove with them.
@@ -187,17 +212,23 @@ class Simulator:
             )
         return self.schedule(time_ns - self.now, fn, *args)
 
-    def reschedule(self, event: Event, delay_ns: int) -> Event:
-        """Re-arm ``event`` to fire ``delay_ns`` nanoseconds from now.
+    def timer(self, fn: Callable[..., Any], *args: Any) -> Event:
+        """An unarmed handle for ``fn(*args)``: nothing fires until
+        :meth:`rearm` arms it.  A timer that is armed over and over (a
+        flow's RTO, a periodic tick) lives on one such handle."""
+        return Event(_NEVER, -1, fn, args)
 
-        Reuses the event object (no allocation, same ``fn``/``args``) but
-        draws a **fresh** sequence number, so FIFO ordering against other
-        events at the new instant is exactly as if a new event had been
-        scheduled — both engines produce identical dispatch streams.
+    def rearm(self, event: Event, delay_ns: int) -> Event:
+        """(Re-)arm ``event`` to fire ``delay_ns`` nanoseconds from now,
+        whatever its state: pending, fired, cancelled or never armed.
 
-        The event must not be pending: only re-arm an event that has
-        already fired (e.g. from inside its own callback) or was never
-        scheduled.  Re-arming a pending event would enqueue it twice.
+        Draws one fresh sequence number — the draw a ``cancel()`` plus a
+        new :meth:`schedule` would make — so the event fires exactly
+        where that new event would, and every engine produces the same
+        dispatch stream.  No :class:`Event` is built, and a queue entry
+        is filed only when the new deadline is earlier than the entry the
+        event already has queued; a later one (the RTO pushed back by an
+        ACK) is left for that entry to carry forward when it surfaces.
         """
         if delay_ns < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
@@ -205,11 +236,33 @@ class Simulator:
         event.seq = seq = self._seq
         self._seq = seq + 1
         event.cancelled = False
-        self._insert((time, seq, None, event))
+        if time < event.filed_time:
+            event.filed_time = time
+            event.filed_seq = seq
+            self._insert((time, seq, None, event))
         return event
 
     def _insert(self, entry: tuple) -> None:
         heappush(self._queue, entry)
+
+    def _skip(self, seq: int, event: Event) -> None:
+        """Settle a timer entry ``(…, seq, None, event)``, already taken
+        out of its container, that must not fire: it is stale (``seq`` is
+        not the event's target) or the event is cancelled.  The latest
+        filed entry of a live event is re-filed at its target.  Any other
+        entry is dropped; dropping a cancelled event's latest one un-files
+        the event, so its next :meth:`rearm` files afresh."""
+        if seq == event.filed_seq:
+            if not event.cancelled:
+                event.filed_time = time = event.time
+                event.filed_seq = target = event.seq
+                self._insert((time, target, None, event))
+                self.stale_refiled += 1
+                return
+            event.filed_time = _NEVER
+            self.cancelled_skipped += 1
+        else:
+            self.stale_dropped += 1
 
     def schedule_periodic(
         self, period_ns: int, fn: Callable[..., Any], *args: Any
@@ -217,11 +270,10 @@ class Simulator:
         """Schedule ``fn(*args)`` every ``period_ns``, starting one period
         from now.
 
-        The returned handle re-arms itself after each firing without
-        re-entering the public scheduling path: one :class:`Event` object
-        is reused for the whole chain (in the wheel engine the re-arm is
-        an in-slot append).  ``cancel()`` the handle to stop the chain —
-        from outside or from within the callback itself.
+        The returned handle re-arms itself (:meth:`rearm`) after each
+        firing: one :class:`Event` object is reused for the whole chain.
+        ``cancel()`` the handle to stop the chain — from outside or from
+        within the callback itself.
         """
         if period_ns <= 0:
             raise ValueError(f"period must be positive, got {period_ns}")
@@ -230,7 +282,7 @@ class Simulator:
         def tick() -> None:
             fn(*args)
             if not event.cancelled:
-                self.reschedule(event, period_ns)
+                self.rearm(event, period_ns)
 
         # Keep profiler attribution on the user callback, not the shim.
         tick.__qualname__ = getattr(fn, "__qualname__", repr(fn))
@@ -250,15 +302,21 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of entries still queued, counting the cancelled and
+        stale timer entries that have not surfaced yet."""
         return len(self._queue)
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2] is None and queue[0][3].cancelled:
-            heappop(queue)
-        return queue[0][0] if queue else None
+        while queue:
+            time, seq, fn, event = queue[0]
+            if fn is None and (seq != event.seq or event.cancelled):
+                heappop(queue)
+                self._skip(seq, event)
+                continue
+            return time
+        return None
 
     def stop(self) -> None:
         """Ask the running loop to return after the current event.
@@ -304,19 +362,21 @@ class Simulator:
         self._running = True
         try:
             while queue:
-                # Pop first: a dead handle is dropped on the spot and the
-                # one entry past ``until`` / ``max_events`` is pushed back
-                # — ``(time, seq)`` is unique, so the heap holds what it did.
+                # Pop first: the one entry past ``until`` / ``max_events``
+                # is pushed back — ``(time, seq)`` is unique, so the heap
+                # holds what it did.
                 entry = pop(queue)
-                time, _, fn, args = entry
-                if fn is None:
-                    # Cancellable: ``args`` is the Event.
-                    if args.cancelled:
-                        continue
-                    fn, args = args.fn, args.args
+                time, seq, fn, args = entry
                 if time > horizon or fired >= limit:
                     heappush(queue, entry)
                     break
+                if fn is None:
+                    # A timer: ``args`` is the Event.
+                    if seq != args.seq or args.cancelled:
+                        self._skip(seq, args)
+                        continue
+                    args.filed_time = _NEVER
+                    fn, args = args.fn, args.args
                 if checker is not None:
                     checker.on_advance(time, self.now)
                 self.now = time
@@ -390,12 +450,12 @@ class WheelSimulator(Simulator):
         self._bucket_pos = 0
         #: Far-future events, a heap.
         self._overflow: list[tuple] = []
-        # Lazy purge of cancelled events: a schedule/cancel churn workload
-        # (rapid RTO re-arms, abandoned timers) would otherwise grow slot
-        # lists and the overflow heap without bound until the cursor
-        # reaches them.  When a container crosses its threshold the dead
-        # events are filtered out in place; thresholds double when a purge
-        # finds mostly-live events, keeping the cost amortized O(1).
+        # Lazy purge of dead timer entries: a schedule/cancel churn
+        # workload (abandoned timers) would otherwise grow slot lists and
+        # the overflow heap without bound until the cursor reaches them.
+        # When a container crosses its threshold the dead entries are
+        # filtered out in place; thresholds double when a purge finds
+        # mostly-live entries, keeping the cost amortized O(1).
         self._slot_purge_at = 512
         self._overflow_purge_at = 256
         # Occupancy / rollover counters, surfaced via wheel_stats() and
@@ -435,9 +495,28 @@ class WheelSimulator(Simulator):
             # it lands after every equal-time event — FIFO.
             insort(self._bucket, entry, self._bucket_pos)
 
+    @staticmethod
+    def _live(entries: list) -> list:
+        """The entries of ``entries`` worth keeping: posts, and the
+        latest filed entry of each timer that is not cancelled (stale or
+        not: a stale one is re-filed when it surfaces).  Dropping a
+        cancelled timer's latest entry un-files it, as :meth:`_skip`
+        does."""
+        live = []
+        for entry in entries:
+            event = entry[3]
+            if entry[2] is not None:
+                live.append(entry)
+            elif entry[1] == event.filed_seq:
+                if event.cancelled:
+                    event.filed_time = _NEVER
+                else:
+                    live.append(entry)
+        return live
+
     def _purge_slot(self, slot: list) -> None:
-        """Filter cancelled events out of one slot list, in place."""
-        live = [e for e in slot if e[2] is not None or not e[3].cancelled]
+        """Filter dead timer entries out of one slot list, in place."""
+        live = self._live(slot)
         removed = len(slot) - len(live)
         if removed:
             slot[:] = live
@@ -449,26 +528,15 @@ class WheelSimulator(Simulator):
             self._slot_purge_at = max(self._slot_purge_at, 2 * len(live) + 64)
 
     def _purge_overflow(self) -> None:
-        """Filter cancelled events out of the overflow heap, in place."""
+        """Filter dead timer entries out of the overflow heap, in place."""
         overflow = self._overflow
-        live = [e for e in overflow if e[2] is not None or not e[3].cancelled]
+        live = self._live(overflow)
         removed = len(overflow) - len(live)
         if removed:
             overflow[:] = live
             heapify(overflow)
             self.wheel_purged += removed
         self._overflow_purge_at = max(256, 2 * len(live))
-
-    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        if delay_ns < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        time, seq = self.now + delay_ns, self._seq
-        event = Event(time, seq, fn, args)
-        self._seq = seq + 1
-        self._insert((time, seq, None, event))
-        return event
-
-    schedule_pooled = schedule  # as in Simulator: kept for two benchmarks
 
     def post(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         if delay_ns < 0:
@@ -507,8 +575,10 @@ class WheelSimulator(Simulator):
         moved = 0
         while overflow:
             head = overflow[0]
-            if head[2] is None and head[3].cancelled:
+            _, seq, fn, event = head
+            if fn is None and (seq != event.seq or event.cancelled):
                 heappop(overflow)
+                self._skip(seq, event)
                 continue
             idx = head[0] >> shift
             if idx > horizon_idx:
@@ -538,8 +608,12 @@ class WheelSimulator(Simulator):
                 self._bucket.clear()
                 self._bucket_pos = 0
             overflow = self._overflow
-            while overflow and overflow[0][2] is None and overflow[0][3].cancelled:
+            while overflow:
+                _, seq, fn, event = overflow[0]
+                if fn is not None or (seq == event.seq and not event.cancelled):
+                    break
                 heappop(overflow)
+                self._skip(seq, event)
             if overflow:
                 horizon = self._cur_slot + self._num_slots
                 head_idx = overflow[0][0] >> self._shift
@@ -591,6 +665,8 @@ class WheelSimulator(Simulator):
 
     @property
     def pending(self) -> int:
+        """Number of entries still queued, counting the cancelled and
+        stale timer entries that have not surfaced yet."""
         return (
             self._wheel_count
             + (len(self._bucket) - self._bucket_pos)
@@ -602,9 +678,10 @@ class WheelSimulator(Simulator):
         while True:
             pos = self._bucket_pos
             if pos < len(self._bucket):
-                time, _, fn, event = self._bucket[pos]
-                if fn is None and event.cancelled:
+                time, seq, fn, event = self._bucket[pos]
+                if fn is None and (seq != event.seq or event.cancelled):
                     self._bucket_pos = pos + 1
+                    self._skip(seq, event)
                     continue
                 return time
             if not self._advance():
@@ -628,16 +705,17 @@ class WheelSimulator(Simulator):
             while True:
                 pos = self._bucket_pos
                 if pos < len(bucket):
-                    time, _, fn, args = bucket[pos]
-                    if fn is None:
-                        # Cancellable: ``args`` is the Event.
-                        if args.cancelled:
-                            self._bucket_pos = pos + 1
-                            continue
-                        fn, args = args.fn, args.args
+                    time, seq, fn, args = bucket[pos]
                     if time > horizon or fired >= limit:
                         break
                     self._bucket_pos = pos + 1
+                    if fn is None:
+                        # A timer: ``args`` is the Event.
+                        if seq != args.seq or args.cancelled:
+                            self._skip(seq, args)
+                            continue
+                        args.filed_time = _NEVER
+                        fn, args = args.fn, args.args
                     if checker is not None:
                         checker.on_advance(time, self.now)
                     self.now = time
@@ -675,6 +753,9 @@ class WheelSimulator(Simulator):
             "slots_opened": self.wheel_slots_opened,
             "max_bucket": self.wheel_max_bucket,
             "purged": self.wheel_purged,
+            "stale_refiled": self.stale_refiled,
+            "stale_dropped": self.stale_dropped,
+            "cancelled_skipped": self.cancelled_skipped,
         }
 
 

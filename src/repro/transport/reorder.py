@@ -42,6 +42,7 @@ class Receiver:
         "rcv_next",
         "_ooo",
         "_gap_timer",
+        "_gap_template",
     )
 
     def __init__(
@@ -55,7 +56,12 @@ class Receiver:
         self.mask_timeout_ns = mask_timeout_ns
         self.rcv_next = 0
         self._ooo: Set[int] = set()
-        self._gap_timer: Optional[Event] = None
+        #: One flush timer for the receiver's life, masking receivers only.
+        self._gap_timer: Optional[Event] = (
+            None if mask_timeout_ns is None else sim.timer(self._flush_gap)
+        )
+        #: The packet the flush burst echoes.
+        self._gap_template: Optional[Packet] = None
 
     @property
     def has_gap(self) -> bool:
@@ -67,37 +73,34 @@ class Receiver:
         if seq == self.rcv_next:
             self.rcv_next += 1
             ooo = self._ooo
-            while self.rcv_next in ooo:
-                ooo.remove(self.rcv_next)
-                self.rcv_next += 1
-            if not ooo and self._gap_timer is not None:
-                self._gap_timer.cancel()
-                self._gap_timer = None
+            if ooo:
+                while self.rcv_next in ooo:
+                    ooo.remove(self.rcv_next)
+                    self.rcv_next += 1
+                if not ooo and self._gap_timer is not None:
+                    self._gap_timer.cancel()
+                    self._gap_template = None
             self.send_ack(packet, 1)
         elif seq > self.rcv_next:
             self._ooo.add(seq)
             if self.mask_timeout_ns is None:
                 self.send_ack(packet, 1)  # immediate duplicate ACK
-            elif self._gap_timer is None:
+            elif not self._gap_timer.armed:
                 # The timer outlives the delivery: clone the packet so the
                 # template survives the fabric recycling the live object
                 # (pooling lifecycle — no retention past deliver/drop).
-                self._gap_timer = self.sim.schedule(
-                    self.mask_timeout_ns, self._flush_gap, clone_packet(packet)
-                )
+                self._gap_template = clone_packet(packet)
+                self.sim.rearm(self._gap_timer, self.mask_timeout_ns)
         else:
             # Stale duplicate (e.g. spurious retransmission): ACK it so the
             # sender's cumulative state stays fresh.
             self.send_ack(packet, 1)
 
-    def _flush_gap(self, template: Packet) -> None:
+    def _flush_gap(self) -> None:
         """A gap outlived the masking window: treat it as a loss and emit
         enough duplicate ACKs to trigger the sender's fast retransmit."""
-        self._gap_timer = None
         if not self._ooo:
             return
-        self.send_ack(template, DUPTHRESH)
+        self.send_ack(self._gap_template, DUPTHRESH)
         # Re-arm in case the retransmission is lost too.
-        self._gap_timer = self.sim.schedule(
-            self.mask_timeout_ns, self._flush_gap, template
-        )
+        self.sim.rearm(self._gap_timer, self.mask_timeout_ns)

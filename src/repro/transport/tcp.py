@@ -18,7 +18,6 @@ import zlib
 from typing import Optional, TYPE_CHECKING
 
 from repro.net.packet import HEADER_BYTES, Packet, PacketKind
-from repro.sim.engine import Event
 from repro.transport.base import FlowBase
 from repro.transport.reorder import DUPTHRESH, Receiver
 from repro.transport.rto import RtoEstimator
@@ -69,7 +68,8 @@ class TcpFlow(FlowBase):
         self.in_recovery = False
         self.recover = 0
         self.rto = RtoEstimator(init_rto_ns=min_rto_ns, min_rto_ns=min_rto_ns)
-        self._rto_event: Optional[Event] = None
+        #: The flow's one RTO timer: every arm moves it in place.
+        self._rto_event = self.sim.timer(self._on_rto)
         self._intra_rack = (
             fabric.topology.leaf_of(src) == fabric.topology.leaf_of(dst)
         )
@@ -134,7 +134,7 @@ class TcpFlow(FlowBase):
         self._path_of[seq] = path
         self._rate_add(wire)
         self.fabric.send(packet)
-        if self._rto_event is None:
+        if not self._rto_event.armed:
             self._arm_rto()
 
     def _maybe_send(self) -> None:
@@ -177,7 +177,7 @@ class TcpFlow(FlowBase):
                     self.cwnd = max(self.cwnd - newly + 1.0, 1.0)
             else:
                 self._increase_cwnd(newly)
-            self._restart_rto()
+            self._arm_rto()
             if self.snd_una >= self.n_pkts:
                 self._complete()
                 return
@@ -211,20 +211,11 @@ class TcpFlow(FlowBase):
     # ------------------------------------------------------------------ #
 
     def _arm_rto(self) -> None:
-        # At most one live RTO event per flow, enforced here: an orphaned
-        # second event fires as a phantom timeout whose handler re-arms
-        # itself, multiplying events under sustained timeouts (_on_rto
-        # used to double-arm via _transmit's tail plus its own call).
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        # A handle, not a post: the next ACK cancels it.
-        self._rto_event = self.sim.schedule(self.rto.rto_ns, self._on_rto)
-
-    def _restart_rto(self) -> None:
-        self._arm_rto()
+        # (Re)start the RTO.  One Event per flow, moved in place: an ACK
+        # that pushes the deadline later builds nothing and queues nothing.
+        self.sim.rearm(self._rto_event, self.rto.rto_ns)
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self.finished or self.snd_una >= self.n_pkts:
             return
         self.timeout_count += 1
@@ -241,17 +232,15 @@ class TcpFlow(FlowBase):
         tracer = self.fabric._tracer
         if tracer is not None:
             tracer.on_timeout(self, self.current_path)
-        # Go-back-N restart from the first unacked segment.
+        # Go-back-N restart from the first unacked segment; the
+        # retransmission arms the backed-off RTO.
         self.snd_nxt = self.snd_una + 1
         self._transmit(self.snd_una, retx=True)
-        self._arm_rto()
 
     def _complete(self) -> None:
         self.finish_time = self.sim.now
         self._path_of.clear()
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._rto_event.cancel()
         agent = self.fabric.hosts[self.src].lb
         if agent is not None:
             agent.on_flow_done(self)

@@ -12,7 +12,6 @@ import zlib
 from typing import Optional, TYPE_CHECKING
 
 from repro.net.packet import HEADER_BYTES, PacketKind
-from repro.sim.engine import Event
 from repro.transport.base import FlowBase
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,10 +60,10 @@ class UdpFlow(FlowBase):
             fabric.topology.leaf_of(src) == fabric.topology.leaf_of(dst)
         )
         self._fallback_path: Optional[int] = None
-        # One persistent pacing event, re-armed per tick (no per-packet
-        # Event allocation; a re-arm draws a fresh sequence number, so
-        # dispatch order is identical to scheduling a new event).
-        self._tick_event: Optional[Event] = None
+        # One pacing timer, re-armed per tick (no per-packet Event
+        # allocation; a re-arm draws a fresh sequence number, so dispatch
+        # order is identical to scheduling a new event).
+        self._tick_event = self.sim.timer(self._tick)
 
     def start(self) -> None:
         self.start_time = self.sim.now
@@ -110,11 +109,7 @@ class UdpFlow(FlowBase):
         self.last_tx_time = self.sim.now
         self._rate_add(self.packet_bytes)
         self.fabric.send(packet)
-        event = self._tick_event
-        if event is None:
-            self._tick_event = self.sim.schedule(self.interval_ns, self._tick)
-        else:
-            self.sim.reschedule(event, self.interval_ns)
+        self.sim.rearm(self._tick_event, self.interval_ns)
 
     # ------------------------------------------------------------------ #
     # Receiver

@@ -198,7 +198,7 @@ def test_queue_matches_model_on_short_random_walks(make_sim, seed):
 def test_dense_ties_with_in_callback_rearms_fire_in_time_seq_order(make_sim):
     """2 000 events piled on 50 distinct instants (40 per instant, so
     nearly every comparison is a tie on time), cancels before and during
-    the run, and callbacks that re-arm through ``reschedule`` and
+    the run, and callbacks that re-arm through ``rearm`` and
     ``schedule_pooled``: every arming that was not cancelled fires, in
     exactly ``sorted((time, seq))`` order."""
     rng = random.Random(7)
@@ -224,7 +224,7 @@ def test_dense_ties_with_in_callback_rearms_fire_in_time_seq_order(make_sim):
                 fresh[0] = sim.schedule_pooled(later(), on_fire, fresh)
                 armed.add((fresh[0].time, fresh[0].seq))
             else:
-                sim.reschedule(event, later())
+                sim.rearm(event, later())
                 armed.add((event.time, event.seq))
         elif roll > 0.9:
             victim = rng.choice(initial)
@@ -289,7 +289,7 @@ def test_posts_from_callbacks_keep_time_seq_order(make_sim):
 
 
 _OP = st.tuples(
-    st.sampled_from(["post", "schedule", "cancel", "reschedule", "run"]),
+    st.sampled_from(["post", "schedule", "cancel", "rearm", "run"]),
     # Few distinct delays (ties), spanning slot, window and overflow of
     # both wheel geometries (8.4 ms and 1.05 ms windows).
     st.sampled_from([0, 1, 700, 4_096, 70_000, 2_000_000, 9_000_000]),
@@ -300,7 +300,7 @@ _OP = st.tuples(
 @given(st.lists(_OP, min_size=1, max_size=120))
 @settings(max_examples=60, deadline=None)
 def test_dispatch_stream_equal_on_heap_wheel_and_auto_geometry(ops):
-    """One drawn mix of post / schedule / cancel / reschedule / partial
+    """One drawn mix of post / schedule / cancel / rearm / partial
     run gives the same (time, label) firing stream on the heap, the
     default wheel (4.1 us slots, 8.4 ms window) and a finer, shorter one
     (1.0 us slots, 1.05 ms window): geometry changes the wheel's shape,
@@ -326,9 +326,9 @@ def test_dispatch_stream_equal_on_heap_wheel_and_auto_geometry(ops):
                 if op == "cancel" and state[owner] == "pending":
                     handle.cancel()
                     state[owner] = "cancelled"
-                elif op == "reschedule" and state[owner] == "fired":
-                    # The only state reschedule() allows: not queued.
-                    sim.reschedule(handle, delay)
+                elif op == "rearm":
+                    # Valid in every state: pending, fired or cancelled.
+                    sim.rearm(handle, delay)
                     state[owner] = "pending"
         sim.run()
         assert sim.peek_time() is None
@@ -337,6 +337,154 @@ def test_dispatch_stream_equal_on_heap_wheel_and_auto_geometry(ops):
     heap = stream(Simulator())
     assert heap == stream(WheelSimulator())
     assert heap == stream(WheelSimulator(slot_ns_bits=10, num_slot_bits=10))
+
+
+# --------------------------------------------------------------------- #
+# rearm() against a model that cancels and schedules a fresh entry
+# --------------------------------------------------------------------- #
+
+REARM_ENGINES = pytest.mark.parametrize(
+    "make_sim",
+    [Simulator, WheelSimulator, lambda: WheelSimulator(4, 3)],
+    ids=["heap", "wheel", "tiny-wheel"],  # tiny: 16 ns slots x 8
+)
+
+
+def _rearm_walk(make_sim, seed, n_ops):
+    """Drive the engine with a random mix of post / schedule / cancel /
+    rearm (earlier, later or the same instant as the pending target;
+    after a cancel; after a fire) / run(until=...) / run(max_events=...)
+    / peek_time, and check every step against a model in which a rearm
+    is a cancel plus a fresh entry: one ``(time, seq, label)`` per live
+    arming, seqs counted one per post, schedule or rearm.  The dispatch
+    stream, the clock and ``events_fired`` must agree after every op."""
+    rng = random.Random(seed)
+    sim = make_sim()
+    fired = []
+    live = {}  # label -> (time, seq, label): the model's queue
+    handles = []  # (label, Event)
+    expected, seq, now = [], 0, 0
+    delays = [0, 1, 5, 100, 700, 4_096, 70_000, 2_000_000, 9_000_000]
+
+    def note(label):
+        fired.append((sim.now, label))
+
+    def model_run(until=None, max_events=None):
+        nonlocal now
+        order = sorted(live.values())
+        due = [e for e in order if until is None or e[0] <= until]
+        if max_events is not None:
+            due = due[:max_events]
+        for entry in due:
+            del live[entry[2]]
+            expected.append((entry[0], entry[2]))
+            now = entry[0]
+        rest = [e for e in order if e not in due]
+        if until is not None and now < until and (not rest or rest[0][0] > until):
+            now = until
+
+    for op in range(n_ops):
+        roll = rng.random()
+        if roll < 0.15 or not handles:
+            delay = rng.choice(delays)
+            if roll < 0.07:
+                label = ("post", op)
+                sim.post(delay, note, label)
+            else:
+                label = ("timer", op)
+                handles.append((label, sim.schedule(delay, note, label)))
+            live[label] = (now + delay, seq, label)
+            seq += 1
+        elif roll < 0.25:
+            label, event = rng.choice(handles)
+            sim.cancel(event)
+            live.pop(label, None)
+        elif roll < 0.65:
+            label, event = rng.choice(handles)
+            if label in live:
+                left = live[label][0] - now
+                mode = rng.randrange(3)
+                if mode == 0 and left > 0:
+                    delay = rng.randrange(left)  # earlier
+                elif mode == 1:
+                    delay = left  # the same instant
+                else:
+                    delay = left + rng.choice(delays[1:])  # later
+            else:
+                delay = rng.choice(delays)  # after a cancel or a fire
+            assert sim.rearm(event, delay) is event
+            assert (event.time, event.seq) == (now + delay, seq)
+            live[label] = (now + delay, seq, label)
+            seq += 1
+        elif roll < 0.75:
+            head = min(live.values(), default=None)
+            assert sim.peek_time() == (None if head is None else head[0])
+        elif roll < 0.88:
+            until = now + rng.choice(delays)
+            budget = rng.choice([None, None, 1, 3])
+            sim.run(until=until, max_events=budget)
+            model_run(until=until, max_events=budget)
+        else:
+            budget = rng.randrange(1, 6)
+            sim.run(max_events=budget)
+            model_run(max_events=budget)
+        assert fired == expected
+        assert sim.now == now
+        assert sim.events_fired == len(expected)
+        for label, event in handles:
+            assert event.armed == (label in live)
+    sim.run()
+    model_run()
+    assert fired == expected
+    assert sim.peek_time() is None
+    return sim
+
+
+@REARM_ENGINES
+def test_rearm_matches_cancel_plus_schedule_model_on_a_long_walk(make_sim):
+    sim = _rearm_walk(make_sim, seed=36, n_ops=6_000)
+    # The walk exercised every way a timer entry surfaces without firing.
+    assert sim.stale_refiled > 0
+    assert sim.stale_dropped > 0
+    assert sim.cancelled_skipped > 0
+
+
+@REARM_ENGINES
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_rearm_matches_cancel_plus_schedule_model(make_sim, seed):
+    _rearm_walk(make_sim, seed=seed, n_ops=150)
+
+
+@ENGINES
+def test_rearm_later_files_nothing_and_earlier_files_one_entry(make_sim):
+    """A pending timer pushed later builds no Event and files no queue
+    entry: its entry carries it forward when it surfaces (re-filed, not
+    fired, not counted).  Pulled earlier, it files one entry, and the
+    old one is dropped when it surfaces."""
+    sim = make_sim()
+    fired = []
+    event = sim.schedule(100, fired.append, "rto")
+    assert sim.pending == 1
+    for delay in (150, 200, 300):
+        sim.rearm(event, delay)
+        assert sim.pending == 1
+    assert sim.run(until=250) == 0
+    assert sim.now == 250
+    assert sim.stale_refiled == 1  # surfaced at 100, re-filed at 300
+    sim.rearm(event, 20)  # earlier than the entry queued for 300
+    assert sim.pending == 2
+    assert sim.run() == 1
+    assert fired == ["rto"] and sim.now == 270
+    assert (sim.stale_refiled, sim.stale_dropped) == (1, 1)
+    assert not event.armed
+    sim.rearm(event, 10)
+    event.cancel()
+    assert sim.run() == 0 and sim.cancelled_skipped == 1
+    if isinstance(sim, WheelSimulator):
+        stats = sim.wheel_stats()
+        assert (stats["stale_refiled"], stats["stale_dropped"],
+                stats["cancelled_skipped"]) == (1, 1, 1)
 
 
 # --------------------------------------------------------------------- #

@@ -1,8 +1,11 @@
 """Unit and behavioural tests for TCP New Reno."""
 
+from unittest import mock
+
 import pytest
 
 from repro.net.packet import PacketKind
+from repro.sim import engine
 from repro.transport.tcp import MSS, TcpFlow
 from tests.conftest import make_fabric
 
@@ -83,6 +86,51 @@ class TestBasicTransfer:
     def test_bytes_sent_equals_size(self, fabric):
         flow = run_flow(fabric, size=50 * MSS)
         assert flow.bytes_sent == 50 * MSS
+
+
+class TestRtoTimer:
+    def test_acks_move_one_rto_event_in_place(self, fabric):
+        """Every ACK that advances snd_una restarts the RTO.  Each restart
+        moves the flow's one Event to a later deadline: N ACKs build O(1)
+        Events and file O(1) timer entries, not one per ACK."""
+        built, filed = [], []
+
+        class CountingEvent(engine.Event):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        insert = fabric.sim._insert  # only timer entries go through it
+        fabric.sim._insert = lambda entry: (filed.append(entry), insert(entry))
+        with mock.patch.object(engine, "Event", CountingEvent):
+            flow = run_flow(fabric, size=2_000 * MSS, max_cwnd=40)
+        assert flow.finished and flow.retx_count == 0
+        # Shorter than one RTO: the first arm's entry is never even due.
+        assert flow.fct_ns < flow.rto.rto_ns
+        assert flow.receiver.rcv_next == 2_000  # one ACK per packet
+        assert len(built) == 1 and len(filed) == 1
+        assert fabric.sim.peek_time() is None
+
+    def test_each_timeout_arms_the_rto_once(self):
+        """Under a total blackhole no ACK ever arrives, so the RTO is
+        armed by the first transmission and then once per timeout — by
+        the go-back-N retransmission, with the backed-off value."""
+        fabric = make_fabric()
+        for spine in (0, 1):
+            for port in fabric.topology.spine_ports(spine):
+                port.add_drop_predicate(lambda p, now: True)
+        flow = TcpFlow(fabric, 0, 2, 10 * MSS)
+        fabric.register_flow(flow)
+        arms = []
+        rearm = fabric.sim.rearm
+        fabric.sim.rearm = lambda event, delay: (arms.append(delay), rearm(event, delay))[1]
+        flow.start()
+        fabric.sim.run(until=500_000_000)
+        assert flow.timeout_count >= 3
+        assert len(arms) == 1 + flow.timeout_count
+        assert arms == [10_000_000 << i for i in range(len(arms))]
 
 
 class TestCongestionWindow:

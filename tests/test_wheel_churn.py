@@ -1,7 +1,8 @@
 """Cancelled-event retention in the wheel under schedule/cancel churn.
 
-A workload that rapidly schedules and cancels timers (RTO re-arms on
-every ACK, abandoned flap timers) used to leave every cancelled event in
+A workload that rapidly schedules and cancels timers (abandoned flap
+timers; TCP's RTO did so on every ACK before it moved in place with
+``rearm``) used to leave every cancelled event in
 its slot list or in the overflow heap until the cursor physically
 reached it — on a long-horizon run that is unbounded memory growth.  The
 wheel now purges dead events lazily (amortized O(1), counted in
@@ -101,3 +102,22 @@ def test_purge_threshold_backs_off_for_live_events():
     assert sim._slot_purge_at > n  # threshold escaped the population
     assert sim.pending == n
     assert sim.run() == n
+
+
+def test_purge_drops_entries_superseded_by_an_earlier_rearm():
+    """A timer pulled earlier files a new entry and leaves its old one
+    behind, stale.  The purge drops those superseded entries (keeping
+    each live timer's latest one), and every timer still fires once, at
+    its last target, in (time, seq) order."""
+    sim = WheelSimulator()
+    base = 10 << sim._shift  # one in-window slot
+    fired = []
+    timers = [sim.schedule(base + 4_000, fired.append, k) for k in range(1_000)]
+    for offset in (3_000, 2_000, 1_000):
+        for timer in timers:
+            sim.rearm(timer, base + offset)  # earlier: files a new entry
+    # 4 000 entries went into the slot; 3 000 of them were superseded.
+    assert sim.pending < 1_000 + 2 * 512
+    assert sim.wheel_stats()["purged"] > 2_000
+    assert sim.run() == 1_000
+    assert fired == list(range(1_000)) and sim.now == base + 1_000
