@@ -9,11 +9,11 @@ Examples::
 Every flag a command accepts is one it reads.  The commands that build
 configs — ``run``, ``compare``, ``submit`` and ``trace run`` — take the
 experiment-shape flags (``--topology`` ... ``--drain-ms``) plus
-``--validate``; on top of those ``compare`` and ``submit`` take
-``--jobs``, and ``run`` and ``compare`` take ``--no-cache``.
-``serve`` takes ``--no-cache``; ``cache``, ``jobs``, ``probe-model``,
-``chaos``, ``golden``, ``trace summarize`` and ``trace export`` take
-only their own flags.
+``--validate``; on top of those ``compare`` takes ``--jobs``, and
+``run`` and ``compare`` take ``--no-cache``.  ``serve`` takes ``--jobs``
+(the width of its one cell pool) and ``--no-cache``; ``cache``,
+``jobs``, ``probe-model``, ``chaos``, ``golden``, ``trace summarize``
+and ``trace export`` take only their own flags.
 Tracing is ``trace run`` (or ``REPRO_TRACE=1`` for any run).
 
 ``run``, ``compare`` and ``submit`` print their results through one
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import signal
 import sys
@@ -69,6 +70,16 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _positive_seconds(value: str) -> float:
+    try:
+        parsed = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
+    if not 0 < parsed < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {parsed}")
+    return parsed
+
+
 #: Flags more than one command takes; each command adds, by name, the
 #: ones it reads (see the module docstring for which).
 _SHARED_FLAGS = {
@@ -77,9 +88,9 @@ _SHARED_FLAGS = {
                             "layer (conservation, FIFO, clock, ECN, "
                             "path-state checks)"),
     "--jobs": dict(type=_positive_int, default=None,
-                   help="worker processes for multi-cell runs "
-                        "(default: $REPRO_JOBS, else all cores); "
-                        "1 = in-process"),
+                   help="cell worker processes (default: $REPRO_JOBS, "
+                        "else all cores); compare runs in-process at 1, "
+                        "serve keeps its one pool this wide"),
     "--no-cache": dict(action="store_true",
                        help="skip the on-disk result cache"),
 }
@@ -506,7 +517,7 @@ def cmd_serve(args) -> int:
     service = serve(
         host=args.host,
         port=args.port,
-        n_workers=args.workers,
+        jobs=args.jobs,
         queue_capacity=args.queue_capacity,
         use_cache=False if args.no_cache else None,
         default_cell_timeout_s=args.cell_timeout,
@@ -514,7 +525,8 @@ def cmd_serve(args) -> int:
     host, port = service.http_address
     print(f"repro service on http://{host}:{port}")
     print(
-        f"  workers={args.workers} queue_capacity={args.queue_capacity}\n"
+        f"  jobs={service.pool.cells.width} "
+        f"queue_capacity={args.queue_capacity}\n"
         "  POST /submit   GET /jobs /status/<id> /result/<id>\n"
         "  GET  /healthz  /metrics   /events (SSE)\n"
         "Ctrl-C or SIGTERM to stop.",
@@ -541,7 +553,6 @@ def cmd_submit(args) -> int:
         job = client.submit(
             configs,
             priority=args.priority,
-            jobs_per_cell=args.jobs,
             cell_timeout_s=args.cell_timeout,
         )
     except BackpressureError as exc:
@@ -679,20 +690,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8642)
-    serve_parser.add_argument("--workers", type=_positive_int, default=2,
-                              help="cell pools, each as many processes "
-                                   "wide as a job's --jobs; a pool takes "
-                                   "the next job's cells as soon as a "
-                                   "process is free (default 2)")
     serve_parser.add_argument("--queue-capacity", type=_positive_int,
                               default=64,
                               help="queued-job bound; submissions past it "
                                    "are rejected with backpressure")
-    serve_parser.add_argument("--cell-timeout", type=float, default=None,
-                              metavar="SECONDS",
+    serve_parser.add_argument("--cell-timeout", type=_positive_seconds,
+                              default=None, metavar="SECONDS",
                               help="default per-cell budget for jobs that "
                                    "set none")
-    _add_flags(serve_parser, "--no-cache")
+    _add_flags(serve_parser, "--jobs", "--no-cache")
     serve_parser.set_defaults(fn=cmd_serve)
 
     submit_parser = sub.add_parser(
@@ -705,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     + ", ".join(scheme_names()) + ")")
     submit_parser.add_argument("--priority", type=int, default=0,
                                help="higher runs first")
-    submit_parser.add_argument("--cell-timeout", type=float, default=None,
-                               metavar="SECONDS",
+    submit_parser.add_argument("--cell-timeout", type=_positive_seconds,
+                               default=None, metavar="SECONDS",
                                help="per-cell budget for this job")
     submit_parser.add_argument("--no-wait", action="store_true",
                                help="return after enqueueing instead of "
@@ -714,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--timeout", type=float, default=600.0,
                                help="wait budget in seconds")
     _add_run_arguments(submit_parser)
-    _add_flags(submit_parser, "--jobs")
     submit_parser.set_defaults(fn=cmd_submit)
 
     jobs_parser = sub.add_parser(

@@ -45,11 +45,11 @@ the misses, and ``.results()`` on the :class:`CellRun` it returns
 collects them, retries, falls back to serial and caches the new
 results.  :func:`run_cells` calls the two back to back and makes a pool
 for the length of the call unless the caller hands it one to keep
-(``pool=``).  The experiment service holds one per worker thread and
-calls the halves on two threads: a job pays a round trip through live
-workers (~0.2 ms) instead of a fork and a reap, and the next job's cells
-go to a worker the moment one is free.  Workers that outlive a call
-change four things:
+(``pool=``).  A pool's width is fixed when it is built.  The experiment
+service holds one and calls the halves on two threads: a job pays a
+round trip through live workers (~0.2 ms) instead of a fork and a reap,
+and the next job's cells go to a worker the moment one is free.  Workers
+that outlive a call change four things:
 
 * a worker can die *between* calls.  A pool found broken when the next
   call submits is respawned on the spot and costs that call none of its
@@ -75,6 +75,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import math
 import multiprocessing
 import os
 import pickle
@@ -405,9 +406,14 @@ def cell_timeout(explicit: Optional[float] = None) -> Optional[float]:
     budgets explicitly (mutating the env from service threads would
     race)."""
     if explicit is not None:
-        if explicit <= 0:
+        if (
+            isinstance(explicit, bool)
+            or not isinstance(explicit, (int, float))
+            or not 0 < explicit < math.inf
+        ):
             raise ValueError(
-                f"cell timeout must be positive, got {explicit}"
+                "cell_timeout_s must be a positive number of seconds, "
+                f"got {explicit!r}"
             )
         return explicit
     env = os.environ.get("REPRO_CELL_TIMEOUT")
@@ -477,21 +483,24 @@ class CellPool:
     A kill (after a timeout, a dead worker or a cell that raised) takes
     every running cell with it, another caller's too; those come back
     as ``BrokenProcessPool`` and are retried, and the waiting ones move
-    to respawned workers.  A width change kills nothing: it respawns
-    only while no cell is in flight.
+    to respawned workers.
+
+    Args:
+        width: worker processes, fixed for the pool's life (checked by
+            :func:`resolve_jobs`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, width: int) -> None:
+        #: Worker processes; never changes.
+        self.width = resolve_jobs(width)
         self._executor = None
-        self._width = 0
         self._closed = False
         # Reentrant: an executor future that is already done runs its
         # callback inside ``add_done_callback``, under the lock.
         self._room = threading.Condition(threading.RLock())
         self._waiting: Deque[_Cell] = deque()
         self._running = 0
-        #: Executors built so far; 1 for as long as nothing went wrong
-        #: and every use asked for the same width.
+        #: Executors built so far; 1 for as long as nothing went wrong.
         self.spawns = 0
 
     @property
@@ -499,18 +508,12 @@ class CellPool:
         """Cells submitted and not yet finished, over every caller."""
         return self._running + len(self._waiting)
 
-    def submit(self, width: int, fn, items: Sequence[Any]) -> List[_Cell]:
+    def submit(self, fn, items: Sequence[Any]) -> List[_Cell]:
         """Queue ``fn(item)`` for every item; returns one future per
-        item, in order.  A pool that is idle takes ``width`` as its new
-        width (respawning if it differs); a busy one keeps its own."""
+        item, in order."""
         with self._room:
             if self._closed:
                 raise RuntimeError("cell pool is closed")
-            if width != self._width and not self.in_flight:
-                # Under the lock, which discard() must not hold while
-                # the executor fails futures — but none is pending.
-                self.discard()
-                self._width = width
             cells = [_Cell(fn, item) for item in items]
             self._waiting.extend(cells)
             self._dispatch()
@@ -534,7 +537,7 @@ class CellPool:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        while self._waiting and self._running < self._width:
+        while self._waiting and self._running < self.width:
             if self._closed:
                 while self._waiting:
                     self._waiting.popleft().set_exception(
@@ -543,7 +546,7 @@ class CellPool:
                 return
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self._width, initializer=_exit_with_parent
+                    max_workers=self.width, initializer=_exit_with_parent
                 )
                 self.spawns += 1
             executor = self._executor
@@ -574,24 +577,13 @@ class CellPool:
         else:
             cell.set_result(future.result())
 
-    def wait_for_room(
-        self, width: Optional[int] = None, timeout: Optional[float] = None
-    ) -> bool:
-        """Block until a job may start here; ``False`` on timeout.
-
-        Without ``width``: until a worker is free (fewer cells in flight
-        than workers).  With one: the same when it is the pool's width
-        and more than one, else until no cell is in flight at all — a
-        job that needs a respawn, or runs in-process, waits for the pool
-        to drain."""
-
-        def room() -> bool:
-            if width is None or (width > 1 and width == self._width):
-                return self.in_flight < max(self._width, 1)
-            return self.in_flight == 0
-
+    def wait_for_room(self, timeout: Optional[float] = None) -> bool:
+        """Block until a worker is free (fewer cells in flight than
+        workers); ``False`` on timeout."""
         with self._room:
-            return self._room.wait_for(room, timeout)
+            return self._room.wait_for(
+                lambda: self.in_flight < self.width, timeout
+            )
 
     def _workers(self) -> list:
         # The executor has no public accessor for its processes.
@@ -658,11 +650,10 @@ def _pool_round(
     configs: Sequence[ExperimentConfig],
     pending: List[int],
     pool: CellPool,
-    width: int,
 ) -> Dict[int, _Cell]:
     """Start one attempt over ``pending`` on ``pool``'s workers; returns
     a future per index."""
-    cells = pool.submit(width, _run_cell, [configs[i] for i in pending])
+    cells = pool.submit(_run_cell, [configs[i] for i in pending])
     return dict(zip(pending, cells))
 
 
@@ -755,7 +746,6 @@ class CellRun:
         timeout: Optional[float],
         timeout_name: str,
         pool: Optional[CellPool] = None,
-        width: int = 0,
         owned: bool = False,
     ) -> None:
         self._configs = configs
@@ -765,12 +755,11 @@ class CellRun:
         self._timeout = timeout
         self._timeout_name = timeout_name
         self._pool = pool
-        self._width = width
         self._owned = owned
         self._round: Optional[Dict[int, _Cell]] = None
         if pool is not None:
             try:
-                self._round = _pool_round(configs, misses, pool, width)
+                self._round = _pool_round(configs, misses, pool)
             except BaseException:
                 self._release()
                 raise
@@ -801,9 +790,7 @@ class CellRun:
                 )
                 self._round = None
                 if pending and attempt < MAX_POOL_ROUNDS:
-                    self._round = _pool_round(
-                        configs, pending, self._pool, self._width
-                    )
+                    self._round = _pool_round(configs, pending, self._pool)
         finally:
             self._release()
         # Serial path — and the crash-tolerance fallback: cells that
@@ -836,19 +823,20 @@ def start_cells(
         configs: the grid cells.
         jobs: worker processes (see :func:`resolve_jobs`); ``1`` keeps
             everything in-process — identical results, easier debugging.
+            Not read with ``pool``: the pool's width is.
         use_cache: override the ``REPRO_CACHE`` env switch.
         cache_dir: override the cache location.
         cell_timeout_s: per-cell wall-clock budget; overrides
             ``REPRO_CELL_TIMEOUT`` (see :func:`cell_timeout`).
         pool: worker processes the caller keeps between calls (and
             closes).  With one, every miss runs in a worker — a lone
-            miss too, so it gets the timeout and the crash isolation —
-            and the pool stays ``jobs`` wide.  Without, the call spawns
-            workers for its own length, as many as it has misses up to
-            ``jobs``, and runs a lone miss in-process, where a fork
-            would buy nothing.
+            miss too, so it gets the timeout and the crash isolation.
+            Without, the call spawns workers for its own length, as many
+            as it has misses up to ``jobs``, and runs a lone miss
+            in-process, where a fork would buy nothing.
     """
-    jobs = resolve_jobs(jobs)
+    if pool is None:
+        jobs = resolve_jobs(jobs)
     if use_cache is None:
         use_cache = cache_enabled()
     if validate_forced() or trace_forced():
@@ -875,13 +863,13 @@ def start_cells(
     timeout_name = (
         "REPRO_CELL_TIMEOUT" if cell_timeout_s is None else "cell_timeout_s"
     )
-    held = pool is not None
-    if misses and jobs > 1 and (held or len(misses) > 1):
+    owned = pool is None and jobs > 1 and len(misses) > 1
+    if owned:
+        pool = CellPool(min(jobs, len(misses)))
+    if misses and pool is not None:
         return CellRun(
             configs, results, misses, cache, timeout, timeout_name,
-            pool=pool if held else CellPool(),
-            width=jobs if held else min(jobs, len(misses)),
-            owned=not held,
+            pool=pool, owned=owned,
         )
     return CellRun(configs, results, misses, cache, timeout, timeout_name)
 

@@ -80,6 +80,8 @@ class ServiceClient:
         """Submit a grid; returns ``{"job_id", "state", "deduplicated"}``.
 
         Raises :class:`BackpressureError` on a 429 (queue full).
+        ``jobs_per_cell``: ignored; deleted with ROADMAP item 1 (never
+        sent — the service's ``--jobs`` is the only width).
         """
         payload = {
             "configs": [
@@ -87,7 +89,6 @@ class ServiceClient:
                 for c in configs
             ],
             "priority": priority,
-            "jobs_per_cell": jobs_per_cell,
             "cell_timeout_s": cell_timeout_s,
         }
         return self._request("POST", "/submit", payload)

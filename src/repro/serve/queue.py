@@ -28,7 +28,7 @@ import threading
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import config_key
+from repro.experiments.parallel import cell_timeout, config_key
 from repro.serve.state import ACTIVE_STATES, DONE, Job, JobTable
 
 __all__ = ["JobQueue", "QueueFull", "Submission", "job_key_for"]
@@ -39,9 +39,7 @@ class QueueFull(RuntimeError):
 
 
 def job_key_for(
-    configs: Sequence[ExperimentConfig],
-    jobs_per_cell: Optional[int],
-    cell_timeout_s: Optional[float],
+    configs: Sequence[ExperimentConfig], cell_timeout_s: Optional[float]
 ) -> str:
     """Content address of a submission.
 
@@ -54,7 +52,7 @@ def job_key_for(
     for config in configs:
         digest.update(config_key(config).encode())
         digest.update(b"|")
-    digest.update(f"opts:{jobs_per_cell}:{cell_timeout_s}".encode())
+    digest.update(f"opts:{cell_timeout_s}".encode())
     return digest.hexdigest()[:32]
 
 
@@ -102,7 +100,6 @@ class JobQueue:
         self,
         configs: Sequence[ExperimentConfig],
         priority: int = 0,
-        jobs_per_cell: Optional[int] = None,
         cell_timeout_s: Optional[float] = None,
     ) -> Submission:
         """Enqueue a grid (or join identical work already known).
@@ -110,11 +107,19 @@ class JobQueue:
         Raises:
             QueueFull: the queue is at capacity — backpressure; the
                 submitter should retry later or drop the work.
-            ValueError: an empty config list (nothing to run).
+            ValueError: an empty config list (nothing to run), a
+                ``priority`` that is not an integer or a
+                ``cell_timeout_s`` that is not a positive number.
         """
         if not configs:
             raise ValueError("a job needs at least one config")
-        key = job_key_for(configs, jobs_per_cell, cell_timeout_s)
+        # Refused here, not when the job runs: the HTTP layer answers a
+        # ValueError with 400, and no job is made.
+        if isinstance(priority, bool) or not isinstance(priority, int):
+            raise ValueError(f"priority must be an integer, got {priority!r}")
+        if cell_timeout_s is not None:
+            cell_timeout(cell_timeout_s)
+        key = job_key_for(configs, cell_timeout_s)
         with self._lock:
             if self._closed:
                 raise RuntimeError("queue is closed")
@@ -133,7 +138,6 @@ class JobQueue:
                 configs,
                 job_key=key,
                 priority=priority,
-                jobs_per_cell=jobs_per_cell,
                 cell_timeout_s=cell_timeout_s,
             )
             self._seq += 1

@@ -5,19 +5,21 @@ bounded queue, worker pool, event broker, and a
 ``ThreadingHTTPServer`` speaking a small JSON protocol:
 
 ====================  ======================================================
-``POST /submit``      body ``{"configs": [...], "priority": 0, ...}`` →
-                      ``{"job_id", "deduplicated", "state"}``; **429** with
-                      a backpressure error once the queue is full.
+``POST /submit``      body ``{"configs": [...], "priority": 0,
+                      "cell_timeout_s": null}`` → ``{"job_id",
+                      "deduplicated", "state"}``; **400** for any other
+                      key or a bad value, **429** with a backpressure
+                      error once the queue is full.
 ``GET /jobs``         every job's public view, submission order.
 ``GET /status/<id>``  one job's public view.
 ``GET /result/<id>``  per-cell summaries (``cell_dict`` shape) of a
                       finished job; 409 while it is still active.
 ``POST /cancel/<id>`` cancel a queued job; 409 if it already left the queue.
-``GET /healthz``      liveness: queue depth, worker threads alive
-                      (respawning any that died), restart counter, cell
+``GET /healthz``      liveness: queue depth, the admitting thread alive
+                      (respawning it if it died), restart counter, cell
                       worker processes alive, process pools spawned and
                       ``cells_in_flight`` (cells submitted to the held
-                      pools and not yet finished).
+                      pool and not yet finished).
 ``GET /metrics``      counters in JSON (jobs by state, completed/failed,
                       queue depth, cache size, cell workers, pool
                       spawns and ``cells_in_flight``) and queue-wait /
@@ -67,6 +69,9 @@ __all__ = ["EventBroker", "ExperimentService", "serve"]
 #: closes it.
 IDLE_TIMEOUT_S = 60.0
 
+#: Every key a ``POST /submit`` body may carry.
+_SUBMIT_KEYS = frozenset({"configs", "priority", "cell_timeout_s"})
+
 
 class EventBroker:
     """Fan-out of service events to any number of SSE subscribers.
@@ -114,20 +119,22 @@ class ExperimentService:
     :meth:`result` — or over HTTP via :meth:`start_http`.
 
     Args:
-        n_workers: cell pools, one per worker thread; each runs the
-            cells of as many jobs as it has free processes.
+        jobs: cell worker processes, shared by every job (see
+            :func:`~repro.experiments.parallel.resolve_jobs`).
         queue_capacity: queued-job bound (backpressure past it).
         use_cache / cache_dir: result-cache knobs for ``run_cells``.
         default_cell_timeout_s: per-cell budget for jobs that set none.
+        n_workers: ignored; deleted with ROADMAP item 1.
     """
 
     def __init__(
         self,
-        n_workers: int = 2,
+        jobs: Optional[int] = None,
         queue_capacity: int = 64,
         use_cache: Optional[bool] = None,
         cache_dir: Optional[str] = None,
         default_cell_timeout_s: Optional[float] = None,
+        n_workers: Optional[int] = None,
     ) -> None:
         self.broker = EventBroker()
         self.table = JobTable(publish=self.broker.publish)
@@ -135,7 +142,7 @@ class ExperimentService:
         self.pool = WorkerPool(
             self.queue,
             self.table,
-            n_workers=n_workers,
+            jobs=jobs,
             use_cache=use_cache,
             cache_dir=cache_dir,
             default_cell_timeout_s=default_cell_timeout_s,
@@ -158,7 +165,6 @@ class ExperimentService:
         self,
         configs: Sequence[ExperimentConfig],
         priority: int = 0,
-        jobs_per_cell: Optional[int] = None,
         cell_timeout_s: Optional[float] = None,
     ) -> Submission:
         """Enqueue a grid; see :meth:`JobQueue.submit` for semantics
@@ -167,7 +173,6 @@ class ExperimentService:
         return self.queue.submit(
             configs,
             priority=priority,
-            jobs_per_cell=jobs_per_cell,
             cell_timeout_s=cell_timeout_s,
         )
 
@@ -397,6 +402,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 pass
 
     def _post_submit(self, doc: Dict[str, Any]) -> None:
+        unknown = sorted(set(doc) - _SUBMIT_KEYS)
+        if unknown:
+            raise ValueError(f"unknown submit keys: {unknown}")
         raw_configs = doc.get("configs")
         if not isinstance(raw_configs, list) or not raw_configs:
             raise ValueError("'configs' must be a non-empty list")
@@ -404,8 +412,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         try:
             submission = self.service.submit(
                 configs,
-                priority=int(doc.get("priority", 0)),
-                jobs_per_cell=doc.get("jobs_per_cell"),
+                priority=doc.get("priority", 0),
                 cell_timeout_s=doc.get("cell_timeout_s"),
             )
         except QueueFull as exc:
@@ -496,7 +503,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 def serve(
     host: str = "127.0.0.1",
     port: int = 8642,
-    n_workers: int = 2,
+    jobs: Optional[int] = None,
     queue_capacity: int = 64,
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
@@ -509,7 +516,7 @@ def serve(
     ``service.http_address`` tells you which.
     """
     service = ExperimentService(
-        n_workers=n_workers,
+        jobs=jobs,
         queue_capacity=queue_capacity,
         use_cache=use_cache,
         cache_dir=cache_dir,

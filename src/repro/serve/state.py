@@ -81,8 +81,6 @@ class Job:
     #: resubmissions dedup onto the live or finished job with this key.
     job_key: str
     priority: int = 0
-    #: Worker-process fan-out inside the job (``run_cells(jobs=...)``).
-    jobs_per_cell: Optional[int] = None
     #: Per-cell wall-clock budget (``run_cells(cell_timeout_s=...)``).
     cell_timeout_s: Optional[float] = None
     state: str = QUEUED
@@ -132,7 +130,6 @@ class JobTable:
         configs: Sequence[ExperimentConfig],
         job_key: str,
         priority: int = 0,
-        jobs_per_cell: Optional[int] = None,
         cell_timeout_s: Optional[float] = None,
     ) -> Job:
         with self._lock:
@@ -142,7 +139,6 @@ class JobTable:
                 configs=list(configs),
                 job_key=job_key,
                 priority=priority,
-                jobs_per_cell=jobs_per_cell,
                 cell_timeout_s=cell_timeout_s,
             )
             self._jobs[job_id] = job

@@ -63,7 +63,7 @@ class TestParser:
         assert len(replayed.faults.events) == 3
 
     def test_every_accepted_flag_is_read(self):
-        """No shared parent hands a command flags it ignores: 103
+        """No shared parent hands a command flags it ignores: 102
         (command, flag) pairs, each one read by its command."""
         import argparse
 
@@ -76,11 +76,11 @@ class TestParser:
                     yield " ".join(prefix), action.option_strings[-1]
 
         accepted = set(pairs(build_parser()))
-        assert len(accepted) == 103
+        assert len(accepted) == 102
         assert {c for c, f in accepted if f == "--validate"} == {
             "run", "compare", "submit", "trace run"}
         assert {c for c, f in accepted if f == "--jobs"} == {
-            "compare", "submit"}
+            "compare", "serve"}
         assert {c for c, f in accepted if f == "--no-cache"} == {
             "run", "compare", "serve"}
         assert not [c for c, f in accepted if f == "--trace"]
@@ -93,6 +93,8 @@ class TestParser:
         ["run", "--trace"],
         ["trace", "summarize", "--no-cache"],
         ["golden", "--jobs", "2"],
+        ["submit", "--jobs", "2"],
+        ["serve", "--workers", "2"],
     ])
     def test_ignored_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -239,10 +241,10 @@ class TestResultsTable:
         assert "0.300" in local  # a detection time
         assert local.splitlines()[2].split()[4] == "-"  # no large flows
 
-        service = serve(port=0, n_workers=1, use_cache=False)
+        service = serve(port=0, jobs=1, use_cache=False)
         try:
             host, port = service.http_address
-            assert main(["submit", *GRID, "--jobs", "1",
+            assert main(["submit", *GRID,
                          "--url", f"http://{host}:{port}"]) == 0
         finally:
             service.stop()
@@ -331,7 +333,18 @@ class TestServeParsing:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8642
-        assert args.workers == 2
+        assert args.jobs is None
+
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    @pytest.mark.parametrize("value", ["0", "-1", "soon", "inf"])
+    def test_cell_timeout_must_be_positive_seconds(self, command, value,
+                                                    capsys):
+        """Refused by the parser: a budget the service refuses (or
+        every job would fail under) is not sent."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--cell-timeout", value])
+        assert exc.value.code == 2
+        assert "--cell-timeout" in capsys.readouterr().err
 
     def test_submit_args(self):
         args = build_parser().parse_args(

@@ -438,9 +438,9 @@ def _worker_pids(pool: CellPool):
 
 class TestCellPool:
     """Workers that outlive a ``run_cells`` call: reuse must leak
-    nothing between cells, and every way a held pool can go bad (a
-    width change, a hung cell, a worker dying while idle) must end in
-    a respawn, not in an error."""
+    nothing between cells, and every way a held pool can go bad (a hung
+    cell, a worker dying while idle) must end in a respawn, not in an
+    error."""
 
     def test_reuse_is_bit_identical_to_serial(self):
         grids = [
@@ -448,9 +448,9 @@ class TestCellPool:
             [tiny_config(lb="hermes", seed=seed) for seed in (3, 4, 5)],
             [tiny_config(lb="letflow", seed=6, load=0.6)],  # a lone miss
         ]
-        with CellPool() as pool:
+        with CellPool(2) as pool:
             for grid in grids:
-                pooled = run_cells(grid, jobs=2, use_cache=False, pool=pool)
+                pooled = run_cells(grid, use_cache=False, pool=pool)
                 serial = run_cells(grid, jobs=1, use_cache=False)
                 assert all(map(_summaries_equal, pooled, serial))
             assert pool.spawns == 1
@@ -463,35 +463,39 @@ class TestCellPool:
         # One-shot: a fork would buy nothing, the cell runs in-process
         # (where the hook is inert).
         assert run_cells([config], jobs=2, use_cache=False)[0].error is None
-        with CellPool() as pool:
-            held = run_cells(
-                [config], jobs=2, use_cache=False, cell_timeout_s=0.5,
-                pool=pool,
-            )
-            assert "cell_timeout_s=0.5" in held[0].error
-            # jobs=1 stays in-process whatever the caller holds.
-            inline = run_cells([config], jobs=1, use_cache=False, pool=pool)
-            assert inline[0].error is None
-            assert pool.spawns == 1
+        with CellPool(2) as pool:
+            # A held pool takes every miss, whatever ``jobs`` says: the
+            # pool's width is the only one.
+            for jobs in (None, 1, 2):
+                held = run_cells(
+                    [config], jobs=jobs, use_cache=False, cell_timeout_s=0.5,
+                    pool=pool,
+                )
+                assert "cell_timeout_s=0.5" in held[0].error
+            # Each timeout killed the workers; each next call respawned.
+            assert pool.spawns == 3
 
-    def test_width_change_respawns_and_old_workers_exit(self):
-        with CellPool() as pool:
-            run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
-            old = _worker_pids(pool)
-            assert len(old) == 2
-            results = run_cells(tiny_grid(), jobs=3, use_cache=False, pool=pool)
-            assert all(r.error is None for r in results)
-            assert pool.spawns == 2
-            assert not set(old) & set(_worker_pids(pool))
-            assert not any(map(_pid_running, old))
+    def test_all_cached_call_leaves_a_held_pool_alone(self, tmp_path):
+        grid = tiny_grid()
+        with CellPool(2) as pool:
+            first = run_cells(grid, cache_dir=str(tmp_path), pool=pool)
+            spawns = pool.spawns
+            again = run_cells(grid, cache_dir=str(tmp_path), pool=pool)
+            assert all(map(_summaries_equal, first, again))
+            assert (pool.spawns, pool.in_flight) == (spawns, 0)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_is_checked_when_the_pool_is_built(self, width):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            CellPool(width)
 
     def test_discard_then_reuse(self):
-        with CellPool() as pool:
-            first = run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+        with CellPool(2) as pool:
+            first = run_cells(tiny_grid(), use_cache=False, pool=pool)
             pool.discard()
             assert pool.alive() == 0
             pool.discard()  # nothing left to kill: a no-op
-            again = run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+            again = run_cells(tiny_grid(), use_cache=False, pool=pool)
             assert all(map(_summaries_equal, first, again))
             assert pool.spawns == 2
 
@@ -518,15 +522,15 @@ class TestCellPool:
 
         monkeypatch.setattr(parallel, "_pool_round", counting_round)
         monkeypatch.setattr(parallel, "run_experiment", recording_run)
-        with CellPool() as pool:
-            run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+        with CellPool(2) as pool:
+            run_cells(tiny_grid(), use_cache=False, pool=pool)
             os.kill(_worker_pids(pool)[0], signal.SIGKILL)
             # The executor notices on its own; the survivor goes too.
             assert _wait_until(lambda: pool.alive() == 0)
             del rounds[:], in_process[:]
 
             grid = [tiny_config(seed=seed) for seed in (11, 12, 13)]
-            results = run_cells(grid, jobs=2, use_cache=False, pool=pool)
+            results = run_cells(grid, use_cache=False, pool=pool)
             assert all(r.error is None for r in results)
             assert (len(rounds), in_process, pool.spawns) == (1, [], 2)
 
@@ -535,7 +539,7 @@ class TestCellPool:
             os.kill(_worker_pids(pool)[0], signal.SIGKILL)
             assert _wait_until(lambda: pool.alive() == 0)
             grid = [tiny_config(seed=seed) for seed in (21, 22, 23)]
-            results = run_cells(grid, jobs=2, use_cache=False, pool=pool)
+            results = run_cells(grid, use_cache=False, pool=pool)
             assert all(r.error is None and r.stats.records for r in results)
             assert len(rounds) == parallel.MAX_POOL_ROUNDS
             assert 22 in in_process  # the serial fallback, and only then
@@ -550,13 +554,11 @@ class TestCellPool:
         sys.setswitchinterval(1e-6)
         low = []
         try:
-            with CellPool() as pool:
+            with CellPool(2) as pool:
 
                 def hammer(seed):
                     for _ in range(10):
-                        futures = pool.submit(
-                            2, _rng_draws, [seed, seed + 1]
-                        )
+                        futures = pool.submit(_rng_draws, [seed, seed + 1])
                         for future in futures:
                             assert future.result(timeout=30.0)
                         low.append(pool.in_flight)
@@ -572,22 +574,22 @@ class TestCellPool:
                 assert not any(thread.is_alive() for thread in threads)
                 assert len(low) == 80 and min(low) >= 0
                 assert pool.in_flight == 0
-                assert pool.wait_for_room(2, timeout=0)
+                assert pool.wait_for_room(timeout=0)
                 assert pool.spawns == 1
         finally:
             sys.setswitchinterval(switch)
 
     def test_close_is_idempotent_and_final(self):
-        pool = CellPool()
-        run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
+        pool = CellPool(2)
+        run_cells(tiny_grid(), use_cache=False, pool=pool)
         pids = _worker_pids(pool)
         pool.close()
         pool.close()
         assert pool.alive() == 0
         assert not any(map(_pid_running, pids))
         with pytest.raises(RuntimeError, match="closed"):
-            run_cells(tiny_grid(), jobs=2, use_cache=False, pool=pool)
-        CellPool().close()  # never used: nothing to shut down
+            run_cells(tiny_grid(), use_cache=False, pool=pool)
+        CellPool(2).close()  # never used: nothing to shut down
 
     def test_one_shot_call_leaves_no_child_behind(self):
         run_cells(tiny_grid(), jobs=2, use_cache=False)

@@ -6,6 +6,7 @@ complete — the grid runner restarts its pool, falls back to serial, and
 the service's ``/healthz`` stays green throughout.  Around it: queue
 backpressure and dedup, the job lifecycle state machine, worker-thread
 respawn, admission of the next job the moment a cell process frees,
+one pool whatever the jobs,
 keep-alive connections, and the SSE stream delivering job lifecycle +
 telemetry events.
 """
@@ -13,6 +14,7 @@ telemetry events.
 from __future__ import annotations
 
 import http.client
+import json
 import multiprocessing
 import os
 import signal
@@ -70,7 +72,7 @@ def _wait_until(predicate, timeout_s: float = 10.0) -> bool:
 
 @pytest.fixture
 def service():
-    svc = ExperimentService(n_workers=1, queue_capacity=4, use_cache=False)
+    svc = ExperimentService(jobs=2, queue_capacity=4, use_cache=False)
     svc.start()
     yield svc
     svc.stop()
@@ -175,7 +177,7 @@ class TestJobQueue:
 class TestServiceInProcess:
     def test_submit_runs_to_done(self, service):
         submission = service.submit(
-            [_config(seed=1), _config(seed=2)], jobs_per_cell=1
+            [_config(seed=1), _config(seed=2)]
         )
         status = service.wait(submission.job.job_id, timeout_s=60.0)
         assert status["state"] == DONE
@@ -185,7 +187,7 @@ class TestServiceInProcess:
         assert results[0].stats.count == 10
 
     def test_result_before_done_raises(self, service):
-        submission = service.submit([_config(seed=1)], jobs_per_cell=1)
+        submission = service.submit([_config(seed=1)])
         try:
             service.result(submission.job.job_id)
         except RuntimeError:
@@ -196,7 +198,7 @@ class TestServiceInProcess:
         """``wait`` blocks on the job table's condition; it does not
         poll."""
         submission = service.submit(
-            [_config(seed=4), _config(seed=5)], jobs_per_cell=1
+            [_config(seed=4), _config(seed=5)]
         )
 
         def no_sleep(_seconds):
@@ -207,19 +209,19 @@ class TestServiceInProcess:
         assert status["state"] == DONE
 
     def test_worker_thread_respawn(self, service):
-        """A dead worker thread is respawned by the health probe —
+        """A dead admitting thread is respawned by the health probe —
         restart-on-crash at the pool layer."""
         corpse = threading.Thread(target=lambda: None)
         corpse.start()
         corpse.join()
         with service.pool._lock:
-            service.pool._threads[0] = corpse
+            service.pool._thread = corpse
         health = service.health()
         assert health["ok"]
         assert health["workers_alive"] == 1
         assert health["worker_restarts"] == 1
-        # And the respawned worker actually works.
-        submission = service.submit([_config(seed=3)], jobs_per_cell=1)
+        # And the respawned thread actually admits.
+        submission = service.submit([_config(seed=3)])
         assert service.wait(submission.job.job_id, timeout_s=60.0)["state"] == DONE
 
 
@@ -230,7 +232,7 @@ class TestCrashTolerance:
         fallback), the job reports done, and healthz stays green."""
         monkeypatch.setenv("REPRO_TEST_CRASH_SEED", "1")
         submission = service.submit(
-            [_config(seed=1), _config(seed=2)], jobs_per_cell=2
+            [_config(seed=1), _config(seed=2)]
         )
         status = service.wait(submission.job.job_id, timeout_s=120.0)
         assert status["state"] == DONE, status
@@ -245,29 +247,29 @@ class TestCrashTolerance:
         worker thread survives to run the next job."""
         bad = _config(seed=1)
         object.__setattr__(bad, "n_flows", 0)  # invalid at run time
-        submission = service.submit([bad], jobs_per_cell=1)
+        submission = service.submit([bad])
         status = service.wait(submission.job.job_id, timeout_s=60.0)
         assert status["state"] == FAILED
         assert status["error"]
-        follow_up = service.submit([_config(seed=2)], jobs_per_cell=1)
+        follow_up = service.submit([_config(seed=2)])
         assert (
             service.wait(follow_up.job.job_id, timeout_s=60.0)["state"] == DONE
         )
 
 
 class TestHeldCellPool:
-    """Each worker thread keeps its cell processes between jobs; every
-    miss of a ``jobs_per_cell > 1`` job runs in one of them."""
+    """The service keeps one pool of cell processes between jobs; every
+    miss runs in one of them, whatever the pool's width."""
 
     def _hung_job_times_out(self, svc, configs):
         started = time.monotonic()
-        hung = svc.submit(configs, jobs_per_cell=2, cell_timeout_s=0.5)
+        hung = svc.submit(configs, cell_timeout_s=0.5)
         status = svc.wait(hung.job.job_id, timeout_s=30.0)
         assert status["state"] == FAILED, status
         assert "cell_timeout_s=0.5" in status["error"]
         assert time.monotonic() - started < 3.0
         follow_up = svc.submit(
-            [_config(seed=31), _config(seed=32)], jobs_per_cell=2
+            [_config(seed=31), _config(seed=32)]
         )
         assert svc.wait(follow_up.job.job_id, timeout_s=60.0)["state"] == DONE
         assert svc.health()["ok"]
@@ -282,14 +284,26 @@ class TestHeldCellPool:
     def test_half_cached_job_is_isolated_and_timed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_SLEEP", "30:5")
         svc = ExperimentService(
-            n_workers=1, use_cache=True, cache_dir=str(tmp_path)
+            jobs=2, use_cache=True, cache_dir=str(tmp_path)
         ).start()
         try:
-            warm = svc.submit([_config(seed=29)], jobs_per_cell=2)
+            warm = svc.submit([_config(seed=29)])
             assert svc.wait(warm.job.job_id, timeout_s=60.0)["state"] == DONE
             self._hung_job_times_out(
                 svc, [_config(seed=29), _config(seed=30)]
             )
+        finally:
+            svc.stop()
+
+    def test_width_one_runs_in_a_worker_too(self, monkeypatch):
+        """A one-process pool is a pool like any other: the job's cell
+        runs in a worker, under its budget, never inside the daemon
+        (where the hook is inert and the job would read ``done``)."""
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "30:5")
+        svc = ExperimentService(jobs=1, use_cache=False).start()
+        try:
+            self._hung_job_times_out(svc, [_config(seed=30)])
+            assert svc.health()["cell_workers_alive"] == 1
         finally:
             svc.stop()
 
@@ -301,7 +315,6 @@ class TestHeldCellPool:
         for k in range(5):
             job = client.submit(
                 [_config(seed=40 + 2 * k), _config(seed=41 + 2 * k)],
-                jobs_per_cell=2,
             )
             assert client.wait(job["job_id"], timeout_s=60.0)["state"] == DONE
         metrics = client.metrics()
@@ -313,12 +326,11 @@ class TestHeldCellPool:
         assert metrics["run_ms_p50"] > 0
 
         hung = client.submit(
-            [_config(seed=50), _config(seed=51)],
-            jobs_per_cell=2, cell_timeout_s=0.5,
+            [_config(seed=50), _config(seed=51)], cell_timeout_s=0.5,
         )
         assert client.wait(hung["job_id"], timeout_s=30.0)["state"] == FAILED
         after = client.submit(
-            [_config(seed=52), _config(seed=53)], jobs_per_cell=2
+            [_config(seed=52), _config(seed=53)]
         )
         assert client.wait(after["job_id"], timeout_s=60.0)["state"] == DONE
         assert client.metrics()["cell_pool_spawns"] == 2
@@ -331,11 +343,10 @@ class TestHeldCellPool:
         assert metrics["run_ms_p50"] is None
 
     def test_stop_leaves_no_child(self):
-        svc = ExperimentService(n_workers=2, use_cache=False).start()
+        svc = ExperimentService(jobs=2, use_cache=False).start()
         jobs = [
             svc.submit(
                 [_config(seed=60 + 2 * k), _config(seed=61 + 2 * k)],
-                jobs_per_cell=2,
             )
             for k in range(2)
         ]
@@ -347,10 +358,9 @@ class TestHeldCellPool:
 
 
 class TestAdmission:
-    """A worker thread schedules cells, not jobs: the next job is
-    admitted the moment a process of its pool is free, and clients poll
-    it over one held connection per thread.  One worker thread and
-    ``jobs_per_cell=2`` throughout: one pool, two processes."""
+    """The admitting thread schedules cells, not jobs: the next job is
+    admitted the moment a process of the pool is free, and clients poll
+    it over one held connection per thread.  One pool, two processes."""
 
     def _finish(self, svc, *submissions):
         return [
@@ -361,8 +371,8 @@ class TestAdmission:
         """B runs beside A's slow cell instead of waiting for it while
         A's other process idles."""
         monkeypatch.setenv("REPRO_TEST_SLEEP", "70:1")
-        a = service.submit([_config(seed=70), _config(seed=71)], jobs_per_cell=2)
-        b = service.submit([_config(seed=72), _config(seed=73)], jobs_per_cell=2)
+        a = service.submit([_config(seed=70), _config(seed=71)])
+        b = service.submit([_config(seed=72), _config(seed=73)])
         a_end, b_end = self._finish(service, a, b)
         assert a_end["state"] == b_end["state"] == DONE
         assert b_end["started_s"] < a_end["finished_s"]
@@ -374,33 +384,37 @@ class TestAdmission:
     ):
         monkeypatch.setenv("REPRO_TEST_SLEEP", "74:1")
         busy = service.submit(
-            [_config(seed=74), _config(seed=74, load=0.6)], jobs_per_cell=2
+            [_config(seed=74), _config(seed=74, load=0.6)]
         )
         assert _wait_until(lambda: service.health()["cells_in_flight"] == 2)
-        low = service.submit([_config(seed=75), _config(seed=76)], jobs_per_cell=2)
+        low = service.submit([_config(seed=75), _config(seed=76)])
         high = service.submit(
-            [_config(seed=77), _config(seed=78)], priority=5, jobs_per_cell=2
+            [_config(seed=77), _config(seed=78)], priority=5
         )
         ends = self._finish(service, busy, low, high)
         assert [end["state"] for end in ends] == [DONE] * 3
         assert ends[2]["started_s"] < ends[1]["started_s"]
 
-    def test_other_width_waits_for_the_pool_to_drain(
-        self, service, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_TEST_SLEEP", "79:1")
-        a = service.submit([_config(seed=79), _config(seed=80)], jobs_per_cell=2)
-        assert _wait_until(lambda: service.health()["cell_pool_spawns"] == 1)
-        wide = service.submit(
-            [_config(seed=81), _config(seed=82)], jobs_per_cell=3
-        )
-        a_end, wide_end = self._finish(service, a, wide)
-        assert a_end["state"] == wide_end["state"] == DONE
-        # Admitted once the sleeping cell, not just the fast one, was done.
-        assert wide_end["started_s"] > a_end["started_s"] + 0.9
-        health = service.health()
-        assert health["cell_pool_spawns"] == 2
-        assert health["cell_workers_alive"] == 3
+    def test_one_pool_bounds_the_processes(self, service):
+        """Three two-cell jobs at once share the one pool: never more
+        than its two processes, and no respawn."""
+        subs = [
+            service.submit([_config(seed=90 + 2 * k), _config(seed=91 + 2 * k)])
+            for k in range(3)
+        ]
+        peak = []
+
+        def over():
+            health = service.health()
+            peak.append(max(health["cell_workers_alive"],
+                            len(multiprocessing.active_children())))
+            return service.table.counts().get(DONE, 0) == 3
+
+        assert _wait_until(over, timeout_s=60.0)
+        ends = self._finish(service, *subs)
+        assert [end["state"] for end in ends] == [DONE] * 3
+        assert max(peak) <= 2
+        assert service.health()["cell_pool_spawns"] == 1
 
     def test_timeout_in_a_neighbour_is_retried_not_failed(
         self, service, monkeypatch
@@ -410,11 +424,10 @@ class TestAdmission:
         with the records of a direct run."""
         monkeypatch.setenv("REPRO_TEST_SLEEP", "83:1.5")
         a = service.submit(
-            [_config(seed=83), _config(seed=84)],
-            jobs_per_cell=2, cell_timeout_s=0.5,
+            [_config(seed=83), _config(seed=84)], cell_timeout_s=0.5,
         )
         b_configs = [_config(seed=83, load=0.6), _config(seed=85)]
-        b = service.submit(b_configs, jobs_per_cell=2)
+        b = service.submit(b_configs)
         a_end, b_end = self._finish(service, a, b)
         assert a_end["state"] == FAILED
         assert "cell_timeout_s=0.5" in a_end["error"]
@@ -430,7 +443,7 @@ class TestAdmission:
 
     def test_one_client_shared_by_threads(self, http_service):
         _, client = http_service
-        job_id = client.submit([_config(seed=86)], jobs_per_cell=2)["job_id"]
+        job_id = client.submit([_config(seed=86)])["job_id"]
         errors = []
 
         def poll():
@@ -505,7 +518,7 @@ def test_daemon_stops_on_sigterm(tmp_path):
     left, and the port — which forked workers inherit — free at once."""
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "1"],
+         "--jobs", "2"],
         stdout=subprocess.PIPE, text=True,
         env=child_env(REPRO_CACHE_DIR=str(tmp_path)),
     )
@@ -513,7 +526,7 @@ def test_daemon_stops_on_sigterm(tmp_path):
         banner = daemon.stdout.readline()
         port = int(banner.rsplit(":", 1)[1])
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=30.0)
-        job = client.submit([_config(seed=1), _config(seed=2)], jobs_per_cell=2)
+        job = client.submit([_config(seed=1), _config(seed=2)])
         assert client.wait(job["job_id"], timeout_s=60.0)["state"] == DONE
         assert client.healthz()["cell_workers_alive"] == 2
         children = subprocess.run(
@@ -538,7 +551,7 @@ def test_daemon_stops_on_sigterm(tmp_path):
 class TestHttpApi:
     def test_submit_status_result_roundtrip(self, http_service):
         service, client = http_service
-        job = client.submit([_config(seed=1)], jobs_per_cell=1)
+        job = client.submit([_config(seed=1)])
         assert job["state"] == QUEUED
         final = client.wait(job["job_id"], timeout_s=60.0)
         assert final["state"] == DONE
@@ -551,9 +564,9 @@ class TestHttpApi:
 
     def test_dedup_over_http(self, http_service):
         _, client = http_service
-        first = client.submit([_config(seed=1)], jobs_per_cell=1)
+        first = client.submit([_config(seed=1)])
         client.wait(first["job_id"], timeout_s=60.0)
-        second = client.submit([_config(seed=1)], jobs_per_cell=1)
+        second = client.submit([_config(seed=1)])
         assert second["deduplicated"]
         assert second["job_id"] == first["job_id"]
 
@@ -561,12 +574,12 @@ class TestHttpApi:
         from repro.serve import BackpressureError
 
         service, client = http_service
-        # Wedge the single worker on a sleeping cell, then overfill.
+        # Wedge both cell processes on sleeping cells, then overfill.
         monkeypatch.setenv("REPRO_TEST_SLEEP", "901:3")
-        client.submit([_config(seed=901), _config(seed=902)], jobs_per_cell=2)
+        client.submit([_config(seed=901), _config(seed=901, load=0.6)])
         with pytest.raises(BackpressureError) as excinfo:
             for seed in range(903, 903 + 8):
-                client.submit([_config(seed=seed)], jobs_per_cell=1)
+                client.submit([_config(seed=seed)])
         assert excinfo.value.status == 429
 
     def test_unknown_job_404(self, http_service):
@@ -603,6 +616,32 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert message in excinfo.value.message
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"bogus_key": 1}, "unknown submit keys: ['bogus_key']"),
+        ({"jobs_per_cell": "two"}, "unknown submit keys: ['jobs_per_cell']"),
+        ({"cell_timeout_s": -1}, "cell_timeout_s must be a positive number"),
+        ({"cell_timeout_s": "soon"},
+         "cell_timeout_s must be a positive number"),
+        ({"priority": 1.7}, "priority must be an integer"),
+    ])
+    def test_malformed_submission_is_400(self, http_service, extra, message):
+        """A body the service could not run is refused at the door, and
+        no job is made."""
+        service, _ = http_service
+        host, port = service.http_address
+        body = json.dumps({"configs": [_config().to_dict()], **extra})
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.request("POST", "/submit", body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            reply = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert message in reply["error"]
+        assert service.table.snapshot() == []
+
     def test_healthz_and_metrics(self, http_service):
         _, client = http_service
         health = client.healthz()
@@ -634,7 +673,7 @@ class TestHttpApi:
         listener = threading.Thread(target=listen, daemon=True)
         listener.start()
         time.sleep(0.3)  # let the subscription attach
-        job = client.submit([_config(seed=11)], jobs_per_cell=1)
+        job = client.submit([_config(seed=11)])
         client.wait(job["job_id"], timeout_s=60.0)
         listener.join(timeout=30.0)
         assert not listener.is_alive()
