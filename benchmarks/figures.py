@@ -39,11 +39,11 @@ from repro.api import (
     Fabric,
     QueueSampler,
     RngStreams,
-    Simulator,
     TopologyConfig,
     bench_topology,
     format_table,
     install_lb,
+    make_simulator,
     run_grid,
     testbed_topology,
 )
@@ -290,7 +290,7 @@ def table6_probing():
         link_gbps=10.0, probe_bytes=PROBE_BYTES, probe_interval_us=500.0,
         piggyback_visibility=0.009,
     )
-    fabric = Fabric(Simulator(), bench_topology(hosts_per_leaf=4),
+    fabric = Fabric(make_simulator(), bench_topology(hosts_per_leaf=4),
                     RngStreams(1))
     shared = install_lb(fabric, "hermes")
     horizon_ns = 10_000_000
@@ -308,7 +308,7 @@ FIG1_SIZE = 3_000 * MSS  # ~4.4 MB each
 
 def fig1_scheme(lb: str, aggressive: bool = False):
     fabric = Fabric(
-        Simulator(),
+        make_simulator(),
         bench_topology(n_leaves=2, n_spines=2, hosts_per_leaf=FIG1_FLOWS),
         RngStreams(3),
     )
@@ -351,7 +351,7 @@ def fig2_scheme(lb: str):
         n_leaves=3, n_spines=2, hosts_per_leaf=2,
         link_overrides={(0, 1): 0.0},  # broken leaf0 - spine1 link
     )
-    fabric = Fabric(Simulator(), config, RngStreams(1))
+    fabric = Fabric(make_simulator(), config, RngStreams(1))
     if lb == "presto":
         install_lb(fabric, "presto", flowcell_bytes=64 * 1024)
     else:
@@ -382,7 +382,7 @@ def fig3_scheme(lb: str):
         host_link_gbps=20.0,  # hosts can source more than either path
         link_overrides={(0, 0): 1.0, (1, 0): 1.0},  # path 0 is 1 Gbps
     )
-    fabric = Fabric(Simulator(), config, RngStreams(1))
+    fabric = Fabric(make_simulator(), config, RngStreams(1))
     if lb == "presto":
         install_lb(fabric, "presto", flowcell_bytes=64 * 1024,
                    weight_by_capacity=True)
@@ -436,7 +436,7 @@ class PausingFlow(DctcpFlow):
 
 def fig4_scheme(lb: str):
     config = TopologyConfig(n_leaves=3, n_spines=2, hosts_per_leaf=2)
-    fabric = Fabric(Simulator(), config, RngStreams(2))
+    fabric = Fabric(make_simulator(), config, RngStreams(2))
     install_lb(fabric, lb)
     ports = [fabric.topology.spine_down[s][2] for s in (0, 1)]
     sampler = QueueSampler(fabric.sim, ports, period_ns=50_000)

@@ -820,6 +820,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # one-line error, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        url = getattr(args, "url", None)
+        if url is None:
+            raise
+        # submit / jobs with no daemon at --url: one line, no traceback.
+        print(f"error: cannot reach {url}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

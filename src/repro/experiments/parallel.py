@@ -46,17 +46,18 @@ collects them, retries, falls back to serial and caches the new
 results.  :func:`run_cells` calls the two back to back and makes a pool
 for the length of the call unless the caller hands it one to keep
 (``pool=``).  A pool's width is fixed when it is built.  The experiment
-service holds one and calls the halves on two threads: a job pays a
-round trip through live workers (~0.2 ms) instead of a fork and a reap,
-and the next job's cells go to a worker the moment one is free.  Workers
-that outlive a call change four things:
+service holds one and calls the halves on two threads, the submitter's
+and one of the job's own: a job pays a round trip through live workers
+(~0.2 ms) instead of a fork and a reap, and its cells go to a worker the
+moment one is free.  Workers that outlive a call change four things:
 
 * a worker can die *between* calls.  A pool found broken when the next
   call submits is respawned on the spot and costs that call none of its
   retry rounds — no cell had started;
-* two callers can share the workers.  Cells wait in the pool's queue
-  until a worker is free, so a cell's budget starts when the cell does,
-  not while it waits behind another caller's.  A kill after one
+* two callers can share the workers.  Cells wait in the pool's one queue
+  until a worker is free, a higher ``priority`` first and in submission
+  order within one, so a cell's budget starts when the cell does, not
+  while it waits behind another caller's.  A kill after one
   caller's cell hung takes the cells running beside it with it, the
   other caller's too; they come back as ``BrokenProcessPool`` and are
   retried, and the waiting ones move to the respawned workers;
@@ -75,6 +76,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import heapq
+import itertools
 import math
 import multiprocessing
 import os
@@ -82,9 +85,8 @@ import pickle
 import tempfile
 import threading
 import time
-from collections import deque
 from concurrent.futures import CancelledError, Future
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import ResultSummary
@@ -127,11 +129,11 @@ def _test_fault_hooks(config: ExperimentConfig) -> None:
     crash = os.environ.get("REPRO_TEST_CRASH_SEED")
     if crash and config.seed == int(crash):
         os._exit(1)  # simulates an OOM kill / segfault mid-cell
-    sleep = os.environ.get("REPRO_TEST_SLEEP")
-    if sleep:
-        seed_s, _, secs = sleep.partition(":")
+    sleep = os.environ.get("REPRO_TEST_SLEEP")  # "seed:secs,seed:secs"
+    for pair in sleep.split(",") if sleep else ():
+        seed_s, _, secs = pair.partition(":")
         if config.seed == int(seed_s):
-            time.sleep(float(secs))  # simulates a hung cell
+            time.sleep(float(secs))  # simulates a slow or hung cell
 
 
 def _run_cell(config: ExperimentConfig) -> ResultSummary:
@@ -463,6 +465,9 @@ class _Cell(Future):
         self.item = item
         #: The executor it was handed to; ``None`` while it waits.
         self.executor = None
+        #: ``time.monotonic()`` when it reached a worker (0.0 for a cell
+        #: that ended without one: its budget has nothing left to give).
+        self.started_at = 0.0
         #: Set when it reaches a worker, or ends without one.
         self.started = threading.Event()
         self.add_done_callback(lambda _: self.started.set())
@@ -473,13 +478,14 @@ class CellPool:
     lazily, kept between uses, killed when a cell hangs or a worker
     dies, shut down once.
 
-    Safe to share between threads: the experiment service submits a
-    job's cells on one thread and collects them on another, while the
-    next job is admitted.  Cells wait in the pool's own queue, in
-    submission order, and go to the executor only when a worker is free,
-    so a cell's budget starts when it starts and a kill takes only the
-    cells that were running.  :attr:`in_flight` counts the cells
-    submitted and not yet finished; :meth:`wait_for_room` blocks on it.
+    Safe to share between threads: the experiment service submits each
+    job's cells on its submitter's thread and collects them on a thread
+    of the job's own.  Cells wait in the pool's own queue — the only one
+    the service has — highest priority first and in submission order
+    within a priority, and go to the executor only when a worker is
+    free, so a cell's budget starts when it starts and a kill takes only
+    the cells that were running.  :attr:`in_flight` counts the cells
+    submitted and not yet finished.
     A kill (after a timeout, a dead worker or a cell that raised) takes
     every running cell with it, another caller's too; those come back
     as ``BrokenProcessPool`` and are retried, and the waiting ones move
@@ -497,8 +503,11 @@ class CellPool:
         self._closed = False
         # Reentrant: an executor future that is already done runs its
         # callback inside ``add_done_callback``, under the lock.
-        self._room = threading.Condition(threading.RLock())
-        self._waiting: Deque[_Cell] = deque()
+        self._lock = threading.RLock()
+        # Entries (-priority, seq, cell): heapq pops the smallest, so the
+        # highest priority leaves first, and equal ones in order.
+        self._waiting: List[Tuple[int, int, _Cell]] = []
+        self._seq = itertools.count()
         self._running = 0
         #: Executors built so far; 1 for as long as nothing went wrong.
         self.spawns = 0
@@ -508,26 +517,36 @@ class CellPool:
         """Cells submitted and not yet finished, over every caller."""
         return self._running + len(self._waiting)
 
-    def submit(self, fn, items: Sequence[Any]) -> List[_Cell]:
-        """Queue ``fn(item)`` for every item; returns one future per
-        item, in order."""
-        with self._room:
+    def submit(
+        self, fn, items: Sequence[Any], priority: int = 0
+    ) -> List[_Cell]:
+        """Queue ``fn(item)`` for every item, ahead of every waiting cell
+        of a lower ``priority``; returns one future per item, in order.
+        A submission's cells reach the workers in its order."""
+        with self._lock:
             if self._closed:
                 raise RuntimeError("cell pool is closed")
             cells = [_Cell(fn, item) for item in items]
-            self._waiting.extend(cells)
+            for cell in cells:
+                heapq.heappush(
+                    self._waiting, (-priority, next(self._seq), cell)
+                )
             self._dispatch()
         return cells
 
-    def withdraw(self, cells: Sequence[_Cell]) -> None:
+    def withdraw(self, cells: Sequence[_Cell], whole: bool = False) -> bool:
         """Drop the cells that still wait (cancelled); running ones run
-        on."""
-        with self._room:
-            for cell in cells:
-                if cell in self._waiting:
-                    self._waiting.remove(cell)
-                    cell.cancel()
-            self._room.notify_all()
+        on.  With ``whole``, all or nothing: if one of them no longer
+        waits, none is dropped and the answer is ``False``."""
+        with self._lock:
+            waiting = {c for c in cells if c.executor is None and not c.done()}
+            if whole and len(waiting) < len(cells):
+                return False
+            self._waiting = [e for e in self._waiting if e[2] not in waiting]
+            heapq.heapify(self._waiting)
+            for cell in waiting:
+                cell.cancel()
+        return True
 
     def _dispatch(self) -> None:
         """Hand waiting cells to the executor while a worker is free
@@ -539,10 +558,9 @@ class CellPool:
 
         while self._waiting and self._running < self.width:
             if self._closed:
-                while self._waiting:
-                    self._waiting.popleft().set_exception(
-                        RuntimeError("cell pool is closed")
-                    )
+                for _, _, cell in self._waiting:
+                    cell.set_exception(RuntimeError("cell pool is closed"))
+                self._waiting.clear()
                 return
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
@@ -550,7 +568,7 @@ class CellPool:
                 )
                 self.spawns += 1
             executor = self._executor
-            cell = self._waiting[0]
+            cell = self._waiting[0][2]
             try:
                 future = executor.submit(cell.fn, cell.item)
             except BrokenProcessPool:
@@ -559,16 +577,16 @@ class CellPool:
                     # callback, and that thread reaps the workers anyway.
                     executor.shutdown(wait=False, cancel_futures=True)
                 continue
-            self._waiting.popleft()
+            heapq.heappop(self._waiting)
             self._running += 1
             cell.executor = executor
+            cell.started_at = time.monotonic()
             cell.started.set()
             future.add_done_callback(functools.partial(self._finished, cell))
 
     def _finished(self, cell: _Cell, future: Any) -> None:
-        with self._room:
+        with self._lock:
             self._running -= 1
-            self._room.notify_all()
             self._dispatch()
         if future.cancelled():
             cell.set_exception(CancelledError())
@@ -576,14 +594,6 @@ class CellPool:
             cell.set_exception(future.exception())
         else:
             cell.set_result(future.result())
-
-    def wait_for_room(self, timeout: Optional[float] = None) -> bool:
-        """Block until a worker is free (fewer cells in flight than
-        workers); ``False`` on timeout."""
-        with self._room:
-            return self._room.wait_for(
-                lambda: self.in_flight < self.width, timeout
-            )
 
     def _workers(self) -> list:
         # The executor has no public accessor for its processes.
@@ -617,7 +627,7 @@ class CellPool:
         With ``executor``, only if that is still the live one: a caller
         whose cells ran on workers somebody else already replaced has
         nothing left to kill."""
-        with self._room:
+        with self._lock:
             current = self._executor
             if not self._forget(current if executor is None else executor):
                 return
@@ -630,7 +640,7 @@ class CellPool:
         """Shut down for good (idempotent): waiting cells fail, and
         :meth:`submit` raises afterwards, so a caller still mid-grid on
         another thread fails instead of respawning."""
-        with self._room:
+        with self._lock:
             self._closed = True
             self._dispatch()
         self.discard()
@@ -644,70 +654,6 @@ class CellPool:
 
 #: Pool rounds before falling back to serial in-process execution.
 MAX_POOL_ROUNDS = 2
-
-
-def _pool_round(
-    configs: Sequence[ExperimentConfig],
-    pending: List[int],
-    pool: CellPool,
-) -> Dict[int, _Cell]:
-    """Start one attempt over ``pending`` on ``pool``'s workers; returns
-    a future per index."""
-    cells = pool.submit(_run_cell, [configs[i] for i in pending])
-    return dict(zip(pending, cells))
-
-
-def _collect_round(
-    configs: Sequence[ExperimentConfig],
-    cells: Dict[int, _Cell],
-    results: List[Optional[ResultSummary]],
-    pool: CellPool,
-    timeout: Optional[float],
-    timeout_name: str,
-) -> List[int]:
-    """Wait for one round's cells.
-
-    Fills ``results`` for every cell that completed (or exceeded the
-    per-cell timeout, which yields a failed-with-reason summary naming
-    ``timeout_name``, where the budget came from) and
-    returns the indices that still need a run — non-empty exactly when a
-    worker died (``BrokenProcessPool``) or was killed after a timeout,
-    taking running cells down with it.  Their workers are discarded:
-    the pool's next use respawns.
-    """
-    from concurrent.futures import TimeoutError as FutureTimeout
-    from concurrent.futures.process import BrokenProcessPool
-
-    leftover: List[int] = []
-    try:
-        for i, cell in cells.items():
-            try:
-                # The budget starts when the cell reaches a worker, not
-                # while it waits behind other cells, this caller's or
-                # another's.
-                cell.started.wait()
-                results[i] = cell.result(timeout=timeout)
-            except FutureTimeout:
-                results[i] = _failed_summary(
-                    configs[i],
-                    f"cell exceeded {timeout_name}={timeout:g}s",
-                )
-                # The worker is wedged inside the cell; the only way out
-                # is to kill it, which takes the cells running beside
-                # it — they surface as BrokenProcessPool and are retried.
-                pool.discard(cell.executor)
-            except (BrokenProcessPool, CancelledError):
-                leftover.append(i)
-                pool.discard(cell.executor)
-    except BaseException:
-        # A cell that raised fails the whole call; nobody will read its
-        # siblings, so none may wait or keep running.
-        pool.withdraw(list(cells.values()))
-        for cell in cells.values():
-            if not cell.done():
-                pool.discard(cell.executor)
-        raise
-    return leftover
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -733,8 +679,8 @@ class CellRun:
     and submitted, until :meth:`results` collects the rest.
 
     The two halves may run on different threads (the experiment service
-    admits the next job while this one's cells still run); each half runs
-    once, in that order.
+    starts a job on its submitter's thread and collects it on one of the
+    job's own); each half runs once, in that order.
     """
 
     def __init__(
@@ -747,6 +693,7 @@ class CellRun:
         timeout_name: str,
         pool: Optional[CellPool] = None,
         owned: bool = False,
+        priority: int = 0,
     ) -> None:
         self._configs = configs
         self._results = results
@@ -756,13 +703,16 @@ class CellRun:
         self._timeout_name = timeout_name
         self._pool = pool
         self._owned = owned
+        self._priority = priority
         self._round: Optional[Dict[int, _Cell]] = None
         if pool is not None:
             try:
-                self._round = _pool_round(configs, misses, pool)
+                self._submit(misses)
             except BaseException:
                 self._release()
                 raise
+        #: The first round's cells, what :meth:`withdraw` may take back.
+        self._first = list(self._round.values()) if self._round else []
 
     @property
     def on_workers(self) -> bool:
@@ -770,9 +720,78 @@ class CellRun:
         :meth:`results` has collected them)."""
         return self._round is not None
 
+    def _submit(self, pending: List[int]) -> None:
+        """Start one attempt over ``pending`` on the pool's workers."""
+        cells = self._pool.submit(
+            _run_cell, [self._configs[i] for i in pending], self._priority
+        )
+        self._round = dict(zip(pending, cells))
+
+    def wait_started(self) -> bool:
+        """Block until the first cell reaches a worker (at once when no
+        cell went out); ``False`` if :meth:`withdraw` took the cells
+        first.  A submission's cells leave the pool's queue in order, so
+        the first one starts first."""
+        if not self._first:
+            return True
+        self._first[0].started.wait()
+        return not self._first[0].cancelled()
+
+    def withdraw(self) -> bool:
+        """Take every cell back from the pool if none has reached a
+        worker yet; ``False``, and nothing taken, otherwise."""
+        return bool(self._first) and self._pool.withdraw(
+            self._first, whole=True
+        )
+
     def _release(self) -> None:
         if self._owned:
             self._pool.close()
+
+    def _collect_round(self) -> List[int]:
+        """Wait for one round's cells; returns the indices that still
+        need a run — those a dead or killed worker took down with it
+        (``BrokenProcessPool``).  A cell over its budget gets a
+        failed-with-reason summary, and its workers are killed."""
+        from concurrent.futures import TimeoutError as FutureTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
+        cells, pool, timeout = self._round, self._pool, self._timeout
+        self._round = None
+        leftover: List[int] = []
+        try:
+            for i, cell in cells.items():
+                try:
+                    # The budget starts when the cell reaches a worker,
+                    # not while it waits behind other cells, this
+                    # caller's or another's, nor when this loop gets to it.
+                    cell.started.wait()
+                    left = None if timeout is None else max(
+                        0.0, cell.started_at + timeout - time.monotonic()
+                    )
+                    self._results[i] = cell.result(timeout=left)
+                except FutureTimeout:
+                    self._results[i] = _failed_summary(
+                        self._configs[i],
+                        f"cell exceeded {self._timeout_name}={timeout:g}s",
+                    )
+                    # The worker is wedged inside the cell; the only way
+                    # out is to kill it, which takes the cells running
+                    # beside it — they surface as BrokenProcessPool and
+                    # are retried.
+                    pool.discard(cell.executor)
+                except (BrokenProcessPool, CancelledError):
+                    leftover.append(i)
+                    pool.discard(cell.executor)
+        except BaseException:
+            # A cell that raised fails the whole call; nobody will read
+            # its siblings, so none may wait or keep running.
+            pool.withdraw(list(cells.values()))
+            for cell in cells.values():
+                if not cell.done():
+                    pool.discard(cell.executor)
+            raise
+        return leftover
 
     def results(self) -> List[ResultSummary]:
         """Every cell's summary, in input order: collects the pool
@@ -784,13 +803,9 @@ class CellRun:
             for attempt in range(1, MAX_POOL_ROUNDS + 1):
                 if self._round is None:
                     break
-                pending = _collect_round(
-                    configs, self._round, results, self._pool,
-                    self._timeout, self._timeout_name,
-                )
-                self._round = None
+                pending = self._collect_round()
                 if pending and attempt < MAX_POOL_ROUNDS:
-                    self._round = _pool_round(configs, pending, self._pool)
+                    self._submit(pending)
         finally:
             self._release()
         # Serial path — and the crash-tolerance fallback: cells that
@@ -814,6 +829,7 @@ def start_cells(
     cache_dir: Optional[str] = None,
     cell_timeout_s: Optional[float] = None,
     pool: Optional[CellPool] = None,
+    priority: int = 0,
 ) -> CellRun:
     """Look every cell up in the cache and submit the misses to worker
     processes; ``.results()`` on the returned :class:`CellRun` collects
@@ -834,6 +850,8 @@ def start_cells(
             Without, the call spawns workers for its own length, as many
             as it has misses up to ``jobs``, and runs a lone miss
             in-process, where a fork would buy nothing.
+        priority: where the misses queue in ``pool`` — ahead of every
+            waiting cell of a lower priority (see :meth:`CellPool.submit`).
     """
     if pool is None:
         jobs = resolve_jobs(jobs)
@@ -866,12 +884,10 @@ def start_cells(
     owned = pool is None and jobs > 1 and len(misses) > 1
     if owned:
         pool = CellPool(min(jobs, len(misses)))
-    if misses and pool is not None:
-        return CellRun(
-            configs, results, misses, cache, timeout, timeout_name,
-            pool=pool, owned=owned,
-        )
-    return CellRun(configs, results, misses, cache, timeout, timeout_name)
+    return CellRun(
+        configs, results, misses, cache, timeout, timeout_name,
+        pool=pool if misses else None, owned=owned, priority=priority,
+    )
 
 
 def run_cells(

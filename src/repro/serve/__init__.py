@@ -1,15 +1,16 @@
 """repro.serve — the always-on experiment service.
 
 Instead of one-shot bench scripts, a long-lived daemon owns the result
-cache and a worker pool; clients submit experiment grids as jobs and
-stream progress:
+cache and one pool of cell processes; clients submit experiment grids
+as jobs and stream progress:
 
 * :mod:`repro.serve.state` — job lifecycle (queued → running →
   done/failed/cancelled) behind one thread-safe table;
-* :mod:`repro.serve.queue` — bounded priority queue: backpressure
-  rejection past capacity, content-addressed dedup of identical work;
-* :mod:`repro.serve.workers` — worker pool over the crash-tolerant
-  grid runner, per-job timeouts, bulkhead isolation, restart-on-crash;
+* :mod:`repro.serve.queue` — admission: backpressure rejection past
+  capacity, content-addressed dedup of identical work;
+* :mod:`repro.serve.workers` — jobs on the one pool, whose queue orders
+  every waiting cell by its job's priority: per-cell timeouts, bulkhead
+  isolation, restart-on-crash of the cell processes;
 * :mod:`repro.serve.server` — stdlib ``ThreadingHTTPServer`` JSON API
   (submit/status/result/cancel/healthz/metrics) + SSE event stream;
 * :mod:`repro.serve.client` — urllib client speaking the same protocol.

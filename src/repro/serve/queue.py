@@ -1,16 +1,16 @@
-"""Bounded, prioritised, deduplicating job queue.
+"""Admission to the service: bounded and deduplicating.
 
-Three properties the service leans on:
+A job is queued from admission until its first cell reaches a worker.
+Its cells wait in the service's one queue, its
+:class:`~repro.experiments.parallel.CellPool`'s, by the job's
+``priority`` and then in submission order.  This module is the door:
 
-* **Backpressure.**  The queue has a hard capacity; a submission past
-  it raises :class:`QueueFull` *immediately* instead of blocking the
-  submitter or growing without bound.  An always-on service that
-  accepts everything eventually dies of its own backlog — rejecting at
-  the door is the resilient behaviour (and mirrors how the paper's
-  sender reacts to congestion: shed early, not late).
-* **Priorities.**  Higher ``priority`` pops first; within a priority,
-  FIFO (a monotone sequence number breaks ties, so equal-priority jobs
-  never starve each other).
+* **Backpressure.**  At most ``capacity`` jobs may be queued; a
+  submission past it raises :class:`QueueFull` *immediately* instead of
+  blocking the submitter or growing without bound.  An always-on
+  service that accepts everything eventually dies of its own backlog —
+  rejecting at the door is the resilient behaviour (and mirrors how the
+  paper's sender reacts to congestion: shed early, not late).
 * **Dedup.**  Work is content-addressed: a job's key hashes its cells'
   :func:`~repro.experiments.parallel.config_key` (config + code
   version) plus the run options.  Submitting work identical to a
@@ -23,13 +23,11 @@ Three properties the service leans on:
 from __future__ import annotations
 
 import hashlib
-import heapq
-import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import cell_timeout, config_key
-from repro.serve.state import ACTIVE_STATES, DONE, Job, JobTable
+from repro.serve.state import ACTIVE_STATES, DONE, QUEUED, Job, JobTable
 
 __all__ = ["JobQueue", "QueueFull", "Submission", "job_key_for"]
 
@@ -59,7 +57,7 @@ def job_key_for(
 class Submission:
     """What :meth:`JobQueue.submit` hands back."""
 
-    __slots__ = ("job", "deduplicated")
+    __slots__ = ("job", "deduplicated", "state")
 
     def __init__(self, job: Job, deduplicated: bool) -> None:
         #: The job now representing this work (new or pre-existing).
@@ -67,15 +65,19 @@ class Submission:
         #: True when no new job was created (joined a live one or
         #: matched a finished one's content key).
         self.deduplicated = deduplicated
+        #: The job's state when the submission was answered; ``job.state``
+        #: moves on as the job runs.
+        self.state = job.state
 
 
 class JobQueue:
-    """Priority queue of :class:`Job` ids, bounded and deduplicating.
+    """Admission of jobs, bounded and deduplicating.  Not locked: the
+    service calls :meth:`submit` under its own lock.
 
     Args:
         table: the shared job registry.
-        capacity: maximum *queued* jobs (running ones have already left
-            the queue); submissions past it raise :class:`QueueFull`.
+        capacity: maximum *queued* jobs (running ones no longer count);
+            submissions past it raise :class:`QueueFull`.
     """
 
     def __init__(self, table: JobTable, capacity: int = 64) -> None:
@@ -83,18 +85,6 @@ class JobQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.table = table
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
-        # Entries: (-priority, seq, job_id); heapq pops smallest, so
-        # negated priority makes higher-priority jobs pop first and the
-        # sequence number keeps equal priorities FIFO.
-        self._heap: List[Tuple[int, int, str]] = []
-        self._seq = 0
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Producer side
-    # ------------------------------------------------------------------ #
 
     def submit(
         self,
@@ -102,10 +92,11 @@ class JobQueue:
         priority: int = 0,
         cell_timeout_s: Optional[float] = None,
     ) -> Submission:
-        """Enqueue a grid (or join identical work already known).
+        """Admit a grid as a new, queued job (or join identical work
+        already known).
 
         Raises:
-            QueueFull: the queue is at capacity — backpressure; the
+            QueueFull: ``capacity`` jobs are queued — backpressure; the
                 submitter should retry later or drop the work.
             ValueError: an empty config list (nothing to run), a
                 ``priority`` that is not an integer or a
@@ -120,67 +111,23 @@ class JobQueue:
         if cell_timeout_s is not None:
             cell_timeout(cell_timeout_s)
         key = job_key_for(configs, cell_timeout_s)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("queue is closed")
-            live = self.table.find_by_key(key, ACTIVE_STATES)
-            if live is not None:
-                return Submission(live, deduplicated=True)
-            finished = self.table.find_by_key(key, (DONE,))
-            if finished is not None:
-                return Submission(finished, deduplicated=True)
-            if len(self._heap) >= self.capacity:
-                raise QueueFull(
-                    f"queue at capacity ({self.capacity} queued jobs); "
-                    "retry later"
-                )
-            job = self.table.new_job(
-                configs,
-                job_key=key,
-                priority=priority,
-                cell_timeout_s=cell_timeout_s,
+        known = self.table.find_by_key(key, ACTIVE_STATES + (DONE,))
+        if known is not None:
+            return Submission(known, deduplicated=True)
+        if self.depth >= self.capacity:
+            raise QueueFull(
+                f"queue at capacity ({self.capacity} queued jobs); "
+                "retry later"
             )
-            self._seq += 1
-            heapq.heappush(self._heap, (-priority, self._seq, job.job_id))
-            self._available.notify()
-            return Submission(job, deduplicated=False)
-
-    def cancel(self, job_id: str) -> bool:
-        """Remove a still-queued job; ``False`` if it already left the
-        queue (running/terminal jobs are not interruptible)."""
-        with self._lock:
-            for i, (_, _, queued_id) in enumerate(self._heap):
-                if queued_id == job_id:
-                    self._heap[i] = self._heap[-1]
-                    self._heap.pop()
-                    heapq.heapify(self._heap)
-                    self.table.transition(job_id, "cancelled")
-                    return True
-        return False
-
-    def close(self) -> None:
-        """Stop accepting and wake every blocked consumer."""
-        with self._lock:
-            self._closed = True
-            self._available.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # Consumer side (worker pool)
-    # ------------------------------------------------------------------ #
-
-    def pop(self, timeout: Optional[float] = None) -> Optional[str]:
-        """Highest-priority queued job id, blocking up to ``timeout``
-        seconds; ``None`` on timeout or queue closure."""
-        with self._lock:
-            while not self._heap:
-                if self._closed:
-                    return None
-                if not self._available.wait(timeout=timeout):
-                    return None
-            _, _, job_id = heapq.heappop(self._heap)
-            return job_id
+        job = self.table.new_job(
+            configs,
+            job_key=key,
+            priority=priority,
+            cell_timeout_s=cell_timeout_s,
+        )
+        return Submission(job, deduplicated=False)
 
     @property
     def depth(self) -> int:
-        with self._lock:
-            return len(self._heap)
+        """Jobs queued: admitted, and no cell on a worker yet."""
+        return self.table.counts()[QUEUED]

@@ -1,7 +1,7 @@
 """Always-on experiment service: stdlib HTTP JSON API + SSE.
 
 One :class:`ExperimentService` object owns the whole stack — job table,
-bounded queue, worker pool, event broker, and a
+admission gate, the one pool of cell processes, event broker, and a
 ``ThreadingHTTPServer`` speaking a small JSON protocol:
 
 ====================  ======================================================
@@ -9,15 +9,16 @@ bounded queue, worker pool, event broker, and a
                       "cell_timeout_s": null}`` → ``{"job_id",
                       "deduplicated", "state"}``; **400** for any other
                       key or a bad value, **429** with a backpressure
-                      error once the queue is full.
+                      error once ``--queue-capacity`` jobs are
+                      queued.
 ``GET /jobs``         every job's public view, submission order.
 ``GET /status/<id>``  one job's public view.
 ``GET /result/<id>``  per-cell summaries (``cell_dict`` shape) of a
                       finished job; 409 while it is still active.
-``POST /cancel/<id>`` cancel a queued job; 409 if it already left the queue.
-``GET /healthz``      liveness: queue depth, the admitting thread alive
-                      (respawning it if it died), restart counter, cell
-                      worker processes alive, process pools spawned and
+``POST /cancel/<id>`` cancel a queued job; 409 once one of its cells
+                      has reached a worker.
+``GET /healthz``      liveness: queue depth, cell worker processes
+                      alive, process pools spawned and
                       ``cells_in_flight`` (cells submitted to the held
                       pool and not yet finished).
 ``GET /metrics``      counters in JSON (jobs by state, completed/failed,
@@ -58,6 +59,7 @@ from repro.serve.state import (
     ACTIVE_STATES,
     DONE,
     FAILED,
+    QUEUED,
     JobTable,
     UnknownJob,
 )
@@ -113,7 +115,11 @@ class EventBroker:
 
 
 class ExperimentService:
-    """The assembled service (queue + pool + broker + job table).
+    """The assembled service (admission + pool + broker + job table).
+
+    It starts no thread of its own but the HTTP one: a job starts on its
+    submitter's thread and is collected on one of the job's own (see
+    :mod:`repro.serve.workers`).
 
     Usable entirely in-process — :meth:`submit` / :meth:`wait` /
     :meth:`result` — or over HTTP via :meth:`start_http`.
@@ -140,7 +146,6 @@ class ExperimentService:
         self.table = JobTable(publish=self.broker.publish)
         self.queue = JobQueue(self.table, capacity=queue_capacity)
         self.pool = WorkerPool(
-            self.queue,
             self.table,
             jobs=jobs,
             use_cache=use_cache,
@@ -148,17 +153,18 @@ class ExperimentService:
             default_cell_timeout_s=default_cell_timeout_s,
             publish=self.broker.publish,
         )
-        self._cache_dir = cache_dir
-        self._use_cache = use_cache
         self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
+        # Held from admission until the job's cells are in the pool, so
+        # a cancel never sees a queued job without them.
+        self._lock = threading.Lock()
+        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # In-process surface
     # ------------------------------------------------------------------ #
 
     def start(self) -> "ExperimentService":
-        self.pool.start()
+        """Nothing to start: a job starts on its submitter's thread."""
         return self
 
     def submit(
@@ -167,14 +173,21 @@ class ExperimentService:
         priority: int = 0,
         cell_timeout_s: Optional[float] = None,
     ) -> Submission:
-        """Enqueue a grid; see :meth:`JobQueue.submit` for semantics
-        (raises :class:`QueueFull` under backpressure)."""
-        self.pool.ensure_workers()
-        return self.queue.submit(
-            configs,
-            priority=priority,
-            cell_timeout_s=cell_timeout_s,
-        )
+        """Admit a grid (see :meth:`JobQueue.submit`: raises
+        :class:`QueueFull` under backpressure) and start it here: cache
+        lookups, then its misses into the pool's queue.  A job whose
+        cells are all cached is done when this returns."""
+        with self._lock:
+            if self._stopped:
+                raise RuntimeError("service is stopped")
+            submission = self.queue.submit(
+                configs,
+                priority=priority,
+                cell_timeout_s=cell_timeout_s,
+            )
+            if not submission.deduplicated:
+                submission.state = self.pool.start(submission.job)
+        return submission
 
     def wait(self, job_id: str, timeout_s: float = 60.0) -> Dict[str, Any]:
         """Block until the job leaves the active states (or timeout);
@@ -195,47 +208,45 @@ class ExperimentService:
         return job.results
 
     def cancel(self, job_id: str) -> bool:
+        """Cancel a queued job; ``False`` once one of its cells has
+        reached a worker."""
         self.table.get(job_id)  # raises UnknownJob for bad ids
-        return self.queue.cancel(job_id)
+        with self._lock:
+            return self.pool.cancel(job_id)
 
     def health(self) -> Dict[str, Any]:
-        """Liveness view; also self-heals the pool (respawn-on-probe)."""
-        alive = self.pool.ensure_workers()
+        """Liveness view: ``ok`` until the service is stopped."""
         return {
-            "ok": alive > 0,
-            "workers_alive": alive,
-            "worker_restarts": self.pool.restarts,
+            "ok": not self._stopped,
             "queue_depth": self.queue.depth,
             "queue_capacity": self.queue.capacity,
             **self.pool.cell_counters(),
         }
 
     def metrics(self) -> Dict[str, Any]:
-        cache_entries = None
-        cache_bytes = None
-        caching = (
-            self._use_cache if self._use_cache is not None else cache_enabled()
-        )
-        if caching:
-            cache = ResultCache(self._cache_dir)
-            cache_entries = cache.size()
-            cache_bytes = cache.total_bytes()
-        out = {
-            "jobs": self.table.counts(),
-            "jobs_completed": self.pool.completed,
-            "jobs_failed": self.pool.failed,
-            "queue_depth": self.queue.depth,
-            "worker_restarts": self.pool.restarts,
+        caching = self.pool.use_cache
+        if caching is None:
+            caching = cache_enabled()
+        cache = ResultCache(self.pool.cache_dir) if caching else None
+        counts = self.table.counts()
+        return {
+            "jobs": counts,
+            "jobs_completed": counts[DONE],
+            "jobs_failed": counts[FAILED],
+            "queue_depth": counts[QUEUED],
             "events_published": self.broker.published,
-            "cache_entries": cache_entries,
-            "cache_bytes": cache_bytes,
+            "cache_entries": cache.size() if cache else None,
+            "cache_bytes": cache.total_bytes() if cache else None,
             **self.pool.cell_counters(),
             **self.table.phase_quantiles(),
         }
-        return out
 
     def stop(self) -> None:
+        """Refuse new submissions, give the live jobs a grace period,
+        then close the pool (see :meth:`WorkerPool.stop`)."""
         self.stop_http()
+        with self._lock:
+            self._stopped = True
         self.pool.stop()
 
     # ------------------------------------------------------------------ #
@@ -247,18 +258,11 @@ class ExperimentService:
     ) -> ThreadingHTTPServer:
         """Bind and serve on a daemon thread; returns the server (its
         ``server_address`` carries the actual port when ``port=0``)."""
-        service = self
-
-        class Handler(_ServiceHandler):
-            pass
-
-        Handler.service = service
-        httpd = _KeepAliveServer((host, port), Handler)
-        self._httpd = httpd
-        self._http_thread = threading.Thread(
+        handler = type("Handler", (_ServiceHandler,), {"service": self})
+        httpd = self._httpd = _KeepAliveServer((host, port), handler)
+        threading.Thread(
             target=httpd.serve_forever, name="repro-serve-http", daemon=True
-        )
-        self._http_thread.start()
+        ).start()
         return httpd
 
     def stop_http(self) -> None:
@@ -423,7 +427,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             202 if not submission.deduplicated else 200,
             {
                 "job_id": submission.job.job_id,
-                "state": submission.job.state,
+                "state": submission.state,
                 "deduplicated": submission.deduplicated,
             },
         )
@@ -433,7 +437,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._json(200, {"job_id": job_id, "state": "cancelled"})
         else:
             self._error(
-                409, f"{job_id} already left the queue; cannot cancel"
+                409, f"{job_id} has started or ended; cannot cancel"
             )
 
     def _get_result(self, job_id: str) -> None:
@@ -522,6 +526,5 @@ def serve(
         cache_dir=cache_dir,
         default_cell_timeout_s=default_cell_timeout_s,
     )
-    service.start()
     service.start_http(host=host, port=port)
     return service

@@ -1,4 +1,5 @@
-"""Worker pool: pulls jobs off the queue, runs them, survives crashes.
+"""Jobs on the service's one pool of cell processes: started, collected,
+survived.
 
 Isolation is layered:
 
@@ -11,31 +12,26 @@ Isolation is layered:
   :class:`~repro.experiments.parallel.CellPool` for its whole life,
   ``resolve_jobs(jobs)`` processes wide, so a job pays a round trip
   through live workers, not a fork and a reap, and the process count is
-  that width, whatever the jobs ask.  One admitting thread schedules
-  cells, not jobs: it admits the next job the moment one of the pool's
-  processes is free, submits that job's misses and hands the collection
-  to a thread of the job's own, so no core idles while a job waits for
-  its slowest cell.  A cell's budget starts when it reaches a worker,
-  not while it waits behind another job's.  A timeout kill can hit
-  another job's running cells; they come back as ``BrokenProcessPool``
-  and are retried, never failed.  A hung cell gets the workers killed
-  and the next use respawns them; a worker that segfaults or is
-  OOM-killed mid-cell costs that pool round (then a serial fallback),
-  one that died idle between jobs costs nothing; never the service.
-  Workers exit with the daemon, however it dies, and see the
-  environment as of their spawn.
-* **Job level (bulkhead)** — each job executes inside a catch-all on
-  the thread that admits it and on the one that collects it: any
-  exception marks *that job* failed and the threads move on.  One
-  poisoned job cannot take the pool down.
-* **Pool level** — a supervisor respawns the admitting thread if it
-  died anyway (the catch-all makes this near-impossible, but an
-  always-on service does not get to assume "near").  ``ensure_workers``
-  runs on every submission and health probe, so the pool self-heals on
-  the paths that matter.
+  that width, whatever the jobs ask.  The pool's queue is the service's
+  only one: a job starts on its submitter's thread — its cache lookups,
+  then its misses into that queue, tagged with the job's priority — and
+  is collected on a thread of its own, so no core idles while a job
+  waits for its slowest cell.  A cell's budget starts when it reaches a
+  worker, not while it waits behind another job's.  A timeout kill can
+  hit another job's running cells; they come back as
+  ``BrokenProcessPool`` and are retried, never failed.  A hung cell gets
+  the workers killed and the next use respawns them; a worker that
+  segfaults or is OOM-killed mid-cell costs that pool round (then a
+  serial fallback), one that died idle between jobs costs nothing; never
+  the service.  Workers exit with the daemon, however it dies, and see
+  the environment as of their spawn.
+* **Job level (bulkhead)** — each job runs inside a catch-all on the
+  thread that starts it and on the one that collects it: any exception
+  marks *that job* failed.  One poisoned job cannot take the pool down.
 
-Admission keeps the queue's meaning: jobs leave it one at a time, in
-priority order, and its capacity counts queued jobs only.
+A job is ``queued`` until its first cell reaches a worker; its collector
+makes it ``running`` then.  Cancelling takes a queued job's cells back
+out of the pool's queue, all of them or none.
 
 Per-job budgets: ``cell_timeout_s`` is threaded *explicitly* into
 ``start_cells`` — service threads must not mutate ``REPRO_CELL_TIMEOUT``
@@ -45,8 +41,8 @@ Per-job budgets: ``cell_timeout_s`` is threaded *explicitly* into
 from __future__ import annotations
 
 import threading
-import traceback
-from typing import Any, Callable, Dict, List, Optional
+import time
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import (
     CellPool,
@@ -54,18 +50,24 @@ from repro.experiments.parallel import (
     resolve_jobs,
     start_cells,
 )
-from repro.serve.queue import JobQueue
-from repro.serve.state import DONE, FAILED, RUNNING, JobTable, UnknownJob
+from repro.serve.state import (
+    CANCELLED,
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    Job,
+    JobTable,
+)
 
 __all__ = ["WorkerPool"]
 
 
 class WorkerPool:
-    """One admitting thread draining a :class:`JobQueue` into one
-    :class:`CellPool`.
+    """The service's one :class:`CellPool` and the jobs out on it.
 
     Args:
-        queue / table: the shared service plumbing.
+        table: the shared job registry.
         jobs: cell worker processes (see :func:`resolve_jobs`), read
             once, here.
         use_cache / cache_dir: forwarded to ``start_cells``.
@@ -75,62 +77,65 @@ class WorkerPool:
 
     def __init__(
         self,
-        queue: JobQueue,
         table: JobTable,
         jobs: Optional[int] = None,
         use_cache: Optional[bool] = None,
         cache_dir: Optional[str] = None,
         default_cell_timeout_s: Optional[float] = None,
-        publish: Optional[Callable[[Dict[str, Any]], None]] = None,
+        publish: Callable[[Dict[str, Any]], None] = lambda event: None,
     ) -> None:
-        self.queue = queue
         self.table = table
         self.cells = CellPool(resolve_jobs(jobs))
         self.use_cache = use_cache
         self.cache_dir = cache_dir
         self.default_cell_timeout_s = default_cell_timeout_s
         self._publish = publish
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._lock = threading.Lock()
-        #: Admitting threads respawned after an unexpected death — the
-        #: restart-on-crash counter the health endpoint reports.
-        self.restarts = 0
-        #: Jobs completed/failed since start (metrics).
-        self.completed = 0
-        self.failed = 0
+        #: Jobs with cells out on the pool: their run and collector.
+        self._live: Dict[str, Tuple[CellRun, threading.Thread]] = {}
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
+    def start(self, job: Job) -> str:
+        """Start a new job on the caller's thread: its cache lookups,
+        then its misses into the pool's queue at the job's priority.
 
-    def start(self) -> None:
-        with self._lock:
-            self._thread = self._spawn("repro-serve-admit")
-
-    def _spawn(self, name: str) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._admit_loop, name=name, daemon=True
-        )
-        thread.start()
-        return thread
-
-    def ensure_workers(self) -> int:
-        """Respawn the admitting thread if it died; returns how many
-        admitting threads are alive (0 or 1).
-
-        Called from submission and health paths so the pool self-heals
-        without a dedicated supervisor thread.
+        Returns the job's state as it leaves the caller: ``done`` or
+        ``failed`` when it ended here (every cell cached, or the start
+        failed), else ``queued`` — a collector thread of the job's own
+        takes it from there.
         """
-        if self._stop.is_set() or self._thread is None:
-            return 0
+        budget = job.cell_timeout_s or self.default_cell_timeout_s
+        try:
+            run = start_cells(
+                job.configs, use_cache=self.use_cache, pool=self.cells,
+                cache_dir=self.cache_dir, cell_timeout_s=budget,
+                priority=job.priority,
+            )
+        except Exception as exc:  # noqa: BLE001 — job bulkhead
+            self.table.transition(job.job_id, RUNNING)
+            self._fail(job.job_id, exc)
+            return FAILED
+        if not run.on_workers:  # every cell was cached
+            self._collect(job.job_id, run)
+            return job.state
+        collector = threading.Thread(
+            target=self._collect, args=(job.job_id, run),
+            name=f"repro-serve-{job.job_id}", daemon=True,
+        )
         with self._lock:
-            if not self._thread.is_alive():
-                self.restarts += 1
-                self._thread = self._spawn(
-                    f"repro-serve-admit-r{self.restarts}"
-                )
-            return 1
+            self._live[job.job_id] = (run, collector)
+        collector.start()
+        return QUEUED
+
+    def cancel(self, job_id: str) -> bool:
+        """Take a queued job's cells out of the pool's queue, all at
+        once, and mark it cancelled; ``False`` if one of them has reached
+        a worker already (or the job has none out)."""
+        with self._lock:
+            live = self._live.get(job_id)
+        if live is None or not live[0].withdraw():
+            return False
+        self.table.transition(job_id, CANCELLED)
+        return True
 
     def cell_counters(self) -> Dict[str, int]:
         """What the cell worker processes are doing (the health and
@@ -143,127 +148,38 @@ class WorkerPool:
         }
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop pulling new jobs, wait briefly for in-flight ones, then
-        close the cell pool: a job still running after the grace period
-        loses its workers and fails rather than outliving the service."""
-        self._stop.set()
-        self.queue.close()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+        """Give the jobs out on the pool ``timeout`` seconds in all, then
+        close it: a job still running after the grace period loses its
+        workers and fails rather than outliving the service."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            collectors = [collector for _, collector in self._live.values()]
+        for collector in collectors:
+            collector.join(max(0.0, deadline - time.monotonic()))
         self.cells.close()
 
-    # ------------------------------------------------------------------ #
-    # The loop
-    # ------------------------------------------------------------------ #
-
-    def _admit_loop(self) -> None:
-        collectors: List[threading.Thread] = []
-        while not self._stop.is_set():
-            # A job starts the moment a worker process is free, not
-            # when the job before it is done.
-            if not self.cells.wait_for_room(timeout=0.2):
-                continue
-            job_id = self.queue.pop(timeout=0.2)
-            if job_id is None:
-                continue
-            collectors = [t for t in collectors if t.is_alive()]
-            try:
-                run = self._admit(job_id)
-            except Exception:  # noqa: BLE001 — bulkhead, see module doc
-                # _admit already tried to mark the job failed; if even
-                # that failed the job table is gone and so is the point
-                # of crashing the thread over it.
-                traceback.print_exc()
-                continue
-            if run is None:
-                continue
-            if not run.on_workers:  # every cell was cached
-                self._collect(job_id, run)
-                continue
-            collector = threading.Thread(
-                target=self._collect,
-                args=(job_id, run),
-                name=f"repro-serve-{job_id}",
-                daemon=True,
-            )
-            collector.start()
-            collectors.append(collector)
-        # Let admitted jobs finish before the pool closes (stop() closes
-        # it sooner if they take too long).
-        for collector in collectors:
-            collector.join()
-
-    def _admit(self, job_id: str) -> Optional[CellRun]:
-        """Start a popped job: its cache lookups and the submission of
-        its misses, on the admitting thread, in pop order.  ``None``
-        when the job is gone or already failed."""
+    def _collect(self, job_id: str, run: CellRun) -> None:
+        """Mark a job running when its first cell reaches a worker, wait
+        for its cells, then cache, publish and transition it; a
+        catch-all (see the module doc)."""
         try:
-            job = self.table.get(job_id)
-        except UnknownJob:
-            return None
-        self.table.transition(job_id, RUNNING)
-        timeout = (
-            job.cell_timeout_s
-            if job.cell_timeout_s is not None
-            else self.default_cell_timeout_s
-        )
-        try:
-            return start_cells(
-                job.configs,
-                use_cache=self.use_cache,
-                cache_dir=self.cache_dir,
-                cell_timeout_s=timeout,
-                pool=self.cells,
-            )
+            if run.wait_started():  # else withdrawn: cancel() ended it
+                self.table.transition(job_id, RUNNING)
+                self._finish(job_id, run.results())
         except Exception as exc:  # noqa: BLE001 — job bulkhead
             self._fail(job_id, exc)
-            return None
-
-    def _collect(self, job_id: str, run: CellRun) -> None:
-        """Wait for a job's cells, then cache, publish and transition
-        it; a catch-all, like the admitting thread's."""
-        try:
-            try:
-                results = run.results()
-            except Exception as exc:  # noqa: BLE001 — job bulkhead
-                self._fail(job_id, exc)
-                return
-            self._finish(job_id, results)
-        except Exception:  # noqa: BLE001 — bulkhead, see module doc
-            traceback.print_exc()
+        finally:
+            with self._lock:
+                self._live.pop(job_id, None)
 
     def _fail(self, job_id: str, exc: Exception) -> None:
         self.table.transition(
             job_id, FAILED, error=f"{type(exc).__name__}: {exc}"
         )
-        with self._lock:
-            self.failed += 1
 
     def _finish(self, job_id: str, results: List[Any]) -> None:
-        failed_cells = [r for r in results if r.error is not None]
-        self._emit_cells(job_id, results)
-        if failed_cells:
-            self.table.transition(
-                job_id,
-                FAILED,
-                error=(
-                    f"{len(failed_cells)}/{len(results)} cells failed: "
-                    + "; ".join(r.error for r in failed_cells[:3])
-                ),
-                results=list(results),
-            )
-            with self._lock:
-                self.failed += 1
-        else:
-            self.table.transition(job_id, DONE, results=list(results))
-            with self._lock:
-                self.completed += 1
-
-    def _emit_cells(self, job_id: str, results: List[Any]) -> None:
         """Publish one telemetry event per finished cell — the series
-        SSE clients chart while a grid completes."""
-        if self._publish is None:
-            return
+        SSE clients chart while a grid completes — then end the job."""
         for i, summary in enumerate(results):
             mean = summary.stats.mean_ms()
             self._publish(
@@ -280,3 +196,13 @@ class WorkerPool:
                     "error": summary.error,
                 }
             )
+        failed_cells = [r for r in results if r.error is not None]
+        error = None
+        if failed_cells:
+            error = f"{len(failed_cells)}/{len(results)} cells failed: " + (
+                "; ".join(r.error for r in failed_cells[:3])
+            )
+        self.table.transition(
+            job_id, FAILED if failed_cells else DONE, error=error,
+            results=list(results),
+        )

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -187,6 +189,19 @@ class TestCommands:
         assert main(["run", "--lb", "bogus", "--flows", "5"]) == 2
         err = capsys.readouterr().err
         assert "unknown load balancer 'bogus'" in err
+
+    @pytest.mark.parametrize("command", [
+        ["submit", "--schemes", "ecmp", "--flows", "5"],
+        ["jobs"],
+    ])
+    def test_no_daemon_is_one_error_line(self, command, capsys):
+        with socket.socket() as sock:  # bound, not listening: refused
+            sock.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+            assert main(command + ["--url", url]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot reach {url}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 #: stdout of two commands at the commit before every results table

@@ -361,6 +361,24 @@ class TestCrashTolerance:
             assert healthy.error is None
             assert healthy.stats.records
 
+    def test_budget_counts_from_the_cells_own_start(self, monkeypatch):
+        """A slow sibling collected first lends the next cell none of
+        its time: the hung cell's workers are killed within its budget
+        (plus slack) of its own start, not of the collector reaching it
+        (that used to be 1 s later here)."""
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "1:1,2:30")
+        with CellPool(2) as pool:
+            run_cells([tiny_config(seed=3)], use_cache=False, pool=pool)
+            started = time.monotonic()  # both cells start at submit
+            slow, hung = run_cells(
+                [tiny_config(seed=1), tiny_config(seed=2)],
+                use_cache=False, cell_timeout_s=1.5, pool=pool,
+            )
+            killed = time.monotonic() - started
+        assert slow.error is None
+        assert "cell_timeout_s=1.5" in hung.error
+        assert killed < 1.5 + 0.5
+
     def test_failed_cells_never_cached(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TEST_SLEEP", "2:30")
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2")
@@ -505,7 +523,7 @@ class TestCellPool:
         both retry rounds — which the crash-seed cell of that same call
         then uses up before completing in-process."""
         rounds = []
-        real_round = parallel._pool_round
+        real_round = parallel.CellRun._submit
 
         def counting_round(*args):
             rounds.append(1)
@@ -520,7 +538,7 @@ class TestCellPool:
             in_process.append(config.seed)
             return run_experiment(config)
 
-        monkeypatch.setattr(parallel, "_pool_round", counting_round)
+        monkeypatch.setattr(parallel.CellRun, "_submit", counting_round)
         monkeypatch.setattr(parallel, "run_experiment", recording_run)
         with CellPool(2) as pool:
             run_cells(tiny_grid(), use_cache=False, pool=pool)
@@ -549,7 +567,7 @@ class TestCellPool:
     def test_in_flight_is_exact_when_threads_share_the_pool(self):
         """Eight threads submit to and collect from one pool with a
         tiny switch interval: a lost update to the count of cells in
-        flight would leave it off zero, and admission stuck."""
+        flight would leave it off zero, and dispatch stuck."""
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         low = []
@@ -574,10 +592,22 @@ class TestCellPool:
                 assert not any(thread.is_alive() for thread in threads)
                 assert len(low) == 80 and min(low) >= 0
                 assert pool.in_flight == 0
-                assert pool.wait_for_room(timeout=0)
                 assert pool.spawns == 1
         finally:
             sys.setswitchinterval(switch)
+
+    def test_priority_order_fifo_within(self):
+        """Waiting cells leave the pool's queue highest priority first,
+        and in submission order within a priority."""
+        with CellPool(1) as pool:
+            pool.submit(time.sleep, [0.5])  # holds the one worker
+            low1 = pool.submit(_rng_draws, [1])[0]
+            high = pool.submit(_rng_draws, [2], priority=5)[0]
+            low2 = pool.submit(_rng_draws, [3])[0]
+            assert pool.in_flight == 4
+            for cell in (low1, high, low2):
+                assert cell.result(timeout=30.0)
+            assert high.started_at < low1.started_at < low2.started_at
 
     def test_close_is_idempotent_and_final(self):
         pool = CellPool(2)

@@ -3,12 +3,11 @@
 The centrepiece is the crash e2e: a job whose cell deterministically
 kills its worker *process* (``REPRO_TEST_CRASH_SEED``) must still
 complete — the grid runner restarts its pool, falls back to serial, and
-the service's ``/healthz`` stays green throughout.  Around it: queue
-backpressure and dedup, the job lifecycle state machine, worker-thread
-respawn, admission of the next job the moment a cell process frees,
-one pool whatever the jobs,
-keep-alive connections, and the SSE stream delivering job lifecycle +
-telemetry events.
+the service's ``/healthz`` stays green throughout.  Around it: admission
+backpressure and dedup, the job lifecycle state machine, one queue of
+cells ordered by job priority, cancel taking a queued job's cells back,
+one pool whatever the jobs, keep-alive connections, and the SSE stream
+delivering job lifecycle + telemetry events.
 """
 
 from __future__ import annotations
@@ -117,26 +116,19 @@ class TestJobTable:
 
 
 class TestJobQueue:
+    """The admission gate: capacity counts queued jobs, identical work
+    dedups."""
+
     def test_backpressure_rejects_past_capacity(self):
         table = JobTable()
         queue = JobQueue(table, capacity=2)
-        queue.submit([_config(seed=1)])
+        first = queue.submit([_config(seed=1)])
         queue.submit([_config(seed=2)])
         with pytest.raises(QueueFull, match="capacity"):
             queue.submit([_config(seed=3)])
-        # Draining one slot reopens the door.
-        assert queue.pop(timeout=0.1) is not None
+        # A job that starts running no longer counts: the door reopens.
+        table.transition(first.job.job_id, RUNNING)
         queue.submit([_config(seed=3)])
-
-    def test_priority_order_fifo_within(self):
-        table = JobTable()
-        queue = JobQueue(table, capacity=10)
-        low1 = queue.submit([_config(seed=1)], priority=0).job.job_id
-        high = queue.submit([_config(seed=2)], priority=5).job.job_id
-        low2 = queue.submit([_config(seed=3)], priority=0).job.job_id
-        assert queue.pop(timeout=0.1) == high
-        assert queue.pop(timeout=0.1) == low1
-        assert queue.pop(timeout=0.1) == low2
 
     def test_dedup_joins_live_job(self):
         table = JobTable()
@@ -155,7 +147,6 @@ class TestJobQueue:
         table = JobTable()
         queue = JobQueue(table, capacity=10)
         first = queue.submit([_config(seed=1)])
-        queue.pop(timeout=0.1)
         table.transition(first.job.job_id, RUNNING)
         table.transition(first.job.job_id, DONE, results=[])
         again = queue.submit([_config(seed=1)])
@@ -163,15 +154,17 @@ class TestJobQueue:
         assert again.job.job_id == first.job.job_id
         assert queue.depth == 0
 
-    def test_cancel_queued_only(self):
-        table = JobTable()
-        queue = JobQueue(table, capacity=10)
-        job_id = queue.submit([_config(seed=1)]).job.job_id
-        assert queue.cancel(job_id)
-        assert table.get(job_id).state == "cancelled"
-        running_id = queue.submit([_config(seed=2)]).job.job_id
-        queue.pop(timeout=0.1)
-        assert not queue.cancel(running_id)
+    def test_cancel_queued_only(self, service, monkeypatch):
+        """Cancel takes back a job whose cells all wait, and refuses one
+        with a cell on a worker."""
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "1:1")
+        running = service.submit([_config(seed=1), _config(seed=1, load=0.6)])
+        queued = service.submit([_config(seed=2)])
+        assert service.cancel(queued.job.job_id)
+        assert service.table.get(queued.job.job_id).state == "cancelled"
+        assert not service.cancel(queued.job.job_id)
+        assert not service.cancel(running.job.job_id)
+        assert service.wait(running.job.job_id, timeout_s=60.0)["state"] == DONE
 
 
 class TestServiceInProcess:
@@ -208,21 +201,28 @@ class TestServiceInProcess:
         status = service.wait(submission.job.job_id, timeout_s=60.0)
         assert status["state"] == DONE
 
-    def test_worker_thread_respawn(self, service):
-        """A dead admitting thread is respawned by the health probe —
-        restart-on-crash at the pool layer."""
-        corpse = threading.Thread(target=lambda: None)
-        corpse.start()
-        corpse.join()
-        with service.pool._lock:
-            service.pool._thread = corpse
-        health = service.health()
-        assert health["ok"]
-        assert health["workers_alive"] == 1
-        assert health["worker_restarts"] == 1
-        # And the respawned thread actually admits.
-        submission = service.submit([_config(seed=3)])
-        assert service.wait(submission.job.job_id, timeout_s=60.0)["state"] == DONE
+    def test_all_cached_job_is_done_when_submit_returns(self, tmp_path):
+        svc = ExperimentService(
+            jobs=2, use_cache=True, cache_dir=str(tmp_path)
+        ).start()
+        try:
+            configs = [_config(seed=5), _config(seed=6)]
+            first = svc.submit(configs)
+            assert svc.wait(first.job.job_id, timeout_s=60.0)["state"] == DONE
+            again = svc.submit(list(reversed(configs)))
+            assert again.state == again.job.state == DONE
+            assert [r.config.seed for r in svc.result(again.job.job_id)] == [
+                6, 5,
+            ]
+        finally:
+            svc.stop()
+
+    def test_stopped_service_refuses_submissions(self):
+        svc = ExperimentService(jobs=1, use_cache=False).start()
+        svc.stop()
+        with pytest.raises(RuntimeError, match="stopped"):
+            svc.submit([_config(seed=7)])
+        assert not svc.health()["ok"]
 
 
 class TestCrashTolerance:
@@ -358,9 +358,10 @@ class TestHeldCellPool:
 
 
 class TestAdmission:
-    """The admitting thread schedules cells, not jobs: the next job is
-    admitted the moment a process of the pool is free, and clients poll
-    it over one held connection per thread.  One pool, two processes."""
+    """One queue of cells, not of jobs: a job's cells wait in the pool's
+    queue by the job's priority, the next job's cells start the moment a
+    process of the pool is free, and clients poll over one held
+    connection per thread.  One pool, two processes."""
 
     def _finish(self, svc, *submissions):
         return [
@@ -394,6 +395,48 @@ class TestAdmission:
         ends = self._finish(service, busy, low, high)
         assert [end["state"] for end in ends] == [DONE] * 3
         assert ends[2]["started_s"] < ends[1]["started_s"]
+
+    def test_higher_priority_overtakes_cells_already_waiting(
+        self, service, monkeypatch
+    ):
+        """The low job's cells are already in the pool's queue when the
+        high job arrives; the high job's cells still reach a worker
+        first, and the low job stays queued until one of its own does."""
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "74:1")
+        busy = service.submit(
+            [_config(seed=74), _config(seed=74, load=0.6)]
+        )
+        assert _wait_until(
+            lambda: service.table.get(busy.job.job_id).state == RUNNING
+        )
+        low = service.submit([_config(seed=75), _config(seed=76)])
+        assert service.health()["cells_in_flight"] == 4
+        high = service.submit(
+            [_config(seed=77), _config(seed=78)], priority=5
+        )
+        assert service.health()["cells_in_flight"] == 6
+        assert service.table.get(low.job.job_id).state == QUEUED
+        assert service.health()["queue_depth"] == 2
+        ends = self._finish(service, busy, low, high)
+        assert [end["state"] for end in ends] == [DONE] * 3
+        assert ends[2]["started_s"] < ends[1]["started_s"]
+
+    def test_cancel_withdraws_the_waiting_cells(self, service, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_SLEEP", "79:1")
+        busy = service.submit(
+            [_config(seed=79), _config(seed=79, load=0.6)]
+        )
+        assert _wait_until(lambda: service.health()["cells_in_flight"] == 2)
+        queued = service.submit([_config(seed=80), _config(seed=81)])
+        assert service.health()["cells_in_flight"] == 4
+        assert service.cancel(queued.job.job_id)
+        assert service.health()["cells_in_flight"] == 2
+        assert service.wait(busy.job.job_id, timeout_s=60.0)["state"] == DONE
+        assert service.health()["cells_in_flight"] == 0
+        job = service.table.get(queued.job.job_id)
+        assert (job.state, job.started_s, job.results) == (
+            "cancelled", None, None,
+        )
 
     def test_one_pool_bounds_the_processes(self, service):
         """Three two-cell jobs at once share the one pool: never more
@@ -440,6 +483,43 @@ class TestAdmission:
             assert served.stats.records == direct.stats.records
             assert served.sim_time_ns == direct.sim_time_ns
             assert served.events == direct.events
+
+    def test_cancel_races_dispatch_without_a_stuck_job(self):
+        """Threads submit and at once cancel, with a tiny switch
+        interval: each job ends cancelled exactly when its cancel said
+        so, else done, and no cell is left in flight."""
+        service = ExperimentService(jobs=2, use_cache=False)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        outcomes = []
+        try:
+
+            def churn(first_seed):
+                for seed in range(first_seed, first_seed + 3):
+                    job = service.submit([_config(seed=seed, n_flows=2)]).job
+                    outcomes.append((job.job_id, service.cancel(job.job_id)))
+
+            threads = [
+                threading.Thread(target=churn, args=(100 + 3 * n,))
+                for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(outcomes) == 12
+            for job_id, cancelled in outcomes:
+                end = service.wait(job_id, timeout_s=60.0)
+                assert end["state"] == (
+                    "cancelled" if cancelled else DONE
+                ), end
+            assert _wait_until(
+                lambda: service.health()["cells_in_flight"] == 0
+            )
+        finally:
+            sys.setswitchinterval(switch)
+            service.stop()
 
     def test_one_client_shared_by_threads(self, http_service):
         _, client = http_service
@@ -646,7 +726,7 @@ class TestHttpApi:
         _, client = http_service
         health = client.healthz()
         assert health["ok"]
-        assert health["workers_alive"] >= 1
+        assert health["cells_in_flight"] == health["queue_depth"] == 0
         metrics = client.metrics()
         assert "jobs" in metrics
         assert metrics["queue_depth"] >= 0
