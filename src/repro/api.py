@@ -58,7 +58,6 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.report import format_table
 from repro.faults.spec import FaultEventSpec, FaultScheduleSpec
-from repro.hooks import HookSet
 from repro.lb.base import LoadBalancer
 from repro.lb.factory import (
     LB_REGISTRY,
@@ -123,7 +122,6 @@ __all__ = [
     "WheelSimulator",
     "make_simulator",
     "RngStreams",
-    "HookSet",
     "QueueSampler",
     "DctcpFlow",
     "TcpFlow",

@@ -14,7 +14,7 @@ experiment-shape flags (``--topology`` ... ``--drain-ms``) plus
 (the width of its one cell pool) and ``--no-cache``; ``cache``,
 ``jobs``, ``probe-model``, ``chaos``, ``golden``, ``trace summarize``
 and ``trace export`` take only their own flags.
-Tracing is ``trace run`` (or ``REPRO_TRACE=1`` for any run).
+Tracing is ``trace run``.
 
 ``run``, ``compare`` and ``submit`` print their results through one
 function, :func:`print_results`, from the per-cell dicts ``GET
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -157,6 +158,29 @@ def _topology(args) -> TopologyConfig:
             f"--hosts-per-leaf is not supported for topology {name!r}"
         )
     return dataclasses.replace(topology, hosts_per_leaf=args.hosts_per_leaf)
+
+
+def topology_flags(topology: TopologyConfig) -> List[str]:
+    """The ``--topology`` flags :func:`_topology` rebuilds ``topology``
+    from, or ``[]`` when no preset does."""
+    for name, asymmetric, hosts_per_leaf in itertools.product(
+        TOPOLOGIES, (False, True), (None, topology.hosts_per_leaf)
+    ):
+        args = argparse.Namespace(
+            topology=name, asymmetric=asymmetric, hosts_per_leaf=hosts_per_leaf
+        )
+        try:
+            if _topology(args) != topology:
+                continue
+        except ValueError:
+            continue
+        flags = [f"--topology {name}"]
+        if asymmetric:
+            flags.append("--asymmetric")
+        if hosts_per_leaf is not None:
+            flags.append(f"--hosts-per-leaf {hosts_per_leaf}")
+        return flags
+    return []
 
 
 def _config_from_args(args, lb: str) -> ExperimentConfig:

@@ -76,7 +76,7 @@ class Detector:
         self.false_positive_count = 0
         #: Adverse episodes absorbed without flipping to DOWN.
         self.flap_suppressions = 0
-        #: Optional decision-audit hook (set via ``HookSet``).
+        #: Optional decision-audit hook (set by :func:`repro.hooks.attach`).
         self.audit = None
         self._flip_listeners: List[FlipListener] = []
 

@@ -66,17 +66,14 @@ class ExperimentConfig:
             layer (byte conservation, FIFO/capacity legality, monotone
             clock, ECN-mark legality, Algorithm 1 path states).  Off by
             default — an unvalidated run pays nothing; on, the result's
-            ``invariants`` field carries the checker's report.  The
-            ``REPRO_VALIDATE=1`` environment switch forces it on (and
-            bypasses the result cache) without touching configs.
+            ``invariants`` field carries the checker's report.
         trace: attach the :mod:`repro.telemetry` layer (structured event
             tracer, decision audit, engine profiler) to the run; the
             result's ``telemetry`` field then carries it (and
             ``telemetry_summary`` its picklable summary).  Off by
             default — an untraced run pays one ``is not None`` branch
-            per hook site.  ``REPRO_TRACE=1`` forces it on for every
-            run; traced runs always bypass the result cache (a cached
-            summary carries no trace).
+            per hook site.  Traced runs always bypass the result cache
+            (a cached summary carries no trace).
         streaming_stats: FCT statistics collection mode.  ``False``:
             the exact :class:`~repro.metrics.fct.FctStats` collector —
             every flow record retained, exact percentiles.  ``True``:

@@ -90,11 +90,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import ResultSummary
-from repro.experiments.runner import (
-    run_experiment,
-    trace_forced,
-    validate_forced,
-)
+from repro.experiments.runner import run_experiment
 from repro.metrics.fct import FctStats
 
 #: Bump when the cache entry layout changes (not when simulation code
@@ -857,10 +853,6 @@ def start_cells(
         jobs = resolve_jobs(jobs)
     if use_cache is None:
         use_cache = cache_enabled()
-    if validate_forced() or trace_forced():
-        # A cached summary was produced without the invariant/telemetry
-        # layer; serving it would silently skip what the user forced on.
-        use_cache = False
     cache = ResultCache(cache_dir) if use_cache else None
 
     results: List[Optional[ResultSummary]] = [None] * len(configs)

@@ -72,10 +72,10 @@ class ResultSummary:
     #: their replies) dropped in-fabric during the run.
     probe_losses: int = 0
     #: The invariant checker's end-of-run report when the run was
-    #: validated (``config.validate`` / ``REPRO_VALIDATE``).
+    #: validated (``config.validate``).
     invariants: Optional[Dict[str, int]] = None
     #: ``Telemetry.summary()`` when the run was traced
-    #: (``config.trace`` / ``REPRO_TRACE``).
+    #: (``config.trace``).
     telemetry_summary: Optional[Dict[str, Any]] = None
     #: Why the cell produced no result (``None`` for a successful run).
     #: Set for cells that exceeded their budget (``cell_timeout_s`` or

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
@@ -30,18 +29,6 @@ from repro.transport.dctcp import DctcpFlow
 from repro.transport.tcp import TcpFlow
 from repro.workload.distributions import distribution_by_name
 from repro.workload.generator import FlowGenerator
-
-
-def validate_forced() -> bool:
-    """True when ``REPRO_VALIDATE`` forces the invariant layer on for
-    every run, regardless of each config's ``validate`` flag."""
-    return os.environ.get("REPRO_VALIDATE", "").lower() in ("1", "on", "true", "yes")
-
-
-def trace_forced() -> bool:
-    """True when ``REPRO_TRACE`` forces the telemetry layer on for every
-    run, regardless of each config's ``trace`` flag."""
-    return os.environ.get("REPRO_TRACE", "").lower() in ("1", "on", "true", "yes")
 
 
 def _flow_record(f) -> FlowRecord:
@@ -133,19 +120,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     sim = make_simulator()
     rng = RngStreams(config.seed)
     fabric = Fabric(sim, config.topology, rng)
-    checker = None
-    if config.validate or validate_forced():
-        # Imported lazily: the validate package is pure overhead for the
-        # (default) unvalidated path and must never burden it.
-        from repro.validate import install_checker
-
-        checker = install_checker(fabric, config=config)
-    telemetry = None
-    if config.trace or trace_forced():
-        # Lazy import for the same reason as the validate layer.
-        from repro.telemetry import install_telemetry
-
-        telemetry = install_telemetry(fabric)
     # Spec-DSL *default* timers scale with time_scale (explicit values
     # are taken literally) so hold, heartbeat and breaker windows keep
     # their ratio to the scaled RTO floor.
@@ -156,12 +130,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         detector_time_scale=config.time_scale,
         **_resolved_lb_params(config),
     )
-    if checker is not None:
-        fabric.hooks.attach(scheme=scheme)
-    if telemetry is not None:
-        from repro.telemetry import watch_lb
+    # Observers are imported lazily: an unobserved run (the default)
+    # never loads them.  They attach in one call, while the ports are
+    # idle and before the first event.
+    observers: Dict[str, Any] = {}
+    checker = None
+    if config.validate:
+        from repro.validate import install_checker
 
-        watch_lb(telemetry, fabric, scheme)
+        checker = observers["checker"] = install_checker(fabric, config=config)
+    telemetry = None
+    if config.trace:
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry(sim)
+        observers.update(
+            tracer=telemetry.tracer,
+            audit=telemetry.audit,
+            profiler=telemetry.profiler,
+        )
+    if observers:
+        from repro.hooks import attach
+
+        attach(fabric, scheme=scheme, **observers)
     fault_plane: Optional[FaultSchedule] = None
     if config.faults is not None and config.faults:
         fault_plane = FaultSchedule(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.hooks import HookSet
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind, PacketPool
 from repro.net.topology import LeafSpineTopology, TopologyConfig
@@ -51,7 +50,7 @@ class Fabric:
         self._next_flow_id = 0
         self.on_flow_done: Optional[Callable[["FlowBase"], None]] = None
         #: Optional invariant checker (see :mod:`repro.validate`).
-        #: Attach via :attr:`hooks`.
+        #: Attach via :func:`repro.hooks.attach`.
         self._checker = None
         #: Optional tracer (see :mod:`repro.telemetry`): receives packet
         #: send/hop/deliver and flow start/finish callbacks.
@@ -65,7 +64,7 @@ class Fabric:
         #: refills, and every acquire falls through to a fresh Packet.
         self.packet_pool = PacketPool()
         #: Precomputed hooks-off flag for the send/forward hot path (and
-        #: the packet-release gate).  Kept honest by _refresh_fast_path().
+        #: the packet-release gate).  Set by :func:`repro.hooks.attach`.
         self._fast = True
         #: In-flight packet counts per flow id, enabled by
         #: :meth:`enable_flow_eviction` (streaming-stats runs).  ``None``
@@ -82,29 +81,6 @@ class Fabric:
         #: (agent host, probe id) -> (on_reply, on_lost): the one owner
         #: of each probe stream — see :meth:`claim_probes`.
         self._probe_owners: Dict[Tuple[int, int], tuple] = {}
-        #: The unified attach/detach surface for all observability hooks
-        #: (checker / tracer / audit / profiler) — see :mod:`repro.hooks`.
-        self.hooks = HookSet(self)
-
-    # ------------------------------------------------------------------ #
-    # Hook views (read-only: no setter, so assignment raises)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def checker(self):
-        """The attached invariant checker (read-only view; attach via
-        :attr:`hooks`)."""
-        return self._checker
-
-    @property
-    def tracer(self):
-        """The attached tracer (read-only view; attach via :attr:`hooks`)."""
-        return self._tracer
-
-    def _refresh_fast_path(self) -> None:
-        """Recompute the hooks-off flag (called by the HookSet whenever
-        a hook is attached or detached)."""
-        self._fast = self._checker is None and self._tracer is None
 
     # ------------------------------------------------------------------ #
     # Flow registry

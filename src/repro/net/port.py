@@ -142,7 +142,7 @@ class OutputPort:
         self._dre_last = 0
         #: Optional invariant checker (see :mod:`repro.validate`); one
         #: ``is not None`` branch per enqueue/dequeue when disabled.
-        #: Attach via :class:`repro.hooks.HookSet`.
+        #: Attach via :func:`repro.hooks.attach`.
         self._checker = None
         #: Optional tracer (see :mod:`repro.telemetry`): receives drop
         #: callbacks; same nullable zero-cost pattern.
@@ -153,26 +153,10 @@ class OutputPort:
         #: called from every site that flips one of those inputs.
         self._guarded = False
 
-    # ------------------------------------------------------------------ #
-    # Hook views (read-only: no setter, so assignment raises)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def checker(self):
-        """The attached invariant checker (read-only view; attach via
-        :class:`repro.hooks.HookSet`)."""
-        return self._checker
-
-    @property
-    def tracer(self):
-        """The attached tracer (read-only view; attach via
-        :class:`repro.hooks.HookSet`)."""
-        return self._tracer
-
     def _refresh_fast_path(self) -> None:
         """Recompute the enqueue guard flag.  Every input that can force
         the slow path funnels through here: admin state, failure
-        predicates, and hook attachment (including the HookSet layer)."""
+        predicates, and :func:`repro.hooks.attach`."""
         self._guarded = (
             self.admin_down
             or bool(self.drop_predicates)

@@ -148,7 +148,7 @@ class Simulator:
         #: Optional invariant checker (see :mod:`repro.validate`).  When
         #: ``None`` — the default — the event loop pays one predictable
         #: branch per event and nothing else.  Attach via
-        #: :class:`repro.hooks.HookSet`.
+        #: :func:`repro.hooks.attach`.
         self._checker = None
         #: Optional event-loop profiler (see
         #: :class:`repro.telemetry.series.LoopProfiler`); same nullable
@@ -159,22 +159,6 @@ class Simulator:
         self.stale_refiled = 0
         self.stale_dropped = 0
         self.cancelled_skipped = 0
-
-    # ------------------------------------------------------------------ #
-    # Hook views (read-only: no setter, so assignment raises)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def checker(self):
-        """The attached invariant checker (read-only view; attach via
-        :class:`repro.hooks.HookSet`)."""
-        return self._checker
-
-    @property
-    def profiler(self):
-        """The attached loop profiler (read-only view; attach via
-        :class:`repro.hooks.HookSet`)."""
-        return self._profiler
 
     # ------------------------------------------------------------------ #
     # Scheduling

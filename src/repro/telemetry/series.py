@@ -111,7 +111,7 @@ class QueueSampler(PeriodicSampler):
 
 
 class LoopProfiler:
-    """Event-loop profiler, attached as ``Simulator.profiler``.
+    """Event-loop profiler, attached as the engine's ``_profiler``.
 
     The engine calls :meth:`on_event` once per dispatched event, just
     before the callback runs (one ``is not None`` branch when no profiler

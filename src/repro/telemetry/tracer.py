@@ -131,8 +131,8 @@ class TraceRecord:
 
 
 class TracerHooks:
-    """The hook protocol the runtime calls on ``fabric.tracer`` /
-    ``port.tracer``.  Every method is a no-op here; subclasses override
+    """The hook protocol the runtime calls on the fabric's and every
+    port's ``_tracer``.  Every method is a no-op here; subclasses override
     what they care about (:class:`EventTracer` records everything)."""
 
     def on_send(self, packet: "Packet") -> None:

@@ -13,10 +13,10 @@ Three pieces:
 * :mod:`repro.validate.golden` — golden regression pinning of the
   reference grid's summary statistics.
 
-Enable per run with ``ExperimentConfig(validate=True)``, per invocation
-with ``python -m repro ... --validate``, or globally with
-``REPRO_VALIDATE=1``.  Disabled (the default), the layer costs one
-``is not None`` branch per hook site and nothing else.
+Enable per run with ``ExperimentConfig(validate=True)`` or per
+invocation with ``python -m repro ... --validate``.  Disabled (the
+default), the layer costs one ``is not None`` branch per hook site and
+nothing else.
 """
 
 from repro.validate.checker import (

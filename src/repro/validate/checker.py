@@ -25,8 +25,8 @@ disagree.  Checked invariants:
 The layer is **opt-in and zero-cost when off**: every hook site in the
 runtime is guarded by a single ``is not None`` test on an attribute that
 defaults to ``None``, so an unvalidated run executes the same hot path
-as before.  Install with :func:`install_checker` *before* any traffic is
-injected.
+as before.  Build one with :func:`install_checker` and wire it in with
+:func:`repro.hooks.attach` *before* any traffic is injected.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class InvariantChecker:
         sim: the event engine of the run.
         fingerprint: replay identity stamped into every violation.
 
-    Use :func:`install_checker` to wire one into a fabric; construct
+    Use :func:`install_checker` to build one for a run; construct
     directly only for unit tests of single components.
     """
 
@@ -406,12 +406,15 @@ class InvariantChecker:
 def experiment_command(config: Any) -> str:
     """The ``python -m repro run`` invocation replaying ``config``.
 
-    Topology presets are not recoverable from a :class:`TopologyConfig`,
-    so the command covers the CLI-expressible knobs; the full config repr
-    rides along in the fingerprint for exact reconstruction.
+    The command covers the CLI-expressible knobs, the topology only when
+    a ``--topology`` preset rebuilds it; the full config repr rides
+    along in the fingerprint for exact reconstruction.
     """
+    from repro.cli import topology_flags
+
     parts = [
         "python -m repro run",
+        *topology_flags(config.topology),
         f"--lb {config.lb}",
         f"--workload {config.workload}",
         f"--load {config.load}",
@@ -435,12 +438,11 @@ def install_checker(
     config: Any = None,
     command: Optional[str] = None,
 ) -> InvariantChecker:
-    """Attach a fresh :class:`InvariantChecker` to every layer of a fabric.
+    """A fresh :class:`InvariantChecker` for a run on ``fabric``,
+    fingerprinted for replay.
 
-    Must run before any traffic is injected (ports are required to be
-    idle).  Hermes leaf-state tables are created later by ``install_lb``;
-    the experiment runner attaches them via
-    ``fabric.hooks.attach(scheme=...)``.
+    Wire it in with :func:`repro.hooks.attach` before any traffic is
+    injected (ports are required to be idle).
 
     Args:
         fabric: the network to validate.
@@ -453,6 +455,4 @@ def install_checker(
         command=command
         or (experiment_command(config) if config is not None else None),
     )
-    checker = InvariantChecker(fabric.sim, fingerprint)
-    fabric.hooks.attach(checker=checker)
-    return checker
+    return InvariantChecker(fabric.sim, fingerprint)

@@ -143,8 +143,8 @@ class _vanishing_forward:
                 if state.nth == 0:
                     state.vanished += 1  # packet silently evaporates
                     return
-            if self.checker is not None:
-                self.checker.on_deliver(packet)
+            if self._checker is not None:
+                self._checker.on_deliver(packet)
             self.hosts[packet.dst].receive(packet)
 
         self._original = original

@@ -92,7 +92,7 @@ class TestSurface:
 
     def test_package_root_reexports_facade(self):
         for name in ("run_experiment", "run_grid", "save_result",
-                     "load_result", "ResultSummary", "HookSet"):
+                     "load_result", "ResultSummary"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
 

@@ -64,6 +64,26 @@ class TestParser:
             assert getattr(replayed, field) == getattr(config, field), field
         assert len(replayed.faults.events) == 3
 
+        # A violation found on a preset fabric replays on that fabric.
+        from repro.cli import TOPOLOGIES
+        from repro.experiments.scenarios import (
+            bench_topology,
+            failure_bench_topology,
+        )
+
+        presets = [build() for build in TOPOLOGIES.values()] + [
+            bench_topology(asymmetric=True),
+            bench_topology(hosts_per_leaf=3),
+            failure_bench_topology(hosts_per_leaf=2),
+        ]
+        for topology in presets:
+            preset_config = replace(config, topology=topology)
+            argv = shlex.split(experiment_command(preset_config))[3:]
+            replayed = _config_from_args(
+                build_parser().parse_args(argv), config.lb
+            )
+            assert replayed.topology == preset_config.topology
+
     def test_every_accepted_flag_is_read(self):
         """No shared parent hands a command flags it ignores: 102
         (command, flag) pairs, each one read by its command."""

@@ -12,6 +12,7 @@ holds throughout.
 
 import random
 
+from repro.hooks import attach
 from repro.lb.factory import install_lb
 from repro.net.failures import BlackholeFailure, RandomDropFailure
 from repro.transport.dctcp import DctcpFlow
@@ -39,8 +40,9 @@ class TestFailureMidFlow:
         swing: the flow stalls, every lost byte shows up in the drop
         ledger, and conservation still balances at the horizon."""
         fabric = make_fabric()
-        checker = install_checker(fabric)
         install_lb(fabric, "ecmp")
+        checker = install_checker(fabric)
+        attach(fabric, checker=checker)
         flow = DctcpFlow(fabric, 0, 2, 500 * MSS)
         fabric.register_flow(flow)
         flow.start()
@@ -62,8 +64,9 @@ class TestFailureMidFlow:
         """Install at 50 µs, recover at 2 ms: the transfer must ride out
         the outage through RTO recovery and still complete."""
         fabric = make_fabric()
-        checker = install_checker(fabric)
         install_lb(fabric, "ecmp")
+        checker = install_checker(fabric)
+        attach(fabric, checker=checker)
         flow = DctcpFlow(fabric, 0, 2, 50 * MSS, min_rto_ns=1 * MS)
         fabric.register_flow(flow)
         flow.start()
@@ -84,9 +87,9 @@ class TestFailureDuringProbe:
         propagating.  Every probe is swallowed, no reply ever returns,
         and the probe bytes are properly accounted as drops."""
         fabric = make_fabric()
-        checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
-        fabric.hooks.attach(scheme=shared)
+        checker = install_checker(fabric)
+        attach(fabric, checker=checker, scheme=shared)
         probers = shared.probers
 
         failure = RandomDropFailure(1.0, random.Random(0))
@@ -107,9 +110,9 @@ class TestFailureDuringProbe:
         legal state: classify() still returns a valid class for every
         path (validated by the checker's path-state hook)."""
         fabric = make_fabric()
-        checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
-        fabric.hooks.attach(scheme=shared)
+        checker = install_checker(fabric)
+        attach(fabric, checker=checker, scheme=shared)
 
         failure = RandomDropFailure(1.0, random.Random(0))
         fabric.sim.schedule(1_000, _install_on_all_spines, fabric, failure)
@@ -128,9 +131,9 @@ class TestRecoveryBeforeSweep:
         matching packet — must not be flagged: the sweep sees healthy
         counters and ``failed_detections`` stays zero."""
         fabric = make_fabric()
-        checker = install_checker(fabric)
         shared = install_lb(fabric, "hermes")
-        fabric.hooks.attach(scheme=shared)
+        checker = install_checker(fabric)
+        attach(fabric, checker=checker, scheme=shared)
         leaf_states = shared.leaf_states
 
         flow = DctcpFlow(fabric, 0, 2, 200 * MSS)

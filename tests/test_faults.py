@@ -597,6 +597,9 @@ class TestAcceptance:
         """Flows that finished before the first scheduled fault are
         bit-identical to the same run without the schedule: the fault
         plane is provably inert outside its window."""
+        # Sizes, timers and the fault window shrink together: the same
+        # 59 flows finish before the fault as at full scale.
+        scale = 0.1
         base = ExperimentConfig(
             topology=bench_topology(n_leaves=4, n_spines=4, hosts_per_leaf=3),
             lb="hermes",
@@ -604,12 +607,14 @@ class TestAcceptance:
             load=0.4,
             n_flows=80,
             seed=5,
-            extra_drain_ns=60 * MS,
+            extra_drain_ns=int(60 * MS * scale),
+            size_scale=scale,
+            time_scale=scale,
         )
-        start = 30 * MS
+        start = int(30 * MS * scale)
         faulted = dataclasses.replace(base, faults=schedule(
             link_down(start, leaf=0, spine=0),
-            link_up(50 * MS, leaf=0, spine=0),
+            link_up(int(50 * MS * scale), leaf=0, spine=0),
         ))
         plain = run_experiment(base)
         dynamic = run_experiment(faulted)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.parameters import HermesParams
 from repro.core.sensing import PATH_FAILED
+from repro.hooks import attach
 from repro.lb.factory import install_lb
 from repro.net.failures import BlackholeFailure, RandomDropFailure
 from repro.telemetry.audit import DecisionAudit
@@ -85,7 +86,7 @@ class TestBlackholeDetection:
     def test_detection_after_three_timeouts_no_acks(self):
         fabric, shared, _ = self._blackholed_fabric()
         audit = DecisionAudit(fabric.sim)
-        fabric.hooks.attach(audit=audit, scheme=shared)
+        attach(fabric, audit=audit, scheme=shared)
         agent = fabric.hosts[0].lb
         flow = DctcpFlow(fabric, 0, 2, 20 * MSS)
         flow.current_path = 0

@@ -1,11 +1,11 @@
 """The opt-in observers stay cold while they are off.
 
 ``repro.telemetry`` (tracing, audit, profiler) and ``repro.validate``
-(invariant checks) are switched on per run; an untraced, unvalidated
-run — exact or streaming statistics — must not call a single function
-in either package.  A profiler hook counts every Python call made
-during the run; the benchmark suite's ``observe.calls_when_off``
-counter asserts the same on its workloads.
+(invariant checks) are switched on per run, and ``repro.hooks`` wires
+them in; an untraced, unvalidated run — exact or streaming statistics —
+must not call a single function in any of them.  A profiler hook counts
+every Python call made during the run; the benchmark suite's
+``observe.calls_when_off`` counter asserts the same on its workloads.
 """
 
 from __future__ import annotations
@@ -20,9 +20,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 
-OBSERVERS = tuple(
-    os.sep + os.path.join("repro", package) + os.sep
-    for package in ("telemetry", "validate")
+OBSERVERS = (
+    *(
+        os.sep + os.path.join("repro", package) + os.sep
+        for package in ("telemetry", "validate")
+    ),
+    os.sep + os.path.join("repro", "hooks.py"),
 )
 
 
@@ -44,9 +47,7 @@ def _observer_calls(config: ExperimentConfig) -> Counter:
 
 
 @pytest.mark.parametrize("streaming", [False, True])
-def test_untraced_cell_never_enters_an_observer(streaming, monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+def test_untraced_cell_never_enters_an_observer(streaming):
     config = ExperimentConfig(
         topology=bench_topology(n_leaves=2, n_spines=2, hosts_per_leaf=4),
         lb="hermes",

@@ -120,7 +120,11 @@ def test_clone_packet_snapshots_fields_without_route():
 
 
 def test_fast_path_flags_follow_hook_lifecycle():
-    fabric = make_fabric()
+    """Attaching a tracer takes the fabric and every port off the fast
+    path; a fabric without one stays on it."""
+    from repro.hooks import attach
+
+    plain, traced = make_fabric(), make_fabric()
 
     class _Tracer:
         def on_send(self, packet):
@@ -135,12 +139,11 @@ def test_fast_path_flags_follow_hook_lifecycle():
         def on_flow_finish(self, flow):
             pass
 
-    ports = fabric.topology.all_ports()
-    assert fabric._fast and all(not p._guarded for p in ports)
-    fabric.hooks.attach(tracer=_Tracer())
-    assert not fabric._fast and all(p._guarded for p in ports)
-    fabric.hooks.detach(tracer=True)
-    assert fabric._fast and all(not p._guarded for p in ports)
+    attach(traced, tracer=_Tracer())
+    assert not traced._fast
+    assert all(p._guarded for p in traced.topology.all_ports())
+    assert plain._fast
+    assert not any(p._guarded for p in plain.topology.all_ports())
 
 
 def test_drop_predicates_toggle_port_guard():

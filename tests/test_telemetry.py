@@ -7,9 +7,10 @@ import os
 
 import pytest
 
+from repro.hooks import attach
 from repro.lb.factory import install_lb
 from repro.net.packet import Packet, PacketKind
-from repro.telemetry import Telemetry, install_telemetry, watch_lb
+from repro.telemetry import Telemetry
 from repro.telemetry.audit import DecisionAudit
 from repro.telemetry.export import (
     explain_flow,
@@ -28,16 +29,29 @@ from repro.transport.tcp import MSS
 from tests.conftest import make_fabric
 
 
-def traced_fabric():
+def attach_telemetry(fabric, scheme=None):
+    """Wire a fresh :class:`Telemetry` into ``fabric``, as a traced run
+    does once its scheme is installed."""
+    telemetry = Telemetry(fabric.sim)
+    attach(
+        fabric,
+        tracer=telemetry.tracer,
+        audit=telemetry.audit,
+        profiler=telemetry.profiler,
+        scheme=scheme,
+    )
+    return telemetry
+
+
+def traced_fabric(lb=None):
     fabric = make_fabric()
-    telemetry = install_telemetry(fabric)
-    return fabric, telemetry
+    scheme = install_lb(fabric, lb) if lb is not None else None
+    return fabric, attach_telemetry(fabric, scheme)
 
 
 class TestEventTracer:
     def test_records_full_packet_lifecycle(self):
-        fabric, telemetry = traced_fabric()
-        install_lb(fabric, "ecmp")
+        fabric, telemetry = traced_fabric("ecmp")
         flow = DctcpFlow(fabric, 0, 2, MSS)
         fabric.register_flow(flow)
         flow.start()
@@ -84,19 +98,13 @@ class TestEventTracer:
         assert tracer.counts_by_kind()["flow_start"] == 12
 
     def test_paths_used_and_deliveries(self):
-        fabric, telemetry = traced_fabric()
-        install_lb(fabric, "drb")
+        fabric, telemetry = traced_fabric("drb")
         flow = DctcpFlow(fabric, 0, 2, 20 * MSS)
         fabric.register_flow(flow)
         flow.start()
         fabric.sim.run(until=10_000_000)
         assert sorted(telemetry.tracer.paths_used(flow.flow_id)) == [0, 1]
         assert telemetry.tracer.deliveries(flow.flow_id) > 0
-
-    def test_install_refuses_second_tracer(self):
-        fabric, _ = traced_fabric()
-        with pytest.raises(RuntimeError):
-            install_telemetry(fabric)
 
 
 class TestPeriodicSampler:
@@ -175,8 +183,7 @@ class TestPeriodicSampler:
         """Posted callbacks have no Event; the profiler is handed the
         callable.  Kinds keep their names, the count is the engine's, and
         the sampled nanoseconds are a share of the wall clock."""
-        fabric, telemetry = traced_fabric()
-        install_lb(fabric, "ecmp")
+        fabric, telemetry = traced_fabric("ecmp")
         flow = DctcpFlow(fabric, 0, 2, 300 * MSS)
         fabric.register_flow(flow)
         # Lose the tail segment once: nothing follows it to raise
@@ -211,9 +218,8 @@ class TestPeriodicSampler:
 class TestDecisionAudit:
     def run_hermes(self, n_flows=8):
         fabric = make_fabric()
-        telemetry = install_telemetry(fabric)
         shared = install_lb(fabric, "hermes")
-        watch_lb(telemetry, fabric, shared)
+        telemetry = attach_telemetry(fabric, shared)
         flows = []
         for i in range(n_flows):
             flow = DctcpFlow(fabric, i % 2, 2 + i % 2, 10 * MSS)
@@ -233,9 +239,8 @@ class TestDecisionAudit:
 
     def test_why_left_names_reason_and_thresholds(self):
         fabric = make_fabric()
-        telemetry = install_telemetry(fabric)
         shared = install_lb(fabric, "hermes")
-        watch_lb(telemetry, fabric, shared)
+        telemetry = attach_telemetry(fabric, shared)
         flow = DctcpFlow(fabric, 0, 2, 400 * MSS)
         fabric.register_flow(flow)
         flow.start()
@@ -260,9 +265,8 @@ class TestDecisionAudit:
 
     def test_path_class_transitions_carry_thresholds(self):
         fabric = make_fabric()
-        telemetry = install_telemetry(fabric)
         shared = install_lb(fabric, "hermes")
-        watch_lb(telemetry, fabric, shared)
+        telemetry = attach_telemetry(fabric, shared)
         state = shared.leaf_states[0]
         # Drive one path's EWMAs into congested territory by hand.
         for _ in range(60):
@@ -296,8 +300,7 @@ class TestDecisionAudit:
 
 class TestExport:
     def run_traced(self):
-        fabric, telemetry = traced_fabric()
-        install_lb(fabric, "ecmp")
+        fabric, telemetry = traced_fabric("ecmp")
         flow = DctcpFlow(fabric, 0, 2, 10 * MSS)
         fabric.register_flow(flow)
         flow.start()

@@ -74,17 +74,3 @@ class TestTracingIsPureObservation:
             name for name in os.listdir(cache_dir) if name.endswith(".pkl")
         ]
         assert len(stored) == 1
-
-    def test_repro_trace_env_forces_cache_off(self, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "cache")
-        config = reference_config(n_flows=20)
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        result = run_cells(
-            [config], jobs=1, use_cache=True, cache_dir=cache_dir
-        )[0]
-        assert result.stats.records
-        import os
-
-        assert not os.path.isdir(cache_dir) or not any(
-            name.endswith(".pkl") for name in os.listdir(cache_dir)
-        )

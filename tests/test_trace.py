@@ -1,15 +1,14 @@
 """The packet-movement view of ``EventTracer``: a pcap-equivalent for
 the simulated fabric.
 
-These are the seven behaviours the deleted ``repro.net.trace``
+These are the behaviours the deleted ``repro.net.trace``
 ``PacketTracer`` shim was tested for, asserted on the tracer it adapted
-(attached through ``fabric.hooks`` like every other observer).  The rest
+(wired in by ``repro.hooks.attach`` like every other observer).  The rest
 of the tracer — drops, flow lifecycle, export — is covered in
 ``test_telemetry.py``.
 """
 
-import pytest
-
+from repro.hooks import attach
 from repro.lb.factory import install_lb
 from repro.telemetry.tracer import EventTracer
 from repro.transport.dctcp import DctcpFlow
@@ -19,15 +18,13 @@ PACKET_MOVES = ("send", "hop", "deliver")
 
 
 def traced_run(fabric, flows, **tracer_kwargs):
-    """Run ``flows`` to completion under a fresh tracer; returns it
-    detached."""
+    """Run ``flows`` to completion under a fresh tracer; returns it."""
     tracer = EventTracer(fabric.sim, **tracer_kwargs)
-    fabric.hooks.attach(tracer=tracer)
+    attach(fabric, tracer=tracer)
     for flow in flows:
         fabric.register_flow(flow)
         flow.start()
     fabric.sim.run(until=10_000_000)
-    fabric.hooks.detach(tracer=True)
     return tracer
 
 
@@ -56,24 +53,6 @@ class TestTracer:
         flow = DctcpFlow(fabric, 0, 2, 20 * MSS)
         tracer = traced_run(fabric, [flow])
         assert sorted(tracer.paths_used(flow.flow_id)) == [0, 1]
-
-    def test_detach_releases_hook(self, fabric):
-        tracer = EventTracer(fabric.sim)
-        fabric.hooks.attach(tracer=tracer)
-        assert fabric.tracer is tracer
-        assert all(p.tracer is tracer for p in fabric.topology.all_ports())
-        fabric.hooks.detach(tracer=True)
-        assert fabric.tracer is None
-        assert all(p.tracer is None for p in fabric.topology.all_ports())
-
-    def test_attach_refuses_occupied_hook(self, fabric):
-        first = EventTracer(fabric.sim)
-        fabric.hooks.attach(tracer=first)
-        with pytest.raises(RuntimeError):
-            fabric.hooks.attach(tracer=EventTracer(fabric.sim))
-        assert fabric.tracer is first
-        fabric.hooks.detach(tracer=True)
-        fabric.hooks.attach(tracer=EventTracer(fabric.sim))
 
     def test_truncation(self, fabric):
         install_lb(fabric, "ecmp")
