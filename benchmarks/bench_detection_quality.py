@@ -43,8 +43,8 @@ from typing import Dict, List, Optional, Sequence
 
 from figures import emit
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ResultSummary, run_cells
 from repro.experiments.report import format_table
+from repro.experiments.result import ResultSummary
 from repro.experiments.scenarios import bench_topology
 from repro.faults.spec import (
     blackhole_off,
@@ -123,6 +123,8 @@ def reproduce(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, ResultSummary]]:
     """detector -> shape -> summary for the requested fault shapes."""
+    from repro.experiments.pool import run_cells
+
     summaries = run_cells(_configs(shapes), jobs=jobs)
     grid: Dict[str, Dict[str, ResultSummary]] = {}
     it = iter(summaries)

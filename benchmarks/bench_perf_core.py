@@ -8,7 +8,7 @@ one (scheme x load x seed) grid:
    its alias ``events_per_sec_wheel``, kept for cross-PR diffing) plus
    per-scheme wall-clock;
 2. **parallel cold** — the same grid through
-   :func:`repro.experiments.parallel.run_cells` with ``--jobs`` workers
+   :func:`repro.experiments.pool.run_cells` with ``--jobs`` workers
    and an empty cache.  On single-core machines the speedup number is
    meaningless (pure process-spawn overhead), so ``parallel_speedup`` is
    ``null`` with a ``parallel_speedup_skipped`` reason and ``cpu_count``
@@ -58,11 +58,7 @@ from unittest import mock
 sys.path.insert(0, os.path.dirname(__file__))  # for direct execution
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    code_version,
-    resolve_jobs,
-    run_cells,
-)
+from repro.experiments.parallel import code_version
 from repro.experiments import runner
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
@@ -109,6 +105,8 @@ def measure(
     configs: List[ExperimentConfig], jobs: Optional[int] = None
 ) -> Dict:
     """Time the phases over ``configs``; returns the report dict."""
+    from repro.experiments.pool import resolve_jobs, run_cells
+
     jobs = resolve_jobs(jobs)
     cpu_count = os.cpu_count() or 1
 

@@ -47,7 +47,6 @@ from typing import Any, Dict, IO, List, Optional, Sequence, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import summary_dict
-from repro.experiments.parallel import run_cells as _run_cells
 from repro.experiments.result import ExperimentResult, ResultSummary
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
@@ -148,7 +147,9 @@ def run_grid(
         use_cache: override the ``REPRO_CACHE`` switch.
         cache_dir: override the cache location (``REPRO_CACHE_DIR``).
     """
-    return _run_cells(
+    from repro.experiments.pool import run_cells
+
+    return run_cells(
         configs, jobs=jobs, use_cache=use_cache, cache_dir=cache_dir
     )
 

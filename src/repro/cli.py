@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence
 from repro.core.probing import probe_overhead_model
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import cell_dict
-from repro.experiments.parallel import ResultCache, run_cells
+from repro.experiments.parallel import ResultCache
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import (
     bench_topology,
@@ -281,6 +281,8 @@ def print_results(schemes: Sequence[str], cells: Sequence[dict]) -> int:
 def cmd_run(args) -> int:
     """``run`` and ``compare``: a grid of schemes, one table (``run`` is
     the one-scheme grid, in-process)."""
+    from repro.experiments.pool import run_cells
+
     configs = _grid_from_args(args)
     results = run_cells(
         configs, jobs=args.jobs, use_cache=False if args.no_cache else None

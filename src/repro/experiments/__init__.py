@@ -1,16 +1,15 @@
 """Experiment harness: configs, the runner, scenario presets, reporting.
 
+The grid's process pool (:mod:`repro.experiments.pool`) is not imported
+here: its callers import it where they fan cells out, so importing this
+package loads no process pool.
+
 Every table and figure of the paper maps to a scenario preset here and a
 bench under ``benchmarks/`` (see DESIGN.md §3 for the full index).
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    ResultCache,
-    resolve_jobs,
-    run_cell,
-    run_cells,
-)
+from repro.experiments.parallel import ResultCache
 from repro.experiments.result import ExperimentResult, ResultSummary
 from repro.experiments.runner import run_experiment
 from repro.experiments.report import format_table, gbps
@@ -26,9 +25,6 @@ __all__ = [
     "ExperimentResult",
     "ResultCache",
     "ResultSummary",
-    "resolve_jobs",
-    "run_cell",
-    "run_cells",
     "run_experiment",
     "format_table",
     "gbps",

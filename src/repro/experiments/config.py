@@ -11,6 +11,14 @@ from repro.sim.engine import seconds
 
 TRANSPORTS = ("dctcp", "tcp")
 
+#: Fields that must be an ``int`` (never a ``bool``): counts, a seed and
+#: a duration on the engine's integer-nanosecond clock.
+_INT_FIELDS = ("n_flows", "seed", "extra_drain_ns")
+#: Fields that must be an ``int`` or a ``float`` (never a ``bool``);
+#: ``reorder_mask_us`` may also be ``None``.
+_NUMBER_FIELDS = ("load", "size_scale", "time_scale", "max_cwnd",
+                  "reorder_mask_us")
+
 
 def _reject_unknown_keys(section: str, data: Dict[str, Any], cls: type) -> None:
     """``ValueError`` naming the keys of ``data`` that are not fields of
@@ -124,6 +132,20 @@ class ExperimentConfig:
     detector: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Types first: a config dict is outside input, and a string or a
+        # float that slipped through would fail later — as a
+        # ``TypeError`` in the comparisons below or mid-run in a worker,
+        # or as a float clock in an integer-nanosecond engine.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "reorder_mask_us":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; known: {TRANSPORTS}"

@@ -77,7 +77,6 @@ class OutputPort:
         "_dre_on",
         "_dre_value",
         "_dre_last",
-        "data_bytes_enqueued",
         "ecn_marks",
         "_checker",
         "_tracer",
@@ -133,7 +132,6 @@ class OutputPort:
         self.drops_injected = 0
         self.drops_linkdown = 0
         self.max_backlog = 0
-        self.data_bytes_enqueued = 0
         self.ecn_marks = 0
         # DRE state (idle until enable_dre()).
         self.dre_tau_ns = dre_tau_ns
@@ -231,9 +229,6 @@ class OutputPort:
         self.backlog_bytes = backlog
         if backlog > self.max_backlog:
             self.max_backlog = backlog
-        kind = packet.kind
-        if kind == PacketKind.DATA or kind == PacketKind.UDP:
-            self.data_bytes_enqueued += size
         if self.busy:
             self._queues[packet.priority].append(packet)
         else:
@@ -287,9 +282,6 @@ class OutputPort:
         self.backlog_bytes = backlog
         if backlog > self.max_backlog:
             self.max_backlog = backlog
-        kind = packet.kind
-        if kind == PacketKind.DATA or kind == PacketKind.UDP:
-            self.data_bytes_enqueued += size
         self._queues[packet.priority].append(packet)
         if self._checker is not None:
             self._checker.on_enqueued(self, packet, backlog - size)

@@ -11,9 +11,17 @@ as jobs and stream progress:
 * :mod:`repro.serve.workers` — jobs on the one pool, whose queue orders
   every waiting cell by its job's priority: per-cell timeouts, bulkhead
   isolation, restart-on-crash of the cell processes;
-* :mod:`repro.serve.server` — stdlib ``ThreadingHTTPServer`` JSON API
-  (submit/status/result/cancel/healthz/metrics) + SSE event stream;
-* :mod:`repro.serve.client` — urllib client speaking the same protocol.
+* :mod:`repro.serve.server` — the assembled service, in-process;
+* :mod:`repro.serve.httpd` — its stdlib ``ThreadingHTTPServer`` JSON API
+  (submit/status/result/cancel/healthz/metrics) + SSE event stream,
+  imported when the service first binds;
+* :mod:`repro.serve.client` — ``http.client`` client speaking the same
+  protocol, which imports ``http.client`` on its first connection.
+
+Importing this package loads neither HTTP stack nor the process pool
+(the service's :class:`~repro.serve.workers.WorkerPool` imports
+:mod:`repro.experiments.pool` when it is built), so ``repro.api`` can
+re-export the service without a cell run paying for it.
 
 CLI: ``repro serve`` (daemon), ``repro submit`` (send a grid and wait),
 ``repro jobs`` (inspect).  In-process: ``repro.api.serve()``.

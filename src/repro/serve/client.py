@@ -13,6 +13,12 @@ connection (idle timeout, restart), the request is sent once more on a
 new one — safe for ``POST /submit`` too, which deduplicates by content.
 ``events()`` opens a connection of its own for the stream.
 
+What loads when: :mod:`http.client` (and with it the :mod:`email`
+parser and :mod:`ssl`) is imported when the client opens its first
+connection, not with this module, so importing :mod:`repro.api` — which
+re-exports :class:`ServiceClient` — costs a process that never talks to
+a service nothing.
+
     client = ServiceClient("http://127.0.0.1:8642")
     job = client.submit([config.to_dict() for config in grid])
     client.wait(job["job_id"])
@@ -21,14 +27,18 @@ new one — safe for ``POST /submit`` too, which deduplicates by content.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Union,
+)
 
 from repro.experiments.config import ExperimentConfig
+
+if TYPE_CHECKING:
+    import http.client
 
 __all__ = ["ServiceClient", "ServiceError", "BackpressureError"]
 
@@ -185,6 +195,8 @@ class ServiceClient:
             connection.close()
 
     def _connect(self, timeout_s: float) -> http.client.HTTPConnection:
+        import http.client
+
         return http.client.HTTPConnection(self._netloc, timeout=timeout_s)
 
     def _request(

@@ -5,11 +5,11 @@ Isolation is layered:
 
 * **Cell level** — every cell a job does not find in the cache runs in
   a worker *process* via the crash-tolerant grid runner
-  (:func:`~repro.experiments.parallel.start_cells`, then ``.results()``)
+  (:func:`~repro.experiments.pool.start_cells`, then ``.results()``)
   — a job's only cell and the one miss of a half-cached job included, so
   each gets its ``cell_timeout_s`` and none simulates inside the daemon.
   The service holds one
-  :class:`~repro.experiments.parallel.CellPool` for its whole life,
+  :class:`~repro.experiments.pool.CellPool` for its whole life,
   ``resolve_jobs(jobs)`` processes wide, so a job pays a round trip
   through live workers, not a fork and a reap, and the process count is
   that width, whatever the jobs ask.  The pool's queue is the service's
@@ -42,14 +42,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.parallel import (
-    CellPool,
-    CellRun,
-    resolve_jobs,
-    start_cells,
-)
 from repro.serve.state import (
     CANCELLED,
     DONE,
@@ -59,6 +53,9 @@ from repro.serve.state import (
     Job,
     JobTable,
 )
+
+if TYPE_CHECKING:
+    from repro.experiments.pool import CellRun
 
 __all__ = ["WorkerPool"]
 
@@ -84,6 +81,8 @@ class WorkerPool:
         default_cell_timeout_s: Optional[float] = None,
         publish: Callable[[Dict[str, Any]], None] = lambda event: None,
     ) -> None:
+        from repro.experiments.pool import CellPool, resolve_jobs
+
         self.table = table
         self.cells = CellPool(resolve_jobs(jobs))
         self.use_cache = use_cache
@@ -103,6 +102,8 @@ class WorkerPool:
         failed), else ``queued`` — a collector thread of the job's own
         takes it from there.
         """
+        from repro.experiments.pool import start_cells
+
         budget = job.cell_timeout_s or self.default_cell_timeout_s
         try:
             run = start_cells(

@@ -20,7 +20,7 @@ import pytest
 from repro.detect import Detector
 from repro.detect.base import HERMES_PROBE_FLOW_ID
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import run_cells
+from repro.experiments.pool import run_cells
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.faults.spec import (

@@ -50,12 +50,26 @@ class TestConfigValidation:
         (dict(reorder_mask_us=-1.0), "reorder_mask_us"),
         (dict(lb="no-such-scheme"), "unknown load balancer 'no-such-scheme'"),
         (dict(workload="cache-follower"), "unknown workload 'cache-follower'"),
+        (dict(n_flows=2.5), "n_flows must be an integer"),
+        (dict(n_flows=True), "n_flows must be an integer"),
+        (dict(seed=1.5), "seed must be an integer"),
+        (dict(seed="1"), "seed must be an integer"),
+        (dict(extra_drain_ns=1.5), "extra_drain_ns must be an integer"),
+        (dict(load="0.5"), "load must be a number"),
+        (dict(load=True), "load must be a number"),
+        (dict(size_scale="1"), "size_scale must be a number"),
+        (dict(time_scale=None), "time_scale must be a number"),
+        (dict(max_cwnd="big"), "max_cwnd must be a number"),
+        (dict(reorder_mask_us="5"), "reorder_mask_us must be a number"),
     ])
     def test_bad_input_rejected_when_built(self, overrides, message):
         """Each of these used to crash mid-run, or to return an empty
-        run, instead of failing here."""
+        run, or to raise a bare ``TypeError``, instead of failing here;
+        ``from_dict`` (the service's way in) refuses them alike."""
         with pytest.raises(ValueError, match=message):
             tiny_config(**overrides)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**tiny_config().to_dict(), **overrides})
 
     def test_scheme_registered_before_build_is_accepted(self, monkeypatch):
         from repro.lb.factory import LB_REGISTRY

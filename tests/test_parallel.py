@@ -1,6 +1,7 @@
 """Tests for parallel grid execution and the on-disk result cache.
 
-The contracts under test (see ``repro/experiments/parallel.py``):
+The contracts under test (see ``repro/experiments/pool.py`` and
+``repro/experiments/parallel.py``):
 determinism (parallel == serial, bit for bit), cache identity (a hit
 returns exactly what the miss computed), cache-key sensitivity (any
 config change means a different key), and cross-process RNG independence
@@ -20,18 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.experiments import parallel
+from repro.experiments import parallel, pool as cellpool
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    CellPool,
-    ResultCache,
-    ResultSummary,
-    cell_timeout,
-    config_key,
-    resolve_jobs,
-    run_cell,
-    run_cells,
-)
+from repro.experiments.parallel import ResultCache, cell_timeout, config_key
+from repro.experiments.pool import CellPool, resolve_jobs, run_cell, run_cells
+from repro.experiments.result import ResultSummary
 from repro.faults.spec import link_down, link_up, schedule
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
@@ -126,7 +120,7 @@ class TestCache:
         def boom(config):
             raise AssertionError("cache miss: simulation re-ran")
 
-        monkeypatch.setattr(parallel, "_run_cell", boom)
+        monkeypatch.setattr(cellpool, "_run_cell", boom)
         run_cells(grid, jobs=1, cache_dir=str(tmp_path))  # must not raise
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
@@ -523,7 +517,7 @@ class TestCellPool:
         both retry rounds — which the crash-seed cell of that same call
         then uses up before completing in-process."""
         rounds = []
-        real_round = parallel.CellRun._submit
+        real_round = cellpool.CellRun._submit
 
         def counting_round(*args):
             rounds.append(1)
@@ -538,8 +532,8 @@ class TestCellPool:
             in_process.append(config.seed)
             return run_experiment(config)
 
-        monkeypatch.setattr(parallel.CellRun, "_submit", counting_round)
-        monkeypatch.setattr(parallel, "run_experiment", recording_run)
+        monkeypatch.setattr(cellpool.CellRun, "_submit", counting_round)
+        monkeypatch.setattr(cellpool, "run_experiment", recording_run)
         with CellPool(2) as pool:
             run_cells(tiny_grid(), use_cache=False, pool=pool)
             os.kill(_worker_pids(pool)[0], signal.SIGKILL)
@@ -559,10 +553,10 @@ class TestCellPool:
             grid = [tiny_config(seed=seed) for seed in (21, 22, 23)]
             results = run_cells(grid, use_cache=False, pool=pool)
             assert all(r.error is None and r.stats.records for r in results)
-            assert len(rounds) == parallel.MAX_POOL_ROUNDS
+            assert len(rounds) == cellpool.MAX_POOL_ROUNDS
             assert 22 in in_process  # the serial fallback, and only then
             # Idle death, then one respawn per round the crash broke.
-            assert pool.spawns == 2 + 1 + parallel.MAX_POOL_ROUNDS - 1
+            assert pool.spawns == 2 + 1 + cellpool.MAX_POOL_ROUNDS - 1
 
     def test_in_flight_is_exact_when_threads_share_the_pool(self):
         """Eight threads submit to and collect from one pool with a
@@ -628,7 +622,7 @@ class TestCellPool:
 
 _ORPHAN_SCRIPT = """
 import multiprocessing, threading, time
-from repro.experiments import parallel
+from repro.experiments import pool
 from tests.test_parallel import tiny_config
 
 def report():
@@ -636,7 +630,7 @@ def report():
     print(*[p.pid for p in multiprocessing.active_children()], flush=True)
 
 threading.Thread(target=report, daemon=True).start()
-parallel.run_cells(
+pool.run_cells(
     [tiny_config(seed=s) for s in (1, 2)], jobs=2, use_cache=False
 )
 """

@@ -32,7 +32,7 @@ import dataclasses
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import run_cells
+from repro.experiments.pool import run_cells
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.faults.spec import link_down, link_up, schedule

@@ -41,7 +41,7 @@ from repro.serve import (
     ServiceClient,
     ServiceError,
 )
-from repro.serve import server
+from repro.serve.httpd import _ServiceHandler
 from repro.serve.state import InvalidTransition, UnknownJob
 from tests.conftest import child_env
 
@@ -579,7 +579,7 @@ class TestKeepAlive:
         assert time.perf_counter() - started < 0.3
 
     def test_server_closes_an_idle_connection(self, service, monkeypatch):
-        monkeypatch.setattr(server._ServiceHandler, "timeout", 0.2)
+        monkeypatch.setattr(_ServiceHandler, "timeout", 0.2)
         httpd = service.start_http(port=0)
         client = ServiceClient(
             f"http://127.0.0.1:{httpd.server_address[1]}", timeout_s=30.0
@@ -682,12 +682,15 @@ class TestHttpApi:
     @pytest.mark.parametrize("key, value, message", [
         ("lb", "no-such-scheme", "unknown load balancer 'no-such-scheme'"),
         ("scheduler", "heap", "unknown config keys: ['scheduler']"),
+        ("n_flows", 2.5, "n_flows must be an integer, got 2.5"),
+        ("load", "0.5", "load must be a number, got '0.5'"),
     ])
     def test_unknown_lb_or_config_key_is_400(self, http_service, key, value,
                                              message):
-        """A scheme the service does not know (or the engine key a
-        config no longer has) is refused at submit, not accepted and
-        failed when the cell runs."""
+        """A scheme the service does not know, the engine key a config
+        no longer has, or a field of the wrong type is refused at
+        submit, not accepted and failed when the cell runs (nor answered
+        with a 500)."""
         _, client = http_service
         config = _config().to_dict()
         config[key] = value

@@ -22,7 +22,8 @@ import random
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ResultSummary, run_cells
+from repro.experiments.pool import run_cells
+from repro.experiments.result import ResultSummary
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import bench_topology
 from repro.metrics.fct import FctStats, FlowRecord

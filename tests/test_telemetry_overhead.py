@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import run_cells
+from repro.experiments.pool import run_cells
 from repro.experiments.runner import run_experiment
 from repro.faults.spec import random_drop_start, schedule
 from repro.net.topology import TopologyConfig
