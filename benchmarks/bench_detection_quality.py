@@ -3,9 +3,9 @@
 The pluggable detection plane (:mod:`repro.detect`) trades detection
 latency against false positives: transport-evidence detection is free
 but waits out an RTO; BFD heartbeats detect in ``mult x tx`` but burn
-bandwidth and can condemn a path that was merely slow; circuit breakers
-sit in between, tripping on observed traffic only.  This bench maps
-that frontier empirically.
+bandwidth and can condemn a path that was merely slow; the fastest-of
+combiner is DOWN as soon as either is.  This bench maps that frontier
+empirically.
 
 Every cell runs the Fig. 16 recovery shape (4x4 fabric, web-search at
 50% load, one leaf-spine link faulted mid-run) under ECMP — a scheme
@@ -17,18 +17,25 @@ sweeps detector x fault shape:
 * ``link_down``  — admin-down at 20 ms, healed at 55 ms (Fig. 16);
 * ``flap``       — 2 ms period down/up cycling, the flap-suppression
   stress case;
-* ``blackhole``  — silent partial drop (no link-down signal at all);
+* ``blackhole``  — every leaf 0 -> leaf 1 host pair silently dropped at
+  spine 0 (no link-down signal at all);
 * ``degrade``    — link squeezed to 0.1 Gbps: alive but useless, the
   gray-failure case that splits liveness from usefulness.
 
-Gates (the ISSUE's acceptance bars):
+Gates (each detector keeps one directional bar, and no column may be
+one that cannot fail):
 
 * BFD ``detection_ns`` on ``link_down`` must be >= 10x lower than
   transport detection on the same shape;
-* every detector must report zero detections and zero false positives
-  on the ``clean`` shape.
+* ``fastest:transport+bfd`` must finish flows sooner (mean FCT) than
+  both of its members on ``flap``;
+* every detector, and every member of a combiner, must report zero
+  detections and zero false positives on the ``clean`` shape;
+* every faulted shape must show in its fault timeline that the fault
+  dropped packets (``degrade`` excepted: see :data:`DROPLESS_SHAPES`).
 
-Run directly (CI uses ``--smoke``, which keeps only clean+link_down)::
+Run directly (CI uses ``--smoke``, which keeps clean, link_down and
+flap)::
 
     PYTHONPATH=src python benchmarks/bench_detection_quality.py \
         [--smoke] [--jobs N] [--out BENCH_detection.json]
@@ -63,15 +70,9 @@ N_FLOWS = 100
 SEED = 2
 
 #: The detection planes under test.  Defaults throughout: BFD at
-#: tx=100us mult=3 (300 us detection), breaker at 50% failure rate /
-#: 50 ms open; the combiners compose the first two.
-DETECTORS = (
-    "transport",
-    "bfd",
-    "breaker",
-    "quorum:transport+bfd",
-    "fastest:transport+bfd",
-)
+#: tx=100us mult=3 (300 us detection); the combiner composes the two.
+COMBINER = "fastest:transport+bfd"
+DETECTORS = ("transport", "bfd", COMBINER)
 
 FAULT_SHAPES = {
     "clean": None,
@@ -84,7 +85,7 @@ FAULT_SHAPES = {
              until_ns=40 * MS),
     ),
     "blackhole": schedule(
-        blackhole_on(20 * MS, spine=0, src_leaf=0, dst_leaf=1, fraction=0.5),
+        blackhole_on(20 * MS, spine=0, src_leaf=0, dst_leaf=1, fraction=1.0),
         blackhole_off(55 * MS, spine=0),
     ),
     "degrade": schedule(
@@ -93,9 +94,14 @@ FAULT_SHAPES = {
     ),
 }
 
-#: CI subset: the bit-identity shape plus the shape the latency gate
-#: runs on.  The full sweep adds the qualitative columns.
-SMOKE_SHAPES = ("clean", "link_down")
+#: Faulted shapes whose fault drops nothing by design: ``degrade``
+#: squeezes a link to 0.1 Gbps, and its harm shows as queueing in the
+#: FCT column, not as loss.
+DROPLESS_SHAPES = ("degrade",)
+
+#: CI subset: the bit-identity shape plus the shapes the latency and
+#: combiner gates run on.  The full sweep adds the qualitative columns.
+SMOKE_SHAPES = ("clean", "link_down", "flap")
 
 
 def _configs(shapes: Sequence[str]) -> List[ExperimentConfig]:
@@ -137,6 +143,21 @@ def _fmt_ms(value_ns) -> str:
     return "-" if value_ns is None else f"{value_ns / MS:.3f}"
 
 
+def fault_drops(r: ResultSummary) -> int:
+    """Packets the fault itself dropped, read from the fault timeline: a
+    ``link_up`` reports its link's ``drops_while_down`` (cumulative
+    over a flap's cycles), a ``blackhole_off`` the blackhole's
+    ``dropped``."""
+    return max(
+        (
+            max(rec["detail"].get("drops_while_down", 0),
+                rec["detail"].get("dropped", 0))
+            for rec in r.fault_timeline
+        ),
+        default=0,
+    )
+
+
 def frontier_rows(grid: Dict[str, Dict[str, ResultSummary]]) -> List[List]:
     """One frontier point per (detector, shape): latency vs noise."""
     rows = []
@@ -152,13 +173,14 @@ def frontier_rows(grid: Dict[str, Dict[str, ResultSummary]]) -> List[List]:
                 m.get("flap_suppressions", 0),
                 r.probe_losses,
                 r.stats.unfinished_count,
+                fault_drops(r),
             ])
     return rows
 
 
 FRONTIER_HEADERS = [
     "detector", "fault", "detect (ms)", "detections", "false pos",
-    "suppressed", "probe losses", "unfinished",
+    "suppressed", "probe losses", "unfinished", "fault drops",
 ]
 
 
@@ -168,12 +190,19 @@ def check_gates(grid: Dict[str, Dict[str, ResultSummary]]) -> List[str]:
     for detector, by_shape in grid.items():
         clean = by_shape.get("clean")
         if clean is not None:
-            m = clean.detector_metrics
-            if m.get("detections", 0) or m.get("false_positive_count", 0):
+            top = clean.detector_metrics
+            for m in (top, *top.get("members", ())):
+                if m.get("detections", 0) or m.get("false_positive_count", 0):
+                    violations.append(
+                        f"{detector}: {m.get('detector')} fired on the "
+                        f"clean grid (detections={m.get('detections')}, "
+                        f"fp={m.get('false_positive_count')})"
+                    )
+        for shape, r in by_shape.items():
+            if (FAULT_SHAPES[shape] is not None
+                    and shape not in DROPLESS_SHAPES and not fault_drops(r)):
                 violations.append(
-                    f"{detector}: fired on the clean grid "
-                    f"(detections={m.get('detections')}, "
-                    f"fp={m.get('false_positive_count')})"
+                    f"{detector}@{shape}: the fault dropped no packet"
                 )
     down = {d: by_shape.get("link_down") for d, by_shape in grid.items()}
     for detector, r in down.items():
@@ -199,6 +228,16 @@ def check_gates(grid: Dict[str, Dict[str, ResultSummary]]) -> List[str]:
             violations.append(
                 "bfd reported false positives on the link_down shape"
             )
+    flap_rows = {d: by_shape.get("flap") for d, by_shape in grid.items()}
+    combined = flap_rows.get(COMBINER)
+    if combined is not None:
+        for member in ("transport", "bfd"):
+            r = flap_rows.get(member)
+            if r is not None and not combined.mean_fct_ms < r.mean_fct_ms:
+                violations.append(
+                    f"{COMBINER} mean FCT {combined.mean_fct_ms} ms is not "
+                    f"below {member}'s {r.mean_fct_ms} ms on flap"
+                )
     return violations
 
 
@@ -215,6 +254,7 @@ def report_dict(grid: Dict[str, Dict[str, ResultSummary]]) -> Dict:
                 "probe_losses": r.probe_losses,
                 "unfinished": r.stats.unfinished_count,
                 "avg_fct_ms": r.mean_fct_ms,
+                "fault_drops": fault_drops(r),
             }
     return {
         "meta": {
@@ -223,7 +263,10 @@ def report_dict(grid: Dict[str, Dict[str, ResultSummary]]) -> Dict:
             "detectors": list(DETECTORS),
             "gates": [
                 "bfd >= 10x faster than transport on link_down",
-                "zero detections / false positives on clean",
+                f"{COMBINER} mean FCT below both members on flap",
+                "zero detections / false positives on clean, "
+                "members included",
+                "every faulted shape but degrade drops packets",
             ],
         },
         "cells": cells,
@@ -242,7 +285,9 @@ def test_detection_quality():
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="clean + link_down only (the gated shapes)")
+                        help="clean, link_down and flap only (the "
+                             "shapes the latency and combiner gates "
+                             "read)")
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--out", default="BENCH_detection.json",
                         help="machine-readable frontier report")
@@ -265,7 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"GATE FAILED: {line}", file=sys.stderr)
         return 1
     print("gates passed: bfd >=10x transport on link_down; "
-          "clean grid silent")
+          f"{COMBINER} beats both members on flap; clean grid silent; "
+          "faults drop packets")
     return 0
 
 

@@ -133,10 +133,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "(times in ns/us/ms/s)")
     parser.add_argument("--detector", default=None, metavar="SPEC",
                         help="failure-detection plane (repro.detect), "
-                             "e.g. 'transport', 'bfd:tx=100us,mult=3', "
-                             "'breaker:threshold=0.5,open=50ms', "
-                             "'quorum:transport+bfd' or "
-                             "'fastest:transport+bfd'")
+                             "e.g. 'transport', 'bfd:tx=100us,mult=3' "
+                             "or 'fastest:transport+bfd'")
     parser.add_argument("--drain-ms", type=float, default=None,
                         help="cap the post-arrival drain (default 2000); "
                              "Fig. 16-style runs cap it so flows a "
@@ -792,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "tests/golden/reference_grid.json)")
     golden_parser.add_argument("--detector", default=None, metavar="SPEC",
                                help="attach a repro.detect spec to every "
-                                    "cell; passive detectors (transport, "
-                                    "breaker) must reproduce the committed "
+                                    "cell; the passive one (transport) "
+                                    "must reproduce the committed "
                                     "reference bit-for-bit")
     golden_parser.set_defaults(fn=cmd_golden)
 

@@ -18,10 +18,8 @@ Implementations:
 - :class:`BfdDetector` — BFD-style async-mode heartbeat sessions per
   (dst_leaf, path); heartbeats are real in-fabric PROBE packets, so
   they die with the link and experience real queueing.
-- :class:`CircuitBreakerDetector` — closed/open/half-open breaker per
-  path with a failure-rate window and half-open trial probes.
-- :class:`QuorumDetector` / :class:`FastestOfDetector` — combine
-  member verdicts so one layer's false positive cannot strand a path.
+- :class:`FastestOfDetector` — DOWN as soon as any member is, so a
+  combination detects at the speed of its fastest layer.
 
 Select via ``ExperimentConfig.detector`` (e.g. ``"bfd:tx=100us,mult=3"``,
 see :func:`parse_detector`), or build directly with
@@ -34,13 +32,11 @@ from repro.detect.base import (
     UP,
     VERDICT_NAMES,
     BFD_FLOW_ID,
-    BREAKER_FLOW_ID,
     Detector,
     agent_host_of,
 )
 from repro.detect.bfd import BfdDetector
-from repro.detect.breaker import CircuitBreakerDetector
-from repro.detect.combine import FastestOfDetector, QuorumDetector
+from repro.detect.combine import FastestOfDetector
 from repro.detect.spec import (
     DETECTOR_KINDS,
     DetectorSpec,
@@ -56,12 +52,9 @@ __all__ = [
     "DOWN",
     "VERDICT_NAMES",
     "BFD_FLOW_ID",
-    "BREAKER_FLOW_ID",
     "Detector",
     "TransportDetector",
     "BfdDetector",
-    "CircuitBreakerDetector",
-    "QuorumDetector",
     "FastestOfDetector",
     "DetectorSpec",
     "DETECTOR_KINDS",

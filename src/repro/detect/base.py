@@ -5,8 +5,8 @@ path usable right now?  The answer is a three-state verdict —
 
 - ``UP``      — no adverse evidence; schemes should use the path.
 - ``SUSPECT`` — evidence is accumulating (missed heartbeats, a live
-  retransmission window, sub-threshold failure rate) but not yet
-  conclusive.  Schemes keep using the path; combiners may weigh it.
+  retransmission window) but not yet conclusive.  Schemes keep using
+  the path.
 - ``DOWN``    — conclusive evidence; schemes must steer around it.
 
 Detectors are per-leaf objects: each leaf judges its own uplink paths
@@ -18,7 +18,7 @@ holds; REPS, DiffFlow and RDNA route on one and default to
 Verdict flips are observable twice over: the audit trail receives an
 ``on_verdict`` record for every transition (see
 :mod:`repro.telemetry.audit`), and *flip listeners* — registered by
-combining detectors — get a synchronous callback so a quorum can
+the combining detector — get a synchronous callback so it can
 recompute the combined verdict at the instant a member changes its
 mind, rather than polling.
 """
@@ -39,9 +39,9 @@ VERDICT_NAMES = {UP: "up", SUSPECT: "suspect", DOWN: "down"}
 #: <repro.net.fabric.Fabric.claim_probes>`.
 HERMES_PROBE_FLOW_ID = -100
 BFD_FLOW_ID = -101
-BREAKER_FLOW_ID = -102
 
-FlipListener = Callable[["Detector", int, int, int, int], None]
+#: ``listener(detector, dst_leaf, path, old, new, refuted)``.
+FlipListener = Callable[["Detector", int, int, int, int, bool], None]
 
 
 def agent_host_of(fabric, leaf: int) -> int:
@@ -138,8 +138,12 @@ class Detector:
         new: int,
         cause: str,
         detail: str = "",
+        refuted: bool = False,
     ) -> None:
-        """Record a verdict transition: counters, audit, listeners."""
+        """Record a verdict transition: counters, audit, listeners.
+
+        ``refuted`` marks a DOWN lifted because the detector found it
+        wrong — the episode that raised ``false_positive_count``."""
         if new == DOWN and old != DOWN:
             self.failed_detections += 1
             self.detection_times.append(self.sim.now)
@@ -147,7 +151,7 @@ class Detector:
         if audit is not None:
             audit.on_verdict(self, dst_leaf, path, old, new, cause, detail)
         for listener in self._flip_listeners:
-            listener(self, dst_leaf, path, old, new)
+            listener(self, dst_leaf, path, old, new, refuted)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -57,7 +57,8 @@ _S_UP = 2
 class _Session:
     """Per-(dst_leaf, path) heartbeat session."""
 
-    __slots__ = ("state", "last_heard", "ever_up", "suspect", "down_since")
+    __slots__ = ("state", "last_heard", "ever_up", "suspect", "down_since",
+                 "refuted")
 
     def __init__(self, now: int) -> None:
         self.state = _S_DOWN
@@ -65,6 +66,9 @@ class _Session:
         self.ever_up = False
         self.suspect = False
         self.down_since = -1
+        #: A late echo proved the standing DOWN wrong; the flip back UP
+        #: carries it.
+        self.refuted = False
 
 
 class BfdDetector(Detector):
@@ -186,12 +190,15 @@ class BfdDetector(Detector):
                 # The echoed probe was in flight when we declared the
                 # path dead: it was alive all along.
                 self.false_positive_count += 1
+                session.refuted = True
             session.state = _S_INIT
         elif state == _S_INIT:
             session.state = _S_UP
             session.suspect = False
             if session.ever_up:
-                self._flip(dst_leaf, path, DOWN, UP, "bfd-up", "")
+                self._flip(dst_leaf, path, DOWN, UP, "bfd-up", "",
+                           refuted=session.refuted)
+                session.refuted = False
             session.ever_up = True
         else:  # _S_UP
             if session.suspect:

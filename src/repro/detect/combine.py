@@ -1,23 +1,27 @@
-"""Verdict combination: quorum and fastest-of detector composition.
+"""Verdict combination: the fastest-of detector.
 
 Layered detection only pays off if the layers cover for each other:
 BFD is fast but a queueing spike can starve heartbeats; transport
-evidence is slow but grounded in real traffic.  Combiners hold several
-member detectors, forward all passive evidence to each, and derive a
-*combined* verdict per (dst_leaf, path):
-
-- :class:`QuorumDetector` — DOWN only when at least ``quorum`` members
-  say DOWN (default: a strict majority).  A single layer's false
-  positive cannot strand a path.
-- :class:`FastestOfDetector` — DOWN as soon as *any* member says DOWN
-  (a quorum of one).  Detection latency is the minimum over members;
-  false positives are the union.
+evidence is slow but grounded in real traffic.
+:class:`FastestOfDetector` holds several member detectors, forwards
+all passive evidence to each, and reads a path DOWN as soon as *any*
+member does, so its detection latency is the minimum over members.
+Any adverse member vote short of DOWN reads SUSPECT.
 
 Members push: every member verdict flip triggers a recomputation of
 the combined verdict for that pair (via the flip-listener hook on
 :class:`~repro.detect.base.Detector`), so the combiner keeps its own
 ``detection_times`` — stamped when the *combination* crossed into
 DOWN, which is the number the detection-latency metric should see.
+
+False positives are counted at the combination too: one for each
+combined DOWN that ends because a member refuted its own DOWN, that
+is, the member flip that lifted the combined verdict is the one that
+raised the member's ``false_positive_count`` (``refuted``: the
+transport table's proof-of-life ACK; a BFD session's return UP after a
+late echo proved it alive).  A refutation while another member still
+holds the path DOWN ends no combined DOWN and counts nothing.  Members
+keep their own counts, nested under ``members`` in the metrics.
 """
 
 from __future__ import annotations
@@ -27,19 +31,18 @@ from typing import Dict, Sequence, Tuple
 from repro.detect.base import DOWN, SUSPECT, UP, VERDICT_NAMES, Detector
 
 
-class ComboDetector(Detector):
-    """Shared machinery for verdict-combining detectors."""
+class FastestOfDetector(Detector):
+    """DOWN as soon as any member is."""
 
-    def __init__(self, fabric, leaf: int, members: Sequence, quorum: int) -> None:
+    name = "fastest"
+
+    def __init__(self, fabric, leaf: int, members: Sequence) -> None:
         members = tuple(members)
         if len(members) < 2:
             raise ValueError("combiners need at least two member detectors")
-        if not 1 <= quorum <= len(members):
-            raise ValueError("quorum must be within 1..len(members)")
         self.members = members
         self._audit = None
         super().__init__(fabric, leaf)
-        self.quorum = quorum
         self._combined: Dict[Tuple[int, int], int] = {}
         for member in members:
             member.add_flip_listener(self._member_flip)
@@ -65,36 +68,32 @@ class ComboDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def path_verdict(self, dst_leaf: int, path: int) -> int:
-        down = 0
-        adverse = 0
+        adverse = False
         for member in self.members:
             verdict = member.path_verdict(dst_leaf, path)
             if verdict == DOWN:
-                down += 1
-                adverse += 1
-            elif verdict == SUSPECT:
-                adverse += 1
-        if down >= self.quorum:
-            return DOWN
-        if adverse:
-            return SUSPECT
-        return UP
+                return DOWN
+            if verdict == SUSPECT:
+                adverse = True
+        return SUSPECT if adverse else UP
 
     def _member_flip(self, member, dst_leaf: int, path: int,
-                     old: int, new: int) -> None:
+                     old: int, new: int, refuted: bool) -> None:
         key = (dst_leaf, path)
         combined = self.path_verdict(dst_leaf, path)
         previous = self._combined.get(key, UP)
         if combined == previous:
             return
         self._combined[key] = combined
+        if previous == DOWN and refuted:
+            self.false_positive_count += 1
         self._flip(
             dst_leaf,
             path,
             previous,
             combined,
             f"member-{member.name}-{VERDICT_NAMES[new]}",
-            f"quorum={self.quorum}/{len(self.members)}",
+            f"fastest-of-{len(self.members)}",
         )
 
     # ------------------------------------------------------------------ #
@@ -133,28 +132,5 @@ class ComboDetector(Detector):
 
     def metrics(self) -> dict:
         out = super().metrics()
-        out["quorum"] = self.quorum
         out["members"] = [member.metrics() for member in self.members]
         return out
-
-
-class QuorumDetector(ComboDetector):
-    """DOWN when at least ``quorum`` members agree (default majority)."""
-
-    name = "quorum"
-
-    def __init__(self, fabric, leaf: int, members: Sequence,
-                 quorum: int = 0) -> None:
-        members = tuple(members)
-        if quorum <= 0:
-            quorum = len(members) // 2 + 1
-        super().__init__(fabric, leaf, members, quorum)
-
-
-class FastestOfDetector(ComboDetector):
-    """DOWN as soon as any member is (quorum of one)."""
-
-    name = "fastest"
-
-    def __init__(self, fabric, leaf: int, members: Sequence) -> None:
-        super().__init__(fabric, leaf, tuple(members), 1)

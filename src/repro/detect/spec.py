@@ -6,13 +6,11 @@ unchanged:
 
 - ``"transport"`` / ``"transport:hold=50ms,retx_threshold=10,retx_window=10ms"``
 - ``"bfd"`` / ``"bfd:tx=100us,mult=3"``
-- ``"breaker"`` / ``"breaker:threshold=0.5,window=10ms,min_volume=4,open=50ms,trial=25ms"``
-- ``"quorum:transport+bfd"`` / ``"quorum:transport+bfd,quorum=2"``
 - ``"fastest:transport+bfd"``
 
 Durations reuse the fault-DSL time grammar (``100us``, ``50ms``,
-``1.5s``, bare ns).  Member lists in combiners are distinct bare kinds
-joined with ``+`` and run with their defaults.
+``1.5s``, bare ns).  The member list of ``fastest`` is distinct bare
+kinds joined with ``+``; members run with their defaults.
 
 Time-valued *defaults* scale with the experiment's ``time_scale`` —
 exactly like the transport's RTO floor does in the runner — while
@@ -24,22 +22,14 @@ session instead of one that outlives the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.detect.bfd import (
     DEFAULT_DETECT_MULT,
     DEFAULT_TX_INTERVAL_NS,
     BfdDetector,
 )
-from repro.detect.breaker import (
-    DEFAULT_FAILURE_THRESHOLD,
-    DEFAULT_MIN_VOLUME,
-    DEFAULT_OPEN_TIMEOUT_NS,
-    DEFAULT_TRIAL_TIMEOUT_NS,
-    DEFAULT_WINDOW_NS,
-    CircuitBreakerDetector,
-)
-from repro.detect.combine import FastestOfDetector, QuorumDetector
+from repro.detect.combine import FastestOfDetector
 from repro.detect.transport import (
     DEFAULT_HOLD_NS,
     DEFAULT_RETX_THRESHOLD,
@@ -48,23 +38,14 @@ from repro.detect.transport import (
 )
 from repro.faults.spec import parse_time
 
-#: kind -> {param -> ("time" | "int" | "float")}
+#: kind -> {param -> ("time" | "int")}
 _PARAM_TYPES: Dict[str, Dict[str, str]] = {
     "transport": {"hold": "time", "retx_threshold": "int", "retx_window": "time"},
     "bfd": {"tx": "time", "mult": "int"},
-    "breaker": {
-        "threshold": "float",
-        "window": "time",
-        "min_volume": "int",
-        "open": "time",
-        "trial": "time",
-    },
-    "quorum": {"quorum": "int"},
     "fastest": {},
 }
 
 DETECTOR_KINDS = tuple(sorted(_PARAM_TYPES))
-_COMBINER_KINDS = ("quorum", "fastest")
 
 #: Time-valued defaults (ns at time_scale=1.0); everything else defaults
 #: inside the detector constructors.
@@ -74,11 +55,6 @@ _TIME_DEFAULTS: Dict[str, Dict[str, int]] = {
         "retx_window": DEFAULT_RETX_WINDOW_NS,
     },
     "bfd": {"tx": DEFAULT_TX_INTERVAL_NS},
-    "breaker": {
-        "window": DEFAULT_WINDOW_NS,
-        "open": DEFAULT_OPEN_TIMEOUT_NS,
-        "trial": DEFAULT_TRIAL_TIMEOUT_NS,
-    },
 }
 
 
@@ -87,7 +63,7 @@ class DetectorSpec:
     """Parsed detector configuration (hashable, canonicalizable)."""
 
     kind: str
-    params: Tuple[Tuple[str, Union[int, float]], ...] = ()
+    params: Tuple[Tuple[str, int], ...] = ()
     members: Tuple["DetectorSpec", ...] = field(default=())
 
     def param(self, key: str, default=None):
@@ -107,7 +83,7 @@ class DetectorSpec:
         return f"{self.kind}:{','.join(parts)}"
 
 
-def _parse_value(kind: str, key: str, raw: str) -> Union[int, float]:
+def _parse_value(kind: str, key: str, raw: str) -> int:
     try:
         value_type = _PARAM_TYPES[kind][key]
     except KeyError:
@@ -117,11 +93,7 @@ def _parse_value(kind: str, key: str, raw: str) -> Union[int, float]:
             f"(allowed: {allowed})"
         ) from None
     try:
-        if value_type == "time":
-            return parse_time(raw)
-        if value_type == "int":
-            return int(raw)
-        return float(raw)
+        return parse_time(raw) if value_type == "time" else int(raw)
     except ValueError:
         raise ValueError(
             f"bad value {raw!r} for detector parameter {kind}:{key}"
@@ -149,7 +121,7 @@ def parse_detector(text: str) -> DetectorSpec:
             key = key.strip().lower()
             params.append((key, _parse_value(kind, key, raw.strip())))
         elif "+" in token or token in _PARAM_TYPES:
-            if kind not in _COMBINER_KINDS:
+            if kind != "fastest":
                 raise ValueError(
                     f"detector {kind!r} does not take a member list "
                     f"({token!r})"
@@ -159,7 +131,7 @@ def parse_detector(text: str) -> DetectorSpec:
             member_specs = []
             for name in token.split("+"):
                 name = name.strip().lower()
-                if name in _COMBINER_KINDS:
+                if name == "fastest":
                     raise ValueError("combiners cannot nest combiners")
                 # Members run with their defaults, so a repeat adds
                 # nothing — and two of one kind would claim one probe
@@ -170,19 +142,11 @@ def parse_detector(text: str) -> DetectorSpec:
             members = tuple(member_specs)
         else:
             raise ValueError(f"cannot parse detector token {token!r}")
-    if kind in _COMBINER_KINDS:
-        if len(members) < 2:
-            raise ValueError(
-                f"detector {kind!r} needs a member list like "
-                f"'{kind}:transport+bfd'"
-            )
-        quorum = dict(params).get("quorum", 0)
-        if quorum and not 1 <= quorum <= len(members):
-            raise ValueError(
-                f"quorum={quorum} out of range for {len(members)} members"
-            )
-    elif members:
-        raise ValueError(f"detector {kind!r} does not take members")
+    if kind == "fastest" and len(members) < 2:
+        raise ValueError(
+            "detector 'fastest' needs a member list like "
+            "'fastest:transport+bfd'"
+        )
     return DetectorSpec(kind, tuple(params), members)
 
 
@@ -222,24 +186,10 @@ def build_detector(spec, fabric, leaf: int, time_scale: float = 1.0):
             tx_interval_ns=timed("tx"),
             detect_mult=int(spec.param("mult", DEFAULT_DETECT_MULT)),
         )
-    if spec.kind == "breaker":
-        return CircuitBreakerDetector(
-            fabric,
-            leaf,
-            failure_threshold=float(spec.param("threshold",
-                                               DEFAULT_FAILURE_THRESHOLD)),
-            window_ns=timed("window"),
-            min_volume=int(spec.param("min_volume", DEFAULT_MIN_VOLUME)),
-            open_timeout_ns=timed("open"),
-            trial_timeout_ns=timed("trial"),
-        )
     members = [
         build_detector(member, fabric, leaf, time_scale=time_scale)
         for member in spec.members
     ]
-    if spec.kind == "quorum":
-        return QuorumDetector(fabric, leaf, members,
-                              quorum=int(spec.param("quorum", 0)))
     return FastestOfDetector(fabric, leaf, members)
 
 

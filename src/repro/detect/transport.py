@@ -162,7 +162,8 @@ class TransportDetector(Detector):
         if self.sim.now < self._failed_until.get(key, -1):
             del self._failed_until[key]
             self.false_positive_count += 1
-            self._flip(dst_leaf, path, DOWN, UP, "proof-of-life")
+            self._flip(dst_leaf, path, DOWN, UP, "proof-of-life",
+                       refuted=True)
 
     def note_retransmit(self, dst_leaf: int, path: int) -> bool:
         """A retransmission implicated the path: fail it only once

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.faults.spec import FaultEventSpec, FaultScheduleSpec
-from repro.net.topology import TopologyConfig
+from repro.net.topology import TopologyConfig, check_types
 from repro.sim.engine import seconds
 
 TRANSPORTS = ("dctcp", "tcp")
@@ -15,9 +15,8 @@ TRANSPORTS = ("dctcp", "tcp")
 #: a duration on the engine's integer-nanosecond clock.
 _INT_FIELDS = ("n_flows", "seed", "extra_drain_ns")
 #: Fields that must be an ``int`` or a ``float`` (never a ``bool``);
-#: ``reorder_mask_us`` may also be ``None``.
-_NUMBER_FIELDS = ("load", "size_scale", "time_scale", "max_cwnd",
-                  "reorder_mask_us")
+#: ``reorder_mask_us`` also, unless it is ``None``.
+_NUMBER_FIELDS = ("load", "size_scale", "time_scale", "max_cwnd")
 
 
 def _reject_unknown_keys(section: str, data: Dict[str, Any], cls: type) -> None:
@@ -97,8 +96,7 @@ class ExperimentConfig:
             Part of the result-cache key like every other field.
         detector: optional failure-detector spec (see
             :mod:`repro.detect`): ``"transport"``,
-            ``"bfd:tx=100us,mult=3"``, ``"breaker:threshold=0.5"``,
-            ``"quorum:transport+bfd"`` or ``"fastest:transport+bfd"``.
+            ``"bfd:tx=100us,mult=3"`` or ``"fastest:transport+bfd"``.
             ``None`` (default) keeps each scheme's built-in sensing —
             Hermes' Algorithm 1; for REPS, DiffFlow and RDNA the default
             ``"transport"`` table, whose timers (``"transport:hold=…,
@@ -132,20 +130,10 @@ class ExperimentConfig:
     detector: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Types first: a config dict is outside input, and a string or a
-        # float that slipped through would fail later — as a
-        # ``TypeError`` in the comparisons below or mid-run in a worker,
-        # or as a float clock in an integer-nanosecond engine.
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            if value is None and name == "reorder_mask_us":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        # Types first (the topology checks its own when it is built).
+        check_types(self, _INT_FIELDS, _NUMBER_FIELDS)
+        if self.reorder_mask_us is not None:
+            check_types(self, (), ("reorder_mask_us",))
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; known: {TRANSPORTS}"

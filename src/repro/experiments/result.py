@@ -68,8 +68,8 @@ class ResultSummary:
     #: carried a fault schedule — ``detection_ns`` measured from the
     #: first applied fault.  Empty when ``config.detector`` is unset.
     detector_metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Probe packets (Hermes probes, BFD heartbeats, breaker trials and
-    #: their replies) dropped in-fabric during the run.
+    #: Probe packets (Hermes probes, BFD heartbeats and their replies)
+    #: dropped in-fabric during the run.
     probe_losses: int = 0
     #: The invariant checker's end-of-run report when the run was
     #: validated (``config.validate``).

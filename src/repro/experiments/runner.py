@@ -121,8 +121,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rng = RngStreams(config.seed)
     fabric = Fabric(sim, config.topology, rng)
     # Spec-DSL *default* timers scale with time_scale (explicit values
-    # are taken literally) so hold, heartbeat and breaker windows keep
-    # their ratio to the scaled RTO floor.
+    # are taken literally) so hold and heartbeat windows keep their
+    # ratio to the scaled RTO floor.
     scheme = install_lb(
         fabric,
         config.lb,
@@ -334,7 +334,7 @@ def _fold_detector_metrics(
     """Fold per-leaf detector counters into one run-level block.
 
     Combiners recurse member-wise (member ``i`` of every leaf folds into
-    one nested block), so a quorum's frontier point and each layer's
+    one nested block), so a combiner's frontier point and each layer's
     contribution are both readable from the summary."""
     out: Dict[str, Any] = {
         "detector": detectors[0].name,

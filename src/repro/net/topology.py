@@ -17,13 +17,36 @@ Asymmetry enters two ways, matching the paper's scenarios:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 from repro.net.port import OutputPort
 from repro.sim.engine import Simulator
 
 GBPS = 1e9
+
+
+def check_types(obj, ints: Sequence[str], numbers: Sequence[str]) -> None:
+    """``ValueError`` for the first field of ``obj`` named in ``ints``
+    that is not an ``int``, or named in ``numbers`` that is not an
+    ``int`` or a ``float``; a ``bool`` is neither.  A config dict is
+    outside input, and a string or a float that slipped through would
+    fail later — as a ``TypeError`` in a comparison, or mid-run in a
+    worker, or as a float clock in an integer-nanosecond engine."""
+    for name in ints:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name in numbers:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+#: ``TopologyConfig`` fields that must be an ``int``: counts, byte sizes
+#: and nanoseconds (the engine's clock is integer).
+_TOPOLOGY_INTS = ("n_leaves", "n_spines", "hosts_per_leaf", "prop_delay_ns",
+                  "buffer_bytes", "ecn_threshold_bytes", "dre_tau_ns")
 
 
 @dataclass
@@ -47,11 +70,19 @@ class TopologyConfig:
     dre_tau_ns: int = 100_000
 
     def __post_init__(self) -> None:
+        check_types(self, _TOPOLOGY_INTS, ("host_link_gbps", "spine_link_gbps"))
+        if not isinstance(self.link_overrides, dict):
+            raise ValueError(
+                "link_overrides must map (leaf, spine) to a rate, "
+                f"got {self.link_overrides!r}"
+            )
         if self.n_leaves < 1 or self.n_spines < 1 or self.hosts_per_leaf < 1:
             raise ValueError("topology dimensions must be positive")
         for (leaf, spine), rate in self.link_overrides.items():
             if not (0 <= leaf < self.n_leaves and 0 <= spine < self.n_spines):
                 raise ValueError(f"override ({leaf},{spine}) outside topology")
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ValueError(f"override rate must be a number, got {rate!r}")
             if rate < 0:
                 raise ValueError("override rate must be >= 0 (0 cuts the link)")
 

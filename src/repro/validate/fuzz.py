@@ -171,7 +171,7 @@ def _draw_detector(rng: random.Random) -> str:
     Explicit timer values are spelled out (in the 0.03x-scaled regime:
     tens of microseconds) about half the time; the other half relies on
     the spec DSL's time-scaled defaults, so both paths get fuzzed."""
-    kind = rng.choice(("transport", "bfd", "breaker", "quorum", "fastest"))
+    kind = rng.choice(("transport", "bfd", "fastest"))
     if kind == "transport":
         if rng.random() < 0.5:
             return "transport"
@@ -186,18 +186,7 @@ def _draw_detector(rng: random.Random) -> str:
             f"bfd:tx={rng.randrange(5_000, 50_000)},"
             f"mult={rng.randint(2, 5)}"
         )
-    if kind == "breaker":
-        if rng.random() < 0.5:
-            return "breaker"
-        return (
-            f"breaker:threshold={rng.choice((0.3, 0.5, 0.8))},"
-            f"min_volume={rng.randint(2, 8)},"
-            f"open={rng.randrange(300_000, 3_000_000)}"
-        )
-    members = "transport+bfd" if rng.random() < 0.7 else "transport+bfd+breaker"
-    if kind == "quorum":
-        return f"quorum:{members}"
-    return f"fastest:{members}"
+    return "fastest:transport+bfd"
 
 
 def chaos_config(seed: int, with_faults: Optional[bool] = None) -> ExperimentConfig:

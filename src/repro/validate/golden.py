@@ -72,8 +72,8 @@ def golden_configs() -> List[ExperimentConfig]:
 def compute_reference(detector: Optional[str] = None) -> Dict:
     """Run the grid in-process and summarize every cell.
 
-    ``detector`` attaches a :mod:`repro.detect` spec to every cell: a *passive*
-    detector (transport, breaker) must also reproduce the committed
+    ``detector`` attaches a :mod:`repro.detect` spec to every cell: the
+    *passive* detector (transport) must also reproduce the committed
     reference bit-for-bit — the clean grid gives it no evidence to act
     on, so any deviation means the detector perturbed a run it was only
     supposed to watch.

@@ -2,8 +2,8 @@
 
 Everything here runs on a bare 2x2 fabric with hand-scheduled link
 admin flips — no workload, no load balancer — so each test isolates one
-detector mechanism: spec parsing, BFD session timing, breaker state
-transitions, combiner quorum arithmetic.  End-to-end behaviour (latency
+detector mechanism: spec parsing, BFD session timing, the transport
+table, combiner arithmetic.  End-to-end behaviour (latency
 frontiers, bit-identity, probe-loss accounting) lives in
 ``test_detect_integration.py``.
 """
@@ -19,10 +19,8 @@ from repro.detect import (
     SUSPECT,
     UP,
     BfdDetector,
-    CircuitBreakerDetector,
     Detector,
     FastestOfDetector,
-    QuorumDetector,
     TransportDetector,
     agent_host_of,
     build_detector,
@@ -55,7 +53,7 @@ def _set_link(fabric, leaf: int, spine: int, down: bool) -> None:
 
 class TestDetectorSpec:
     def test_bare_kinds_parse(self):
-        for kind in ("transport", "bfd", "breaker"):
+        for kind in ("transport", "bfd"):
             spec = parse_detector(kind)
             assert spec.kind == kind
             assert spec.params == ()
@@ -71,9 +69,6 @@ class TestDetectorSpec:
         for text in (
             "transport:hold=50ms,retx_threshold=10",
             "bfd:tx=100us,mult=3",
-            "breaker:threshold=0.5,window=10ms,min_volume=4",
-            "quorum:transport+bfd",
-            "quorum:transport+bfd+breaker,quorum=3",
             "fastest:transport+bfd",
         ):
             spec = parse_detector(text)
@@ -85,14 +80,33 @@ class TestDetectorSpec:
             "frobnicate",
             "bfd:unknown=1",
             "bfd:tx=abc",
-            "quorum:bfd",            # combiners need >= 2 members
-            "quorum:quorum+bfd",     # no nesting
-            "quorum:bfd+bfd",        # a repeated member adds nothing
+            "fastest:bfd",           # combiners need >= 2 members
+            "fastest",
+            "fastest:fastest+bfd",   # no nesting
+            "fastest:bfd+bfd",       # a repeated member adds nothing
             "fastest:transport+bfd+transport",
+            "fastest:transport+bfd,quorum=1",
+            "bfd:transport+bfd",     # only the combiner takes members
             "transport:hold",        # missing value
         ):
             with pytest.raises(ValueError):
                 parse_detector(bad)
+
+    @pytest.mark.parametrize("gone", [
+        "breaker", "breaker:threshold=0.5", "quorum:transport+bfd",
+        "fastest:transport+breaker",
+    ])
+    def test_removed_kinds_name_the_kinds_left(self, gone):
+        with pytest.raises(ValueError, match="one of: bfd, fastest, transport"):
+            parse_detector(gone)
+
+    def test_package_exports_only_the_kinds_left(self):
+        import repro.detect
+
+        for name in ("CircuitBreakerDetector", "QuorumDetector",
+                     "ComboDetector", "BREAKER_FLOW_ID"):
+            assert not hasattr(repro.detect, name)
+            assert name not in repro.detect.__all__
 
     def test_explicit_values_ignore_time_scale(self):
         fabric = make_fabric()
@@ -109,8 +123,6 @@ class TestDetectorSpec:
     @pytest.mark.parametrize("kind, cls, times", [
         ("transport", TransportDetector, ("hold_ns", "retx_window_ns")),
         ("bfd", BfdDetector, ("tx_interval_ns",)),
-        ("breaker", CircuitBreakerDetector,
-         ("window_ns", "open_timeout_ns", "trial_timeout_ns")),
     ])
     def test_bare_spec_builds_the_constructor_defaults(self, kind, cls, times):
         built = build_detector(kind, make_fabric(), 0)
@@ -120,10 +132,10 @@ class TestDetectorSpec:
 
     def test_build_leaf_detectors_covers_every_leaf(self):
         fabric = make_fabric()
-        detectors = build_leaf_detectors(fabric, "quorum:transport+bfd")
+        detectors = build_leaf_detectors(fabric, "fastest:transport+bfd")
         assert sorted(detectors) == list(range(fabric.config.n_leaves))
         for leaf, det in detectors.items():
-            assert isinstance(det, QuorumDetector)
+            assert isinstance(det, FastestOfDetector)
             assert det.leaf == leaf
             assert [m.name for m in det.members] == ["transport", "bfd"]
 
@@ -316,13 +328,13 @@ class TestTransportTable:
         det = _table(fabric)
         det.audit = audit = _AuditSpy()
         flips = []
-        det.add_flip_listener(lambda d, dst, path, old, new: flips.append(
-            (dst, path, old, new)))
+        det.add_flip_listener(lambda d, dst, path, old, new, refuted:
+                              flips.append((dst, path, old, new, refuted)))
         det.note_timeout(1, 0)
         _at(fabric, 1 * MS, det.note_ok, 1, 0)
         assert not det.is_failed(1, 0) and det.path_verdict(1, 0) == UP
         assert det.false_positive_count == 1
-        assert flips == [(1, 0, UP, DOWN), (1, 0, DOWN, UP)]
+        assert flips == [(1, 0, UP, DOWN, False), (1, 0, DOWN, UP, True)]
         assert audit.verdicts == [
             (1, 0, UP, DOWN, "transport-evidence"),
             (1, 0, DOWN, UP, "proof-of-life"),
@@ -463,114 +475,12 @@ class TestFailedPathStoreContract:
         _, det = store
         det.audit = audit = _AuditSpy()
         flips = []
-        det.add_flip_listener(lambda d, dst, path, old, new: flips.append(
-            (d, dst, path, old, new)))
+        det.add_flip_listener(lambda d, dst, path, old, new, refuted:
+                              flips.append((d, dst, path, old, new)))
         det.mark_failed(1, 0)
         det.mark_failed(1, 0)  # inside the hold: no second flip
         assert flips == [(det, 1, 0, UP, DOWN)]
         assert [v[:4] for v in audit.verdicts] == [(1, 0, UP, DOWN)]
-
-
-# --------------------------------------------------------------------- #
-# Circuit breaker
-# --------------------------------------------------------------------- #
-
-
-def _breaker(fabric, **overrides) -> CircuitBreakerDetector:
-    params = dict(
-        failure_threshold=0.5,
-        window_ns=1 * MS,
-        min_volume=4,
-        open_timeout_ns=1 * MS,
-        trial_timeout_ns=500 * US,
-    )
-    params.update(overrides)
-    return CircuitBreakerDetector(fabric, 0, **params)
-
-
-class TestCircuitBreaker:
-    def test_timeout_trips_immediately(self):
-        fabric = make_fabric()
-        det = _breaker(fabric)
-        assert det.path_verdict(1, 0) == UP
-        det.note_timeout(1, 0)
-        assert det.path_verdict(1, 0) == DOWN
-        assert det.failed_detections == 1
-
-    def test_failure_rate_trips_at_min_volume(self):
-        fabric = make_fabric()
-        det = _breaker(fabric)
-        det.note_retransmit(1, 0)
-        det.note_ok(1, 0)
-        # Volume 2 < min_volume 4: adverse evidence shows as SUSPECT,
-        # but the breaker must not trip yet.
-        assert det.path_verdict(1, 0) == SUSPECT
-        assert det.failed_detections == 0
-        det.note_retransmit(1, 0)
-        det.note_retransmit(1, 0)  # 3 failures / 4 samples = 0.75 >= 0.5
-        assert det.path_verdict(1, 0) == DOWN
-
-    def test_successes_keep_breaker_closed(self):
-        fabric = make_fabric()
-        det = _breaker(fabric)
-        for _ in range(10):
-            det.note_ok(1, 0)
-        det.note_retransmit(1, 0)  # 1/11 well under threshold
-        assert det.path_verdict(1, 0) in (UP, SUSPECT)
-        assert det.failed_detections == 0
-
-    def test_half_open_trial_closes_on_echo(self):
-        fabric = make_fabric()
-        det = _breaker(fabric)
-        det.note_timeout(1, 0)
-        assert det.path_verdict(1, 0) == DOWN
-        # Open timeout elapses -> half-open trial probe over the (still
-        # healthy) fabric -> echo closes the breaker.
-        fabric.sim.run(until=3 * MS)
-        assert det.path_verdict(1, 0) == UP
-
-    def test_trial_timeout_reopens(self):
-        fabric = make_fabric()
-        det = _breaker(fabric)
-        _set_link(fabric, 0, 0, True)  # trial probes will die
-        det.note_timeout(1, 0)
-        fabric.sim.run(until=5 * MS)
-        assert det.path_verdict(1, 0) == DOWN
-
-    def test_proof_of_life_while_open_is_false_positive(self):
-        fabric = make_fabric()
-        det = _breaker(fabric)
-        det.note_timeout(1, 0)
-        det.note_ok(1, 0)  # real traffic made it through: we were wrong
-        assert det.false_positive_count == 1
-        assert det.path_verdict(1, 0) == UP
-
-    def test_half_open_trial_racing_real_recovery_closes_once(self):
-        fabric = make_fabric()
-        det = _breaker(fabric)
-        flips = []
-        det.add_flip_listener(
-            lambda det_, dst, path, old, new: flips.append((old, new))
-        )
-        det.note_timeout(1, 0)
-        # Real recovery evidence lands just after the trial probe is
-        # launched but before its echo returns; the late echo must not
-        # double-close or flip the verdict again.
-        fabric.sim.schedule(
-            1 * MS + 1 * US, lambda: det.note_ok(1, 0)
-        )
-        fabric.sim.run(until=4 * MS)
-        assert det.path_verdict(1, 0) == UP
-        assert flips.count((DOWN, UP)) == 1
-
-    def test_rejects_bad_parameters(self):
-        fabric = make_fabric()
-        with pytest.raises(ValueError):
-            _breaker(fabric, failure_threshold=0.0)
-        with pytest.raises(ValueError):
-            _breaker(fabric, min_volume=0)
-        with pytest.raises(ValueError):
-            _breaker(fabric, window_ns=0)
 
 
 # --------------------------------------------------------------------- #
@@ -586,19 +496,6 @@ def _transport_pair(fabric):
 
 
 class TestCombiners:
-    def test_quorum_requires_majority(self):
-        fabric = make_fabric()
-        a, b = _transport_pair(fabric)
-        det = QuorumDetector(fabric, 0, members=(a, b))
-        assert det.quorum == 2
-        a.mark_failed(1, 0)
-        # One vote of two: adverse evidence surfaces as SUSPECT only.
-        assert det.path_verdict(1, 0) == SUSPECT
-        assert det.failed_detections == 0
-        b.mark_failed(1, 0)
-        assert det.path_verdict(1, 0) == DOWN
-        assert det.failed_detections == 1
-
     def test_fastest_takes_first_down_vote(self):
         fabric = make_fabric()
         a, b = _transport_pair(fabric)
@@ -619,7 +516,7 @@ class TestCombiners:
     def test_metrics_nest_member_blocks(self):
         fabric = make_fabric()
         a, b = _transport_pair(fabric)
-        det = QuorumDetector(fabric, 0, members=(a, b))
+        det = FastestOfDetector(fabric, 0, members=(a, b))
         a.mark_failed(1, 0)
         out = det.metrics()
         assert [m["detector"] for m in out["members"]] == [
@@ -631,7 +528,7 @@ class TestCombiners:
         fabric = make_fabric()
         (a, _) = _transport_pair(fabric)
         with pytest.raises(ValueError):
-            QuorumDetector(fabric, 0, members=(a,))
+            FastestOfDetector(fabric, 0, members=(a,))
 
     def test_never_strand_fallback(self):
         fabric = make_fabric()
@@ -642,3 +539,62 @@ class TestCombiners:
         # Every path condemned: alive() must still offer the full set
         # rather than stranding the flow with nothing to route on.
         assert det.alive(1, (0, 1)) == (0, 1)
+
+
+class TestCombinerFalsePositives:
+    """A combined DOWN that a member refutes is the combiner's own false
+    positive; one that ends on real recovery is not."""
+
+    def test_refuted_down_counts_once(self):
+        fabric = make_fabric()
+        a, b = _transport_pair(fabric)
+        det = FastestOfDetector(fabric, 0, members=(a, b))
+        det.mark_failed(1, 0)
+        det.note_ok(1, 0)
+        assert det.path_verdict(1, 0) == UP
+        # Each member refuted its own DOWN; the combination was DOWN
+        # once, and that one DOWN was wrong.
+        assert (a.false_positive_count, b.false_positive_count) == (1, 1)
+        assert det.false_positive_count == 1
+
+    def test_refutation_while_another_member_holds_down_does_not_count(self):
+        fabric = make_fabric()
+        a, b = _transport_pair(fabric)
+        det = FastestOfDetector(fabric, 0, members=(a, b))
+        a.mark_failed(1, 0)
+        b.mark_failed(1, 0)
+        a.note_ok(1, 0)
+        assert det.path_verdict(1, 0) == DOWN
+        assert det.false_positive_count == 0
+
+    def test_late_bfd_echo_counts_when_the_session_comes_back(self):
+        # BFD counts on the stale echo and flips UP on the next one: the
+        # flip that lifts the combined DOWN carries the refutation.
+        fabric = make_fabric()
+        bfd = _bfd(fabric)
+        det = FastestOfDetector(
+            fabric, 0, members=(TransportDetector(fabric, 0), bfd)
+        )
+        fabric.sim.schedule(1 * MS, _set_link, fabric, 0, 0, True)
+        fabric.sim.run(until=3 * MS)
+        assert det.path_verdict(1, 0) == DOWN
+        down_since = bfd._sessions[(1, 0)].down_since
+        for ts_echo in (down_since - 10 * US, fabric.sim.now):
+            bfd._on_reply(types.SimpleNamespace(
+                src=agent_host_of(fabric, 1), path_id=0, ts_echo=ts_echo,
+            ))
+        assert det.path_verdict(1, 0) == UP
+        assert bfd.false_positive_count == 1
+        assert det.false_positive_count == 1
+
+    def test_real_recovery_is_no_false_positive(self):
+        fabric = make_fabric()
+        det = FastestOfDetector(
+            fabric, 0, members=(TransportDetector(fabric, 0), _bfd(fabric))
+        )
+        fabric.sim.schedule(1 * MS, _set_link, fabric, 0, 0, True)
+        fabric.sim.schedule(2 * MS, _set_link, fabric, 0, 0, False)
+        fabric.sim.run(until=4 * MS)
+        assert det.failed_detections == 1
+        assert det.path_verdict(1, 0) == UP
+        assert det.false_positive_count == 0

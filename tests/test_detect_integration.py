@@ -81,7 +81,7 @@ class TestDetectionLatency:
 
     def test_combiner_metrics_nest_per_member(self):
         result = run_experiment(
-            _config(detector="quorum:transport+bfd", faults=FAULTS)
+            _config(detector="fastest:transport+bfd", faults=FAULTS)
         )
         members = result.detector_metrics["members"]
         assert [m["detector"] for m in members] == ["transport", "bfd"]
@@ -106,12 +106,11 @@ class TestFlapSuppression:
 class TestPassiveBitIdentity:
     def test_passive_detectors_do_not_perturb_clean_runs(self):
         baseline = run_experiment(_config())
-        for spec in ("transport", "breaker"):
-            watched = run_experiment(_config(detector=spec))
-            assert watched.stats.mean_ms() == baseline.stats.mean_ms(), spec
-            assert watched.stats.p99_ms() == baseline.stats.p99_ms(), spec
-            assert watched.events == baseline.events, spec
-            assert watched.detector_metrics["detections"] == 0, spec
+        watched = run_experiment(_config(detector="transport"))
+        assert watched.stats.mean_ms() == baseline.stats.mean_ms()
+        assert watched.stats.p99_ms() == baseline.stats.p99_ms()
+        assert watched.events == baseline.events
+        assert watched.detector_metrics["detections"] == 0
 
     def test_active_detector_keeps_run_deterministic(self):
         a = run_experiment(_config(detector="bfd", faults=FAULTS))
@@ -169,7 +168,9 @@ class TestZooReadsItsDetectorSlot:
     """REPS, DiffFlow and RDNA read ``LoadBalancer.detector`` and install
     like any other scheme (their own installers, the ``health`` argument
     and the factory's second branch are gone) with no bit moved: these
-    cells reproduce what the parent commit (5cbadf8) recorded."""
+    cells reproduce what the parent commit (5cbadf8) recorded.  The
+    ``fastest`` cells were recorded at a6d50e4, before the combiners
+    merged into one class."""
 
     BLACKHOLE = schedule(
         blackhole_on(5 * MS, spine=0, fraction=1.0),
@@ -181,32 +182,32 @@ class TestZooReadsItsDetectorSlot:
     PARENT = {
         ("reps", "link_down", None): ("3adad7846051a66d", 234722, 115815, None),
         ("reps", "link_down", "bfd"): ("bca0f75efe7cc460", 262993, 300000, 0),
-        ("reps", "link_down", "quorum:transport+bfd"): (
-            "bda2e8b384957241", 263086, 300000, 0),
+        ("reps", "link_down", "fastest:transport+bfd"): (
+            "3bbd801ca25366db", 259193, 129671, 0),
         ("reps", "blackhole", None): ("092eaaf0dcdabcbd", 265286, 114127, 0),
         ("reps", "blackhole", "bfd"): ("29c41913c87cf243", 263393, 300000, 0),
-        ("reps", "blackhole", "quorum:transport+bfd"): (
-            "0e2e7a3bfa8cce37", 261251, 300000, 0),
+        ("reps", "blackhole", "fastest:transport+bfd"): (
+            "cb816b18adccb2ad", 260771, 129592, 0),
         ("diffflow", "link_down", None): (
             "552872ac03e01540", 213061, 2833456, None),
         ("diffflow", "link_down", "bfd"): ("207ec1fea00b043f", 257113, 300000, 0),
-        ("diffflow", "link_down", "quorum:transport+bfd"): (
-            "2cee6e0d2b579734", 259553, 2833456, 1055500),
+        ("diffflow", "link_down", "fastest:transport+bfd"): (
+            "207ec1fea00b043f", 257113, 300000, 0),
         ("diffflow", "blackhole", None): (
             "83c808ad5dcd88be", 224162, 2833456, None),
         ("diffflow", "blackhole", "bfd"): ("7b6ebc88858f6bbf", 257922, 300000, 0),
-        ("diffflow", "blackhole", "quorum:transport+bfd"): (
-            "447cca537303476d", 261004, 2833456, 1042106),
+        ("diffflow", "blackhole", "fastest:transport+bfd"): (
+            "7b6ebc88858f6bbf", 257922, 300000, 0),
         ("rdna", "link_down", None): (
             "3ecca41624ee4243", 246602, 10067915, 668333),
         ("rdna", "link_down", "bfd"): ("6add79227e463655", 255453, 300000, 0),
-        ("rdna", "link_down", "quorum:transport+bfd"): (
-            "95416999eaee50fa", 256340, 10067915, 671472),
+        ("rdna", "link_down", "fastest:transport+bfd"): (
+            "6add79227e463655", 255453, 300000, 0),
         ("rdna", "blackhole", None): (
             "7fe5d2062fefaa13", 247834, 10067915, 669586),
         ("rdna", "blackhole", "bfd"): ("724ada4b1fba7ecd", 256949, 300000, 0),
-        ("rdna", "blackhole", "quorum:transport+bfd"): (
-            "a019108a5a73a858", 259064, 10067915, 672674),
+        ("rdna", "blackhole", "fastest:transport+bfd"): (
+            "724ada4b1fba7ecd", 256949, 300000, 0),
     }
 
     @pytest.mark.parametrize(

@@ -71,6 +71,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict({**tiny_config().to_dict(), **overrides})
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("n_leaves", 2.5, "n_leaves must be an integer"),
+        ("n_spines", "2", "n_spines must be an integer"),
+        ("hosts_per_leaf", "4", "hosts_per_leaf must be an integer"),
+        ("host_link_gbps", "10", "host_link_gbps must be a number"),
+        ("spine_link_gbps", True, "spine_link_gbps must be a number"),
+        ("link_overrides", "0,1", "link_overrides must map"),
+        ("link_overrides", [[0, 1, "slow"]], "override rate must be a number"),
+        ("prop_delay_ns", 1000.5, "prop_delay_ns must be an integer"),
+        ("buffer_bytes", None, "buffer_bytes must be an integer"),
+        ("ecn_threshold_bytes", "97500", "ecn_threshold_bytes must be an integer"),
+        ("dre_tau_ns", 1e5, "dre_tau_ns must be an integer"),
+    ])
+    def test_topology_field_types_rejected(self, field, bad, message):
+        """A topology field of the wrong type used to build and die
+        mid-run, or raise a bare ``TypeError`` (a 500 from ``POST
+        /submit``, where a 400 is due)."""
+        data = tiny_config().to_dict()
+        data["topology"][field] = bad
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+
     def test_scheme_registered_before_build_is_accepted(self, monkeypatch):
         from repro.lb.factory import LB_REGISTRY
 
